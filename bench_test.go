@@ -159,23 +159,6 @@ func BenchmarkE12ReliableDelivery(b *testing.B) {
 	}
 }
 
-func BenchmarkE14EngineSaturation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := harness.E14(500)
-		if len(tbl.Rows) != 10 {
-			b.Fatalf("E14 rows = %d", len(tbl.Rows))
-		}
-		// Every arm — including the legacy clone+scan baseline — must still
-		// record a valid trace: performance paths may not trade away the
-		// Appendix A.2 properties.
-		for _, row := range tbl.Rows {
-			if row[len(row)-1] != "0 violations" {
-				b.Fatalf("E14 arm recorded an invalid trace: %v", row)
-			}
-		}
-	}
-}
-
 func BenchmarkE16CoreScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl := harness.E16(500)

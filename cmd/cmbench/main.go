@@ -4,41 +4,19 @@
 //
 // Usage:
 //
-//	cmbench [-scale N] [-exp E1,E2,...] [-obs] [-json FILE] [-fleetjson FILE] [-retainjson FILE]
+//	cmbench [-scale N] [-exp E1,E2,...] [-obs]
 //
 // -obs snapshots the process-wide metrics registry around each
 // experiment and prints the per-experiment deltas (every counter and
 // histogram series that moved), so a run doubles as an instrumentation
 // audit.  See OBSERVABILITY.md for the metric catalogue.
 //
-// -json writes the engine benchmark rows to FILE as a benchstat-friendly
-// JSON object with two arrays: "e14" (engine saturation, old path vs new
-// path: events/sec, ns/event, B/event, allocs/event per grid point) and
-// "e16" (core scaling: events/sec per GOMAXPROCS × bases arm on the
-// partitioned engine).  Successive runs can be diffed; the committed
-// BENCH_E14.json at the repo root is generated this way.
-//
-// -fleetjson writes the E17 horizontal-saturation rows (fleet throughput
-// per shell count × constraint count arm, plus the live-rebalance arm)
-// under an "e17" key in FILE.
-//
-// Both -json and -fleetjson merge key-wise into an existing FILE: each
-// rewrites only its own keys and preserves the others, so the e14/e16
-// and e17 sweeps compose into one BENCH_E14.json no matter which ran
-// last.
-//
-// -loadjson does the same for the E15 chaos-soak rows (rate × fault
-// campaign: sustained events/sec, latency quantiles, deadline misses,
-// recovery time); the committed BENCH_LOAD.json is generated this way.
-//
-// -retainjson merges the E18 bounded-memory retention rows (a 10M-event
-// flat-RSS soak with durable checkpoint cold start, plus a smaller
-// equivalence arm checked against an unpruned control) under an "e18"
-// key, composing into the same BENCH_E14.json.
+// The tables are verdict shapes (which guarantees hold, zero violations,
+// flat retention).  Timing a change is cmperf's job: bash
+// benchmarks/run.sh, then cmperf -compare on paired runs.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -50,69 +28,9 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 1, "workload scale factor")
-	exps := flag.String("exp", "all", "comma-separated experiment ids (E1..E18, F1, F2) or 'all'")
+	exps := flag.String("exp", "all", "comma-separated experiment ids (E1..E13, E15..E18, F1, F2) or 'all'")
 	obsMode := flag.Bool("obs", false, "print per-experiment metric deltas from the obs registry")
-	jsonOut := flag.String("json", "", "write E14+E16 engine rows to this file as JSON (merged key-wise) and exit")
-	fleetOut := flag.String("fleetjson", "", "write E17 fleet-scaling rows to this file as JSON (merged key-wise) and exit")
-	loadOut := flag.String("loadjson", "", "write E15 chaos-soak rows to this file as JSON and exit")
-	retainOut := flag.String("retainjson", "", "write E18 retention-soak rows (10M-event soak + equivalence arm) to this file as JSON (merged key-wise) and exit")
 	flag.Parse()
-
-	writeRows := func(path, what string, rows any, n int) {
-		buf, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cmbench: %v\n", err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cmbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d %s rows to %s\n", n, what, path)
-	}
-	// mergeRows rewrites only the given keys of the JSON object at path,
-	// preserving every other key an earlier sweep wrote there.
-	mergeRows := func(path, what string, keys map[string]any, n int) {
-		merged := map[string]json.RawMessage{}
-		if prev, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(prev, &merged); err != nil {
-				fmt.Fprintf(os.Stderr, "cmbench: %s exists but is not a JSON object (%v); refusing to merge\n", path, err)
-				os.Exit(1)
-			}
-		}
-		for k, v := range keys {
-			buf, err := json.Marshal(v)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cmbench: %v\n", err)
-				os.Exit(1)
-			}
-			merged[k] = buf
-		}
-		writeRows(path, what, merged, n)
-	}
-	if *jsonOut != "" {
-		e14 := harness.E14Rows(1000 * *scale)
-		e16 := harness.E16Rows(2000 * *scale)
-		mergeRows(*jsonOut, "E14+E16", map[string]any{"e14": e14, "e16": e16}, len(e14)+len(e16))
-		return
-	}
-	if *fleetOut != "" {
-		e17 := harness.E17Rows(2000 * *scale)
-		mergeRows(*fleetOut, "E17", map[string]any{"e17": e17}, len(e17))
-		return
-	}
-	if *loadOut != "" {
-		rows := harness.E15Rows(60 * *scale)
-		writeRows(*loadOut, "E15", rows, len(rows))
-		return
-	}
-	if *retainOut != "" {
-		// 5M updates record two events each: the 10M-event flat-RSS soak.
-		e18 := harness.E18Rows(5_000_000**scale, 100_000**scale)
-		mergeRows(*retainOut, "E18", map[string]any{"e18": e18}, len(e18))
-		return
-	}
 
 	runners := map[string]func() harness.Table{
 		"E1":  func() harness.Table { return harness.E1(100 * *scale) },
@@ -128,7 +46,6 @@ func main() {
 		"E11": func() harness.Table { return harness.E11(4 * *scale) },
 		"E12": func() harness.Table { return harness.E12(3 * *scale) },
 		"E13": func() harness.Table { return harness.E13(3 * *scale) },
-		"E14": func() harness.Table { return harness.E14(1000 * *scale) },
 		"E15": func() harness.Table { return harness.E15(60 * *scale) },
 		"E16": func() harness.Table { return harness.E16(2000 * *scale) },
 		"E17": func() harness.Table { return harness.E17(2000 * *scale) },
@@ -136,7 +53,7 @@ func main() {
 		"F1":  func() harness.Table { return harness.F1(100 * *scale) },
 		"F2":  func() harness.Table { return harness.F2(30 * *scale) },
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "F1", "F2"}
+	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E15", "E16", "E17", "E18", "F1", "F2"}
 
 	var selected []string
 	if *exps == "all" {
@@ -145,7 +62,7 @@ func main() {
 		for _, id := range strings.Split(*exps, ",") {
 			id = strings.TrimSpace(strings.ToUpper(id))
 			if _, ok := runners[id]; !ok {
-				fmt.Fprintf(os.Stderr, "cmbench: unknown experiment %q (want E1..E18, F1, F2)\n", id)
+				fmt.Fprintf(os.Stderr, "cmbench: unknown experiment %q (want E1..E13, E15..E18, F1, F2)\n", id)
 				os.Exit(2)
 			}
 			selected = append(selected, id)

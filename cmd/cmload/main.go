@@ -31,9 +31,10 @@
 //	cmload -risd 127.0.0.1:7001 -scrape http://127.0.0.1:9090 \
 //	       -schedule const:100:30s
 //
-// -json FILE writes the report as one JSON object for dashboards and
-// regression diffs (BENCH_LOAD.json is produced by cmbench -loadjson,
-// which sweeps campaigns deterministically; cmload measures real time).
+// -json FILE writes the report as one JSON object for dashboards.
+// (cmbench -exp E15 sweeps the same campaigns deterministically on a
+// virtual clock; cmload measures real time.  Neither times a change:
+// that is bash benchmarks/run.sh and cmperf -compare.)
 package main
 
 import (

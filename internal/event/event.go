@@ -215,7 +215,7 @@ func (e *Event) New() data.Interpretation {
 }
 
 // SetStates installs eager old/new interpretations, overriding any
-// StateSource (used by cloning traces, stub triggers and tests).
+// StateSource (used by compaction folds, stub triggers and tests).
 func (e *Event) SetStates(old, new data.Interpretation) {
 	e.old, e.new = old, new
 }

@@ -457,8 +457,8 @@ func (f *Fleet) Rebalance(members []string) (RebalanceReport, error) {
 		// The handoff travels as a sectioned, CRC-verified snapshot: the
 		// importer refuses a payload that rotted rather than installing
 		// damaged constraint state under the new epoch.
-		snap := f.shells[h.from].ExportPrivateSnap(func(b string) bool { return bases[b] }, true)
-		n, _, err := f.shells[h.to].ImportPrivateSnap(snap)
+		snap := f.shells[h.from].ExportPrivate(func(b string) bool { return bases[b] }, true)
+		n, _, err := f.shells[h.to].ImportPrivate(snap)
 		if err != nil {
 			return RebalanceReport{}, err
 		}

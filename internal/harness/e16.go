@@ -14,18 +14,16 @@ import (
 	"cmtk/internal/vclock"
 )
 
-// E16Row is one arm of the core-scaling sweep, JSON-ready for
-// BENCH_E14.json (committed alongside the E14 saturation rows so the
-// serial baseline and the parallel trajectory live in one file).
+// E16Row is one arm of the core-scaling sweep.
 type E16Row struct {
-	Procs        int     `json:"procs"`  // GOMAXPROCS and shell worker count (1 = serial engine)
-	Bases        int     `json:"bases"`  // independent base families (each carries 3 rules)
-	Rules        int     `json:"rules"`  // total rules on the shell
-	Events       int     `json:"events"` // external updates driven through the shell
-	Recorded     int     `json:"recorded"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	Violations   int     `json:"violations"` // Appendix A.2 checker findings (must be 0)
+	Procs        int // GOMAXPROCS and shell worker count (1 = serial engine)
+	Bases        int // independent base families (each carries 3 rules)
+	Rules        int // total rules on the shell
+	Events       int // external updates driven through the shell
+	Recorded     int
+	EventsPerSec float64
+	NsPerEvent   float64
+	Violations   int // Appendix A.2 checker findings (must be 0)
 }
 
 // e16Grid is the procs×bases sweep.  Base count scales the available

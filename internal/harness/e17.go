@@ -18,17 +18,16 @@ import (
 // constraint workload as E16 (copy, chain, and conditioned rules over
 // independent base families) driven through a fleet of N shells with
 // consistent-hash ownership instead of one multi-worker shell.
-// JSON-ready for BENCH_E14.json's "e17" key.
 type E17Row struct {
-	Shells       int     `json:"shells"` // fleet member count
-	Bases        int     `json:"bases"`  // independent base families (each carries 3 rules)
-	Rules        int     `json:"rules"`  // total rules sharded across the fleet
-	Events       int     `json:"events"` // external updates posted through fleet ingress
-	Recorded     int     `json:"recorded"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	Moved        int     `json:"moved"`      // bases moved by the mid-run rebalance (0 in static arms)
-	Violations   int     `json:"violations"` // Appendix A.2 checker findings (must be 0)
+	Shells       int // fleet member count
+	Bases        int // independent base families (each carries 3 rules)
+	Rules        int // total rules sharded across the fleet
+	Events       int // external updates posted through fleet ingress
+	Recorded     int
+	EventsPerSec float64
+	NsPerEvent   float64
+	Moved        int // bases moved by the mid-run rebalance (0 in static arms)
+	Violations   int // Appendix A.2 checker findings (must be 0)
 }
 
 // e17Grid sweeps shell count × constraint count, plus one arm that

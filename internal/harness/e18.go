@@ -16,23 +16,22 @@ import (
 	"cmtk/internal/vclock"
 )
 
-// E18Row is one arm of the bounded-memory retention experiment,
-// JSON-ready for BENCH_E14.json.
+// E18Row is one arm of the bounded-memory retention experiment.
 type E18Row struct {
-	Arm           string  `json:"arm"`            // "equivalence" or "soak"
-	Updates       int     `json:"updates"`        // external updates driven
-	Events        uint64  `json:"events"`         // lifetime events recorded (folded + retained)
-	RetainedPeak  int     `json:"retained_peak"`  // max events held at any sample point
-	RetainedFinal int     `json:"retained_final"` // events held when the run ended
-	PrunedEvents  uint64  `json:"pruned_events"`
-	PrunedMB      float64 `json:"pruned_mb"` // estimated heap MB released by folding
-	EventsPerSec  float64 `json:"events_per_sec"`
-	Flat          bool    `json:"flat"`             // retained peak stayed within the retention band
-	VerdictsEqual bool    `json:"verdicts_equal"`   // equivalence arm: monitor == batch over unpruned control
-	Violations    int     `json:"violations"`       // equivalence arm: Appendix A.2 checker findings (must be 0)
-	CheckpointB   int     `json:"checkpoint_bytes"` // soak arm: final durable checkpoint size
-	ColdStartTail int     `json:"cold_start_tail"`  // soak arm: WAL records replayed at cold start
-	ColdStartOK   bool    `json:"cold_start_ok"`    // soak arm: checkpoint verified and imported
+	Arm           string // "equivalence" or "soak"
+	Updates       int    // external updates driven
+	Events        uint64 // lifetime events recorded (folded + retained)
+	RetainedPeak  int    // max events held at any sample point
+	RetainedFinal int    // events held when the run ended
+	PrunedEvents  uint64
+	PrunedMB      float64 // estimated heap MB released by folding
+	EventsPerSec  float64
+	Flat          bool // retained peak stayed within the retention band
+	VerdictsEqual bool // equivalence arm: monitor == batch over unpruned control
+	Violations    int  // equivalence arm: Appendix A.2 checker findings (must be 0)
+	CheckpointB   int  // soak arm: final durable checkpoint size
+	ColdStartTail int  // soak arm: WAL records replayed at cold start
+	ColdStartOK   bool // soak arm: checkpoint verified and imported
 }
 
 // e18Bases is the strategy width: enough independent X→Y families to

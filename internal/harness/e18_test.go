@@ -5,8 +5,7 @@ import "testing"
 // TestE18RetentionShape the reduced-scale soak-smoke: both arms must
 // report flat retention, batch-equal verdicts, zero checker violations,
 // and a verified checkpoint cold start.  CI runs this under -race; the
-// full-scale soak (≥10M recorded events) runs through `cmbench
-// -retainjson` and is committed to BENCH_E14.json.
+// full-scale soak (≥10M recorded events) is `cmbench -exp E18 -scale 125`.
 func TestE18RetentionShape(t *testing.T) {
 	soak, eq := 40000, 20000
 	if testing.Short() {

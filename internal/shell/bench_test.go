@@ -67,26 +67,22 @@ rule prop: Ws(X, b) ->5s WR(Y, b)
 
 // BenchmarkRuleDispatch measures matching one spontaneous event against a
 // shell owning many rules: the dispatch index touches only the (op, item)
-// bucket, so its cost is flat in rule count, while the legacy linear scan
-// (Options.ScanDispatch) evaluates every owned rule per event.
+// bucket, so its cost is flat in rule count.
 func BenchmarkRuleDispatch(b *testing.B) {
-	const rules = 64
-	var src strings.Builder
-	src.WriteString("site S\n")
-	for r := 0; r < rules; r++ {
-		fmt.Fprintf(&src, "private X%d @ S\nprivate Y%d @ S\n", r, r)
-		fmt.Fprintf(&src, "rule r%d: Ws(X%d, b) ->5s W(Y%d, b)\n", r, r, r)
-	}
-	spec, err := rule.ParseSpecString(src.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"indexed", "scan"} {
-		b.Run(fmt.Sprintf("%s/rules=%d", mode, rules), func(b *testing.B) {
+	for _, rules := range []int{1, 64} {
+		var src strings.Builder
+		src.WriteString("site S\n")
+		for r := 0; r < rules; r++ {
+			fmt.Fprintf(&src, "private X%d @ S\nprivate Y%d @ S\n", r, r)
+			fmt.Fprintf(&src, "rule r%d: Ws(X%d, b) ->5s W(Y%d, b)\n", r, r, r)
+		}
+		spec, err := rule.ParseSpecString(src.String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
 			clk := vclock.NewVirtual(vclock.Epoch)
-			s := New("s", spec, Options{
-				Clock: clk, Trace: trace.New(nil), ScanDispatch: mode == "scan",
-			})
+			s := New("s", spec, Options{Clock: clk, Trace: trace.New(nil)})
 			s.AddSite("S", nil)
 			if err := s.Start(); err != nil {
 				b.Fatal(err)

@@ -95,7 +95,9 @@ func TestAdmitBlockWaitsForDrain(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	s.Do(func() {}) // barrier: both admitted updates fully processed
+	// Barrier: both admitted updates fully processed.  Not Do — while the
+	// first goroutine is still the drainer, Do only enqueues and returns.
+	s.Drain()
 	if shed := reg.Snapshot()[`cmtk_shell_shed_total{shell="s"}`]; shed != 0 {
 		t.Fatalf("AdmitBlock shed %v updates, want 0", shed)
 	}

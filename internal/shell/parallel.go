@@ -77,8 +77,8 @@ type exec struct {
 	// transport directly.
 	unit    *unit
 	latency *obs.Histogram
-	// one is record's scratch slice for the sharded serial path, which
-	// commits single events through AppendUnit without allocating.
+	// one is record's scratch slice for the serial engine, which commits
+	// single events through AppendUnit without allocating.
 	one [1]*event.Event
 }
 

@@ -288,31 +288,6 @@ func (s *Shell) peerSet() map[string]bool {
 	return peers
 }
 
-// ExportPrivate snapshots the CM-private items whose base satisfies sel,
-// as literal encodings keyed by item key — the handoff payload of a
-// fleet rebalance.  With remove set the items are also cleared here and
-// the removals journaled, so a crash-recovered shell cannot resurrect
-// state it handed off.
-func (s *Shell) ExportPrivate(sel func(base string) bool, remove bool) map[string]string {
-	s.privMu.Lock()
-	defer s.privMu.Unlock()
-	out := map[string]string{}
-	for k, v := range s.private {
-		name, err := data.ParseItemName(k)
-		if err != nil || !sel(name.Base) {
-			continue
-		}
-		if !v.IsNull() {
-			out[k] = v.String()
-		}
-		if remove {
-			delete(s.private, k)
-			s.journalPrivateLocked(name, data.NullValue)
-		}
-	}
-	return out
-}
-
 // handoffMeta is the verifiable frame around a private-state handoff:
 // who exported it and how many items, so an importer can cross-check
 // the payload against the exporter's intent.
@@ -321,13 +296,31 @@ type handoffMeta struct {
 	Items int    `json:"items"`
 }
 
-// ExportPrivateSnap is ExportPrivate wrapped in a sectioned, CRC-framed
-// snapshot — the verified handoff payload of a fleet rebalance.  The
-// receiving ImportPrivateSnap refuses a payload that rotted in flight
-// or on a relay's disk, instead of silently installing damaged
-// constraint state under a new epoch.
-func (s *Shell) ExportPrivateSnap(sel func(base string) bool, remove bool) []byte {
-	items := s.ExportPrivate(sel, remove)
+// ExportPrivate snapshots the CM-private items whose base satisfies sel
+// — literal encodings keyed by item key, in a sectioned, CRC-framed
+// snapshot — the handoff payload of a fleet rebalance.  With remove set
+// the items are also cleared here and the removals journaled, so a
+// crash-recovered shell cannot resurrect state it handed off.  The
+// receiving ImportPrivate refuses a payload that rotted in flight or on
+// a relay's disk, instead of silently installing damaged constraint
+// state under a new epoch.
+func (s *Shell) ExportPrivate(sel func(base string) bool, remove bool) []byte {
+	items := map[string]string{}
+	s.privMu.Lock()
+	for k, v := range s.private {
+		name, err := data.ParseItemName(k)
+		if err != nil || !sel(name.Base) {
+			continue
+		}
+		if !v.IsNull() {
+			items[k] = v.String()
+		}
+		if remove {
+			delete(s.private, k)
+			s.journalPrivateLocked(name, data.NullValue)
+		}
+	}
+	s.privMu.Unlock()
 	meta, _ := json.Marshal(handoffMeta{From: s.id, Items: len(items)})
 	payload, _ := json.Marshal(items)
 	return durable.EncodeSections([]durable.Section{
@@ -336,12 +329,15 @@ func (s *Shell) ExportPrivateSnap(sel func(base string) bool, remove bool) []byt
 	})
 }
 
-// ImportPrivateSnap verifies a sectioned handoff and installs its items
-// all-or-nothing: any section failing its CRC (or a payload that does
-// not match the exporter's declared item count) rejects the whole
-// snapshot and installs nothing.  It returns the number of items
-// imported plus the granular section report.
-func (s *Shell) ImportPrivateSnap(snap []byte) (int, durable.ImportReport, error) {
+// ImportPrivate verifies a sectioned handoff and installs its items
+// all-or-nothing: a section failing its CRC, a payload that does not
+// match the exporter's declared item count, or a single item whose key
+// or literal does not parse rejects the whole snapshot and installs
+// nothing.  Each installed write is journaled when durable state is
+// enabled, so the moving shard's state lands in the new owner's WAL
+// before the epoch cutover makes it authoritative.  It returns the
+// number of items imported plus the granular section report.
+func (s *Shell) ImportPrivate(snap []byte) (int, durable.ImportReport, error) {
 	secs, rep := durable.DecodeSections(snap)
 	if err := rep.Err(); err != nil {
 		return 0, rep, fmt.Errorf("shell %s: handoff rejected: %w", s.id, err)
@@ -361,32 +357,24 @@ func (s *Shell) ImportPrivateSnap(snap []byte) (int, durable.ImportReport, error
 	if len(items) != meta.Items {
 		return 0, rep, fmt.Errorf("shell %s: handoff declared %d items, carries %d", s.id, meta.Items, len(items))
 	}
-	if err := s.ImportPrivate(items); err != nil {
-		return 0, rep, err
-	}
-	return len(items), rep, nil
-}
-
-// ImportPrivate installs handed-off CM-private items, journaling each
-// write when durable state is enabled — the receiving side of a
-// rebalance, so the moving shard's state lands in the new owner's WAL
-// before the epoch cutover makes it authoritative.
-func (s *Shell) ImportPrivate(items map[string]string) error {
 	keys := make([]string, 0, len(items))
 	for k := range items {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		name, err := data.ParseItemName(k)
-		if err != nil {
-			return fmt.Errorf("shell %s: importing %q: %w", s.id, k, err)
+	names := make([]data.ItemName, len(keys))
+	vals := make([]data.Value, len(keys))
+	for i, k := range keys {
+		var err error
+		if names[i], err = data.ParseItemName(k); err == nil {
+			vals[i], err = data.ParseLiteral(items[k])
 		}
-		v, err := data.ParseLiteral(items[k])
 		if err != nil {
-			return fmt.Errorf("shell %s: importing %q: %w", s.id, k, err)
+			return 0, rep, fmt.Errorf("shell %s: importing %q: %w", s.id, k, err)
 		}
-		s.setPrivate(name, v)
 	}
-	return nil
+	for i := range keys {
+		s.setPrivate(names[i], vals[i])
+	}
+	return len(keys), rep, nil
 }

@@ -37,11 +37,6 @@ type Options struct {
 	// Fires receives structured rule-firing trace records; nil means
 	// obs.DefaultRing.
 	Fires *obs.Ring
-	// ScanDispatch disables the (op, item base) dispatch index and matches
-	// every event against every owned rule by linear scan — the
-	// pre-optimization behavior, kept as the baseline arm of the E14
-	// saturation experiment.
-	ScanDispatch bool
 	// QueueLimit bounds the post queue's depth for external work
 	// (spontaneous updates, translator notifications, inbound firings,
 	// CM-originated write requests).  0 means unbounded — the pre-overload-
@@ -132,10 +127,9 @@ type Shell struct {
 	// possibly match an event with that descriptor shape — item bases in
 	// templates are always literal, so the index is exact and handleEvent
 	// touches only candidate rules instead of scanning all of s.owned.
-	// Periodic rules live under {OpP, ""}.  Built by Start; scanAll keeps
-	// the pre-index linear scan alive for the E14 baseline arm.
+	// Periodic rules live under {OpP, ""}.  Built by Start, with the owned
+	// rules; before that both are empty.
 	dispatchIdx map[dispatchKey][]*rule.Rule
-	scanAll     bool
 
 	// eng is the serial execution context (scratch bindings + eval env for
 	// the match loop); the post queue serializes all use of it.  In
@@ -308,7 +302,6 @@ func New(id string, spec *rule.Spec, opts Options) *Shell {
 		pending:    map[pendID]int{},
 		implicit:   map[implID]rule.Rule{},
 		subscribed: map[string]bool{},
-		scanAll:    opts.ScanDispatch,
 		m:          newShellMetrics(opts.Metrics, opts.Fires, id),
 	}
 	s.qcond = sync.NewCond(&s.qmu)
@@ -751,17 +744,13 @@ func curGID() uint64 {
 	return 0
 }
 
-// record appends an event to the trace — directly in serial mode, or
-// into the running unit's buffer in parallel mode, where the sequence
-// number and final timestamp are assigned at the unit's commit point.
-//
-// A sharded serial shell shares its trace with peer shells committing
-// concurrently; Append would draw the seq at commit while keeping the
-// construction-time stamp, so two shells can interleave in an order
-// that inverts time vs seq (an Appendix A.2 property-1 violation).
-// Those shells commit through AppendUnit instead: the stamp is drawn
-// under the trace's commit mutex, exactly as the parallel engine does,
-// so seq order, commit order, and stamp order agree fleet-wide.
+// record commits an event to the trace: into the running unit's buffer
+// in parallel mode, as a unit of one in serial mode.  Either way the
+// sequence number and the timestamp are both drawn inside
+// trace.AppendUnit, under the trace's commit mutex, so on a trace shared
+// with peer shells committing concurrently seq order, commit order and
+// stamp order agree (Appendix A.2 property 1).  The Time the caller put
+// on e is overwritten there.
 func (x *exec) record(e *event.Event) *event.Event {
 	x.s.m.events.Inc()
 	e.Host = x.s.id
@@ -769,13 +758,10 @@ func (x *exec) record(e *event.Event) *event.Event {
 		x.unit.events = append(x.unit.events, e)
 		return e
 	}
-	if x.s.opts.Router != nil {
-		x.one[0] = e
-		x.s.tr.AppendUnit(x.one[:], x.s.clock.Now, nil)
-		x.one[0] = nil
-		return e
-	}
-	return x.s.tr.Append(e)
+	x.one[0] = e
+	x.s.tr.AppendUnit(x.one[:], x.s.clock.Now, nil)
+	x.one[0] = nil
+	return e
 }
 
 // Drain blocks until every queued and in-flight unit of work has been
@@ -887,12 +873,6 @@ func (s *Shell) spontaneousLocal(item data.ItemName, old, new data.Value) {
 // whose footprint covers the event's base (parallel).
 func (x *exec) handleEvent(e *event.Event) {
 	s := x.s
-	if s.scanAll || s.dispatchIdx == nil {
-		for i := range s.owned {
-			x.matchRule(&s.owned[i], e)
-		}
-		return
-	}
 	k := dispatchKey{op: e.Desc.Op}
 	if e.Desc.Op.HasItem() {
 		k.base = e.Desc.Item.Base

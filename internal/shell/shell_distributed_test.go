@@ -1,6 +1,8 @@
 package shell
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,5 +271,90 @@ rule r: N(salary1(n), b) ->1s WR(salary1(n), b)
 	s.AddSite("A", tr)
 	if err := s.Start(); err == nil {
 		t.Fatal("Start succeeded without a notify binding")
+	}
+}
+
+// stepClock is one shell's handle on a tick counter shared with its
+// peers: every Now() on any handle is one tick later than the last.  A
+// handle with parked set stops inside its first Now() — after drawing the
+// tick, before returning it — until release is closed, which is the
+// window in which a stamp taken before the commit goes stale.
+type stepClock struct {
+	ticks   *atomic.Int64
+	parked  chan struct{} // nil: never parks
+	release chan struct{}
+	once    sync.Once
+}
+
+func (c *stepClock) Now() time.Time {
+	now := vclock.Epoch.Add(time.Duration(c.ticks.Add(1)) * time.Millisecond)
+	if c.parked != nil {
+		c.once.Do(func() {
+			close(c.parked)
+			<-c.release
+		})
+	}
+	return now
+}
+
+func (c *stepClock) AfterFunc(time.Duration, func()) vclock.Timer {
+	panic("stepClock: the scenario schedules no timers")
+}
+
+// TestSharedTraceStampOrderFollowsSeqOrder forces the interleaving behind
+// Appendix A.2 property-1 inversions on a trace shared by serial shells:
+// shell A reads the clock for an event, shell B then commits a whole
+// cascade, and only then does A commit.  The stamp must be drawn at the
+// commit point, so Time never decreases in Seq order.
+func TestSharedTraceStampOrderFollowsSeqOrder(t *testing.T) {
+	spec, err := rule.ParseSpecString(`
+site A
+site B
+private XA @ A
+private YA @ A
+private XB @ B
+private YB @ B
+rule ra: Ws(XA, b) ->1s W(YA, b)
+rule rb: Ws(XB, b) ->1s W(YB, b)
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(nil)
+	var ticks atomic.Int64
+	clkA := &stepClock{ticks: &ticks, parked: make(chan struct{}), release: make(chan struct{})}
+	shells := map[string]*Shell{
+		"A": New("a", spec, Options{Clock: clkA, Trace: tr}),
+		"B": New("b", spec, Options{Clock: &stepClock{ticks: &ticks}, Trace: tr}),
+	}
+	for site, s := range shells {
+		s.AddSite(site, nil)
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer s.Stop()
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		shells["A"].Spontaneous(data.Item("XA"), data.NullValue, data.NewInt(1))
+	}()
+	<-clkA.parked
+	shells["B"].Spontaneous(data.Item("XB"), data.NullValue, data.NewInt(2))
+	close(clkA.release)
+	<-done
+
+	events := tr.Events()
+	if len(events) != 4 {
+		t.Fatalf("recorded %d events, want both cascades (4):\n%s", len(events), tr)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Time.Before(events[i-1].Time) {
+			t.Errorf("#%d stamped %v, after #%d stamped %v", events[i].Seq, events[i].Time, events[i-1].Seq, events[i-1].Time)
+		}
+	}
+	for _, v := range trace.NewChecker(spec.Rules).Check(tr) {
+		t.Errorf("checker: %s", v)
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // BenchmarkTraceAppend measures the per-event cost of recording a write
-// as the interpretation grows.  The versioned store appends in O(1)
-// regardless of item count; the legacy cloning store clones the full
-// interpretation per write, so its cost (and B/op) scales with items.
+// as the interpretation grows: the versioned store appends in O(1)
+// regardless of item count.
 func BenchmarkTraceAppend(b *testing.B) {
 	for _, items := range []int{16, 512} {
 		initial := data.NewInterpretation()
@@ -20,24 +19,17 @@ func BenchmarkTraceAppend(b *testing.B) {
 			names[i] = data.Item(fmt.Sprintf("X%d", i))
 			initial.Set(names[i], data.NewInt(0))
 		}
-		for _, mode := range []string{"versioned", "cloning"} {
-			b.Run(fmt.Sprintf("%s/items=%d", mode, items), func(b *testing.B) {
-				var tr *Trace
-				if mode == "cloning" {
-					tr = NewCloning(initial)
-				} else {
-					tr = New(initial)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tr.Append(&event.Event{
-						Time: at(i), Site: "A",
-						Desc: event.W(names[i%items], data.NewInt(int64(i))),
-					})
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
+			tr := New(initial)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Append(&event.Event{
+					Time: at(i), Site: "A",
+					Desc: event.W(names[i%items], data.NewInt(int64(i))),
+				})
+			}
+		})
 	}
 }
 

@@ -33,13 +33,11 @@ func compactItems(n int) []data.ItemName {
 
 // TestCompactPreservesRetainedViews folds a prefix away and checks that
 // every read API answers identically to an uncompacted control for the
-// retained suffix — on the sharded, single-shard, and legacy cloning
-// stores alike (the NewCloning path shares the retention accounting).
+// retained suffix — on the sharded and single-shard stores alike.
 func TestCompactPreservesRetainedViews(t *testing.T) {
 	stores := map[string]func() *Trace{
 		"sharded": func() *Trace { return NewSharded(data.Interpretation{"Init": data.NewInt(7)}, 4) },
 		"single":  func() *Trace { return New(data.Interpretation{"Init": data.NewInt(7)}) },
-		"cloning": func() *Trace { return NewCloning(data.Interpretation{"Init": data.NewInt(7)}) },
 	}
 	items := compactItems(5)
 	for name, mk := range stores {

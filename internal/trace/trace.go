@@ -10,9 +10,7 @@
 // and new interpretations of the formal model are lazy views (Event.Old /
 // Event.New) reconstructed from the timelines on demand, so only readers
 // that genuinely need a full interpretation — the Appendix A.2 checker,
-// mostly — pay for materializing one.  NewCloning preserves the original
-// clone-per-append representation for equivalence testing and as the
-// baseline arm of the E14 saturation experiment.
+// mostly — pay for materializing one.
 //
 // # Concurrency
 //
@@ -25,14 +23,14 @@
 // that need the whole execution (Events, the checker) merge the shards by
 // sequence number.
 //
-// AppendUnit is the serialized commit point the parallel shell engine
-// uses: it assigns one contiguous block of sequence numbers to a whole
-// unit of work (a trigger event plus everything its rule firings
-// generated), stamps the unit's events with a single commit-time
-// timestamp, and publishes them to their shards — all under one commit
-// mutex, so units are atomic in seq order and commit-time order equals
-// seq order.  DESIGN.md §9 documents why this preserves the checker's
-// observed order.
+// AppendUnit is the serialized commit point every shell uses: it assigns
+// one contiguous block of sequence numbers to a whole unit of work (a
+// trigger event plus everything its rule firings generated on the
+// parallel engine, a single event on the serial one), stamps the unit's
+// events with a single commit-time timestamp, and publishes them to their
+// shards — all under one commit mutex, so units are atomic in seq order
+// and commit-time order equals seq order.  DESIGN.md §9 documents why
+// this preserves the checker's observed order.
 package trace
 
 import (
@@ -67,10 +65,6 @@ type Trace struct {
 	// hook happen atomically with respect to other units.
 	//cmlint:lockrank 20
 	commitMu sync.Mutex
-	// cloning selects the legacy representation: every append clones the
-	// full interpretation and stores eager old/new maps on the event.
-	// Cloning traces always have exactly one shard.
-	cloning bool
 }
 
 // traceShard is one lock stripe of the store: the events, per-item write
@@ -137,17 +131,6 @@ func NewSharded(initial data.Interpretation, n int) *Trace {
 	return t
 }
 
-// NewCloning returns a trace using the legacy clone-per-append
-// representation: each event stores eager old/new interpretation maps,
-// costing O(items) time and memory per write event.  It exists as the
-// baseline arm for equivalence tests and the E14 saturation experiment;
-// all read APIs behave identically to New.
-func NewCloning(initial data.Interpretation) *Trace {
-	t := New(initial)
-	t.cloning = true
-	return t
-}
-
 // Shards reports the number of lock stripes.
 func (t *Trace) Shards() int { return len(t.shards) }
 
@@ -183,6 +166,12 @@ func (t *Trace) shardForEvent(e *event.Event) *traceShard {
 // its old and new interpretation views from the running state.  It
 // returns the event for convenience.  The caller fills Time, Site, Desc,
 // Rule and Trigger; the state views and Seq are owned by the trace.
+//
+// Append is for a single writer (tests, drivers replaying a recorded
+// execution).  The caller stamped e before the seq is drawn here, so
+// concurrent writers can commit in an order that inverts Time against Seq
+// — an Appendix A.2 property-1 violation.  Writers sharing a trace commit
+// through AppendUnit, which draws both under one mutex; shells always do.
 func (t *Trace) Append(e *event.Event) *event.Event {
 	sh := t.shardForEvent(e)
 	sh.mu.Lock()
@@ -199,21 +188,11 @@ func (t *Trace) Append(e *event.Event) *event.Event {
 // shard's invariants if a single-append path races a unit commit into
 // the same shard.
 func (t *Trace) appendLocked(sh *traceShard, e *event.Event) {
-	if t.cloning {
-		old := sh.state
-		if e.Desc.Op.IsWrite() {
-			sh.state = sh.state.With(e.Desc.Item, e.Desc.Val)
-		}
-		e.SetStates(old, sh.state)
-	} else {
-		e.SetStateSource(t)
-	}
+	e.SetStateSource(t)
 	if e.Desc.Op.IsWrite() {
 		key := e.Desc.Item.Key()
 		sh.timelines[key] = insertBySeq(sh.timelines[key], e)
-		if !t.cloning {
-			sh.state.Set(e.Desc.Item, e.Desc.Val)
-		}
+		sh.state.Set(e.Desc.Item, e.Desc.Val)
 	}
 	sh.events = insertBySeq(sh.events, e)
 }
@@ -240,7 +219,8 @@ func insertBySeq(s []*event.Event, e *event.Event) []*event.Event {
 // seq order and stamp order.  then, when non-nil, runs while the commit
 // mutex is still held; the parallel shell engine flushes the unit's
 // remote sends there so per-link send order matches trace commit order
-// (Appendix A.2 property 7 across shells).
+// (Appendix A.2 property 7 across shells).  The serial engine commits
+// each event as a unit of one with no hook.
 //
 //cmlint:acquires 20, 30
 func (t *Trace) AppendUnit(events []*event.Event, now func() time.Time, then func()) {

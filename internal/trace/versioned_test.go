@@ -11,16 +11,17 @@ import (
 	"cmtk/internal/event"
 )
 
-// buildPair appends the same pseudo-random event sequence — writes,
-// deletes, notifications, write requests across several items — to a
-// versioned trace and a legacy cloning trace.
-func buildPair(seed int64, n int) (*Trace, *Trace) {
-	items := []data.ItemName{data.Item("X"), data.Item("Y"), data.Item("Z"), data.Item("emp.42")}
+var oracleItems = []data.ItemName{data.Item("X"), data.Item("Y"), data.Item("Z"), data.Item("emp.42")}
+
+// buildRandom appends a pseudo-random event sequence — writes, deletes,
+// notifications, write requests across several items — to a fresh trace
+// and returns it with its initial interpretation.
+func buildRandom(seed int64, n int) (*Trace, data.Interpretation) {
 	initial := data.Interpretation{"X": data.NewInt(1)}
-	versioned, cloning := New(initial), NewCloning(initial)
+	tr := New(initial)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		item := items[rng.Intn(len(items))]
+		item := oracleItems[rng.Intn(len(oracleItems))]
 		var d event.Desc
 		switch rng.Intn(5) {
 		case 0:
@@ -34,75 +35,106 @@ func buildPair(seed int64, n int) (*Trace, *Trace) {
 		default:
 			d = event.WR(item, data.NewInt(int64(rng.Intn(10))))
 		}
-		when := at(i)
-		versioned.Append(&event.Event{Time: when, Site: "A", Desc: d})
-		cloning.Append(&event.Event{Time: when, Site: "A", Desc: d})
+		tr.Append(&event.Event{Time: at(i), Site: "A", Desc: d})
 	}
-	return versioned, cloning
+	return tr, initial
 }
 
-// TestVersionedMatchesCloning drives both representations through the
-// same execution and demands identical answers from every read API: the
-// lazy Old/New views, StateAt, Timeline, Writes and Final.
+// naiveStates is the reference store the versioned one is checked
+// against: it clones the whole interpretation at every event, which is
+// Appendix A.2's definition of old and new read literally.  states[i] is
+// the interpretation before event i, states[i+1] the one after it.
+func naiveStates(initial data.Interpretation, events []*event.Event) []data.Interpretation {
+	states := []data.Interpretation{initial.Clone()}
+	for _, e := range events {
+		cur := states[len(states)-1]
+		if e.Desc.Op.IsWrite() {
+			cur = cur.With(e.Desc.Item, e.Desc.Val)
+		}
+		states = append(states, cur)
+	}
+	return states
+}
+
+// TestVersionedMatchesCloning drives the versioned store and the
+// clone-per-event oracle through the same execution and demands identical
+// answers from every read API: the lazy Old/New views, StateAt, Timeline,
+// Writes and Final.
 func TestVersionedMatchesCloning(t *testing.T) {
 	const n = 200
-	v, c := buildPair(1996, n)
-	ve, ce := v.Events(), c.Events()
-	if len(ve) != n || len(ce) != n {
-		t.Fatalf("lengths %d, %d", len(ve), len(ce))
+	v, initial := buildRandom(1996, n)
+	ve := v.Events()
+	if len(ve) != n {
+		t.Fatalf("length %d", len(ve))
 	}
+	states := naiveStates(initial, ve)
 	for i := range ve {
-		if !ve[i].Old().Equal(ce[i].Old()) {
-			t.Fatalf("event %d: Old %s (versioned) != %s (cloning)", i, ve[i].Old(), ce[i].Old())
+		if !ve[i].Old().Equal(states[i]) {
+			t.Fatalf("event %d: Old %s (versioned) != %s (oracle)", i, ve[i].Old(), states[i])
 		}
-		if !ve[i].New().Equal(ce[i].New()) {
-			t.Fatalf("event %d: New %s (versioned) != %s (cloning)", i, ve[i].New(), ce[i].New())
+		if !ve[i].New().Equal(states[i+1]) {
+			t.Fatalf("event %d: New %s (versioned) != %s (oracle)", i, ve[i].New(), states[i+1])
 		}
 	}
+	// Event i happens at at(i), so the state in force at at(s) is the one
+	// after event s, clamped to the ends of the execution.
 	for s := -1; s <= n; s += 7 {
-		if got, want := v.StateAt(at(s)), c.StateAt(at(s)); !got.Equal(want) {
+		want := states[min(max(s+1, 0), n)]
+		if got := v.StateAt(at(s)); !got.Equal(want) {
 			t.Fatalf("StateAt(%d): %s != %s", s, got, want)
 		}
 	}
-	for _, item := range []data.ItemName{data.Item("X"), data.Item("Y"), data.Item("Z"), data.Item("emp.42"), data.Item("untouched")} {
-		vt, ct := v.Timeline(item), c.Timeline(item)
-		if len(vt) != len(ct) {
-			t.Fatalf("Timeline(%s): %d samples != %d", item, len(vt), len(ct))
-		}
-		for i := range vt {
-			if !vt[i].V.Equal(ct[i].V) || vt[i].Seq != ct[i].Seq {
-				t.Fatalf("Timeline(%s)[%d]: %+v != %+v", item, i, vt[i], ct[i])
+	for _, item := range append([]data.ItemName{data.Item("untouched")}, oracleItems...) {
+		want := []Sample{{V: initial.Get(item)}}
+		writes := 0
+		for i, e := range ve {
+			if !e.Desc.Op.IsWrite() || e.Desc.Item.Key() != item.Key() {
+				continue
+			}
+			writes++
+			if val := states[i+1].Get(item); !val.Equal(want[len(want)-1].V) {
+				want = append(want, Sample{Seq: e.Seq, V: val})
 			}
 		}
-		if len(v.Writes(item)) != len(c.Writes(item)) {
-			t.Fatalf("Writes(%s) lengths differ", item)
+		got := v.Timeline(item)
+		if len(got) != len(want) {
+			t.Fatalf("Timeline(%s): %d samples != %d", item, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].V.Equal(want[i].V) || got[i].Seq != want[i].Seq {
+				t.Fatalf("Timeline(%s)[%d]: %+v != %+v", item, i, got[i], want[i])
+			}
+		}
+		if len(v.Writes(item)) != writes {
+			t.Fatalf("Writes(%s): %d != %d", item, len(v.Writes(item)), writes)
 		}
 	}
-	if !v.Final().Equal(c.Final()) {
-		t.Fatalf("Final: %s != %s", v.Final(), c.Final())
+	if !v.Final().Equal(states[n]) {
+		t.Fatalf("Final: %s != %s", v.Final(), states[n])
 	}
 }
 
-// TestVersionedCheckerEquivalence runs the Appendix A.2 checker over both
-// representations of the same valid execution and of the same corrupted
-// one, demanding identical verdicts.
+// TestVersionedCheckerEquivalence runs the Appendix A.2 checker over a
+// valid execution and over the same one with an event's states corrupted:
+// the lazy views must give the checker exactly what the oracle's eager
+// states give it, and the corruption must be caught.
 func TestVersionedCheckerEquivalence(t *testing.T) {
-	v, c := buildPair(42, 150)
+	v, initial := buildRandom(42, 150)
 	ck := NewChecker(nil)
-	if vv, cv := ck.Check(v), ck.Check(c); len(vv) != len(cv) {
-		t.Fatalf("valid trace: %d violations (versioned) vs %d (cloning): %v / %v", len(vv), len(cv), vv, cv)
+	lazy := ck.Check(v)
+	// Pin every event to the oracle's states: the verdict must not move.
+	states := naiveStates(initial, v.Events())
+	for i, e := range v.Events() {
+		e.SetStates(states[i], states[i+1])
 	}
-	// Corrupt the same event in both: eager states override the source.
-	for _, tr := range []*Trace{v, c} {
-		e := tr.Events()[10]
-		e.SetStates(e.Old(), e.New().With(data.Item("ghost"), data.NewInt(99)))
+	if eager := ck.Check(v); fmt.Sprint(eager) != fmt.Sprint(lazy) {
+		t.Fatalf("valid trace: lazy views %v, oracle states %v", lazy, eager)
 	}
-	vv, cv := ck.Check(v), ck.Check(c)
-	if len(vv) == 0 || len(cv) == 0 {
-		t.Fatalf("corruption undetected: versioned=%v cloning=%v", vv, cv)
-	}
-	if len(vv) != len(cv) {
-		t.Fatalf("corrupted trace: %d violations (versioned) vs %d (cloning)", len(vv), len(cv))
+	// Corrupt one event: eager states override the source.
+	e := v.Events()[10]
+	e.SetStates(e.Old(), e.New().With(data.Item("ghost"), data.NewInt(99)))
+	if vv := ck.Check(v); len(vv) <= len(lazy) {
+		t.Fatalf("corruption undetected: %v", vv)
 	}
 }
 

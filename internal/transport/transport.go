@@ -106,9 +106,10 @@ type Bus struct {
 	members map[string]*busEndpoint
 	// lastDue enforces FIFO per (from,to) pair under varying latency.
 	lastDue map[[2]string]time.Time
-	// queues holds in-flight messages per (from,to) pair; each delivery
-	// timer pops the head, so arrival order equals send order even when
-	// equal-deadline timers race on the real clock.
+	// queues holds in-flight messages per (from,to) pair; a fired delivery
+	// timer hands over the head, one goroutine at a time, so arrival order
+	// equals send order even when equal-deadline timers race on the real
+	// clock.
 	queues map[[2]string]*pairQueue
 }
 
@@ -116,17 +117,25 @@ type Bus struct {
 // undelivered message so pops reuse the slice's capacity instead of
 // reslicing it away; deliver is bound once per link so scheduling a
 // delivery does not allocate a fresh closure per send.
+//
+// On the real clock every delivery timer fires on its own goroutine.
+// Popping in order is not enough for FIFO — two goroutines can pop in
+// order and reach the receiver out of order — so the link has a single
+// drainer: a fired timer adds one to due, and whoever finds draining
+// false hands over due messages in pop order while the others return.
+// mu is never held across the receiver call.
 type pairQueue struct {
-	mu      sync.Mutex
-	msgs    []Message
-	head    int
-	deliver func()
+	mu       sync.Mutex
+	msgs     []Message
+	head     int
+	due      int
+	draining bool
+	deliver  func()
 }
 
-// pop removes and returns the oldest queued message.
-func (q *pairQueue) pop() (Message, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// popLocked removes and returns the oldest queued message; the caller
+// holds q.mu.
+func (q *pairQueue) popLocked() (Message, bool) {
 	if q.head >= len(q.msgs) {
 		return Message{}, false
 	}
@@ -137,6 +146,28 @@ func (q *pairQueue) pop() (Message, bool) {
 		q.msgs, q.head = q.msgs[:0], 0
 	}
 	return m, true
+}
+
+// drain is the body of a fired delivery timer on bus b.
+func (q *pairQueue) drain(b *Bus) {
+	q.mu.Lock()
+	q.due++
+	if q.draining {
+		q.mu.Unlock()
+		return
+	}
+	q.draining = true
+	for q.due > 0 {
+		q.due--
+		m, ok := q.popLocked()
+		q.mu.Unlock()
+		if ok {
+			b.handOver(m)
+		}
+		q.mu.Lock()
+	}
+	q.draining = false
+	q.mu.Unlock()
 }
 
 // NewBus creates a bus on the given clock with the given link latency.
@@ -204,26 +235,7 @@ func (e *busEndpoint) Send(to string, m Message) error {
 	q := b.queues[key]
 	if q == nil {
 		q = &pairQueue{}
-		q.deliver = func() {
-			head, ok := q.pop()
-			if !ok {
-				return
-			}
-			// Resolve the destination at delivery time: the endpoint may
-			// have closed (and a namesake rejoined) since the send.
-			b.mu.Lock()
-			dst := b.members[head.To]
-			b.mu.Unlock()
-			if dst == nil {
-				return
-			}
-			dst.mu.Lock()
-			dead := dst.dead
-			dst.mu.Unlock()
-			if !dead {
-				dst.recv(head)
-			}
-		}
+		q.deliver = func() { q.drain(b) }
 		b.queues[key] = q
 	}
 	delay := due.Sub(b.clock.Now())
@@ -233,6 +245,24 @@ func (e *busEndpoint) Send(to string, m Message) error {
 	q.mu.Unlock()
 	b.clock.AfterFunc(delay, q.deliver)
 	return nil
+}
+
+// handOver passes a due message to its destination, resolved at delivery
+// time: the endpoint may have closed (and a namesake rejoined) since the
+// send.
+func (b *Bus) handOver(m Message) {
+	b.mu.Lock()
+	dst := b.members[m.To]
+	b.mu.Unlock()
+	if dst == nil {
+		return
+	}
+	dst.mu.Lock()
+	dead := dst.dead
+	dst.mu.Unlock()
+	if !dead {
+		dst.recv(m)
+	}
 }
 
 // Close implements Endpoint.
