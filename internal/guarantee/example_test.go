@@ -36,5 +36,5 @@ func ExampleParse() {
 	fmt.Println(leads.Check(tr))
 	// Output:
 	// follows(X,Y): HOLDS over 2 obligations
-	// leads(X,Y): VIOLATED (1 shown) over 3 obligations
+	// leads(X,Y): VIOLATED (1 violated, 1 shown) over 3 obligations
 }

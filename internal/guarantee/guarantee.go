@@ -20,6 +20,15 @@
 //
 // Guarantees over parameterized families (salary1(n) = salary2(n) for all
 // n) are checked per observed key.
+//
+// There is one engine (monitor.go).  The first two forms and the four
+// with a bounded window (MetricFollows, MetricLeads, Invariant,
+// ExistsWithin) each have a single checker, and CheckAll is a one-shot
+// run of those checkers on fresh state over one shared family index; a
+// Monitor runs the same checkers with carried markers, which is what
+// lets a trace be compacted behind it.  StrictlyFollows, MonitorFlag and
+// Periodic are decided by CheckAll only — each needs history a window
+// does not bound (monitor.go says why, form by form).
 package guarantee
 
 import (
@@ -49,26 +58,27 @@ type Report struct {
 	Formula    string
 	Holds      bool
 	Checked    int      // obligations examined
-	Violations []string // human-readable descriptions, capped
+	Violated   int      // obligations violated, exact
+	Violations []string // human-readable descriptions of the first maxViolations
 }
 
 const maxViolations = 16
 
-// Violate records a violation (capped) and marks the report failed.
-// Custom guarantee implementations outside this package use it too.
+// Violate counts a violation, records its description while under the
+// cap, and marks the report failed.  Custom guarantee implementations
+// outside this package use it too.
 func (r *Report) Violate(format string, args ...any) {
 	r.Holds = false
+	r.Violated++
 	if len(r.Violations) < maxViolations {
 		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 	}
 }
 
-func (r *Report) violate(format string, args ...any) { r.Violate(format, args...) }
-
 func (r Report) String() string {
 	status := "HOLDS"
 	if !r.Holds {
-		status = fmt.Sprintf("VIOLATED (%d shown)", len(r.Violations))
+		status = fmt.Sprintf("VIOLATED (%d violated, %d shown)", r.Violated, len(r.Violations))
 	}
 	return fmt.Sprintf("%s: %s over %d obligations", r.Guarantee, status, r.Checked)
 }
@@ -80,70 +90,12 @@ func TimeValue(t time.Time) data.Value { return vclock.TimeValue(t) }
 // ValueTime decodes a TimeValue.
 func ValueTime(v data.Value) (time.Time, bool) { return vclock.ValueTime(v) }
 
-// sampleKey orders timeline samples by (time, seq).
+// sampleBefore orders timeline samples by (time, seq).
 func sampleBefore(a, b trace.Sample) bool {
 	if !a.At.Equal(b.At) {
 		return a.At.Before(b.At)
 	}
 	return a.Seq < b.Seq
-}
-
-// families collects, for a base name, the set of argument keys observed in
-// the trace (from any event on an item with that base), together with the
-// concrete item names.
-func families(tr *trace.Trace, base string) []data.ItemName {
-	seen := map[string]data.ItemName{}
-	for _, e := range tr.Events() {
-		if e.Desc.Op.HasItem() && e.Desc.Item.Base == base {
-			seen[e.Desc.Item.Key()] = e.Desc.Item
-		}
-	}
-	for k := range tr.Initial() {
-		n, err := data.ParseItemName(k)
-		if err == nil && n.Base == base {
-			seen[k] = n
-		}
-	}
-	out := make([]data.ItemName, 0, len(seen))
-	for _, n := range seen {
-		out = append(out, n)
-	}
-	// Deterministic order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Key() < out[j-1].Key(); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// pairKeys produces the (x,y) item pairs to check for a copy guarantee
-// between two families: for parameterized bases the keys observed on
-// either side are united (a key seen only on Y still obligates Y-follows-X
-// for that key).
-func pairKeys(tr *trace.Trace, xBase, yBase string) [][2]data.ItemName {
-	xs := families(tr, xBase)
-	ys := families(tr, yBase)
-	keyArgs := map[string][]data.Value{}
-	for _, n := range xs {
-		keyArgs[argsKey(n.Args)] = n.Args
-	}
-	for _, n := range ys {
-		keyArgs[argsKey(n.Args)] = n.Args
-	}
-	var out [][2]data.ItemName
-	for _, args := range keyArgs {
-		out = append(out, [2]data.ItemName{
-			{Base: xBase, Args: args},
-			{Base: yBase, Args: args},
-		})
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j][0].Key() < out[j-1][0].Key(); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 func argsKey(args []data.Value) string {
@@ -165,35 +117,8 @@ func (g Follows) Formula() string {
 	return fmt.Sprintf("(%s = y)@t1 => (%s = y)@t2 and t2 < t1", g.Y, g.X)
 }
 
-// Check implements Guarantee.
-func (g Follows) Check(tr *trace.Trace) Report {
-	rep := Report{Guarantee: g.Name(), Formula: g.Formula(), Holds: true}
-	for _, pair := range pairKeys(tr, g.X, g.Y) {
-		x, y := pair[0], pair[1]
-		xtl := tr.Timeline(x)
-		for _, ys := range tr.Timeline(y) {
-			if ys.V.IsNull() {
-				continue // Y not yet set
-			}
-			rep.Checked++
-			ok := false
-			for _, xs := range xtl {
-				if sampleBefore(ys, xs) {
-					break
-				}
-				if xs.V.Equal(ys.V) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				rep.violate("%s held %s at %s which %s never held before",
-					y, ys.V, ys.At.Format(time.TimeOnly), x)
-			}
-		}
-	}
-	return rep
-}
+// Check implements Guarantee: the one-guarantee case of CheckAll.
+func (g Follows) Check(tr *trace.Trace) Report { return CheckAll(tr, g)[0] }
 
 // Leads is guarantee (2): every value taken by X is eventually reflected
 // in Y — no lost values.  Settle excuses X-values taken within Settle of
@@ -211,36 +136,8 @@ func (g Leads) Formula() string {
 	return fmt.Sprintf("(%s = x)@t1 => (%s = x)@t2 and t2 > t1", g.X, g.Y)
 }
 
-// Check implements Guarantee.
-func (g Leads) Check(tr *trace.Trace) Report {
-	rep := Report{Guarantee: g.Name(), Formula: g.Formula(), Holds: true}
-	horizon := tr.End().Add(-g.Settle)
-	for _, pair := range pairKeys(tr, g.X, g.Y) {
-		x, y := pair[0], pair[1]
-		ytl := tr.Timeline(y)
-		for _, xs := range tr.Timeline(x) {
-			if xs.V.IsNull() {
-				continue
-			}
-			if xs.At.After(horizon) {
-				continue // propagation window still open
-			}
-			rep.Checked++
-			ok := false
-			for _, ys := range ytl {
-				if sampleBefore(xs, ys) && ys.V.Equal(xs.V) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				rep.violate("%s took %s at %s but %s never reflected it",
-					x, xs.V, xs.At.Format(time.TimeOnly), y)
-			}
-		}
-	}
-	return rep
-}
+// Check implements Guarantee: the one-guarantee case of CheckAll.
+func (g Leads) Check(tr *trace.Trace) Report { return CheckAll(tr, g)[0] }
 
 // StrictlyFollows is guarantee (3): Y receives X's values in the order X
 // took them.  We check the strongest natural reading: the sequence of
@@ -259,10 +156,13 @@ func (g StrictlyFollows) Formula() string {
 		g.Y, g.Y, g.X, g.X)
 }
 
-// Check implements Guarantee.
-func (g StrictlyFollows) Check(tr *trace.Trace) Report {
-	rep := Report{Guarantee: g.Name(), Formula: g.Formula(), Holds: true}
-	for _, pair := range pairKeys(tr, g.X, g.Y) {
+// Check implements Guarantee: the one-guarantee case of CheckAll.
+func (g StrictlyFollows) Check(tr *trace.Trace) Report { return CheckAll(tr, g)[0] }
+
+// check walks each pair's Y timeline against a cursor into X's that only
+// moves forward.
+func (g StrictlyFollows) check(tr *trace.Trace, ix *famIndex, rep *Report) {
+	for _, pair := range ix.pairs(g.X, g.Y) {
 		x, y := pair[0], pair[1]
 		xtl := tr.Timeline(x)
 		i := 0
@@ -281,13 +181,12 @@ func (g StrictlyFollows) Check(tr *trace.Trace) Report {
 				i++
 			}
 			if !found {
-				rep.violate("%s value %s at %s breaks order against %s",
+				rep.Violate("%s value %s at %s breaks order against %s",
 					y, ys.V, ys.At.Format(time.TimeOnly), x)
 				break
 			}
 		}
 	}
-	return rep
 }
 
 // MetricFollows is guarantee (4): Y only takes values X held no more than
@@ -307,49 +206,8 @@ func (g MetricFollows) Formula() string {
 	return fmt.Sprintf("(%s = y)@t1 => (%s = y)@t2 and t1-%s < t2 <= t1", g.Y, g.X, g.Kappa)
 }
 
-// Check implements Guarantee.  X "had value v within the window" when some
-// maximal constant interval of X's timeline with value v intersects
-// [t1−κ, t1].
-func (g MetricFollows) Check(tr *trace.Trace) Report {
-	rep := Report{Guarantee: g.Name(), Formula: g.Formula(), Holds: true}
-	end := tr.End()
-	for _, pair := range pairKeys(tr, g.X, g.Y) {
-		x, y := pair[0], pair[1]
-		xtl := tr.Timeline(x)
-		for _, ys := range tr.Timeline(y) {
-			if ys.V.IsNull() {
-				continue
-			}
-			rep.Checked++
-			from := ys.At.Add(-g.Kappa)
-			ok := false
-			for i, xs := range xtl {
-				// Interval during which X held xs.V: [xs.At, next.At), or
-				// to end of trace for the last sample.
-				intEnd := end
-				if i+1 < len(xtl) {
-					intEnd = xtl[i+1].At
-				}
-				if !xs.V.Equal(ys.V) {
-					continue
-				}
-				// Overlap with (from, ys.At]?
-				if xs.At.After(ys.At) {
-					break
-				}
-				if intEnd.After(from) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				rep.violate("%s held %s at %s but %s did not hold it within %s before",
-					y, ys.V, ys.At.Format(time.TimeOnly), x, g.Kappa)
-			}
-		}
-	}
-	return rep
-}
+// Check implements Guarantee: the one-guarantee case of CheckAll.
+func (g MetricFollows) Check(tr *trace.Trace) Report { return CheckAll(tr, g)[0] }
 
 // MetricLeads bounds propagation delay: every value X takes appears in Y
 // within Kappa.
@@ -368,34 +226,8 @@ func (g MetricLeads) Formula() string {
 	return fmt.Sprintf("(%s = x)@t1 => (%s = x)@t2 and t1 < t2 <= t1+%s", g.X, g.Y, g.Kappa)
 }
 
-// Check implements Guarantee.
-func (g MetricLeads) Check(tr *trace.Trace) Report {
-	rep := Report{Guarantee: g.Name(), Formula: g.Formula(), Holds: true}
-	horizon := tr.End().Add(-g.Kappa)
-	for _, pair := range pairKeys(tr, g.X, g.Y) {
-		x, y := pair[0], pair[1]
-		ytl := tr.Timeline(y)
-		for _, xs := range tr.Timeline(x) {
-			if xs.V.IsNull() || xs.At.After(horizon) {
-				continue
-			}
-			rep.Checked++
-			deadline := xs.At.Add(g.Kappa)
-			ok := false
-			for _, ys := range ytl {
-				if sampleBefore(xs, ys) && !ys.At.After(deadline) && ys.V.Equal(xs.V) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				rep.violate("%s took %s at %s; %s did not reflect it within %s",
-					x, xs.V, xs.At.Format(time.TimeOnly), y, g.Kappa)
-			}
-		}
-	}
-	return rep
-}
+// Check implements Guarantee: the one-guarantee case of CheckAll.
+func (g MetricLeads) Check(tr *trace.Trace) Report { return CheckAll(tr, g)[0] }
 
 // Invariant asserts a condition over data items holds in every state of
 // the execution, e.g. the Demarcation Protocol's X <= Y.  The expression
@@ -411,27 +243,8 @@ func (g Invariant) Name() string { return fmt.Sprintf("invariant(%s)", g.Label) 
 // Formula implements Guarantee.
 func (g Invariant) Formula() string { return fmt.Sprintf("(%s)@t for all t", g.Pred) }
 
-// Check implements Guarantee.
-func (g Invariant) Check(tr *trace.Trace) Report {
-	rep := Report{Guarantee: g.Name(), Formula: g.Formula(), Holds: true}
-	evalAt := func(at time.Time, in data.Interpretation) {
-		rep.Checked++
-		ok, err := rule.EvalBool(g.Pred, envOf(in))
-		if err != nil {
-			rep.violate("evaluation error at %s: %v", at.Format(time.TimeOnly), err)
-			return
-		}
-		if !ok {
-			rep.violate("invariant false at %s in state %s", at.Format(time.TimeOnly), in)
-		}
-	}
-	evalAt(time.Time{}, tr.Initial())
-	tr.WalkNewStates(func(e *event.Event, in data.Interpretation) bool {
-		evalAt(e.Time, in)
-		return true
-	})
-	return rep
-}
+// Check implements Guarantee: the one-guarantee case of CheckAll.
+func (g Invariant) Check(tr *trace.Trace) Report { return CheckAll(tr, g)[0] }
 
 type itemEnv struct{ in data.Interpretation }
 
@@ -462,43 +275,8 @@ func (g ExistsWithin) Formula() string {
 	return fmt.Sprintf("E(%s(i))@t => E(%s(i))@[t, t+%s]", g.Ref, g.Target, g.Kappa)
 }
 
-// Check implements Guarantee.
-func (g ExistsWithin) Check(tr *trace.Trace) Report {
-	rep := Report{Guarantee: g.Name(), Formula: g.Formula(), Holds: true}
-	end := tr.End()
-	for _, pair := range pairKeys(tr, g.Ref, g.Target) {
-		ref, tgt := pair[0], pair[1]
-		rep.Checked++
-		// Walk the event sequence tracking the violation condition
-		// E(ref) && !E(tgt).
-		violStart := time.Time{}
-		inViol := false
-		consider := func(at time.Time, in data.Interpretation) {
-			bad := in.Has(ref) && !in.Has(tgt)
-			switch {
-			case bad && !inViol:
-				inViol = true
-				violStart = at
-			case !bad && inViol:
-				inViol = false
-				if at.Sub(violStart) > g.Kappa {
-					rep.violate("%s existed without %s for %s starting %s",
-						ref, tgt, at.Sub(violStart), violStart.Format(time.TimeOnly))
-				}
-			}
-		}
-		consider(time.Time{}, tr.Initial())
-		tr.WalkNewStates(func(e *event.Event, in data.Interpretation) bool {
-			consider(e.Time, in)
-			return true
-		})
-		if inViol && end.Sub(violStart) > g.Kappa {
-			rep.violate("%s existed without %s for %s starting %s (unresolved at end of trace)",
-				ref, tgt, end.Sub(violStart), violStart.Format(time.TimeOnly))
-		}
-	}
-	return rep
-}
+// Check implements Guarantee: the one-guarantee case of CheckAll.
+func (g ExistsWithin) Check(tr *trace.Trace) Report { return CheckAll(tr, g)[0] }
 
 // MonitorFlag is the monitoring guarantee of Section 6.3:
 //
@@ -555,12 +333,12 @@ func (g MonitorFlag) Check(tr *trace.Trace) Report {
 		}
 		s, ok := ValueTime(in.Get(g.Tb))
 		if !ok {
-			rep.violate("Flag set at %s but %s holds no time", e.Time.Format(time.TimeOnly), g.Tb)
+			rep.Violate("Flag set at %s but %s holds no time", e.Time.Format(time.TimeOnly), g.Tb)
 			return true
 		}
 		rep.Checked++
 		if !equalAt(s, e.Time.Add(-g.Kappa)) {
-			rep.violate("Flag set at %s but %s != %s within [%s, t-%s]",
+			rep.Violate("Flag set at %s but %s != %s within [%s, t-%s]",
 				e.Time.Format(time.TimeOnly), g.X, g.Y, s.Format(time.TimeOnly), g.Kappa)
 		}
 		return true
@@ -604,11 +382,11 @@ func (g Periodic) Check(tr *trace.Trace) Report {
 		rep.Checked++
 		ok, err := rule.EvalBool(g.Pred, envOf(in))
 		if err != nil {
-			rep.violate("evaluation error at %s: %v", at.Format(time.DateTime), err)
+			rep.Violate("evaluation error at %s: %v", at.Format(time.DateTime), err)
 			return
 		}
 		if !ok {
-			rep.violate("predicate false at %s", at.Format(time.DateTime))
+			rep.Violate("predicate false at %s", at.Format(time.DateTime))
 		}
 	}
 	events := tr.Events()
@@ -633,11 +411,29 @@ func (g Periodic) Check(tr *trace.Trace) Report {
 	return rep
 }
 
-// CheckAll evaluates a set of guarantees against a trace.
+// CheckAll evaluates a set of guarantees against a trace.  The family
+// index is built once and shared; every form with an engine (see
+// monitor.go) is decided by that engine's finish on fresh state — the
+// pass Monitor.Reports runs on a clone of its carried state — so a
+// verdict has one definition whether it is reached in one shot or
+// incrementally.  Guarantees defined outside this package go through
+// their own Check.
 func CheckAll(tr *trace.Trace, gs ...Guarantee) []Report {
+	ix, end := indexFamilies(tr), tr.End()
 	out := make([]Report, len(gs))
 	for i, g := range gs {
-		out[i] = g.Check(tr)
+		inc := newIncremental(g)
+		sf, strict := g.(StrictlyFollows)
+		if inc == nil && !strict {
+			out[i] = g.Check(tr)
+			continue
+		}
+		out[i] = Report{Guarantee: g.Name(), Formula: g.Formula(), Holds: true}
+		if strict {
+			sf.check(tr, ix, &out[i])
+		} else {
+			inc.finish(tr, ix, end, &out[i])
+		}
 	}
 	return out
 }

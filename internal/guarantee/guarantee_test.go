@@ -493,3 +493,44 @@ func TestQuickFollowsOnCopiedStream(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckAllSharesIndex pins the shared family index: the five
+// guarantees of the notify strategy over a 1200-event, 128-key trace stay
+// under 100 allocations per event (each used to rebuild and insertion-sort
+// the family list for itself: 382), and checking them together allocates
+// less than checking them one by one — so an edit that quietly rebuilds the
+// index per guarantee fails here, not in a benchmark.
+func TestCheckAllSharesIndex(t *testing.T) {
+	const updates, keys, kappa = 300, 128, 10 * time.Second
+	tr := trace.New(nil)
+	for i := 0; i < updates; i++ {
+		k, v := data.NewInt(int64(i*37%keys)), data.NewInt(int64(1000+i))
+		x, y := data.Item("salary1", k), data.Item("salary2", k)
+		for j, d := range []event.Desc{event.W(x, v), event.N(x, v), event.WR(y, v), event.W(y, v)} {
+			tr.Append(&event.Event{Time: at(i).Add(time.Duration(j) * time.Millisecond), Site: "s", Desc: d})
+		}
+	}
+	write(tr, updates+60, data.Item("Z"), data.NewInt(0))
+	gs := []Guarantee{
+		Follows{X: "salary1", Y: "salary2"},
+		Leads{X: "salary1", Y: "salary2", Settle: kappa},
+		StrictlyFollows{X: "salary1", Y: "salary2"},
+		MetricFollows{X: "salary1", Y: "salary2", Kappa: kappa},
+		MetricLeads{X: "salary1", Y: "salary2", Kappa: kappa},
+	}
+	if reps := CheckAll(tr, gs...); !AllHold(reps) {
+		t.Fatalf("the trace does not hold: %+v", reps)
+	}
+	together := testing.AllocsPerRun(3, func() { CheckAll(tr, gs...) })
+	if perEvent := together / float64(tr.Len()); perEvent >= 100 {
+		t.Errorf("CheckAll of five guarantees: %.1f allocations per event, want under 100", perEvent)
+	}
+	apart := 0.0
+	for _, g := range gs {
+		apart += testing.AllocsPerRun(3, func() { g.Check(tr) })
+	}
+	if together >= apart {
+		t.Errorf("CheckAll allocates %.0f, five single checks %.0f: the index is not shared", together, apart)
+	}
+	t.Logf("%.1f allocations per event together, %.1f apart", together/float64(tr.Len()), apart/float64(tr.Len()))
+}

@@ -1,22 +1,42 @@
-// Incremental guarantee checking: Monitor discharges each obligation of
-// a metric guarantee exactly once, while the trace still retains the
-// obligation's full window, and accumulates the verdicts into running
-// reports.  That is what makes trace compaction verdict-preserving: the
-// monitor's Horizon() names the oldest instant any *pending* obligation
-// can still look back to, so everything older can be folded away
-// (trace.CompactBefore) without changing what Reports() will ever say.
+// The guarantee engine.  Six forms — the follows and the leads
+// direction of a copy, each metric or not, ExistsWithin and Invariant —
+// are decided by three checkers (incCopy, incExistsWithin,
+// incInvariant), and a verdict has one definition, reached two ways.
+// CheckAll runs each checker's finish once, on fresh state, over the
+// whole trace.  Monitor runs the same checkers with carried markers:
+// advance discharges each obligation exactly once, while the trace still
+// retains the obligation's full window, and Reports runs finish on a
+// clone of what is still pending.  That is what makes trace compaction
+// verdict-preserving: the monitor's Horizon() names the oldest instant
+// any *pending* obligation can still look back to, so everything older
+// can be folded away (trace.CompactBefore) without changing what
+// Reports() will ever say.
 //
-// Only guarantees with a bounded window are admissible — the metric
-// forms (4) and the §6 bounded guarantees.  The unbounded forms
-// (Follows, Leads, StrictlyFollows, MonitorFlag, Periodic) may need
-// arbitrarily old history, so Register rejects them: a deployment that
-// wants both compaction and an unbounded guarantee has asked for a
-// contradiction, and gets told so instead of a silently wrong verdict.
+// Only guarantees with a bounded window are admissible to a Monitor — the
+// metric forms (4) and the §6 bounded guarantees.  Register rejects the
+// rest: a deployment that wants both compaction and an unbounded
+// guarantee has asked for a contradiction, and gets told so instead of a
+// silently wrong verdict.  Follows and Leads run on the engine but have
+// no window: a Y value may be justified by, and an X value may wait for,
+// a write arbitrarily far away.  Three forms have no checker here at all
+// and are decided by CheckAll only:
+//
+//   - StrictlyFollows advances one cursor through X's whole value
+//     sequence, so each obligation depends on every earlier one back to
+//     the start of the trace.
+//   - MonitorFlag looks back to the base time recorded in Tb, which is
+//     data, not a bound: the interval [Tb, t−κ] is as long as the
+//     application made it.
+//   - Periodic is anchored to the calendar: its obligations are the daily
+//     opening instants between the first and the last event, and a folded
+//     trace no longer knows when it began.
 package guarantee
 
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -54,9 +74,8 @@ func (g Invariant) Window() time.Duration { return 0 }
 // Monitor incrementally checks a set of windowed guarantees against a
 // growing trace.  Advance processes newly decidable obligations;
 // Horizon reports the oldest instant still needed; Reports renders the
-// verdicts as if the trace ended now, matching what batch Check would
-// have said on the full, uncompacted history.  Monitor is safe for
-// concurrent use.
+// verdicts as if the trace ended now, matching what CheckAll says on the
+// full, uncompacted history.  Monitor is safe for concurrent use.
 type Monitor struct {
 	//cmlint:lockrank 10
 	mu      sync.Mutex
@@ -71,13 +90,14 @@ type monEntry struct {
 	rep Report
 }
 
-// incremental is the per-guarantee engine: advance discharges every
-// obligation decidable with the trace ending at end, finish discharges
-// the rest exactly as the batch checker would (called on a clone, so
-// Reports stays non-destructive), and horizon names the oldest instant
-// still needed after an advance at end.  The shared famIndex replaces
-// each checker's own pairKeys pass, so one Advance walks the retained
-// events once no matter how many guarantees are registered.
+// incremental is the per-guarantee checker: advance discharges every
+// obligation decidable with the trace ending at end and moves the
+// markers past it; finish discharges the rest as of end and moves
+// nothing (CheckAll calls it on fresh state, Reports on a clone, so
+// Reports stays non-destructive); horizon names the oldest instant still
+// needed after an advance at end.  Every checker takes its pairs from
+// the shared famIndex, so one CheckAll, Advance or Reports call walks
+// the events once no matter how many guarantees it serves.
 type incremental interface {
 	advance(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report)
 	finish(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report)
@@ -89,56 +109,54 @@ type incremental interface {
 
 // famIndex is a one-pass snapshot of the item families observed in the
 // trace (retained events plus the folded base), shared by every checker
-// during one Advance or Reports call.  Folded writes stay discoverable
-// because compaction folds them into Initial().
+// during one CheckAll, Advance or Reports call.  Folded writes stay
+// discoverable because compaction folds them into Initial().
 type famIndex struct {
-	byBase map[string][]data.ItemName
+	byBase  map[string][]data.ItemName       // each in key order
+	pairsOf map[[2]string][][2]data.ItemName // pairs, computed once per base pair
 }
 
 func indexFamilies(tr *trace.Trace) *famIndex {
-	ix := &famIndex{byBase: map[string][]data.ItemName{}}
-	seen := map[string]bool{}
-	add := func(n data.ItemName) {
-		key := n.Key()
-		if !seen[key] {
-			seen[key] = true
-			ix.byBase[n.Base] = append(ix.byBase[n.Base], n)
-		}
-	}
+	seen := map[string]data.ItemName{}
 	for _, e := range tr.Events() {
 		if e.Desc.Op.HasItem() {
-			add(e.Desc.Item)
+			seen[e.Desc.Item.Key()] = e.Desc.Item
 		}
 	}
 	for k := range tr.Initial() {
 		if n, err := data.ParseItemName(k); err == nil {
-			add(n)
+			seen[k] = n
 		}
 	}
-	for _, ns := range ix.byBase {
-		sort.Slice(ns, func(i, j int) bool { return ns[i].Key() < ns[j].Key() })
+	ix := &famIndex{byBase: map[string][]data.ItemName{}, pairsOf: map[[2]string][][2]data.ItemName{}}
+	for _, k := range sortedKeys(seen) {
+		n := seen[k]
+		ix.byBase[n.Base] = append(ix.byBase[n.Base], n)
 	}
 	return ix
 }
 
-// pairs mirrors pairKeys over the index: the argument keys observed on
-// either base, united, in deterministic order.
+// pairs produces the (x,y) item pairs to check for a guarantee between
+// two families: for parameterized bases the argument keys observed on
+// either side are united (a key seen only on Y still obligates
+// Y-follows-X for that key), in key order.
 func (ix *famIndex) pairs(xBase, yBase string) [][2]data.ItemName {
-	keyArgs := map[string][]data.Value{}
-	for _, n := range ix.byBase[xBase] {
-		keyArgs[argsKey(n.Args)] = n.Args
+	bases := [2]string{xBase, yBase}
+	if out, ok := ix.pairsOf[bases]; ok {
+		return out
 	}
-	for _, n := range ix.byBase[yBase] {
-		keyArgs[argsKey(n.Args)] = n.Args
+	keyArgs := map[string][]data.Value{}
+	for _, base := range bases {
+		for _, n := range ix.byBase[base] {
+			keyArgs[argsKey(n.Args)] = n.Args
+		}
 	}
 	out := make([][2]data.ItemName, 0, len(keyArgs))
-	for _, args := range keyArgs {
-		out = append(out, [2]data.ItemName{
-			{Base: xBase, Args: args},
-			{Base: yBase, Args: args},
-		})
+	for _, k := range sortedKeys(keyArgs) {
+		args := keyArgs[k]
+		out = append(out, [2]data.ItemName{{Base: xBase, Args: args}, {Base: yBase, Args: args}})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0].Key() < out[j][0].Key() })
+	ix.pairsOf[bases] = out
 	return out
 }
 
@@ -159,11 +177,11 @@ func NewMonitor(gs ...Guarantee) (*Monitor, error) {
 func (m *Monitor) Register(g Guarantee) error {
 	w, ok := g.(Windowed)
 	if !ok {
-		return fmt.Errorf("guarantee: %s has no bounded window; it cannot be monitored incrementally (use batch Check on an uncompacted trace)", g.Name())
+		return fmt.Errorf("guarantee: %s has no bounded window; it cannot be monitored incrementally (use CheckAll on an uncompacted trace)", g.Name())
 	}
-	inc, err := newIncremental(w)
-	if err != nil {
-		return err
+	inc := newIncremental(w)
+	if inc == nil {
+		return fmt.Errorf("guarantee: no incremental checker for %s", g.Name())
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -175,19 +193,24 @@ func (m *Monitor) Register(g Guarantee) error {
 	return nil
 }
 
-func newIncremental(g Windowed) (incremental, error) {
+// newIncremental returns a fresh engine for g, or nil when g is not one
+// of the six forms that have one.
+func newIncremental(g Guarantee) incremental {
 	switch g := g.(type) {
+	case Follows:
+		return &incCopy{x: g.X, y: g.Y, last: map[string]tlPos{}}
 	case MetricFollows:
-		return &incMetricFollows{g: g, last: map[string]tlPos{}}, nil
+		return &incCopy{x: g.X, y: g.Y, bounded: true, kappa: g.Kappa, last: map[string]tlPos{}}
+	case Leads:
+		return &incCopy{x: g.X, y: g.Y, leads: true, wait: g.Settle, last: map[string]tlPos{}}
 	case MetricLeads:
-		return &incMetricLeads{g: g, last: map[string]tlPos{}}, nil
+		return &incCopy{x: g.X, y: g.Y, leads: true, bounded: true, kappa: g.Kappa, wait: g.Kappa, last: map[string]tlPos{}}
 	case ExistsWithin:
-		return &incExistsWithin{g: g, pairs: map[string]*ewPairState{}}, nil
+		return &incExistsWithin{g: g, pairs: map[string]*ewPairState{}}
 	case Invariant:
-		return &incInvariant{g: g}, nil
-	default:
-		return nil, fmt.Errorf("guarantee: no incremental checker for %s", g.Name())
+		return &incInvariant{g: g}
 	}
+	return nil
 }
 
 // Advance processes every obligation that has become decidable and
@@ -238,22 +261,18 @@ func (m *Monitor) Widest() time.Duration {
 // Reports renders the verdicts as if the trace ended now: accumulated
 // obligations plus an end-of-trace pass on a clone of the pending
 // state, so calling it never consumes obligations and the result equals
-// what batch Check would report on the full history.
+// what CheckAll reports on the full history.  The pass runs on an empty
+// trace too: the initial state carries obligations of its own.
 func (m *Monitor) Reports(tr *trace.Trace) []Report {
 	end := tr.End()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]Report, len(m.entries))
-	var ix *famIndex
-	if !end.IsZero() {
-		ix = indexFamilies(tr)
-	}
+	ix := indexFamilies(tr)
 	for i, e := range m.entries {
 		rep := e.rep
 		rep.Violations = append([]string(nil), e.rep.Violations...)
-		if ix != nil {
-			e.inc.clone().finish(tr, ix, end, &rep)
-		}
+		e.inc.clone().finish(tr, ix, end, &rep)
 		out[i] = rep
 	}
 	return out
@@ -318,6 +337,9 @@ func (m *Monitor) Resume(raw []byte) error {
 			return fmt.Errorf("guarantee: resume %s: %w", es.Name, err)
 		}
 		e.rep = es.Report
+		// A blob written before Report.Violated existed carries only the
+		// capped strings.
+		e.rep.Violated = max(e.rep.Violated, len(e.rep.Violations))
 		if es.OK {
 			if !m.ok || es.Horizon.Before(m.horizon) {
 				m.horizon = es.Horizon
@@ -329,9 +351,12 @@ func (m *Monitor) Resume(raw []byte) error {
 }
 
 // EqualVerdicts reports whether two report sets agree guarantee by
-// guarantee on verdict, obligation count, and violation set.  Violation
-// order may differ between the batch checker (per pair) and the monitor
-// (per event), so violations compare as sorted multisets.
+// guarantee on verdict, obligation count and violation count, and — when
+// the count is within the cap, so both sides kept every description — on
+// the violation set.  Violation order depends on the order obligations
+// were discharged in (per pair in one shot, per event across advances),
+// so the descriptions compare as sorted multisets; past the cap each side
+// keeps a different first maxViolations and only the counts compare.
 func EqualVerdicts(a, b []Report) bool {
 	if len(a) != len(b) {
 		return false
@@ -342,17 +367,17 @@ func EqualVerdicts(a, b []Report) bool {
 	}
 	for _, r := range b {
 		o, ok := index[r.Guarantee]
-		if !ok || o.Holds != r.Holds || o.Checked != r.Checked || len(o.Violations) != len(r.Violations) {
+		if !ok || o.Holds != r.Holds || o.Checked != r.Checked || o.Violated != r.Violated {
 			return false
 		}
-		va := append([]string(nil), o.Violations...)
-		vb := append([]string(nil), r.Violations...)
-		sort.Strings(va)
-		sort.Strings(vb)
-		for i := range va {
-			if va[i] != vb[i] {
-				return false
-			}
+		if r.Violated > maxViolations {
+			continue
+		}
+		va, vb := slices.Clone(o.Violations), slices.Clone(r.Violations)
+		slices.Sort(va)
+		slices.Sort(vb)
+		if !slices.Equal(va, vb) {
+			return false
 		}
 	}
 	return true
@@ -383,172 +408,148 @@ func unprocessed(tl []trace.Sample, p tlPos) []trace.Sample {
 	return tl[i:]
 }
 
-// incMetricFollows discharges each Y anchor once its instant is settled
-// (strictly before the trace end): the matching X interval either
-// already overlaps the anchor's window or extends to the present, and
-// in both cases later events cannot change the answer.
-type incMetricFollows struct {
-	g    MetricFollows
-	last map[string]tlPos
+// incCopy is the checker of the four copy forms.  A form is one
+// direction — follows anchors on Y's samples and looks back into X,
+// leads anchors on X's and looks forward into Y — with or without a
+// bound κ: Follows is MetricFollows with no lower window edge, Leads is
+// MetricLeads with no deadline and Settle as the end-of-trace excuse.
+type incCopy struct {
+	x, y    string
+	leads   bool
+	bounded bool             // false: Follows, Leads
+	kappa   time.Duration    // the bound
+	wait    time.Duration    // leads: how long an anchor stays undecidable, Kappa or Settle
+	last    map[string]tlPos // per anchor item, the last sample discharged
 }
 
-// check decides one anchor exactly as MetricFollows.Check does, with
-// the trace ending at end.
-func (c *incMetricFollows) check(xtl []trace.Sample, ys trace.Sample, end time.Time, rep *Report) {
-	rep.Checked++
-	from := ys.At.Add(-c.g.Kappa)
-	ok := false
+// held decides one follows anchor with the trace ending at end.
+// Bounded, X "had the value within the window" when some maximal
+// constant interval of X's timeline with that value intersects
+// (t1−κ, t1]; unbounded, when X took it at or before the anchor in
+// (time, seq) order.
+func (c *incCopy) held(x, y data.ItemName, xtl []trace.Sample, ys trace.Sample, end time.Time, rep *Report) {
 	for i, xs := range xtl {
+		if !xs.V.Equal(ys.V) {
+			continue
+		}
+		if !c.bounded {
+			if !sampleBefore(ys, xs) {
+				return
+			}
+			continue
+		}
+		// X held xs.V over [xs.At, next.At), or to the end of the trace
+		// for the last sample.
 		intEnd := end
 		if i+1 < len(xtl) {
 			intEnd = xtl[i+1].At
 		}
-		if !xs.V.Equal(ys.V) {
-			continue
-		}
-		if xs.At.After(ys.At) {
-			break
-		}
-		if intEnd.After(from) {
-			ok = true
-			break
+		if !xs.At.After(ys.At) && intEnd.After(ys.At.Add(-c.kappa)) {
+			return
 		}
 	}
-	if !ok {
-		rep.violate("%s held %s at %s but %s did not hold it within %s before",
-			c.g.Y, ys.V, ys.At.Format(time.TimeOnly), c.g.X, c.g.Kappa)
+	if c.bounded {
+		rep.Violate("%s held %s at %s but %s did not hold it within %s before",
+			y, ys.V, ys.At.Format(time.TimeOnly), x, c.kappa)
+	} else {
+		rep.Violate("%s held %s at %s which %s never held before",
+			y, ys.V, ys.At.Format(time.TimeOnly), x)
 	}
 }
 
-func (c *incMetricFollows) run(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report, settled func(trace.Sample) bool, mark bool) {
-	for _, pair := range ix.pairs(c.g.X, c.g.Y) {
+// reflected decides one leads anchor: Y took the value after the anchor
+// in (time, seq) order and, bounded, no later than κ after it.  Every
+// sample is tried, none skipped by position: a replica whose clock was
+// stepped stamps its writes out of order, and a reflection that arrived
+// in time must still be found among them.
+func (c *incCopy) reflected(x, y data.ItemName, ytl []trace.Sample, xs trace.Sample, rep *Report) {
+	deadline := xs.At.Add(c.kappa)
+	for _, ys := range ytl {
+		if sampleBefore(xs, ys) && !(c.bounded && ys.At.After(deadline)) && ys.V.Equal(xs.V) {
+			return
+		}
+	}
+	if c.bounded {
+		rep.Violate("%s took %s at %s; %s did not reflect it within %s",
+			x, xs.V, xs.At.Format(time.TimeOnly), y, c.kappa)
+	} else {
+		rep.Violate("%s took %s at %s but %s never reflected it",
+			x, xs.V, xs.At.Format(time.TimeOnly), y)
+	}
+}
+
+func (c *incCopy) run(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report, settled func(trace.Sample) bool, mark bool) {
+	for _, pair := range ix.pairs(c.x, c.y) {
 		x, y := pair[0], pair[1]
-		key := y.Key()
-		pending := unprocessed(tr.Timeline(y), c.last[key])
-		var xtl []trace.Sample
-		for _, ys := range pending {
-			if !settled(ys) {
-				break
-			}
-			if mark {
-				c.last[key] = tlPos{At: ys.At, Seq: ys.Seq, Set: true}
-			}
-			if ys.V.IsNull() {
+		anchor, other := y, x
+		if c.leads {
+			anchor, other = x, y
+		}
+		key := anchor.Key()
+		var otl []trace.Sample
+		for _, s := range unprocessed(tr.Timeline(anchor), c.last[key]) {
+			if !settled(s) {
+				if mark {
+					break // the marker only moves over a settled prefix
+				}
 				continue
 			}
-			if xtl == nil {
-				xtl = tr.Timeline(x)
-			}
-			c.check(xtl, ys, end, rep)
-		}
-	}
-}
-
-func (c *incMetricFollows) advance(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report) {
-	// An anchor strictly before end is settled: if the matching X
-	// interval is still open its overlap with (anchor−κ, anchor] can only
-	// grow, so deciding it against the current end equals deciding it
-	// against any later one.
-	c.run(tr, ix, end, rep, func(s trace.Sample) bool { return s.At.Before(end) }, true)
-}
-
-func (c *incMetricFollows) finish(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report) {
-	c.run(tr, ix, end, rep, func(trace.Sample) bool { return true }, false)
-}
-
-func (c *incMetricFollows) horizon(end time.Time) time.Time { return end.Add(-c.g.Kappa) }
-
-func (c *incMetricFollows) clone() incremental {
-	out := &incMetricFollows{g: c.g, last: make(map[string]tlPos, len(c.last))}
-	for k, v := range c.last {
-		out.last[k] = v
-	}
-	return out
-}
-
-func (c *incMetricFollows) marshal() (json.RawMessage, error) { return json.Marshal(c.last) }
-func (c *incMetricFollows) unmarshal(raw json.RawMessage) error {
-	return json.Unmarshal(raw, &c.last)
-}
-
-// incMetricLeads discharges each X anchor once its deadline has passed:
-// every Y sample that could satisfy it is already in the trace (commit
-// stamps are nondecreasing), so the verdict is final.
-type incMetricLeads struct {
-	g    MetricLeads
-	last map[string]tlPos
-}
-
-func (c *incMetricLeads) check(ytl []trace.Sample, xs trace.Sample, rep *Report) {
-	rep.Checked++
-	deadline := xs.At.Add(c.g.Kappa)
-	ok := false
-	for _, ys := range unprocessed(ytl, tlPos{At: xs.At, Seq: xs.Seq, Set: true}) {
-		if ys.At.After(deadline) {
-			break
-		}
-		if ys.V.Equal(xs.V) {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		rep.violate("%s took %s at %s; %s did not reflect it within %s",
-			c.g.X, xs.V, xs.At.Format(time.TimeOnly), c.g.Y, c.g.Kappa)
-	}
-}
-
-func (c *incMetricLeads) run(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report, settled func(trace.Sample) bool, mark bool) {
-	for _, pair := range ix.pairs(c.g.X, c.g.Y) {
-		x, y := pair[0], pair[1]
-		key := x.Key()
-		pending := unprocessed(tr.Timeline(x), c.last[key])
-		var ytl []trace.Sample
-		for _, xs := range pending {
-			if !settled(xs) {
-				break
-			}
 			if mark {
-				c.last[key] = tlPos{At: xs.At, Seq: xs.Seq, Set: true}
+				c.last[key] = tlPos{At: s.At, Seq: s.Seq, Set: true}
 			}
-			if xs.V.IsNull() {
+			if s.V.IsNull() {
 				continue
 			}
-			if ytl == nil {
-				ytl = tr.Timeline(y)
+			if otl == nil {
+				otl = tr.Timeline(other)
 			}
-			c.check(ytl, xs, rep)
+			rep.Checked++
+			if c.leads {
+				c.reflected(x, y, otl, s, rep)
+			} else {
+				c.held(x, y, otl, s, end, rep)
+			}
 		}
 	}
 }
 
-func (c *incMetricLeads) advance(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report) {
-	// Settled once the deadline is strictly past: no event at or after
-	// end can carry a stamp inside (anchor, anchor+κ] any more.
-	c.run(tr, ix, end, rep, func(s trace.Sample) bool { return s.At.Add(c.g.Kappa).Before(end) }, true)
+// advance: a follows anchor (no wait) is settled once it lies strictly
+// before end — if the matching X interval is still open its overlap with
+// (anchor−κ, anchor] can only grow, so deciding it against the current
+// end equals deciding it against any later one.  A leads anchor is
+// settled once its wait is strictly past: bounded, every Y sample that
+// could satisfy it is then already in the trace (commit stamps are
+// nondecreasing), so the verdict is final.
+func (c *incCopy) advance(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report) {
+	c.run(tr, ix, end, rep, func(s trace.Sample) bool { return s.At.Add(c.wait).Before(end) }, true)
 }
 
-func (c *incMetricLeads) finish(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report) {
-	// Batch semantics at end-of-trace: anchors whose window extends past
-	// the end stay unchecked (their propagation window is still open).
-	horizon := end.Add(-c.g.Kappa)
-	c.run(tr, ix, end, rep, func(s trace.Sample) bool { return !s.At.After(horizon) }, false)
+// finish: at the end of the trace every follows anchor is decided; a
+// leads anchor whose wait extends past the end stays unchecked, its
+// propagation window still open.
+func (c *incCopy) finish(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report) {
+	horizon := end.Add(-c.wait)
+	c.run(tr, ix, end, rep, func(s trace.Sample) bool { return !c.leads || !s.At.After(horizon) }, false)
 }
 
-// horizon: pending anchors sit within κ of the end, and deciding one
-// looks back at most κ from its own instant.
-func (c *incMetricLeads) horizon(end time.Time) time.Time { return end.Add(-2 * c.g.Kappa) }
-
-func (c *incMetricLeads) clone() incremental {
-	out := &incMetricLeads{g: c.g, last: make(map[string]tlPos, len(c.last))}
-	for k, v := range c.last {
-		out.last[k] = v
+// horizon: a follows anchor looks back κ.  Pending leads anchors sit
+// within κ of the end, and deciding one looks back at most κ from its
+// own instant.
+func (c *incCopy) horizon(end time.Time) time.Time {
+	if c.leads {
+		return end.Add(-2 * c.kappa)
 	}
-	return out
+	return end.Add(-c.kappa)
 }
 
-func (c *incMetricLeads) marshal() (json.RawMessage, error) { return json.Marshal(c.last) }
-func (c *incMetricLeads) unmarshal(raw json.RawMessage) error {
+func (c *incCopy) clone() incremental {
+	out := *c
+	out.last = maps.Clone(c.last)
+	return &out
+}
+
+func (c *incCopy) marshal() (json.RawMessage, error) { return json.Marshal(c.last) }
+func (c *incCopy) unmarshal(raw json.RawMessage) error {
 	return json.Unmarshal(raw, &c.last)
 }
 
@@ -615,7 +616,7 @@ func (c *incExistsWithin) consider(st *ewPairState, at time.Time, in data.Interp
 	case !bad && st.InViol:
 		st.InViol = false
 		if at.Sub(st.ViolStart) > c.g.Kappa {
-			rep.violate("%s existed without %s for %s starting %s",
+			rep.Violate("%s existed without %s for %s starting %s",
 				st.RefKey, st.TgtKey, at.Sub(st.ViolStart), st.ViolStart.Format(time.TimeOnly))
 		}
 	}
@@ -640,10 +641,10 @@ func (c *incExistsWithin) advance(tr *trace.Trace, ix *famIndex, end time.Time, 
 
 func (c *incExistsWithin) finish(tr *trace.Trace, ix *famIndex, end time.Time, rep *Report) {
 	c.advance(tr, ix, end, rep)
-	for _, key := range sortedPairKeys(c.pairs) {
+	for _, key := range sortedKeys(c.pairs) {
 		st := c.pairs[key]
 		if st.InViol && end.Sub(st.ViolStart) > c.g.Kappa {
-			rep.violate("%s existed without %s for %s starting %s (unresolved at end of trace)",
+			rep.Violate("%s existed without %s for %s starting %s (unresolved at end of trace)",
 				st.RefKey, st.TgtKey, end.Sub(st.ViolStart), st.ViolStart.Format(time.TimeOnly))
 		}
 	}
@@ -683,12 +684,12 @@ func (c *incExistsWithin) unmarshal(raw json.RawMessage) error {
 	return nil
 }
 
-func sortedPairKeys(m map[string]*ewPairState) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Strings(ks)
+	slices.Sort(ks)
 	return ks
 }
 
@@ -707,11 +708,11 @@ func (c *incInvariant) evalAt(at time.Time, in data.Interpretation, rep *Report)
 	rep.Checked++
 	ok, err := rule.EvalBool(c.g.Pred, envOf(in))
 	if err != nil {
-		rep.violate("evaluation error at %s: %v", at.Format(time.TimeOnly), err)
+		rep.Violate("evaluation error at %s: %v", at.Format(time.TimeOnly), err)
 		return
 	}
 	if !ok {
-		rep.violate("invariant false at %s in state %s", at.Format(time.TimeOnly), in)
+		rep.Violate("invariant false at %s in state %s", at.Format(time.TimeOnly), in)
 	}
 }
 

@@ -1,7 +1,9 @@
 package guarantee
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,9 +45,11 @@ func replayMonitored(t *testing.T, src *trace.Trace, m *Monitor, chunk int, comp
 	return tr
 }
 
-// TestMonitorMatchesBatch incremental verdicts over a compacted trace
-// must be byte-identical to the batch checker over the full history,
-// for holding and violated executions alike.
+// TestMonitorMatchesBatch the verdicts of the compacted Monitor
+// (obligations discharged advance by advance) and of CheckAll (the same
+// engines in one shot, plus the two unbounded directions) must both equal
+// the oracle's over the full history, for holding and violated
+// executions alike.
 func TestMonitorMatchesBatch(t *testing.T) {
 	cases := map[string]func() *trace.Trace{
 		"holds": func() *trace.Trace { return propagated([]int64{1, 2, 3, 4, 5, 6}, 3) },
@@ -67,7 +71,7 @@ func TestMonitorMatchesBatch(t *testing.T) {
 		for _, compact := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/compact=%v", name, compact), func(t *testing.T) {
 				src := mk()
-				want := CheckAll(src, monitoredSet()...)
+				want := oracleAll(src, monitoredSet()...)
 				m, err := NewMonitor(monitoredSet()...)
 				if err != nil {
 					t.Fatal(err)
@@ -75,7 +79,7 @@ func TestMonitorMatchesBatch(t *testing.T) {
 				tr := replayMonitored(t, src, m, 4, compact)
 				got := m.Reports(tr)
 				if !EqualVerdicts(want, got) {
-					t.Fatalf("verdicts diverged:\nbatch: %+v\nmonitor: %+v", want, got)
+					t.Fatalf("verdicts diverged:\noracle:  %+v\nmonitor: %+v", want, got)
 				}
 				if compact {
 					if pe, _ := tr.Pruned(); pe == 0 {
@@ -86,8 +90,114 @@ func TestMonitorMatchesBatch(t *testing.T) {
 				if again := m.Reports(tr); !EqualVerdicts(got, again) {
 					t.Fatal("second Reports call diverged")
 				}
+				all := append(monitoredSet(), Follows{X: "X", Y: "Y"}, Leads{X: "X", Y: "Y", Settle: 5 * time.Second})
+				if want, got := oracleAll(src, all...), CheckAll(src, all...); !EqualVerdicts(want, got) {
+					t.Fatalf("one-shot verdicts diverged:\noracle:   %+v\nCheckAll: %+v", want, got)
+				}
 			})
 		}
+	}
+}
+
+// TestMonitorEmptyTraceInitialState the initial-state obligations are
+// decided whether or not the trace holds an event: a monitor over a trace
+// that starts in a violating state says what CheckAll says.
+func TestMonitorEmptyTraceInitialState(t *testing.T) {
+	pred, err := rule.ParseExpr("X <= Y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := []Guarantee{
+		Invariant{Label: "X<=Y", Pred: pred},
+		ExistsWithin{Ref: "X", Target: "Z", Kappa: time.Second},
+	}
+	tr := trace.New(data.Interpretation{"X": data.NewInt(5), "Y": data.NewInt(3)})
+	m, err := NewMonitor(gs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Advance(tr)
+	got := m.Reports(tr)
+	if inv := got[0]; inv.Holds || inv.Checked != 1 || inv.Violated != 1 {
+		t.Fatalf("invariant over a violating initial state: %+v", inv)
+	}
+	if ew := got[1]; ew.Checked != 1 {
+		t.Fatalf("exists-within never considered the initial state: %+v", ew)
+	}
+	if want := oracleAll(tr, gs...); !EqualVerdicts(want, got) {
+		t.Fatalf("verdicts diverged:\noracle:  %+v\nmonitor: %+v", want, got)
+	}
+	if batch := CheckAll(tr, gs...); !EqualVerdicts(batch, got) {
+		t.Fatalf("verdicts diverged:\nCheckAll: %+v\nmonitor:  %+v", batch, got)
+	}
+}
+
+// TestEqualVerdictsPastCap two reports of the same execution stay equal
+// when more obligations are violated than descriptions are kept: one
+// shot keeps the first key's violations first, the monitor keeps the
+// first rounds of every key, and only the exact counts can compare.
+func TestEqualVerdictsPastCap(t *testing.T) {
+	g := MetricFollows{X: "X", Y: "Y", Kappa: time.Second}
+	m, err := NewMonitor(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(nil)
+	for round := 0; round < 12; round++ {
+		for k := int64(1); k <= 2; k++ {
+			write(tr, round*10, data.Item("Y", data.NewInt(k)), data.NewInt(int64(1000+round)))
+		}
+		m.Advance(tr)
+	}
+	batch, mon := CheckAll(tr, g), m.Reports(tr)
+	for _, r := range [][]Report{batch, mon} {
+		if r[0].Holds || r[0].Checked != 24 || r[0].Violated != 24 || len(r[0].Violations) != maxViolations {
+			t.Fatalf("want 24 checked, 24 violated, %d shown: %+v", maxViolations, r[0])
+		}
+	}
+	if slices.Equal(batch[0].Violations, mon[0].Violations) {
+		t.Fatal("both sides kept the same descriptions; the test exercises nothing")
+	}
+	if !EqualVerdicts(batch, mon) {
+		t.Fatalf("equal verdicts compare unequal past the cap:\nCheckAll: %+v\nmonitor:  %+v", batch, mon)
+	}
+	if want := oracleAll(tr, g); !EqualVerdicts(want, batch) {
+		t.Fatalf("verdicts diverged:\noracle:   %+v\nCheckAll: %+v", want, batch)
+	}
+	if got := batch[0].String(); got != "metric-follows(X,Y,1s): VIOLATED (24 violated, 16 shown) over 24 obligations" {
+		t.Fatalf("String() = %q", got)
+	}
+	// A count that differs is still a difference.
+	mon[0].Violated--
+	if EqualVerdicts(batch, mon) {
+		t.Fatal("reports with different violation counts compare equal")
+	}
+}
+
+// TestResumePreViolatedBlob a handoff written before Report.Violated
+// existed carries only the capped strings; the count is recovered from
+// them.
+func TestResumePreViolatedBlob(t *testing.T) {
+	g := MetricFollows{X: "X", Y: "Y", Kappa: time.Second}
+	m, _ := NewMonitor(g)
+	tr := trace.New(nil)
+	write(tr, 0, itemY, data.NewInt(7))
+	write(tr, 10, itemY, data.NewInt(8))
+	m.Advance(tr)
+	blob, err := m.Handoff()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(blob, []byte(`"Violated":1,`), nil, 1)
+	if bytes.Equal(old, blob) {
+		t.Fatalf("blob carries no count to strip: %s", blob)
+	}
+	m2, _ := NewMonitor(g)
+	if err := m2.Resume(old); err != nil {
+		t.Fatal(err)
+	}
+	if want, got := m.Reports(tr), m2.Reports(tr); !EqualVerdicts(want, got) {
+		t.Fatalf("count not recovered:\nbefore: %+v\nafter:  %+v", want, got)
 	}
 }
 
@@ -142,11 +252,11 @@ func TestMonitorHorizonAdvances(t *testing.T) {
 
 // TestMonitorHandoffResume pending obligations survive the
 // export/import path a rebalance uses: verdicts after a mid-run handoff
-// equal the batch verdicts, and re-registered windows do not re-open
+// equal the oracle's verdicts, and re-registered windows do not re-open
 // discharged obligations (Checked counts stay exact).
 func TestMonitorHandoffResume(t *testing.T) {
 	src := propagated([]int64{1, 2, 3, 4, 5, 6, 7, 8}, 3)
-	want := CheckAll(src, monitoredSet()...)
+	want := oracleAll(src, monitoredSet()...)
 
 	m1, err := NewMonitor(monitoredSet()...)
 	if err != nil {
@@ -182,7 +292,7 @@ func TestMonitorHandoffResume(t *testing.T) {
 	}
 	got := m2.Reports(tr)
 	if !EqualVerdicts(want, got) {
-		t.Fatalf("verdicts diverged after handoff:\nbatch: %+v\nresumed: %+v", want, got)
+		t.Fatalf("verdicts diverged after handoff:\noracle: %+v\nresumed: %+v", want, got)
 	}
 
 	// Resume of an unknown guarantee must fail loudly.

@@ -207,7 +207,7 @@ func e15Run(campaign string, rate float64, updates int) E15Row {
 			expected++
 		}
 	}
-	skewExact := len(mrep.Violations) == expected && mrep.Holds == (expected == 0)
+	skewExact := mrep.Violated == expected && mrep.Holds == (expected == 0)
 
 	bounds, cum, count, okHist := mesh.FireLatency()
 	row := E15Row{

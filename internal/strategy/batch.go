@@ -89,6 +89,7 @@ func (g PeriodicFamily) Check(tr *trace.Trace) guarantee.Report {
 			Label: g.Name(), Pred: pred, From: g.From, To: g.To,
 		}.Check(tr)
 		out.Checked += rep.Checked
+		out.Violated += rep.Violated
 		if !rep.Holds {
 			out.Holds = false
 			out.Violations = append(out.Violations, rep.Violations...)
