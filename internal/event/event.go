@@ -187,12 +187,18 @@ type Event struct {
 }
 
 // StateSource reconstructs the interpretations around an event from a
-// versioned store, keyed by the event's sequence number.
+// versioned store, keyed by the event's sequence number.  The Value forms
+// are point reads: one item of the same interpretation, without building
+// the rest of it.
 type StateSource interface {
 	// StateBefore returns the interpretation in force before event seq.
 	StateBefore(seq uint64) data.Interpretation
 	// StateAfter returns the interpretation in force after event seq.
 	StateAfter(seq uint64) data.Interpretation
+	// ValueBefore returns StateBefore(seq).Get(item).
+	ValueBefore(seq uint64, item data.ItemName) data.Value
+	// ValueAfter returns StateAfter(seq).Get(item).
+	ValueAfter(seq uint64, item data.ItemName) data.Value
 }
 
 // Old returns the interpretation in force when the event occurred.  The
@@ -212,6 +218,24 @@ func (e *Event) New() data.Interpretation {
 		return e.new
 	}
 	return e.src.StateAfter(e.Seq)
+}
+
+// OldValue returns Old().Get(item) without materializing the interpretation:
+// an eager old view answers from its map, a source-backed one reads the
+// item's own timeline.
+func (e *Event) OldValue(item data.ItemName) data.Value {
+	if e.old != nil || e.src == nil {
+		return e.old.Get(item)
+	}
+	return e.src.ValueBefore(e.Seq, item)
+}
+
+// NewValue returns New().Get(item), as OldValue does for Old.
+func (e *Event) NewValue(item data.ItemName) data.Value {
+	if e.new != nil || e.src == nil {
+		return e.new.Get(item)
+	}
+	return e.src.ValueAfter(e.Seq, item)
 }
 
 // SetStates installs eager old/new interpretations, overriding any
@@ -466,6 +490,14 @@ func (t Template) String() string {
 // returning the matching interpretation mi(E, 𝓔).  The false template F
 // matches nothing by definition.
 func (t Template) Match(d Desc) (Bindings, bool) {
+	// Nearly every (template, descriptor) pair a scan tries differs in op
+	// or item shape: reject those before allocating the bindings.
+	if t.Op == OpF || t.Op != d.Op {
+		return nil, false
+	}
+	if t.Op.HasItem() && (t.Item.Base != d.Item.Base || len(t.Item.Args) != len(d.Item.Args)) {
+		return nil, false
+	}
 	b := Bindings{}
 	if !t.MatchInto(d, b) {
 		return nil, false

@@ -310,3 +310,49 @@ func TestQuickOpMismatchNeverMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMatchRejectsBeforeAllocating: Match and MatchInto agree on every
+// (template, descriptor) pair, and a pair that differs in op, item base or
+// arity — nearly every pair a scan over a trace tries — costs no
+// allocation.
+func TestMatchRejectsBeforeAllocating(t *testing.T) {
+	k := data.NewInt(7)
+	templates := []Template{
+		TW(ItemT("X"), Param("b")),
+		TWs2(ItemT("X", Param("n")), Param("b")),
+		TN(ItemT("X", Param("n")), Lit(data.NewInt(1))),
+		TRR(ItemT("Y")),
+		TP(time.Second),
+		TF(),
+	}
+	descs := []Desc{
+		W(item("X"), data.NewInt(1)),
+		W(item("Y"), data.NewInt(1)),
+		W(item("X", k), data.NewInt(1)),
+		Ws(item("X", k), data.NullValue, data.NewInt(1)),
+		N(item("X", k), data.NewInt(1)),
+		N(item("X", k), data.NewInt(2)),
+		RR(item("Y")),
+		P(time.Second),
+		P(time.Minute),
+		{Op: OpF},
+	}
+	for _, tpl := range templates {
+		for _, d := range descs {
+			into := Bindings{}
+			want := tpl.MatchInto(d, into)
+			got, ok := tpl.Match(d)
+			if ok != want || (ok && len(got) != len(into)) || (!ok && got != nil) {
+				t.Errorf("%s vs %s: Match = %v, %v; MatchInto = %v, %v", tpl, d, got, ok, into, want)
+			}
+			shapeDiffers := tpl.Op != d.Op || tpl.Op == OpF ||
+				(tpl.Op.HasItem() && (tpl.Item.Base != d.Item.Base || len(tpl.Item.Args) != len(d.Item.Args)))
+			if !shapeDiffers {
+				continue
+			}
+			if n := testing.AllocsPerRun(10, func() { tpl.Match(d) }); n != 0 {
+				t.Errorf("%s vs %s: rejected after %v allocations", tpl, d, n)
+			}
+		}
+	}
+}

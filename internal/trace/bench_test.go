@@ -65,3 +65,22 @@ func BenchmarkTraceCompact(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCheck measures one Appendix A.2 pass over the same 1 200-event
+// execution as the store around it grows: conditions are point reads, so
+// the pass costs what the rules read, not what the store holds.
+func BenchmarkCheck(b *testing.B) {
+	for _, items := range []int{256, 8192} {
+		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
+			tr, rules := checkWorkload(b, items)
+			ck := NewChecker(rules)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if vs := ck.Check(tr); len(vs) != 0 {
+					b.Fatalf("violations: %v", vs)
+				}
+			}
+		})
+	}
+}

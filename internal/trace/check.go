@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,10 +28,13 @@ func NewChecker(rules []rule.Rule) *Checker {
 	return &Checker{Rules: m}
 }
 
-// env adapts bindings+interpretation to rule.Env for condition evaluation.
+// env adapts bindings plus a point read of the state to rule.Env for
+// condition evaluation.  read is a method value — Event.OldValue,
+// Event.NewValue — so a condition costs a lookup per item it mentions
+// instead of an interpretation of every item.
 type env struct {
 	params event.Bindings
-	items  data.Interpretation
+	read   func(data.ItemName) data.Value
 }
 
 func (e env) Param(name string) (data.Value, bool) {
@@ -38,13 +43,15 @@ func (e env) Param(name string) (data.Value, bool) {
 }
 
 func (e env) Item(n data.ItemName) (data.Value, bool, error) {
-	v, ok := e.items[n.Key()]
-	return v, ok && !v.IsNull(), nil
+	v := e.read(n)
+	return v, !v.IsNull(), nil
 }
 
 // Check validates the trace and returns all violations found (nil when the
 // execution is valid).  Obligations whose time window extends past the end
-// of the trace are treated as still pending and not reported.
+// of the trace are treated as still pending and not reported.  All four
+// phases work on one snapshot of the event list, so a pass over a live
+// trace judges one prefix, and violations come out in a fixed order.
 func (c *Checker) Check(t *Trace) []Violation {
 	events := t.Events()
 	var out []Violation
@@ -55,12 +62,28 @@ func (c *Checker) Check(t *Trace) []Violation {
 	return out
 }
 
+// sortedRules lists the rules in ID order: ranging over the map directly
+// would report the same violations in a different order on every pass.
+func (c *Checker) sortedRules() []rule.Rule {
+	ids := make([]string, 0, len(c.Rules))
+	for id := range c.Rules {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	rules := make([]rule.Rule, len(ids))
+	for i, id := range ids {
+		rules[i] = c.Rules[id]
+	}
+	return rules
+}
+
 // checkOrderAndChaining covers properties 1, 2 and 3.  It replays the
 // trace incrementally: for events whose views read through the trace's
 // versioned store, the old view is by construction the running
 // reconstruction and the new view is that plus the event's own write, so
 // full interpretations are materialized (and compared) only around events
-// carrying eager state overrides.
+// carrying eager state overrides.  These two properties compare whole
+// states, so this is the one phase that cannot use point reads.
 func (c *Checker) checkOrderAndChaining(t *Trace, events []*event.Event) []Violation {
 	var out []Violation
 	var prevTime time.Time
@@ -142,7 +165,7 @@ func (c *Checker) checkProvenance(events []*event.Event) []Violation {
 		}
 		// Property 5c: LHS condition satisfied by trigger's new state, with
 		// equality-binding semantics.
-		condOK, err := rule.EvalCondBinding(r.Cond, env{params: b, items: e.Trigger.New()}, b)
+		condOK, err := rule.EvalCondBinding(r.Cond, env{params: b, read: e.Trigger.NewValue}, b)
 		if err != nil || !condOK {
 			out = append(out, Violation{Property: 5, Seq: e.Seq,
 				Msg: fmt.Sprintf("LHS condition of rule %s not satisfied at trigger (err=%v)", r.ID, err)})
@@ -153,7 +176,6 @@ func (c *Checker) checkProvenance(events []*event.Event) []Violation {
 		// parameters such as "now" from the event itself.
 		matched := false
 		var guard rule.Expr
-		eOld := e.Old()
 		for _, step := range r.Steps {
 			if step.Eff.Op == event.OpF {
 				continue
@@ -165,7 +187,7 @@ func (c *Checker) checkProvenance(events []*event.Event) []Violation {
 			if step.ValExpr != nil {
 				// Computed value: re-evaluate against the firing state and
 				// require agreement.
-				v, err := step.ValExpr.Eval(env{params: bb, items: eOld})
+				v, err := step.ValExpr.Eval(env{params: bb, read: e.OldValue})
 				if err != nil || !v.Equal(e.Desc.Val) {
 					continue
 				}
@@ -182,7 +204,7 @@ func (c *Checker) checkProvenance(events []*event.Event) []Violation {
 		}
 		// Property 5d: the step guard held in the event's old state.
 		if guard != nil {
-			ok, err := rule.EvalBool(guard, env{params: b, items: eOld})
+			ok, err := rule.EvalBool(guard, env{params: b, read: e.OldValue})
 			if err != nil || !ok {
 				out = append(out, Violation{Property: 5, Seq: e.Seq,
 					Msg: fmt.Sprintf("RHS guard of rule %s not satisfied at firing (err=%v)", r.ID, err)})
@@ -224,13 +246,14 @@ func (c *Checker) checkObligations(t *Trace, events []*event.Event) []Violation 
 			gen[k] = append(gen[k], e)
 		}
 	}
-	t.WalkNewStates(func(e *event.Event, eNew data.Interpretation) bool {
-		for _, r := range c.Rules {
+	rules := c.sortedRules()
+	for _, e := range events {
+		for _, r := range rules {
 			b, ok := r.LHS.Match(e.Desc)
 			if !ok {
 				continue
 			}
-			condOK, err := rule.EvalCondBinding(r.Cond, env{params: b, items: eNew}, b)
+			condOK, err := rule.EvalCondBinding(r.Cond, env{params: b, read: e.NewValue}, b)
 			if err != nil || !condOK {
 				continue
 			}
@@ -243,7 +266,7 @@ func (c *Checker) checkObligations(t *Trace, events []*event.Event) []Violation 
 			var prevSeq uint64
 			for si, step := range r.Steps {
 				if step.Eff.Op == event.OpF {
-					if !c.guardCouldBeFalse(t, step.Cond, b, e.Time, deadline) {
+					if !c.guardCouldBeFalse(t, events, step.Cond, b, e.Time, deadline) {
 						out = append(out, Violation{Property: 6, Seq: e.Seq,
 							Msg: fmt.Sprintf("rule %s requires the false event: %s occurred but was promised impossible", r.ID, e.Desc)})
 					}
@@ -258,7 +281,7 @@ func (c *Checker) checkObligations(t *Trace, events []*event.Event) []Violation 
 					}
 				}
 				if hit == nil {
-					if step.Cond == nil || !c.guardCouldBeFalse(t, step.Cond, b, e.Time, deadline) {
+					if step.Cond == nil || !c.guardCouldBeFalse(t, events, step.Cond, b, e.Time, deadline) {
 						out = append(out, Violation{Property: 6, Seq: e.Seq,
 							Msg: fmt.Sprintf("rule %s step %d (%s) never fired for trigger %s and its guard could not have been false", r.ID, si+1, step.Eff, e.Desc)})
 					}
@@ -275,37 +298,45 @@ func (c *Checker) checkObligations(t *Trace, events []*event.Event) []Violation 
 				prevFire, prevSeq = hit.Time, hit.Seq
 			}
 		}
-		return true
-	})
+	}
 	return out
 }
 
 // guardCouldBeFalse reports whether guard evaluated false at some instant
 // in [from, to].  The state is piecewise constant between events, so it
 // suffices to sample the state at from and after each event in the window.
-func (c *Checker) guardCouldBeFalse(t *Trace, guard rule.Expr, b event.Bindings, from, to time.Time) bool {
+// Both scans are linear and stop at the first event past their bound: a
+// violated trace may have non-monotone times, and the verdict is defined
+// by that scan, not by a search on time.
+func (c *Checker) guardCouldBeFalse(t *Trace, events []*event.Event, guard rule.Expr, b event.Bindings, from, to time.Time) bool {
 	if guard == nil {
 		return false
 	}
-	check := func(state data.Interpretation) bool {
-		ok, err := rule.EvalBool(guard, env{params: b, items: state})
+	isFalse := func(read func(data.ItemName) data.Value) bool {
+		ok, err := rule.EvalBool(guard, env{params: b, read: read})
 		return err == nil && !ok
 	}
-	if check(t.StateAt(from)) {
+	// The state at from is the one the store holds after the last event
+	// not later than from (the folded base when there is none).
+	var bound uint64
+	for _, e := range events {
+		if e.Time.After(from) {
+			break
+		}
+		bound = e.Seq + 1
+	}
+	if isFalse(func(item data.ItemName) data.Value { return t.valueAtSeq(bound, item) }) {
 		return true
 	}
-	couldBe := false
-	t.WalkNewStates(func(e *event.Event, eNew data.Interpretation) bool {
+	for _, e := range events {
 		if e.Time.After(to) {
-			return false
+			break
 		}
-		if !e.Time.Before(from) && check(eNew) {
-			couldBe = true
-			return false
+		if !e.Time.Before(from) && isFalse(e.NewValue) {
+			return true
 		}
-		return true
-	})
-	return couldBe
+	}
+	return false
 }
 
 // checkInOrder covers property 7: for related rules (same trigger site and
@@ -326,8 +357,18 @@ func (c *Checker) checkInOrder(events []*event.Event) []Violation {
 		k := gkey{e.Trigger.Site, e.Trigger.Host, e.Site, e.Host}
 		groups[k] = append(groups[k], e)
 	}
+	// Sorted key order, for the same reason as sortedRules.
+	keys := make([]gkey, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b gkey) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.fromHost, b.fromHost),
+			cmp.Compare(a.to, b.to), cmp.Compare(a.toHost, b.toHost))
+	})
 	var out []Violation
-	for k, g := range groups {
+	for _, k := range keys {
+		g := groups[k]
 		sort.Slice(g, func(i, j int) bool {
 			ti, tj := g[i].Trigger, g[j].Trigger
 			if !ti.Time.Equal(tj.Time) {

@@ -8,9 +8,16 @@
 // data item plus the current interpretation, mutated in place.  Appending
 // an event is O(1) in the number of items and events; the per-event old
 // and new interpretations of the formal model are lazy views (Event.Old /
-// Event.New) reconstructed from the timelines on demand, so only readers
-// that genuinely need a full interpretation — the Appendix A.2 checker,
-// mostly — pay for materializing one.
+// Event.New) reconstructed from the timelines on demand.  A reader that
+// wants a few items of a state does not build one: the point read
+// (ValueBefore / ValueAfter, reached through Event.OldValue / NewValue)
+// binary-searches the one item's timeline under the one shard's lock.
+// The Appendix A.2 checker evaluates every rule condition and guard that
+// way, so a pass costs what the rules read, not what the store holds.
+// What still materializes a full interpretation: the checker's properties
+// 2–3, which compare whole states, around events carrying eager overrides
+// (plus one Initial per pass), and StateAt / WalkNewStates for the
+// guarantee walkers.
 //
 // # Concurrency
 //
@@ -300,6 +307,34 @@ func (t *Trace) stateAtSeq(seq uint64, inclusive bool) data.Interpretation {
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// ValueBefore implements event.StateSource: StateBefore(seq).Get(item)
+// as a point read.
+func (t *Trace) ValueBefore(seq uint64, item data.ItemName) data.Value {
+	return t.valueAtSeq(seq, item)
+}
+
+// ValueAfter implements event.StateSource: StateAfter(seq).Get(item) as a
+// point read.
+func (t *Trace) ValueAfter(seq uint64, item data.ItemName) data.Value {
+	return t.valueAtSeq(seq+1, item)
+}
+
+// valueAtSeq is stateAtSeq for one item: the value of the item's last
+// retained write with Seq < bound, or the folded base when there is none.
+// O(log writes to item); only the item's own shard is locked.
+func (t *Trace) valueAtSeq(bound uint64, item data.ItemName) data.Value {
+	key := item.Key()
+	sh := &t.shards[t.ShardOf(item.Base)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	tl := sh.timelines[key]
+	j := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= bound })
+	if j == 0 {
+		return sh.base[key]
+	}
+	return tl[j-1].Desc.Val
 }
 
 // Find returns the recorded event with the given sequence number, or nil.
