@@ -10,8 +10,6 @@
 package cmtk_test
 
 import (
-	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -156,45 +154,6 @@ func BenchmarkE12ReliableDelivery(b *testing.B) {
 			}
 		}
 		requireNoViolationMarks(b, tbl, "leads", "final value correct")
-	}
-}
-
-func BenchmarkE16CoreScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := harness.E16(500)
-		if len(tbl.Rows) != 5 {
-			b.Fatalf("E16 rows = %d", len(tbl.Rows))
-		}
-		// Parallelism may never trade away correctness: every arm —
-		// serial baseline and every partitioned configuration — must
-		// record an Appendix A.2-valid trace.
-		for _, row := range tbl.Rows {
-			if row[len(row)-1] != "0 violations" {
-				b.Fatalf("E16 arm recorded an invalid trace: %v", row)
-			}
-		}
-		// Scaling itself is only assertable when GOMAXPROCS arms are
-		// backed by real cores; on single-core hosts (and cramped CI
-		// shards) all arms collapse to serial throughput, so shape
-		// checks would be noise.
-		if runtime.NumCPU() >= 8 && !testing.Short() {
-			speedup := func(procs string) float64 {
-				for _, row := range tbl.Rows {
-					if row[0] == procs && row[1] == "64" {
-						v, err := strconv.ParseFloat(strings.TrimSuffix(cellOf(b, tbl, row, "speedup"), "x"), 64)
-						if err != nil {
-							b.Fatalf("E16 bad speedup cell: %v", row)
-						}
-						return v
-					}
-				}
-				b.Fatalf("E16 missing procs=%s arm", procs)
-				return 0
-			}
-			if s8 := speedup("8"); s8 < 1.5 {
-				b.Fatalf("E16: 8-core arm speedup %.2fx on a %d-CPU host", s8, runtime.NumCPU())
-			}
-		}
 	}
 }
 

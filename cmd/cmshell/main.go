@@ -21,13 +21,6 @@
 // so every pair of communicating shells should list each other in -peer.
 // -unreliable reverts to raw fire-and-forget TCP sends.
 //
-// -workers selects the engine: the default 1 is the classic serial
-// engine, N > 1 runs the partitioned parallel engine on N workers, and
-// 0 (or any non-positive value) resolves to GOMAXPROCS.  Serial stays
-// the default because a shell is usually one of several processes on a
-// box; taking every core should be an explicit choice.  DESIGN.md §9
-// documents the concurrency model and what it preserves.
-//
 // -metrics-addr starts the observability surface: /metrics serves the
 // process-wide registry in Prometheus text format (shell, translator,
 // and transport metrics), and /debug/traces dumps the rule-firing trace
@@ -89,7 +82,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/traces on this address (empty: off)")
 	stateDir := flag.String("state-dir", "", "durable state directory: journal outbox and private items for crash recovery (empty: in-memory only)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always|interval|never")
-	workers := flag.Int("workers", 1, "engine worker count: 1 = serial, N > 1 = partitioned parallel engine, <= 0 = auto (GOMAXPROCS)")
 	routeTable := flag.String("route-table", "", "fleet route-table JSON file: shard constraint ownership across the mesh (empty: static site routing)")
 	retry := flag.Duration("retry", 200*time.Millisecond, "reliable-link base retransmit interval")
 	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "mesh peer dial timeout")
@@ -140,10 +132,7 @@ func main() {
 		fmt.Printf("cmshell: durable state in %s, %s start, wal-sync=%s\n", *stateDir, start, policy)
 	}
 
-	if *workers <= 0 {
-		*workers = shell.WorkersAuto
-	}
-	shellOpts := shell.Options{Workers: *workers}
+	var shellOpts shell.Options
 	var router *fleet.Router
 	if *routeTable != "" {
 		tab, err := fleet.ReadFile(*routeTable)
@@ -175,9 +164,6 @@ func main() {
 				sh.AddPeer(name)
 			}
 		}
-	}
-	if w := sh.Workers(); w > 1 {
-		fmt.Printf("cmshell: partitioned engine, %d workers\n", w)
 	}
 	if store != nil {
 		restored, err := sh.EnableDurable(store)

@@ -21,8 +21,6 @@ import (
 	"cmtk/internal/ris/relstore"
 	"cmtk/internal/ris/server"
 	"cmtk/internal/rule"
-	"cmtk/internal/shell"
-	"cmtk/internal/vclock"
 )
 
 // operator-facing docs whose references are checked
@@ -122,22 +120,6 @@ func TestObservabilityCataloguesEveryMetric(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The partitioned engine's worker and per-partition series
-	// (cmtk_shell_workers, cmtk_shell_partition_depth, the partition
-	// label on fire latency) only move on a parallel shell; run a small
-	// one so the scrape covers them.
-	psp, err := rule.ParseSpecString("site P\nprivate PA @ P\nprivate PB @ P\nrule pr: Ws(PA, b) ->5s W(PB, b)\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	psh := shell.New("docpar", psp, shell.Options{Clock: vclock.NewVirtual(vclock.Epoch), Workers: 2})
-	psh.AddSite("P", nil)
-	if err := psh.Start(); err != nil {
-		t.Fatal(err)
-	}
-	psh.Spontaneous(data.Item("PA"), data.NewInt(0), data.NewInt(1))
-	psh.Drain()
-	psh.Stop()
 	// The fleet layer's cmtk_fleet_* families only move on a sharded
 	// deployment; run a tiny fleet through one post and one rebalance so
 	// the router gauges, forward counters, and rebalance counters all
@@ -157,7 +139,7 @@ func TestObservabilityCataloguesEveryMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl.Drain()
-	if err := fl.AddShell("doc3", 0); err != nil {
+	if err := fl.AddShell("doc3"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fl.Rebalance([]string{"doc1", "doc2", "doc3"}); err != nil {
@@ -207,7 +189,6 @@ func TestObservabilityCataloguesEveryMetric(t *testing.T) {
 	// collapse here means the test lost its coverage, not that docs are
 	// fine.
 	for _, want := range []string{"cmtk_shell_", "cmtk_translator_", "cmtk_transport_", "cmtk_ris_", "cmtk_wal_",
-		"cmtk_shell_workers", "cmtk_shell_partition_depth",
 		"cmtk_fleet_epoch", "cmtk_fleet_owned_bases", "cmtk_fleet_rebalances_total"} {
 		if !strings.Contains(b.String(), "# TYPE "+want) &&
 			!strings.Contains(b.String(), want) {

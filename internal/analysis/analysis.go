@@ -230,7 +230,7 @@ func ImportName(file *ast.File, path string) string {
 }
 
 // SelectorPath renders a selector chain rooted at an identifier
-// ("p.parts[i].dataMu" → "p.parts.dataMu", "s.mu" → "s.mu").  Index
+// ("t.shards[i].mu" → "t.shards.mu", "s.mu" → "s.mu").  Index
 // expressions are collapsed and anything not reducible to an
 // identifier-rooted chain returns "".
 func SelectorPath(e ast.Expr) string {

@@ -163,7 +163,7 @@ func TestLoadTreeCoversRepoPackages(t *testing.T) {
 func TestSelectorPathCollapsesIndexes(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "x.go",
-		"package x\nfunc f() { p.parts[i].dataMu.Lock(); s.mu.Lock() }", 0)
+		"package x\nfunc f() { t.shards[i].mu.Lock(); s.mu.Lock() }", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestSelectorPathCollapsesIndexes(t *testing.T) {
 		}
 		return true
 	})
-	if len(got) != 2 || got[0] != "p.parts.dataMu" || got[1] != "s.mu" {
+	if len(got) != 2 || got[0] != "t.shards.mu" || got[1] != "s.mu" {
 		t.Fatalf("SelectorPath got %v", got)
 	}
 }

@@ -1,10 +1,10 @@
 // Package lockorder enforces the documented mutex acquisition order
-// (DESIGN.md §9): partition dataMu (ascending index) → trace commitMu →
-// trace shard mu.  The order is declared once, in the source, next to
-// each mutex:
+// (DESIGN.md §11): guarantee Monitor mu (10) → trace commitMu (20) →
+// trace shard mu (30).  The order is declared once, in the source, next
+// to each mutex:
 //
 //	//cmlint:lockrank 10
-//	dataMu sync.Mutex
+//	mu sync.Mutex
 //
 // gives the field a rank; within any one function, ranked mutexes must
 // be acquired in strictly ascending rank.  A function that takes ranked
@@ -14,8 +14,9 @@
 //	func (t *T) AppendUnit(...)
 //
 // and every call to it is checked against the caller's currently held
-// ranks — which is how the cross-package half of the invariant (shell
-// holds dataMu while trace takes commitMu, never the reverse) becomes
+// ranks — which is how the cross-package half of the invariant (the
+// Monitor holds its lock while it reads the trace, whose locks rank
+// above it; trace code never calls back into a Monitor) becomes
 // machine-checked.
 //
 // Independent of ranks, the analyzer flags double-acquire paths: any

@@ -47,7 +47,7 @@ func equivRun(t *testing.T, members []string, families, rounds int, grow bool) (
 	post(1, rounds/2)
 	if grow {
 		f.Drain()
-		if err := f.AddShell("joined", 0); err != nil {
+		if err := f.AddShell("joined"); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := f.Rebalance(append(append([]string{}, members...), "joined"))

@@ -41,8 +41,6 @@ type Options struct {
 	// sized to the member count.  All members share one trace so the
 	// Appendix A.2 checker sees the whole execution.
 	Trace *trace.Trace
-	// Workers is each member's engine size (shell.Options.Workers).
-	Workers int
 	// Store enables durable state: every member journals its CM-private
 	// items (handoffs land in the new owner's WAL before cutover) and the
 	// fleet persists its route table under the "fleet-table" log.
@@ -211,7 +209,7 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 	}
 
 	for _, id := range members {
-		if err := f.addShellLocked(id, o.Workers); err != nil {
+		if err := f.addShellLocked(id); err != nil {
 			return nil, err
 		}
 	}
@@ -233,17 +231,16 @@ func sameMembers(a, b []string) bool {
 // addShellLocked builds one member: router with the current table, shell
 // with the shared clock/trace/spec, every site added as private-hosted,
 // full peer wiring, durable journal when configured, mesh join.
-func (f *Fleet) addShellLocked(id string, workers int) error {
+func (f *Fleet) addShellLocked(id string) error {
 	if _, dup := f.shells[id]; dup {
 		return fmt.Errorf("fleet: duplicate member %s", id)
 	}
 	rt := NewRouter(id, f.reg)
 	rt.Install(f.table)
 	sh := shell.New(id, f.spec, shell.Options{
-		Clock:   f.clock,
-		Trace:   f.tr,
-		Workers: workers,
-		Router:  rt,
+		Clock:  f.clock,
+		Trace:  f.tr,
+		Router: rt,
 	})
 	for _, site := range f.spec.Sites {
 		sh.AddSite(site, nil)
@@ -289,10 +286,10 @@ func (f *Fleet) Start() error {
 
 // AddShell joins a new member to the mesh without giving it ownership;
 // follow with Rebalance to move bases onto it.
-func (f *Fleet) AddShell(id string, workers int) error {
+func (f *Fleet) AddShell(id string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.addShellLocked(id, workers)
+	return f.addShellLocked(id)
 }
 
 // Post routes an external spontaneous update to the base's current
@@ -541,8 +538,7 @@ func (f *Fleet) CheckTrace() []trace.Violation {
 	return trace.NewChecker(rules).Check(f.tr)
 }
 
-// Stop stops every member (draining their engines) and closes their
-// mesh endpoints.
+// Stop stops every member and closes their mesh endpoints.
 func (f *Fleet) Stop() {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -203,7 +203,7 @@ func TestFleetRebalanceHandsOffDurableState(t *testing.T) {
 	}
 	f.Drain()
 
-	if err := f.AddShell("s3", 0); err != nil {
+	if err := f.AddShell("s3"); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := f.Rebalance([]string{"s1", "s2", "s3"})

@@ -14,10 +14,10 @@ import (
 	"cmtk/internal/trace"
 )
 
-// E17Row is one arm of the horizontal-saturation sweep: the same
-// constraint workload as E16 (copy, chain, and conditioned rules over
-// independent base families) driven through a fleet of N shells with
-// consistent-hash ownership instead of one multi-worker shell.
+// E17Row is one arm of the horizontal-saturation sweep: a constraint
+// workload of copy, chain, and conditioned rules over independent base
+// families, driven through a fleet of N shells with consistent-hash
+// ownership.
 type E17Row struct {
 	Shells       int // fleet member count
 	Bases        int // independent base families (each carries 3 rules)
@@ -41,10 +41,9 @@ var e17Grid = []struct {
 	{3, 64, true},
 }
 
-// E17Rows runs the horizontal-saturation sweep.  Every shell runs the
-// serial engine (Workers 0) so the measured axis is fleet width, not
-// in-shell parallelism; every arm's shared trace is validated against
-// the Appendix A.2 checker.
+// E17Rows runs the horizontal-saturation sweep; the measured axis is
+// fleet width, and every arm's shared trace is validated against the
+// Appendix A.2 checker.
 func E17Rows(events int) []E17Row {
 	e17Run(2, 8, 200, false) // warm-up: page in code and allocator state
 	var rows []E17Row
@@ -56,9 +55,9 @@ func E17Rows(events int) []E17Row {
 
 // e17Spec builds the fleet workload: per base family, a copy rule
 // (Ws X→W Y), a chain rule (W Y→W Z), and a conditioned rule whose
-// guard reads a per-family private C — per-family rather than E16's
-// shared G0, because a shared condition base would co-locate every
-// family on one shard (condition reads live with the trigger base).
+// guard reads a per-family private C — per-family rather than one
+// shared condition base, which would co-locate every family on one
+// shard (condition reads live with the trigger base).
 func e17Spec(bases int) (*rule.Spec, data.Interpretation) {
 	var b strings.Builder
 	b.WriteString("site S\n")
@@ -133,7 +132,7 @@ func e17Run(shells, bases, events int, rebalance bool) E17Row {
 	if rebalance {
 		run(0, perFeeder/2)
 		joined := fmt.Sprintf("shard-%d", shells+1)
-		must(f.AddShell(joined, 0))
+		must(f.AddShell(joined))
 		rep, err := f.Rebalance(append(members, joined))
 		must(err)
 		moved = len(rep.Moves)

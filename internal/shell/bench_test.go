@@ -98,50 +98,6 @@ func BenchmarkRuleDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEngine measures one shell's unit throughput on the
-// serial engine vs the partitioned parallel engine (DESIGN.md §9) over a
-// 32-base copy-rule workload.  On a single-core host the arms collapse
-// to the same throughput minus lock overhead; the speedup only shows on
-// real cores (the E16 experiment sweeps that axis explicitly).
-func BenchmarkParallelEngine(b *testing.B) {
-	const bases = 32
-	var src strings.Builder
-	src.WriteString("site S\n")
-	for i := 0; i < bases; i++ {
-		fmt.Fprintf(&src, "private X%d @ S\nprivate Y%d @ S\n", i, i)
-		fmt.Fprintf(&src, "rule r%d: Ws(X%d, b) ->5s W(Y%d, b)\n", i, i, i)
-	}
-	spec, err := rule.ParseSpecString(src.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			clk := vclock.NewVirtual(vclock.Epoch)
-			s := New("s", spec, Options{Clock: clk, Workers: workers,
-				Trace: trace.NewSharded(nil, workers)})
-			s.AddSite("S", nil)
-			if err := s.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer s.Stop()
-			var counters [bases]int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base := i % bases
-				counters[base]++
-				s.Spontaneous(itemOf(fmt.Sprintf("X%d", base)),
-					valueOf(counters[base]-1), valueOf(counters[base]))
-			}
-			s.Drain()
-			b.StopTimer()
-			if got := s.Trace().Len(); got != 2*b.N {
-				b.Fatalf("trace recorded %d events for %d updates", got, b.N)
-			}
-		})
-	}
-}
-
 // BenchmarkTraceCheck measures validating a recorded execution.
 func BenchmarkTraceCheck(b *testing.B) {
 	clk := vclock.NewVirtual(vclock.Epoch)

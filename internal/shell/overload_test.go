@@ -8,6 +8,7 @@ import (
 	"cmtk/internal/data"
 	"cmtk/internal/obs"
 	"cmtk/internal/rule"
+	"cmtk/internal/trace"
 	"cmtk/internal/vclock"
 )
 
@@ -132,6 +133,76 @@ func TestAdmitBlockSelfDrainerBypassesWait(t *testing.T) {
 	}
 	if shed := reg.Snapshot()[`cmtk_shell_shed_total{shell="s"}`]; shed != 0 {
 		t.Fatalf("shed = %v, want 0", shed)
+	}
+}
+
+// TestParallelHotBaseRace hammers one item base from many goroutines:
+// callers race to become the post queue's drainer and hand it off, yet
+// the hot base's timeline must equal the admitted value order, the copy
+// and chain cascade must follow every write, and the trace must stay
+// checker-clean.  Run with -race this is the engine's memory-safety
+// stress.
+func TestParallelHotBaseRace(t *testing.T) {
+	sp, err := rule.ParseSpecString(`site S
+private G0 @ S
+private X0 @ S
+private Y0 @ S
+private Z0 @ S
+private Q0 @ S
+rule c0: Ws(X0, b) ->5s W(Y0, b)
+rule k0: W(Y0, b) ->5s W(Z0, b)
+rule g0: Ws(X0, b) && G0 = 0 ->5s W(Q0, b)
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := data.NewInterpretation()
+	initial.Set(data.Item("G0"), data.NewInt(0))
+	sh := New("s", sp, Options{Clock: vclock.NewVirtual(vclock.Epoch),
+		Trace: trace.New(initial)})
+	sh.AddSite("S", nil)
+	sh.WriteAux(data.Item("G0"), data.NewInt(0))
+	if err := sh.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const gs, per = 8, 100
+	var next int64
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < gs; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				mu.Lock()
+				next++
+				v := next
+				mu.Unlock()
+				sh.Spontaneous(data.Item("X0"), data.NewInt(v-1), data.NewInt(v))
+			}
+		}()
+	}
+	wg.Wait()
+	sh.Drain()
+	sh.Stop()
+
+	tr := sh.Trace()
+	x0, y0 := tr.Timeline(data.Item("X0")), tr.Timeline(data.Item("Y0"))
+	if len(x0) != gs*per+1 {
+		t.Fatalf("X0 timeline has %d samples, want %d", len(x0), gs*per+1)
+	}
+	if len(y0) != len(x0) {
+		t.Fatalf("Y0 copied %d values for %d X0 writes", len(y0)-1, len(x0)-1)
+	}
+	// Y0's value order must equal X0's committed order.
+	for i := range x0 {
+		if !x0[i].V.Equal(y0[i].V) {
+			t.Fatalf("Y0[%d] = %s, want X0's %s", i, y0[i].V, x0[i].V)
+		}
+	}
+	checker := trace.NewChecker(append(sp.Rules, sh.ImplicitRules()...))
+	if vs := checker.Check(tr); len(vs) != 0 {
+		t.Fatalf("%d violations, first: %s", len(vs), vs[0])
 	}
 }
 

@@ -52,16 +52,6 @@ type Options struct {
 	// reorders admitted ones, so the Appendix A.2 ordering properties still
 	// hold for everything admitted.
 	Admission Admission
-	// Workers selects the execution engine.  0 or 1 keeps the classic
-	// single-goroutine run-to-completion queue; N > 1 partitions the
-	// dispatch index by item base into N lock-striped partitions, each
-	// drained by its own worker goroutine, with rule firings isolated by
-	// per-partition footprint locks and committed to the trace through a
-	// single serialized commit point (DESIGN.md §9 documents the model and
-	// why the Appendix A.2 checker order is preserved).  WorkersAuto sizes
-	// the pool to GOMAXPROCS.  In parallel mode QueueLimit bounds each
-	// partition's queue separately.
-	Workers int
 	// Router makes the shell a fleet member: rule ownership, fire targets
 	// and external-trigger routing resolve through the installed route
 	// table (see shard.go and package fleet) instead of the static
@@ -131,15 +121,12 @@ type Shell struct {
 	// rules; before that both are empty.
 	dispatchIdx map[dispatchKey][]*rule.Rule
 
-	// eng is the serial execution context (scratch bindings + eval env for
-	// the match loop); the post queue serializes all use of it.  In
-	// parallel mode each partition worker has its own exec and eng backs
-	// only pre-Start and timer-goroutine paths.
-	eng *exec
-	// par is the parallel engine (nil in serial mode), built by Start when
-	// Options.Workers resolves to more than one partition.
-	par     *parallel
-	workers int
+	// Scratch state the match loop and expression evaluator reuse; the
+	// post queue serializes all use of it.  one is record's single-event
+	// slice, so committing through AppendUnit does not allocate.
+	scratchB event.Bindings
+	evalEnv  shellEnv
+	one      [1]*event.Event
 
 	// private CM data (Section 3.2: "Each CM-Shell can have private data");
 	// dur journals every write when durable state is enabled, durErr
@@ -195,11 +182,9 @@ type shellMetrics struct {
 	replayed     *obs.Counter
 	failMetric   *obs.Counter
 	failLogical  *obs.Counter
-	latencyVec   *obs.HistogramVec
+	latency      *obs.Histogram
 	shed         *obs.Counter
 	qdepth       *obs.Gauge
-	workers      *obs.Gauge
-	partDepth    *obs.GaugeVec
 	ring         *obs.Ring
 	base         DeliveryCounts
 }
@@ -253,16 +238,12 @@ func newShellMetrics(reg *obs.Registry, ring *obs.Ring, id string) shellMetrics 
 			"Buffered messages replayed in order and acknowledged after a degraded link recovered.", "shell").With(id),
 		failMetric: reg.Counter("cmtk_shell_failures_total",
 			"Interface failures observed (local and propagated), by Section 5 kind.", "shell", "kind").With(id, "metric"),
-		latencyVec: reg.Histogram("cmtk_shell_fire_latency_seconds",
-			"Delay from trigger event to RHS execution, on the shell clock.", nil, "shell", "partition"),
+		latency: reg.Histogram("cmtk_shell_fire_latency_seconds",
+			"Delay from trigger event to RHS execution, on the shell clock.", nil, "shell").With(id),
 		shed: reg.Counter("cmtk_shell_shed_total",
 			"External work rejected by AdmitShed because the post queue was at QueueLimit.", "shell").With(id),
 		qdepth: reg.Gauge("cmtk_shell_queue_depth",
 			"Current depth of the shell's run-to-completion post queue.", "shell").With(id),
-		workers: reg.Gauge("cmtk_shell_workers",
-			"Configured execution partitions/workers for the shell (1 = serial engine).", "shell").With(id),
-		partDepth: reg.Gauge("cmtk_shell_partition_depth",
-			"Current depth of one partition's unit queue in the parallel engine.", "shell", "partition"),
 		ring: ring,
 	}
 	m.failLogical = reg.Counter("cmtk_shell_failures_total", "", "shell", "kind").With(id, "logical")
@@ -281,13 +262,9 @@ func New(id string, spec *rule.Spec, opts Options) *Shell {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	workers := resolveWorkers(opts.Workers)
 	tr := opts.Trace
 	if tr == nil {
-		// A private trace for a parallel engine is sharded to match the
-		// partition count, so trace appends on unrelated item bases do not
-		// re-serialize on one lock.
-		tr = trace.NewSharded(nil, workers)
+		tr = trace.New(nil)
 	}
 	s := &Shell{
 		id:         id,
@@ -295,7 +272,7 @@ func New(id string, spec *rule.Spec, opts Options) *Shell {
 		clock:      clock,
 		tr:         tr,
 		opts:       opts,
-		workers:    workers,
+		scratchB:   event.Bindings{},
 		sites:      map[string]cmi.Interface{},
 		routing:    map[string]string{},
 		private:    data.NewInterpretation(),
@@ -305,8 +282,7 @@ func New(id string, spec *rule.Spec, opts Options) *Shell {
 		m:          newShellMetrics(opts.Metrics, opts.Fires, id),
 	}
 	s.qcond = sync.NewCond(&s.qmu)
-	s.eng = newExec(s, 0)
-	s.m.workers.Set(int64(workers))
+	s.evalEnv.s = s
 	return s
 }
 
@@ -568,23 +544,19 @@ func (s *Shell) Start() error {
 		s.subscribed[base] = true
 		s.cancels = append(s.cancels, cancel)
 	}
-	// Periodic events.  P rules may touch anything their cascades reach, so
-	// in parallel mode the unit takes the full footprint.
+	// Periodic events.
 	for p, site := range periods {
 		p := p
 		site := site
 		tm := vclock.Every(s.clock, p, func() {
-			s.execAll(false, func(x *exec) {
-				e := x.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: event.P(p)})
-				x.handleEvent(e)
+			s.post(func() {
+				e := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: event.P(p)})
+				s.handleEvent(e)
 			})
 		})
 		s.periodics = append(s.periodics, tm)
 	}
 	s.buildDispatchIndex()
-	if s.workers > 1 {
-		s.par = newParallel(s)
-	}
 	s.started = true
 	return nil
 }
@@ -615,9 +587,8 @@ func (s *Shell) buildDispatchIndex() {
 	}
 }
 
-// Stop cancels subscriptions and periodic schedules.  A parallel engine
-// drains its queued units and joins its workers before the transport
-// closes, so in-flight firings are committed, not lost.
+// Stop cancels subscriptions and periodic schedules and closes the
+// transport endpoint.
 func (s *Shell) Stop() {
 	for _, tm := range s.periodics {
 		tm.Stop()
@@ -627,10 +598,6 @@ func (s *Shell) Stop() {
 		c()
 	}
 	s.cancels = nil
-	if s.par != nil {
-		s.par.close()
-		s.par = nil
-	}
 	if s.ep != nil {
 		s.ep.Close()
 	}
@@ -744,36 +711,24 @@ func curGID() uint64 {
 	return 0
 }
 
-// record commits an event to the trace: into the running unit's buffer
-// in parallel mode, as a unit of one in serial mode.  Either way the
-// sequence number and the timestamp are both drawn inside
-// trace.AppendUnit, under the trace's commit mutex, so on a trace shared
-// with peer shells committing concurrently seq order, commit order and
-// stamp order agree (Appendix A.2 property 1).  The Time the caller put
-// on e is overwritten there.
-func (x *exec) record(e *event.Event) *event.Event {
-	x.s.m.events.Inc()
-	e.Host = x.s.id
-	if x.unit != nil {
-		x.unit.events = append(x.unit.events, e)
-		return e
-	}
-	x.one[0] = e
-	x.s.tr.AppendUnit(x.one[:], x.s.clock.Now, nil)
-	x.one[0] = nil
+// record commits an event to the trace as a unit of one.  The sequence
+// number and the timestamp are both drawn inside trace.AppendUnit, under
+// the trace's commit mutex, so on a trace shared with peer shells
+// committing concurrently seq order, commit order and stamp order agree
+// (Appendix A.2 property 1).  The Time the caller put on e is overwritten
+// there.
+func (s *Shell) record(e *event.Event) *event.Event {
+	s.m.events.Inc()
+	e.Host = s.id
+	s.one[0] = e
+	s.tr.AppendUnit(s.one[:], s.clock.Now, nil)
+	s.one[0] = nil
 	return e
 }
 
-// Drain blocks until every queued and in-flight unit of work has been
-// processed (serial: the post queue is empty and idle; parallel: all
-// partition queues are empty, no unit is running, and buffered remote
-// sends have been handed to the transport).  Work scheduled on timers
-// that have not fired yet is not waited for.
+// Drain blocks until the post queue is empty and idle.  Work scheduled on
+// timers that have not fired yet is not waited for.
 func (s *Shell) Drain() {
-	if s.par != nil {
-		s.par.drain()
-		return
-	}
 	s.qmu.Lock()
 	for s.queue.n > 0 || s.processing {
 		s.qcond.Wait()
@@ -825,18 +780,18 @@ func (s *Shell) onSourceChange(site string, item data.ItemName, old, new data.Va
 // notifyLocal records the Ws/N pair for a spontaneous source change and
 // runs the rules it triggers.  The owner-side half of onSourceChange.
 func (s *Shell) notifyLocal(site string, item data.ItemName, old, new data.Value) {
-	s.execBase(item.Base, true, func(x *exec) {
+	s.enqueue(func() {
 		now := s.clock.Now()
-		ws := x.record(&event.Event{Time: now, Site: site, Desc: event.Ws(item, old, new)})
+		ws := s.record(&event.Event{Time: now, Site: site, Desc: event.Ws(item, old, new)})
 		notifRule := s.implicitRule("notify", site, item)
-		n := x.record(&event.Event{
+		n := s.record(&event.Event{
 			Time: now, Site: site,
 			Desc: event.N(item, new),
 			Rule: notifRule.ID, Trigger: ws,
 		})
-		x.handleEvent(ws)
-		x.handleEvent(n)
-	})
+		s.handleEvent(ws)
+		s.handleEvent(n)
+	}, true)
 }
 
 // Spontaneous injects a spontaneous write for items without a translator
@@ -862,33 +817,30 @@ func (s *Shell) spontaneousLocal(item data.ItemName, old, new data.Value) {
 			s.setPrivate(item, new)
 		}
 	}
-	s.execBase(item.Base, true, func(x *exec) {
-		e := x.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: event.Ws(item, old, new)})
-		x.handleEvent(e)
-	})
+	s.enqueue(func() {
+		e := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: event.Ws(item, old, new)})
+		s.handleEvent(e)
+	}, true)
 }
 
 // handleEvent matches an event against the owned rules and dispatches
-// firings.  It must run on the shell's queue (serial) or inside a unit
-// whose footprint covers the event's base (parallel).
-func (x *exec) handleEvent(e *event.Event) {
-	s := x.s
+// firings.  It must run on the shell's queue.
+func (s *Shell) handleEvent(e *event.Event) {
 	k := dispatchKey{op: e.Desc.Op}
 	if e.Desc.Op.HasItem() {
 		k.base = e.Desc.Item.Base
 	}
 	for _, r := range s.dispatchIdx[k] {
-		x.matchRule(r, e)
+		s.matchRule(r, e)
 	}
 }
 
 // matchRule tries one rule against one event, dispatching on a match
 // whose condition holds.  The scratch bindings map is reused across
-// attempts (each exec is single-threaded) and cloned only for actual
-// firings.
-func (x *exec) matchRule(r *rule.Rule, e *event.Event) {
-	s := x.s
-	b := x.scratchB
+// attempts (the queue runs one thunk at a time) and cloned only for
+// actual firings.
+func (s *Shell) matchRule(r *rule.Rule, e *event.Event) {
+	b := s.scratchB
 	clear(b)
 	if !r.LHS.MatchInto(e.Desc, b) {
 		return
@@ -897,7 +849,7 @@ func (x *exec) matchRule(r *rule.Rule, e *event.Event) {
 	// equality-binding semantics (Read interface pattern).  A nil
 	// condition needs no environment at all.
 	if r.Cond != nil {
-		condOK, err := rule.EvalCondBinding(r.Cond, x.env(e.Site, b), b)
+		condOK, err := rule.EvalCondBinding(r.Cond, s.env(e.Site, b), b)
 		if err != nil {
 			s.reportFailure(cmi.Failure{
 				Kind: cmi.FailLogical, Site: e.Site, When: s.clock.Now(),
@@ -912,32 +864,20 @@ func (x *exec) matchRule(r *rule.Rule, e *event.Event) {
 	s.m.matches.Inc()
 	bCopy := b.Clone()
 	if s.opts.FireDelay == 0 {
-		// Dispatch inline: the exec runs one unit at a time, so firings
+		// Dispatch inline: the queue runs one thunk at a time, so firings
 		// leave in match order and the FIFO transport keeps them ordered —
 		// required on the real clock, where timer goroutines would
 		// otherwise race (Appendix A.2 property 7).
-		x.dispatch(r, bCopy, e)
+		s.dispatch(r, bCopy, e)
 		return
 	}
 	trigger := e
-	s.clock.AfterFunc(s.opts.FireDelay, func() {
-		// The timer goroutine is outside any unit: in serial mode dispatch
-		// posts to the shell queue exactly as before; in parallel mode the
-		// delayed firing becomes its own unit keyed by the rule.
-		if s.par != nil {
-			s.execRuleKey("rule:"+r.ID, r, false, func(x *exec) {
-				x.dispatch(r, bCopy, trigger)
-			})
-			return
-		}
-		s.eng.dispatch(r, bCopy, trigger)
-	})
+	s.clock.AfterFunc(s.opts.FireDelay, func() { s.dispatch(r, bCopy, trigger) })
 }
 
 // dispatch routes a rule firing to the shell hosting the RHS site.  It
 // takes ownership of b.
-func (x *exec) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
-	s := x.s
+func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	effSite, err := effectSite(s.spec, *r)
 	if err != nil || effSite == "" {
 		return
@@ -961,18 +901,11 @@ func (x *exec) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 		s.m.localFires.Inc()
 		s.m.ring.Record(obs.FireTrace{
 			Rule: r.ID, Shell: s.id, Site: trigger.Site,
-			Outcome: obs.OutcomeLocal,
+			Outcome:     obs.OutcomeLocal,
 			TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
 			Matched: trigger.Time, Dispatched: s.clock.Now(),
 		})
-		if x.unit != nil {
-			// The cascade stays inside the current unit: the continuation
-			// runs after the trigger's other matches, exactly like the
-			// serial queue, and its events commit in the same seq block.
-			x.unit.cont.push(func() { x.executeSteps(r, b, trigger) })
-			return
-		}
-		s.post(func() { s.eng.executeSteps(r, b, trigger) })
+		s.post(func() { s.executeSteps(r, b, trigger) })
 		return
 	}
 	if s.ep == nil {
@@ -982,23 +915,6 @@ func (x *exec) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 		}, true)
 		return
 	}
-	if x.unit != nil {
-		// Buffer the send: it is flushed at the unit's commit point, after
-		// the trigger's sequence number and timestamp are final, so
-		// per-link send order equals trace commit order (property 7).
-		x.unit.sends = append(x.unit.sends, pendingSend{
-			target: target, effSite: effSite, r: r, b: b, trigger: trigger,
-		})
-		return
-	}
-	s.sendFire(pendingSend{target: target, effSite: effSite, r: r, b: b, trigger: trigger})
-}
-
-// sendFire hands one rule firing to the transport.  Serial dispatch calls
-// it inline; the parallel engine's sender goroutine calls it after the
-// firing's unit committed.
-func (s *Shell) sendFire(ps pendingSend) {
-	r, trigger := ps.r, ps.trigger
 	// Trigger.Desc stays blank and the bindings ride as values: an
 	// in-process receiver uses TriggerEvent and BindingsVal directly, and a
 	// serializing transport renders both wire fields via Message.WireReady
@@ -1006,7 +922,7 @@ func (s *Shell) sendFire(ps pendingSend) {
 	msg := transport.Message{
 		Kind:         "fire",
 		Rule:         r.ID,
-		BindingsVal:  ps.b,
+		BindingsVal:  b,
 		Trigger:      transport.EventRef{Site: trigger.Site, Seq: trigger.Seq, Time: trigger.Time},
 		TriggerEvent: trigger,
 	}
@@ -1016,27 +932,27 @@ func (s *Shell) sendFire(ps pendingSend) {
 		msg.Epoch = s.opts.Router.Epoch()
 	}
 	s.m.remoteFires.Inc()
-	if err := s.ep.Send(ps.target, msg); err != nil {
+	if err := s.ep.Send(target, msg); err != nil {
 		// A raw endpoint rejected the send and the firing is gone for good;
 		// a reliable endpoint never errors here — it buffers and reports
 		// link health through onLinkEvent instead.
 		s.m.droppedFires.Inc()
 		s.m.ring.Record(obs.FireTrace{
-			Rule: r.ID, Shell: s.id, Site: trigger.Site, Target: ps.target,
-			Outcome: obs.OutcomeDropped,
+			Rule: r.ID, Shell: s.id, Site: trigger.Site, Target: target,
+			Outcome:     obs.OutcomeDropped,
 			TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
 			Matched: trigger.Time, Dispatched: s.clock.Now(),
 		})
 		s.reportFailure(cmi.Failure{
-			Kind: cmi.FailMetric, Site: ps.effSite, When: s.clock.Now(),
+			Kind: cmi.FailMetric, Site: effSite, When: s.clock.Now(),
 			Op:  "send fire " + r.ID,
-			Err: fmt.Errorf("rule %s to shell %s: %w", r.ID, ps.target, err),
+			Err: fmt.Errorf("rule %s to shell %s: %w", r.ID, target, err),
 		}, true)
 		return
 	}
 	s.m.ring.Record(obs.FireTrace{
-		Rule: r.ID, Shell: s.id, Site: trigger.Site, Target: ps.target,
-		Outcome: obs.OutcomeSent,
+		Rule: r.ID, Shell: s.id, Site: trigger.Site, Target: target,
+		Outcome:     obs.OutcomeSent,
 		TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
 		Matched: trigger.Time, Dispatched: s.clock.Now(),
 	})
@@ -1092,13 +1008,7 @@ func (s *Shell) receive(m transport.Message) {
 			}
 		}
 		s.m.recvFires.Inc()
-		// Route by sender link, not effect base: the transport delivers each
-		// link's fires in order, and keeping one link's fires on one
-		// partition queue preserves that order through execution — two fires
-		// for different bases at the same effect site must not commit
-		// inverted (Appendix A.2 property 7 groups by trigger and effect
-		// site, not by item).
-		s.execRuleKey("link:"+m.From, r, true, func(x *exec) { x.executeSteps(r, b, trigger) })
+		s.enqueue(func() { s.executeSteps(r, b, trigger) }, true)
 	case "failure":
 		kind := cmi.FailMetric
 		if m.FailKind == "logical" {
@@ -1129,7 +1039,7 @@ func (s *Shell) receiveCustom(m transport.Message) {
 	fn := s.custom[m.Kind]
 	s.failMu.Unlock()
 	if fn != nil {
-		s.execAll(false, func(*exec) { fn(m) })
+		s.post(func() { fn(m) })
 	}
 }
 
@@ -1152,10 +1062,10 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 	if !ok {
 		site = s.id
 	}
-	s.execBase(item.Base, true, func(x *exec) {
+	s.enqueue(func() {
 		desc := event.WR(item, v)
-		wr := x.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: desc})
-		x.handleEvent(wr)
+		wr := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: desc})
+		s.handleEvent(wr)
 		iface := s.sites[site]
 		if s.spec.Private[item.Base] != "" {
 			iface = nil // CM-private items never go through a translator
@@ -1163,19 +1073,19 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 		if iface == nil {
 			s.setPrivate(item, v)
 			writeRule := s.implicitRule("write", site, item)
-			w := x.record(&event.Event{Time: s.clock.Now(), Site: site,
+			w := s.record(&event.Event{Time: s.clock.Now(), Site: site,
 				Desc: event.W(item, v), Rule: writeRule.ID, Trigger: wr})
-			x.handleEvent(w)
+			s.handleEvent(w)
 			return
 		}
 		if !s.translatorWrite(iface, desc) {
 			return
 		}
 		writeRule := s.implicitRule("write", site, item)
-		w := x.record(&event.Event{Time: s.clock.Now(), Site: site,
+		w := s.record(&event.Event{Time: s.clock.Now(), Site: site,
 			Desc: event.W(item, v), Rule: writeRule.ID, Trigger: wr})
-		x.handleEvent(w)
-	})
+		s.handleEvent(w)
+	}, true)
 }
 
 // Interface returns the translator for a hosted site (nil when the site
@@ -1183,9 +1093,7 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 func (s *Shell) Interface(site string) cmi.Interface { return s.sites[site] }
 
 // Do runs f on the shell's event queue, serialized with event handling.
-// In parallel mode the unit takes the full footprint, so f excludes every
-// concurrent rule firing, like the serial queue always did.
-func (s *Shell) Do(f func()) { s.execAll(false, func(*exec) { f() }) }
+func (s *Shell) Do(f func()) { s.post(f) }
 
 // HandleKind registers a handler for a custom inter-shell message kind
 // (programmatic strategy components such as the Demarcation Protocol use
@@ -1221,20 +1129,19 @@ func stubTrigger(ref transport.EventRef) *event.Event {
 	return e
 }
 
-// executeSteps runs the RHS of a rule at this shell.  Runs on the queue
-// or inside a unit; it owns b (both callers — dispatch and receive — hand
+// executeSteps runs the RHS of a rule at this shell.  Runs on the queue;
+// it owns b (both callers — dispatch and receive — hand
 // over a private map, so no defensive clone is needed to extend it).
-func (x *exec) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event) {
-	s := x.s
+func (s *Shell) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	now := s.clock.Now()
 	s.m.ring.Record(obs.FireTrace{
 		Rule: r.ID, Shell: s.id, Site: trigger.Site,
-		Outcome: obs.OutcomeExecuted,
+		Outcome:     obs.OutcomeExecuted,
 		TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
 		Matched: trigger.Time, Executed: now,
 	})
 	if d := now.Sub(trigger.Time); d >= 0 && !trigger.Time.IsZero() {
-		x.latency.Observe(d.Seconds())
+		s.m.latency.Observe(d.Seconds())
 	}
 	// The reserved parameter "now" is bound to the current time at the
 	// effect site when the rule fires (used by monitor strategies to
@@ -1261,7 +1168,7 @@ func (x *exec) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event
 			if !ok {
 				evalSite = s.id
 			}
-			v, err := step.ValExpr.Eval(x.env(evalSite, b))
+			v, err := step.ValExpr.Eval(s.env(evalSite, b))
 			if err != nil {
 				s.reportFailure(cmi.Failure{
 					Kind: cmi.FailLogical, Site: evalSite, When: s.clock.Now(),
@@ -1288,7 +1195,7 @@ func (x *exec) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event
 		// The step guard is evaluated against data local to the effect
 		// site at firing time.
 		if step.Cond != nil {
-			ok, err := rule.EvalBool(step.Cond, x.env(site, b))
+			ok, err := rule.EvalBool(step.Cond, s.env(site, b))
 			if err != nil {
 				s.reportFailure(cmi.Failure{
 					Kind: cmi.FailLogical, Site: site, When: s.clock.Now(),
@@ -1300,58 +1207,57 @@ func (x *exec) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event
 				continue
 			}
 		}
-		x.emit(r, desc, site, trigger)
+		s.emit(r, desc, site, trigger)
 	}
 }
 
 // emit performs one effect event.
-func (x *exec) emit(r *rule.Rule, desc event.Desc, site string, trigger *event.Event) {
-	s := x.s
+func (s *Shell) emit(r *rule.Rule, desc event.Desc, site string, trigger *event.Event) {
 	now := s.clock.Now()
 	switch desc.Op {
 	case event.OpWR:
-		wr := x.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
-		x.handleEvent(wr)
+		wr := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
+		s.handleEvent(wr)
 		iface := s.sites[site]
 		if iface == nil {
 			// No translator: treat as a write to private/engine state.
-			x.performPrivateWrite(r, desc, site, wr)
+			s.performPrivateWrite(r, desc, site, wr)
 			return
 		}
 		if !s.translatorWrite(iface, desc) {
 			return // failure already reported by the translator hub
 		}
 		writeRule := s.implicitRule("write", site, desc.Item)
-		w := x.record(&event.Event{
+		w := s.record(&event.Event{
 			Time: s.clock.Now(), Site: site,
 			Desc: event.W(desc.Item, desc.Val),
 			Rule: writeRule.ID, Trigger: wr,
 		})
-		x.handleEvent(w)
+		s.handleEvent(w)
 	case event.OpW:
 		// Direct write: CM-private items live in the shell; a W effect on
 		// a database item performs the write immediately (no request hop).
 		if s.spec.Private[desc.Item.Base] != "" {
-			w := x.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
+			w := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
 			s.setPrivate(desc.Item, desc.Val)
-			x.handleEvent(w)
+			s.handleEvent(w)
 			return
 		}
 		iface := s.sites[site]
 		if iface == nil {
-			w := x.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
+			w := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
 			s.setPrivate(desc.Item, desc.Val)
-			x.handleEvent(w)
+			s.handleEvent(w)
 			return
 		}
 		if !s.translatorWrite(iface, desc) {
 			return
 		}
-		w := x.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
-		x.handleEvent(w)
+		w := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
+		s.handleEvent(w)
 	case event.OpRR:
-		rr := x.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
-		x.handleEvent(rr)
+		rr := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
+		s.handleEvent(rr)
 		iface := s.sites[site]
 		var v data.Value
 		if iface != nil {
@@ -1368,15 +1274,15 @@ func (x *exec) emit(r *rule.Rule, desc event.Desc, site string, trigger *event.E
 			s.privMu.RUnlock()
 		}
 		readRule := s.implicitRule("read", site, desc.Item)
-		resp := x.record(&event.Event{
+		resp := s.record(&event.Event{
 			Time: s.clock.Now(), Site: site,
 			Desc: event.R(desc.Item, v),
 			Rule: readRule.ID, Trigger: rr,
 		})
-		x.handleEvent(resp)
+		s.handleEvent(resp)
 	case event.OpN:
-		n := x.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
-		x.handleEvent(n)
+		n := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
+		s.handleEvent(n)
 	default:
 		s.reportFailure(cmi.Failure{
 			Kind: cmi.FailLogical, Site: site, When: now,
@@ -1385,16 +1291,15 @@ func (x *exec) emit(r *rule.Rule, desc event.Desc, site string, trigger *event.E
 	}
 }
 
-func (x *exec) performPrivateWrite(r *rule.Rule, desc event.Desc, site string, wr *event.Event) {
-	s := x.s
+func (s *Shell) performPrivateWrite(r *rule.Rule, desc event.Desc, site string, wr *event.Event) {
 	s.setPrivate(desc.Item, desc.Val)
 	writeRule := s.implicitRule("write", site, desc.Item)
-	w := x.record(&event.Event{
+	w := s.record(&event.Event{
 		Time: s.clock.Now(), Site: site,
 		Desc: event.W(desc.Item, desc.Val),
 		Rule: writeRule.ID, Trigger: wr,
 	})
-	x.handleEvent(w)
+	s.handleEvent(w)
 }
 
 // translatorWrite performs a write through a translator with echo
@@ -1427,13 +1332,13 @@ func (s *Shell) translatorWrite(iface cmi.Interface, desc event.Desc) bool {
 
 // env builds the condition-evaluation environment for a site: CM-private
 // items plus the site's database items through its translator.  The
-// exec's single evalEnv is reused — expression evaluation is synchronous
-// and each exec runs one unit at a time, so returning a pointer into the
-// exec costs no allocation per evaluation.
-func (x *exec) env(site string, b event.Bindings) rule.Env {
-	x.evalEnv.site = site
-	x.evalEnv.params = b
-	return &x.evalEnv
+// shell's single evalEnv is reused — expression evaluation is synchronous
+// and the queue runs one thunk at a time, so returning a pointer into the
+// shell costs no allocation per evaluation.
+func (s *Shell) env(site string, b event.Bindings) rule.Env {
+	s.evalEnv.site = site
+	s.evalEnv.params = b
+	return &s.evalEnv
 }
 
 type shellEnv struct {

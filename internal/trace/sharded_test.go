@@ -83,7 +83,7 @@ func TestShardedMatchesSerialTrace(t *testing.T) {
 // TestAppendUnitAtomicity commits units concurrently and asserts each
 // unit's events hold one contiguous block of sequence numbers, a single
 // timestamp, and that the post-commit hooks ran in seq order — the three
-// invariants the parallel shell engine's ordering argument rests on.
+// invariants of the one commit point that concurrent shells share.
 func TestAppendUnitAtomicity(t *testing.T) {
 	tr := NewSharded(nil, 4)
 	clk := time.Unix(0, 0)

@@ -31,13 +31,13 @@
 // sequence number.
 //
 // AppendUnit is the serialized commit point every shell uses: it assigns
-// one contiguous block of sequence numbers to a whole unit of work (a
-// trigger event plus everything its rule firings generated on the
-// parallel engine, a single event on the serial one), stamps the unit's
-// events with a single commit-time timestamp, and publishes them to their
-// shards — all under one commit mutex, so units are atomic in seq order
-// and commit-time order equals seq order.  DESIGN.md §9 documents why
-// this preserves the checker's observed order.
+// one contiguous block of sequence numbers to a unit of events (a shell
+// commits each event as a unit of one), stamps the unit's events with a
+// single commit-time timestamp, and publishes them to their shards — all
+// under one commit mutex, so units are atomic in seq order and
+// commit-time order equals seq order, even with several shells (a fleet)
+// committing to one shared trace.  DESIGN.md §9 documents why this
+// preserves the checker's observed order.
 package trace
 
 import (
@@ -108,7 +108,7 @@ func New(initial data.Interpretation) *Trace {
 
 // NewSharded returns a trace whose storage is striped across n shards by
 // item base (n is rounded up to a power of two; n < 1 means 1).  All read
-// APIs behave identically to New; parallel shell engines use a sharded
+// APIs behave identically to New; a fleet's member shells share a sharded
 // trace so appends on unrelated item bases do not serialize on one lock.
 func NewSharded(initial data.Interpretation, n int) *Trace {
 	if initial == nil {
@@ -224,10 +224,10 @@ func insertBySeq(s []*event.Event, e *event.Event) []*event.Event {
 // publishes them to their shards — all under the trace's commit mutex, so
 // concurrent units are atomic in seq order and commit order equals both
 // seq order and stamp order.  then, when non-nil, runs while the commit
-// mutex is still held; the parallel shell engine flushes the unit's
-// remote sends there so per-link send order matches trace commit order
-// (Appendix A.2 property 7 across shells).  The serial engine commits
-// each event as a unit of one with no hook.
+// mutex is still held.  The shell commits each event as a unit of one
+// with no hook, so then has no production caller; it stays because the
+// benchmark module's trace.append_unit_ns drive calls AppendUnit with
+// this signature (passing nil) and TestAppendUnitAtomicity passes a hook.
 //
 //cmlint:acquires 20, 30
 func (t *Trace) AppendUnit(events []*event.Event, now func() time.Time, then func()) {
