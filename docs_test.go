@@ -59,7 +59,7 @@ func TestDocsReferenceExistingFiles(t *testing.T) {
 var flagDefRe = regexp.MustCompile(`(?:flag|fs)\.\w+\((?:&\w+, )?"([\w-]+)"`)
 
 // cmdRe matches a backticked invocation of one of our binaries.
-var cmdRe = regexp.MustCompile("`((?:cmshell|risd|cmbench|cmctl|cmload)\\s+[^`\n]*)`")
+var cmdRe = regexp.MustCompile("`((?:cmshell|risd|cmbench|cmctl)\\s+[^`\n]*)`")
 
 // flagTokRe pulls -flag tokens out of a documented command line.
 var flagTokRe = regexp.MustCompile(`(^|\s)-([\w-]+)`)
@@ -68,7 +68,7 @@ var flagTokRe = regexp.MustCompile(`(^|\s)-([\w-]+)`)
 // invocation using a flag the binary does not define.
 func TestDocsReferenceDefinedFlags(t *testing.T) {
 	defined := map[string]map[string]bool{}
-	for _, bin := range []string{"cmshell", "risd", "cmbench", "cmctl", "cmload"} {
+	for _, bin := range []string{"cmshell", "risd", "cmbench", "cmctl"} {
 		src, err := os.ReadFile(filepath.Join("cmd", bin, "main.go"))
 		if err != nil {
 			t.Fatalf("cmd/%s: %v", bin, err)

@@ -6,7 +6,7 @@
 // violations.  PRs 1–3 built the machinery (reliable links, Flaky fault
 // injection, WAL recovery); this package adds the missing discipline: a
 // campaign is a list of faults with explicit injection instants and
-// durations, run off a Clock (virtual in tests, real in cmload soaks),
+// durations, run off a Clock (virtual in tests and E15, or real time),
 // and every action lands in a recorded timeline.  Experiments correlate
 // that timeline against guarantee verdicts and latency histograms and
 // assert *exactly* which faults fired and which guarantees degraded and

@@ -77,9 +77,8 @@ type Config struct {
 	// to simulate crashes with store.Crash.
 	Durable *durable.Store
 	// ShellOptions, when non-nil, rewrites each shell's options just
-	// before construction: per-shell clock skew (vclock.Skewed), queue
-	// limits and admission policies (overload protection), or a private
-	// metrics registry.  The hook receives the shell's name and the
+	// before construction: per-shell clock skew (vclock.Skewed) or a
+	// private metrics registry.  The hook receives the shell's name and the
 	// deployment-wide defaults and returns what the shell should use.
 	ShellOptions func(name string, o shell.Options) shell.Options
 }

@@ -62,9 +62,8 @@ type E15Row struct {
 	LeadsHolds    bool
 	RecoverySec   float64 // fault heal -> last outage value applied
 	Converged     bool    // replica == last write, every key
-	Shed          uint64
-	BufferDropped uint64
-	QueueDepth    int64 // post-run; must be 0
+	BufferDropped uint64  // outage-buffer drops; must be 0
+	QueueDepth    int64   // post-run; must be 0
 	TraceEvents   int
 
 	// SkewExact reports, for the skew arm, whether the MetricLeads κ=30s
@@ -218,7 +217,6 @@ func e15Run(campaign string, rate float64, updates int) E15Row {
 		Prop7Apparent: prop7Apparent, Prop7: prop7,
 		FollowsHolds: follows.Holds, LeadsHolds: leads.Holds,
 		RecoverySec: recovery.Seconds(), Converged: converged,
-		Shed:          uint64(reg.Snapshot().Sum("cmtk_shell_shed_total")),
 		BufferDropped: uint64(reg.Snapshot().Sum("cmtk_transport_buffer_dropped_total")),
 		QueueDepth:    int64(reg.Snapshot().Sum("cmtk_shell_queue_depth")),
 		TraceEvents:   tr.Len(),
@@ -312,7 +310,7 @@ func E15(updates int) Table {
 		Ref:   "Section 5 failure taxonomy; metric bounds of Section 3",
 		Columns: []string{"campaign", "rate/s", "updates", "wall ev/s",
 			"p50", "p99", "miss", "lost", "fail m/l", "prop-7",
-			"follows", "leads", "recovery", "converged", "shed/drop"},
+			"follows", "leads", "recovery", "converged", "drop"},
 	}
 	for _, r := range E15Rows(updates) {
 		tbl.Rows = append(tbl.Rows, []string{
@@ -324,7 +322,7 @@ func E15(updates int) Table {
 			fmt.Sprintf("%d/%d", r.Prop7Apparent, r.Prop7),
 			holdsMark(r.FollowsHolds), holdsMark(r.LeadsHolds),
 			fmt.Sprintf("%.1fs", r.RecoverySec), fmt.Sprint(r.Converged),
-			fmt.Sprintf("%d/%d", r.Shed, r.BufferDropped),
+			fmt.Sprint(r.BufferDropped),
 		})
 	}
 	tbl.Notes = append(tbl.Notes,

@@ -15,17 +15,12 @@ import (
 )
 
 // LoadMeshOptions tunes a load-test deployment.  The zero value is a
-// real-time in-process bus with unbounded queues — set TCP for real
-// sockets (cmload's live-mesh mode) or Clock for a deterministic soak
-// (the E15 chaos experiment).
+// real-time in-process bus; set Clock for a deterministic soak (the E15
+// chaos experiment).
 type LoadMeshOptions struct {
 	// Clock drives the deployment; nil means real time.
 	Clock vclock.Clock
-	// TCP runs the mesh over real loopback sockets (transport.TCPNetwork)
-	// instead of the in-process bus.  Real-time only.
-	TCP bool
-	// BusLatency is the in-process link latency (ignored with TCP;
-	// default 10ms).
+	// BusLatency is the in-process link latency (default 10ms).
 	BusLatency time.Duration
 	// Seed drives the Flaky fault layer deterministically.
 	Seed int64
@@ -33,18 +28,9 @@ type LoadMeshOptions struct {
 	// 200ms / 1s).
 	RetryInterval time.Duration
 	MaxBackoff    time.Duration
-	// OutboxLimit caps the reliable outage buffer per link (0: the
-	// transport default).
-	OutboxLimit int
-	// QueueLimit and Admission bound each shell's post queue (overload
-	// protection; zero QueueLimit leaves queues unbounded).
-	QueueLimit int
-	Admission  shell.Admission
 	// Metrics is the registry everything instrumented lands in; nil means
-	// obs.Default (what cmload serves on /metrics).
+	// obs.Default.
 	Metrics *obs.Registry
-	// Fires, when non-nil, receives every shell's firing-trace records.
-	Fires *obs.Ring
 	// Keys are the employee keys pre-seeded into both databases (default
 	// workload.Keys-style e1..e8).
 	Keys []string
@@ -103,18 +89,12 @@ func NewLoadMesh(o LoadMeshOptions) (*LoadMesh, error) {
 		keys[k] = true
 	}
 
-	var base transport.Network
-	if o.TCP {
-		base = transport.NewTCPNetwork()
-	} else {
-		base = transport.NewBus(clk, o.BusLatency)
-	}
-	flaky := transport.NewFlaky(base, transport.FlakyOptions{
+	flaky := transport.NewFlaky(transport.NewBus(clk, o.BusLatency), transport.FlakyOptions{
 		Clock: clk, Seed: o.Seed, Metrics: o.Metrics,
 	})
 	network := transport.NewReliable(flaky, transport.ReliableOptions{
 		Clock: clk, RetryInterval: o.RetryInterval, MaxBackoff: o.MaxBackoff,
-		OutboxLimit: o.OutboxLimit, Seed: o.Seed, Metrics: o.Metrics,
+		Seed: o.Seed, Metrics: o.Metrics,
 	})
 
 	clocks := map[string]*vclock.Skewed{}
@@ -126,9 +106,6 @@ func NewLoadMesh(o LoadMeshOptions) (*LoadMesh, error) {
 			clocks[name] = sk
 			opts.Clock = sk
 			opts.Metrics = o.Metrics
-			opts.Fires = o.Fires
-			opts.QueueLimit = o.QueueLimit
-			opts.Admission = o.Admission
 			return opts
 		},
 	})

@@ -71,8 +71,8 @@ func QuantileFromBuckets(bounds []float64, cumulative []uint64, total uint64, q 
 // exposition (the format Handler serves), aggregating across every label
 // combination of that family.  It returns ascending finite bounds with
 // cumulative counts, the total count and sum, and ok=false when the family
-// does not appear.  This is how cmload reads trigger-to-execution latency
-// off a live cmshell's /metrics endpoint.
+// does not appear.  This is how E15 reads trigger-to-execution latency, and
+// it works unchanged on a scrape of a live cmshell's /metrics endpoint.
 func ParseHistogram(text, name string) (bounds []float64, cumulative []uint64, count uint64, sum float64, ok bool) {
 	byBound := map[float64]uint64{}
 	sc := bufio.NewScanner(strings.NewReader(text))

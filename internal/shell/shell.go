@@ -2,9 +2,6 @@ package shell
 
 import (
 	"fmt"
-	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -37,21 +34,6 @@ type Options struct {
 	// Fires receives structured rule-firing trace records; nil means
 	// obs.DefaultRing.
 	Fires *obs.Ring
-	// QueueLimit bounds the post queue's depth for external work
-	// (spontaneous updates, translator notifications, inbound firings,
-	// CM-originated write requests).  0 means unbounded — the pre-overload-
-	// protection behavior.  Internal continuations (RHS execution steps,
-	// events generated while handling an event) are always admitted, so a
-	// unit of admitted work always runs to completion; the limit only
-	// gates new work entering the shell.
-	QueueLimit int
-	// Admission picks what happens to external work that arrives with the
-	// queue at QueueLimit: admit anyway (AdmitAll, the default), make the
-	// caller wait (AdmitBlock), or drop it with a cmtk_shell_shed_total
-	// increment (AdmitShed).  Shedding drops whole external units and never
-	// reorders admitted ones, so the Appendix A.2 ordering properties still
-	// hold for everything admitted.
-	Admission Admission
 	// Router makes the shell a fleet member: rule ownership, fire targets
 	// and external-trigger routing resolve through the installed route
 	// table (see shard.go and package fleet) instead of the static
@@ -59,28 +41,6 @@ type Options struct {
 	// routing.  Nil keeps the classic Fig. 1 static assignment.
 	Router ShardRouter
 }
-
-// Admission is the policy applied to external work when the post queue
-// is at QueueLimit.
-type Admission int
-
-// Admission policies.
-const (
-	// AdmitAll never rejects: the queue grows past the limit (metrics
-	// still report the depth).
-	AdmitAll Admission = iota
-	// AdmitBlock parks the posting goroutine until the queue drains below
-	// the limit.  On a TCP mesh this propagates backpressure: the inbox
-	// goroutine stalls, its channel fills, and the sender's Send blocks.
-	// Callers that are themselves the queue's drainer are admitted instead
-	// of blocked (waiting would deadlock the shell).
-	AdmitBlock
-	// AdmitShed drops the work, counted in cmtk_shell_shed_total.  The
-	// shell stays responsive and bounded; the dropped update is simply a
-	// change the mesh never saw, which degrades timeliness (metric
-	// guarantees), never consistency of admitted events.
-	AdmitShed
-)
 
 // Shell is one CM-Shell process.
 type Shell struct {
@@ -94,11 +54,8 @@ type Shell struct {
 	qmu        sync.Mutex
 	queue      funcRing
 	processing bool
-	// qcond wakes AdmitBlock waiters as the queue drains; procGID is the
-	// goroutine currently draining, recorded so a blocked-admission caller
-	// that is itself the drainer is admitted rather than deadlocked.
-	qcond   *sync.Cond
-	procGID uint64
+	// qcond wakes Drain callers when the queue goes idle.
+	qcond *sync.Cond
 
 	// bases with an active notification subscription; only their writes
 	// need echo suppression.
@@ -183,7 +140,6 @@ type shellMetrics struct {
 	failMetric   *obs.Counter
 	failLogical  *obs.Counter
 	latency      *obs.Histogram
-	shed         *obs.Counter
 	qdepth       *obs.Gauge
 	ring         *obs.Ring
 	base         DeliveryCounts
@@ -240,8 +196,6 @@ func newShellMetrics(reg *obs.Registry, ring *obs.Ring, id string) shellMetrics 
 			"Interface failures observed (local and propagated), by Section 5 kind.", "shell", "kind").With(id, "metric"),
 		latency: reg.Histogram("cmtk_shell_fire_latency_seconds",
 			"Delay from trigger event to RHS execution, on the shell clock.", nil, "shell").With(id),
-		shed: reg.Counter("cmtk_shell_shed_total",
-			"External work rejected by AdmitShed because the post queue was at QueueLimit.", "shell").With(id),
 		qdepth: reg.Gauge("cmtk_shell_queue_depth",
 			"Current depth of the shell's run-to-completion post queue.", "shell").With(id),
 		ring: ring,
@@ -641,74 +595,34 @@ func (r *funcRing) pop() func() {
 }
 
 // post runs f on the shell's run-to-completion queue: events generated
-// while handling an event are processed after it, never reentrantly.
-// Internal continuations use post directly and are always admitted.
-func (s *Shell) post(f func()) { s.enqueue(f, false) }
-
-// enqueue is post plus admission control.  External work (external=true)
-// is subject to Options.QueueLimit and the configured Admission policy;
-// it reports whether the work was admitted.  Admitted work always keeps
-// its arrival order — shedding drops whole units, never reorders — so the
-// Appendix A.2 ordering properties are preserved for admitted events.
-func (s *Shell) enqueue(f func(), external bool) bool {
-	gated := external && s.opts.QueueLimit > 0
+// while handling an event are processed after it, never reentrantly.  All
+// work — spontaneous updates, translator notifications, inbound firings,
+// write requests, ticks and internal continuations — enters here and runs
+// in arrival order.  The queue is unbounded; cmtk_shell_queue_depth
+// reports its depth.  The caller that finds the queue idle becomes its
+// drainer and runs everything posted until it is empty again.
+func (s *Shell) post(f func()) {
 	s.qmu.Lock()
-	for gated && s.queue.n >= s.opts.QueueLimit {
-		if s.opts.Admission == AdmitShed {
-			s.qmu.Unlock()
-			s.m.shed.Inc()
-			return false
-		}
-		if s.opts.Admission != AdmitBlock {
-			break // AdmitAll: over-limit work is admitted anyway
-		}
-		if !s.processing || s.procGID == curGID() {
-			// No drainer to wait on (this caller would become it), or the
-			// caller IS the drainer (a translator trigger firing inside RHS
-			// execution): blocking would deadlock the shell.  Admit.
-			break
-		}
-		s.qcond.Wait()
-	}
 	s.queue.push(f)
 	s.m.qdepth.Set(int64(s.queue.n))
 	if s.processing {
 		s.qmu.Unlock()
-		return true
+		return
 	}
 	s.processing = true
-	if s.opts.QueueLimit > 0 && s.opts.Admission == AdmitBlock {
-		s.procGID = curGID()
-	}
 	for {
 		next := s.queue.pop()
 		s.m.qdepth.Set(int64(s.queue.n))
-		s.qcond.Signal()
 		if next == nil {
 			s.processing = false
-			s.procGID = 0
 			s.qcond.Broadcast()
 			s.qmu.Unlock()
-			return true
+			return
 		}
 		s.qmu.Unlock()
 		next()
 		s.qmu.Lock()
 	}
-}
-
-// curGID returns the calling goroutine's id, parsed from the stack
-// header.  Only the AdmitBlock slow path (queue already at its limit)
-// pays for this; it exists solely to detect self-blocking.
-func curGID() uint64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	hdr := strings.TrimPrefix(string(buf[:n]), "goroutine ")
-	if i := strings.IndexByte(hdr, ' '); i > 0 {
-		id, _ := strconv.ParseUint(hdr[:i], 10, 64)
-		return id
-	}
-	return 0
 }
 
 // record commits an event to the trace as a unit of one.  The sequence
@@ -780,7 +694,7 @@ func (s *Shell) onSourceChange(site string, item data.ItemName, old, new data.Va
 // notifyLocal records the Ws/N pair for a spontaneous source change and
 // runs the rules it triggers.  The owner-side half of onSourceChange.
 func (s *Shell) notifyLocal(site string, item data.ItemName, old, new data.Value) {
-	s.enqueue(func() {
+	s.post(func() {
 		now := s.clock.Now()
 		ws := s.record(&event.Event{Time: now, Site: site, Desc: event.Ws(item, old, new)})
 		notifRule := s.implicitRule("notify", site, item)
@@ -791,7 +705,7 @@ func (s *Shell) notifyLocal(site string, item data.ItemName, old, new data.Value
 		})
 		s.handleEvent(ws)
 		s.handleEvent(n)
-	}, true)
+	})
 }
 
 // Spontaneous injects a spontaneous write for items without a translator
@@ -817,10 +731,10 @@ func (s *Shell) spontaneousLocal(item data.ItemName, old, new data.Value) {
 			s.setPrivate(item, new)
 		}
 	}
-	s.enqueue(func() {
+	s.post(func() {
 		e := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: event.Ws(item, old, new)})
 		s.handleEvent(e)
-	}, true)
+	})
 }
 
 // handleEvent matches an event against the owned rules and dispatches
@@ -1008,7 +922,7 @@ func (s *Shell) receive(m transport.Message) {
 			}
 		}
 		s.m.recvFires.Inc()
-		s.enqueue(func() { s.executeSteps(r, b, trigger) }, true)
+		s.post(func() { s.executeSteps(r, b, trigger) })
 	case "failure":
 		kind := cmi.FailMetric
 		if m.FailKind == "logical" {
@@ -1062,7 +976,7 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 	if !ok {
 		site = s.id
 	}
-	s.enqueue(func() {
+	s.post(func() {
 		desc := event.WR(item, v)
 		wr := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: desc})
 		s.handleEvent(wr)
@@ -1085,7 +999,7 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 		w := s.record(&event.Event{Time: s.clock.Now(), Site: site,
 			Desc: event.W(item, v), Rule: writeRule.ID, Trigger: wr})
 		s.handleEvent(w)
-	}, true)
+	})
 }
 
 // Interface returns the translator for a hosted site (nil when the site

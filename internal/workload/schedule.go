@@ -5,128 +5,41 @@ import (
 	"time"
 )
 
-// Phase is one segment of an open-loop arrival schedule.  The arrival
-// rate moves linearly from StartRate to EndRate (updates per second) over
-// Duration; a constant phase sets both to the same value.
-type Phase struct {
-	Duration  time.Duration
-	StartRate float64
-	EndRate   float64
-}
-
-// Schedule is an open-loop arrival plan: a sequence of rate phases.
-// Where Stream describes a stream by interarrival gaps, Schedule is meant
-// for open-loop drivers (cmd/cmload, E15) that fire at the planned
-// instants whether or not earlier updates have completed — the arrival
-// process never slows down for the system, so overload is reachable.
+// Schedule is an open-loop arrival plan at a fixed rate.  Where Stream
+// describes a stream by interarrival gaps, Schedule is meant for open-loop
+// drivers (E15) that fire at the planned instants whether or not earlier
+// updates have completed — the arrival process never slows down for the
+// system, so overload is reachable.
 type Schedule struct {
-	Phases []Phase
+	Rate     float64 // updates per second
+	Duration time.Duration
 }
 
-// Constant is a single-phase schedule at a fixed rate.
+// Constant is a schedule at a fixed rate for d.
 func Constant(rate float64, d time.Duration) Schedule {
-	return Schedule{Phases: []Phase{{Duration: d, StartRate: rate, EndRate: rate}}}
+	return Schedule{Rate: rate, Duration: d}
 }
 
-// Ramp moves linearly from one rate to another over d.
-func Ramp(from, to float64, d time.Duration) Schedule {
-	return Schedule{Phases: []Phase{{Duration: d, StartRate: from, EndRate: to}}}
-}
-
-// Spike holds base rate, jumps to peak for spikeLen starting at spikeAt,
-// then returns to base for the remainder of total.
-func Spike(base, peak float64, total, spikeAt, spikeLen time.Duration) Schedule {
-	if spikeAt < 0 {
-		spikeAt = 0
-	}
-	if spikeAt+spikeLen > total {
-		spikeLen = total - spikeAt
-	}
-	var ps []Phase
-	if spikeAt > 0 {
-		ps = append(ps, Phase{Duration: spikeAt, StartRate: base, EndRate: base})
-	}
-	if spikeLen > 0 {
-		ps = append(ps, Phase{Duration: spikeLen, StartRate: peak, EndRate: peak})
-	}
-	if rest := total - spikeAt - spikeLen; rest > 0 {
-		ps = append(ps, Phase{Duration: rest, StartRate: base, EndRate: base})
-	}
-	return Schedule{Phases: ps}
-}
-
-// Total is the schedule's full duration.
-func (s Schedule) Total() time.Duration {
-	var d time.Duration
-	for _, p := range s.Phases {
-		d += p.Duration
-	}
-	return d
-}
-
-// RateAt returns the planned rate at offset off from the schedule start.
-// Offsets past the end report the final rate; negative offsets the first.
-func (s Schedule) RateAt(off time.Duration) float64 {
-	if len(s.Phases) == 0 {
-		return 0
-	}
-	if off < 0 {
-		return s.Phases[0].StartRate
-	}
-	for _, p := range s.Phases {
-		if off < p.Duration {
-			if p.Duration <= 0 {
-				return p.StartRate
-			}
-			frac := float64(off) / float64(p.Duration)
-			return p.StartRate + (p.EndRate-p.StartRate)*frac
-		}
-		off -= p.Duration
-	}
-	return s.Phases[len(s.Phases)-1].EndRate
-}
-
-// Arrivals returns the deterministic open-loop arrival offsets: starting
-// at the schedule origin, each next arrival is one reciprocal-rate gap
-// after the previous, evaluated at the instantaneous planned rate.  A
-// constant phase of rate r and duration d therefore contributes exactly
-// floor(r·d/1s) arrivals, which keeps campaign assertions exact.  Phases
-// at rate <= 0 contribute nothing (a planned quiet period).
+// Arrivals returns the deterministic open-loop arrival offsets: one
+// reciprocal-rate gap apart, the first one gap after the schedule origin.
+// Rate r over duration d therefore gives exactly floor(r·d/1s) arrivals,
+// which keeps campaign assertions exact.  A rate <= 0 plans none.
 func (s Schedule) Arrivals() []time.Duration {
-	total := s.Total()
+	if s.Rate <= 0 {
+		return nil
+	}
+	gap := time.Duration(float64(time.Second) / s.Rate)
+	if gap <= 0 {
+		gap = time.Nanosecond
+	}
 	var out []time.Duration
-	at := time.Duration(0)
-	for at < total {
-		r := s.RateAt(at)
-		if r <= 0 {
-			// Skip to the next phase boundary.
-			var edge time.Duration
-			for _, p := range s.Phases {
-				edge += p.Duration
-				if edge > at {
-					break
-				}
-			}
-			if edge <= at {
-				break
-			}
-			at = edge
-			continue
-		}
-		gap := time.Duration(float64(time.Second) / r)
-		if gap <= 0 {
-			gap = time.Nanosecond
-		}
-		at += gap
-		if at > total {
-			break
-		}
+	for at := gap; at <= s.Duration; at += gap {
 		out = append(out, at)
 	}
 	return out
 }
 
-// TimedUpdate is one open-loop update with its admission deadline: the
+// TimedUpdate is one open-loop update with its propagation deadline: the
 // driver fires it at At and expects the mesh to have executed the
 // resulting constraint actions by At+Deadline.
 type TimedUpdate struct {

@@ -17,64 +17,6 @@ func TestConstantScheduleExactArrivals(t *testing.T) {
 			t.Fatalf("arrival %d at %v, want %v", i, at, want)
 		}
 	}
-	if s.Total() != 2*time.Second {
-		t.Fatalf("Total = %v, want 2s", s.Total())
-	}
-}
-
-func TestRampScheduleRatesAndMonotoneGaps(t *testing.T) {
-	s := Ramp(10, 100, 10*time.Second)
-	if r := s.RateAt(0); r != 10 {
-		t.Fatalf("RateAt(0) = %v, want 10", r)
-	}
-	if r := s.RateAt(5 * time.Second); r != 55 {
-		t.Fatalf("RateAt(5s) = %v, want 55", r)
-	}
-	if r := s.RateAt(20 * time.Second); r != 100 {
-		t.Fatalf("RateAt(past end) = %v, want 100", r)
-	}
-	got := s.Arrivals()
-	if len(got) == 0 {
-		t.Fatal("ramp produced no arrivals")
-	}
-	// Open-loop ramp: interarrival gaps must shrink monotonically.
-	for i := 2; i < len(got); i++ {
-		prev := got[i-1] - got[i-2]
-		cur := got[i] - got[i-1]
-		if cur > prev {
-			t.Fatalf("gap grew during up-ramp at arrival %d: %v after %v", i, cur, prev)
-		}
-	}
-	// Determinism: same schedule, same arrivals.
-	again := s.Arrivals()
-	if len(again) != len(got) {
-		t.Fatalf("non-deterministic arrival count: %d vs %d", len(again), len(got))
-	}
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("non-deterministic arrival %d: %v vs %v", i, got[i], again[i])
-		}
-	}
-}
-
-func TestSpikeSchedulePhases(t *testing.T) {
-	s := Spike(5, 50, 10*time.Second, 4*time.Second, 2*time.Second)
-	if len(s.Phases) != 3 {
-		t.Fatalf("spike phases = %d, want 3", len(s.Phases))
-	}
-	if r := s.RateAt(1 * time.Second); r != 5 {
-		t.Fatalf("pre-spike rate = %v, want 5", r)
-	}
-	if r := s.RateAt(5 * time.Second); r != 50 {
-		t.Fatalf("in-spike rate = %v, want 50", r)
-	}
-	if r := s.RateAt(8 * time.Second); r != 5 {
-		t.Fatalf("post-spike rate = %v, want 5", r)
-	}
-	// 5/s·4s + 50/s·2s + 5/s·4s = 20 + 100 + 20 = 140 arrivals.
-	if got := s.Arrivals(); len(got) != 140 {
-		t.Fatalf("spike arrivals = %d, want 140", len(got))
-	}
 }
 
 func TestScheduleUpdatesDeterministicFreshValues(t *testing.T) {
