@@ -1,10 +1,11 @@
 // Package wireready enforces the marshal-boundary invariant from the
 // engine hot path (DESIGN.md §7): a transport Message carries
 // in-process-only fields (BindingsVal, TriggerEvent) that must be
-// folded into their wire form via Message.WireReady before the message
-// crosses a serializing boundary — a TCP frame or the durable reliable
-// journal.  Marshaling an unmaterialized Message silently drops bound
-// values on crash replay.
+// folded into their literal form via Message.WireReady before the
+// message is marshalled as JSON — which, since the TCP hop moved to a
+// binary codec that encodes those fields itself, happens only in the
+// durable reliable journal.  Marshaling an unmaterialized Message
+// silently drops bound values on crash replay.
 //
 // The check is per function: any json.Marshal/MarshalIndent or
 // encoder.Encode call whose argument is (or syntactically contains) a

@@ -142,10 +142,7 @@ func TestReorderHoldEvictionExactCounts(t *testing.T) {
 	mk := func(seq int) Message {
 		return Message{
 			Kind: "fire", From: "A", Rule: "r" + strconv.Itoa(seq),
-			Payload: map[string]string{
-				relSeqKey:   strconv.Itoa(seq),
-				relEpochKey: "7",
-			},
+			Link: LinkStamp{Epoch: 7, Seq: uint64(seq)},
 		}
 	}
 	// Seqs 1..9 arrive first: 0 is the gap.  1..4 are held, 5..9 evicted.

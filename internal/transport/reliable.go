@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
@@ -32,29 +31,28 @@ import (
 	"cmtk/internal/vclock"
 )
 
-// Reserved message vocabulary of the reliability layer.  relSeqKey,
-// relBaseKey and relEpochKey ride in Message.Payload on data messages;
-// acks are standalone messages of kind relAckKind carrying the receiver's
-// next expected sequence number (a cumulative ack).
-//
-// relBaseKey is the lowest unacked sequence in the sender's outbox at
-// transmission time.  Everything below it was acknowledged (necessarily
-// by a previous incarnation of the receiver, if the receiver holds no
-// state for the link) and will never be retransmitted, so a receiver may
-// always fast-forward its expected sequence to the base — this is what
-// lets a restarted receiver process, whose dedup state died with it,
-// resume the stream mid-way instead of waiting forever for retired
-// messages.  relEpochKey identifies the sender incarnation (construction
-// time, monotone across restarts): a higher epoch than the one on record
-// means the sender restarted and began a fresh stream, so the receiver
-// resets its link state; a lower one marks a stale straggler to drop.
-const (
-	relSeqKey   = "rel.seq"
-	relBaseKey  = "rel.base"
-	relEpochKey = "rel.epoch"
-	relAckKind  = "rel.ack"
-	relAckKey   = "rel.next"
-)
+// relAckKind is the kind of the reliability layer's acks: standalone
+// messages whose Link.Seq is the receiver's next expected sequence number
+// (a cumulative ack).
+const relAckKind = "rel.ack"
+
+// LinkStamp is the reliability layer's metadata on a message, carried in
+// Message.Link.  On a data message Epoch identifies the sender
+// incarnation (construction time, monotone across restarts, never zero):
+// a higher epoch than the one on record means the sender restarted and
+// began a fresh stream, so the receiver resets its link state; a lower one
+// marks a stale straggler to drop.  Seq numbers the message on its link.
+// Base is the lowest unacked sequence in the sender's outbox at
+// transmission time.  Everything below it was acknowledged (necessarily by
+// a previous incarnation of the receiver, if the receiver holds no state
+// for the link) and will never be retransmitted, so a receiver may always
+// fast-forward its expected sequence to the base — this is what lets a
+// restarted receiver process, whose dedup state died with it, resume the
+// stream mid-way instead of waiting forever for retired messages.  On an
+// ack only Seq is set.
+type LinkStamp struct {
+	Epoch, Seq, Base uint64
+}
 
 // LinkEventKind classifies reliability-layer link events.
 type LinkEventKind int
@@ -215,18 +213,17 @@ func (r *Reliable) Join(shellID string, recv func(Message)) (Endpoint, error) {
 
 var _ Network = (*Reliable)(nil)
 
-// relMsg is one buffered outbound message.
-type relMsg struct {
-	seq uint64
-	m   Message
-}
-
 // relOut is the sender half of one link.
 type relOut struct {
-	nextSeq  uint64
-	q        []relMsg // unacked, ascending seq
+	nextSeq uint64
+	// q[head:] holds the unacked messages, stamped, in ascending seq; acks
+	// advance head, and push reuses the slots they free (the pairQueue
+	// pattern), so a link in steady state never re-grows its outbox.
+	q        []Message
+	head     int
 	timer    vclock.Timer
-	attempts int // consecutive unacked delivery attempts
+	retryFn  func() // this link's retry round, bound once
+	attempts int    // consecutive unacked delivery attempts
 	degraded bool
 	replayed int // messages acked while degraded
 	lastErr  error
@@ -335,7 +332,8 @@ func NewReliableEndpoint(recv func(Message), opts ReliableOptions) *ReliableEndp
 		// The construction instant identifies this incarnation: a process
 		// that crashes and restarts gets a strictly later epoch, which is
 		// how peers tell a fresh stream from a retransmit of the old one.
-		epoch: uint64(o.Clock.Now().UnixNano()),
+		// Never zero: a zero epoch marks an unstamped message.
+		epoch: max(1, uint64(o.Clock.Now().UnixNano())),
 		clock: o.Clock,
 		recv:  recv,
 		met:   newRelMetrics(o.Metrics, o.Name),
@@ -365,9 +363,33 @@ func (r *ReliableEndpoint) Pending(peer string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if o := r.out[peer]; o != nil {
-		return len(o.q)
+		return len(o.unacked())
 	}
 	return 0
+}
+
+// unacked returns the outbox's live messages.
+func (o *relOut) unacked() []Message { return o.q[o.head:] }
+
+// push appends a stamped message to the outbox.  When the slice is full
+// and acks have freed at least half of it, the live tail moves to the
+// front instead of the slice growing.
+func (o *relOut) push(m Message) {
+	if len(o.q) == cap(o.q) && o.head > 0 && o.head >= len(o.q)/2 {
+		n := copy(o.q, o.q[o.head:])
+		clear(o.q[n:])
+		o.q, o.head = o.q[:n], 0
+	}
+	o.q = append(o.q, m)
+}
+
+// retire drops the n oldest unacked messages.
+func (o *relOut) retire(n int) {
+	clear(o.q[o.head : o.head+n]) // release references held by the slots
+	o.head += n
+	if o.head == len(o.q) {
+		o.q, o.head = o.q[:0], 0
+	}
 }
 
 func (r *ReliableEndpoint) emit(evs []LinkEvent) {
@@ -399,6 +421,7 @@ func (r *ReliableEndpoint) outLink(to string) *relOut {
 			mGaveUp:   r.met.dropped.With(to, "gave-up"),
 			mDepth:    r.met.depth.With(to),
 		}
+		o.retryFn = func() { r.retry(to) }
 		r.out[to] = o
 	}
 	return o
@@ -419,17 +442,17 @@ func (o *relOut) backoffLocked(opts ReliableOptions) time.Duration {
 }
 
 // scheduleLocked arms the retry timer for a link if none is pending.
-func (r *ReliableEndpoint) scheduleLocked(to string, o *relOut) {
+func (r *ReliableEndpoint) scheduleLocked(o *relOut) {
 	if o.timer != nil {
 		return
 	}
-	o.timer = r.clock.AfterFunc(o.backoffLocked(r.opts), func() { r.retry(to) })
+	o.timer = r.clock.AfterFunc(o.backoffLocked(r.opts), o.retryFn)
 }
 
-func countFires(q []relMsg) int {
+func countFires(q []Message) int {
 	n := 0
-	for _, e := range q {
-		if e.m.Kind == "fire" {
+	for i := range q {
+		if q[i].Kind == "fire" {
 			n++
 		}
 	}
@@ -453,7 +476,7 @@ func (r *ReliableEndpoint) Send(to string, m Message) error {
 		return fmt.Errorf("transport: reliable endpoint not bound")
 	}
 	o := r.outLink(to)
-	if len(o.q) >= r.opts.OutboxLimit {
+	if len(o.unacked()) >= r.opts.OutboxLimit {
 		ev := LinkEvent{
 			Kind: LinkOverflow, Peer: to, Err: o.lastErr,
 			Attempts: o.attempts, Messages: 1,
@@ -468,29 +491,22 @@ func (r *ReliableEndpoint) Send(to string, m Message) error {
 	}
 	seq := o.nextSeq
 	o.nextSeq++
-	wm := m
 	if r.j != nil {
 		// The journal serializes queued messages; in-process-only fields
 		// (BindingsVal, TriggerEvent) would not survive a crash replay, so
-		// fold them into their wire form before the message is logged.
-		wm.WireReady()
+		// fold them into their literal form before the message is logged.
+		m.WireReady()
+		r.journalLocked(jSend, jSendRec{Peer: to, Seq: seq, Msg: m})
 	}
-	p := make(map[string]string, len(m.Payload)+2)
-	for k, v := range m.Payload {
-		p[k] = v
-	}
-	p[relSeqKey] = strconv.FormatUint(seq, 10)
-	p[relEpochKey] = strconv.FormatUint(r.epoch, 10)
-	wm.Payload = p
-	o.q = append(o.q, relMsg{seq: seq, m: wm})
+	m.Link = LinkStamp{Epoch: r.epoch, Seq: seq}
+	o.push(m)
 	o.mSends.Inc()
-	o.mDepth.Set(int64(len(o.q)))
-	r.journalLocked(jSend, jSendRec{Peer: to, Seq: seq, Msg: wm})
+	o.mDepth.Set(int64(len(o.unacked())))
 	r.maybeCheckpointLocked()
-	out := withBase(wm, o.q[0].seq)
-	r.scheduleLocked(to, o)
+	m.Link.Base = o.q[o.head].Link.Seq
+	r.scheduleLocked(o)
 	r.mu.Unlock()
-	if err := inner.Send(to, out); err != nil {
+	if err := inner.Send(to, m); err != nil {
 		r.mu.Lock()
 		o.lastErr = err
 		r.mu.Unlock()
@@ -507,7 +523,8 @@ func (r *ReliableEndpoint) retry(to string) {
 		return
 	}
 	o.timer = nil
-	if len(o.q) == 0 {
+	q := o.unacked()
+	if len(q) == 0 {
 		o.attempts = 0
 		r.mu.Unlock()
 		return
@@ -519,12 +536,12 @@ func (r *ReliableEndpoint) retry(to string) {
 		o.replayed = 0
 		evs = append(evs, LinkEvent{
 			Kind: LinkDegraded, Peer: to, Err: o.lastErr, Attempts: o.attempts,
-			Messages: len(o.q), Fires: countFires(o.q),
+			Messages: len(q), Fires: countFires(q),
 		})
 	}
 	if r.opts.RetryBudget > 0 && o.attempts > r.opts.RetryBudget {
-		dropped := o.q
-		o.q = nil
+		dropped := q
+		o.q, o.head = nil, 0
 		o.attempts = 0
 		o.degraded = false
 		o.mGaveUp.Add(uint64(len(dropped)))
@@ -543,22 +560,21 @@ func (r *ReliableEndpoint) retry(to string) {
 	// Each retransmission round re-stamps the current outbox base, so a
 	// receiver that lost its link state (a process restart) can adopt the
 	// sender's position instead of waiting for retired messages.
-	base := o.q[0].seq
-	batch := make([]relMsg, len(o.q))
-	for i, e := range o.q {
-		batch[i] = relMsg{seq: e.seq, m: withBase(e.m, base)}
+	batch := append([]Message(nil), q...)
+	for i := range batch {
+		batch[i].Link.Base = q[0].Link.Seq
 	}
 	o.mRetries.Add(uint64(len(batch)))
 	evs = append(evs, LinkEvent{
 		Kind: LinkRetry, Peer: to, Err: o.lastErr, Attempts: o.attempts,
 		Messages: len(batch), Fires: countFires(batch),
 	})
-	r.scheduleLocked(to, o)
+	r.scheduleLocked(o)
 	inner := r.inner
 	r.mu.Unlock()
 	if inner != nil {
-		for _, e := range batch {
-			if err := inner.Send(to, e.m); err != nil {
+		for _, m := range batch {
+			if err := inner.Send(to, m); err != nil {
 				r.mu.Lock()
 				o.lastErr = err
 				r.mu.Unlock()
@@ -579,18 +595,14 @@ func (r *ReliableEndpoint) Deliver(m Message) {
 		r.handleAck(m)
 		return
 	}
-	seqStr, ok := m.Payload[relSeqKey]
-	if !ok {
+	st := m.Link
+	if st.Epoch == 0 {
 		// A peer without the reliability layer: pass through unchanged.
 		r.recv(m)
 		return
 	}
-	seq, err := strconv.ParseUint(seqStr, 10, 64)
-	if err != nil {
-		return
-	}
-	epoch, _ := strconv.ParseUint(m.Payload[relEpochKey], 10, 64)
-	base, _ := strconv.ParseUint(m.Payload[relBaseKey], 10, 64)
+	m.Link = LinkStamp{} // link metadata; the receiver sees the message as sent
+	seq, epoch, base := st.Seq, st.Epoch, st.Base
 	from := m.From
 	r.mu.Lock()
 	fresh := r.in[from] == nil
@@ -621,14 +633,17 @@ func (r *ReliableEndpoint) Deliver(m Message) {
 			}
 		}
 	}
-	var deliver []Message
+	// One slot on the stack covers the common case, an in-order arrival
+	// with nothing held.
+	var first [1]Message
+	deliver := first[:0]
 	for {
 		held, ok := in.hold[in.next]
 		if !ok {
 			break
 		}
 		delete(in.hold, in.next)
-		deliver = append(deliver, stripSeq(held))
+		deliver = append(deliver, held)
 		in.next++
 	}
 	switch {
@@ -638,7 +653,7 @@ func (r *ReliableEndpoint) Deliver(m Message) {
 		// sender can retire it.
 		in.mDups.Inc()
 	case seq == in.next:
-		deliver = append(deliver, stripSeq(m))
+		deliver = append(deliver, m)
 		in.next++
 		for {
 			held, ok := in.hold[in.next]
@@ -646,7 +661,7 @@ func (r *ReliableEndpoint) Deliver(m Message) {
 				break
 			}
 			delete(in.hold, in.next)
-			deliver = append(deliver, stripSeq(held))
+			deliver = append(deliver, held)
 			in.next++
 		}
 	default:
@@ -673,55 +688,17 @@ func (r *ReliableEndpoint) Deliver(m Message) {
 	ack := in.next
 	inner := r.inner
 	r.mu.Unlock()
-	for _, d := range deliver {
-		r.recv(d)
+	for i := range deliver {
+		r.recv(deliver[i])
 	}
 	if inner != nil {
-		inner.Send(from, Message{
-			Kind:    relAckKind,
-			Payload: map[string]string{relAckKey: strconv.FormatUint(ack, 10)},
-		})
+		inner.Send(from, Message{Kind: relAckKind, Link: LinkStamp{Seq: ack}})
 	}
-}
-
-// stripSeq removes the reliability metadata before delivery.
-func stripSeq(m Message) Message {
-	p := make(map[string]string, len(m.Payload))
-	for k, v := range m.Payload {
-		switch k {
-		case relSeqKey, relBaseKey, relEpochKey:
-		default:
-			p[k] = v
-		}
-	}
-	if len(p) == 0 {
-		m.Payload = nil
-	} else {
-		m.Payload = p
-	}
-	return m
-}
-
-// withBase returns a transmission copy of a buffered message stamped with
-// the sender's current outbox base.  The copy's payload is cloned so
-// concurrent retransmission rounds never mutate a map a transport is
-// still serialising.
-func withBase(m Message, base uint64) Message {
-	p := make(map[string]string, len(m.Payload)+1)
-	for k, v := range m.Payload {
-		p[k] = v
-	}
-	p[relBaseKey] = strconv.FormatUint(base, 10)
-	m.Payload = p
-	return m
 }
 
 // handleAck retires outbox entries below the cumulative ack point.
 func (r *ReliableEndpoint) handleAck(m Message) {
-	ack, err := strconv.ParseUint(m.Payload[relAckKey], 10, 64)
-	if err != nil {
-		return
-	}
+	ack := m.Link.Seq
 	peer := m.From
 	r.mu.Lock()
 	o := r.out[peer]
@@ -732,18 +709,17 @@ func (r *ReliableEndpoint) handleAck(m Message) {
 		r.mu.Unlock()
 		return
 	}
-	n, fires := 0, 0
-	for len(o.q) > 0 && o.q[0].seq < ack {
-		if o.q[0].m.Kind == "fire" {
-			fires++
-		}
-		o.q = o.q[1:]
+	q := o.unacked()
+	n := 0
+	for n < len(q) && q[n].Link.Seq < ack {
 		n++
 	}
+	fires := countFires(q[:n])
 	var evs []LinkEvent
 	if n > 0 {
+		o.retire(n)
 		o.mAcked.Add(uint64(n))
-		o.mDepth.Set(int64(len(o.q)))
+		o.mDepth.Set(int64(len(o.unacked())))
 		r.journalLocked(jAck, jAckRec{Peer: peer, Ack: ack})
 		r.maybeCheckpointLocked()
 		o.attempts = 0
@@ -751,7 +727,7 @@ func (r *ReliableEndpoint) handleAck(m Message) {
 		if o.degraded {
 			o.replayed += n
 			o.mReplayed.Add(uint64(n))
-			if len(o.q) == 0 {
+			if len(o.unacked()) == 0 {
 				// The outage's backlog has fully replayed, in order: the
 				// link has recovered.
 				o.degraded = false
@@ -762,11 +738,11 @@ func (r *ReliableEndpoint) handleAck(m Message) {
 				o.replayed = 0
 			}
 		}
-		if len(o.q) > 0 && o.timer != nil {
+		if len(o.unacked()) > 0 && o.timer != nil {
 			// The link is alive again; collapse any long backoff.
 			o.timer.Stop()
 			o.timer = nil
-			r.scheduleLocked(peer, o)
+			r.scheduleLocked(o)
 		}
 	}
 	r.mu.Unlock()
@@ -779,7 +755,7 @@ func (r *ReliableEndpoint) Flush() error {
 	r.mu.Lock()
 	peers := make([]string, 0, len(r.out))
 	for p, o := range r.out {
-		if len(o.q) > 0 {
+		if len(o.unacked()) > 0 {
 			peers = append(peers, p)
 		}
 	}

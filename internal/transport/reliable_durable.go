@@ -30,7 +30,7 @@ const (
 type jSendRec struct {
 	Peer string
 	Seq  uint64
-	Msg  Message // with reliability stamps; TriggerEvent does not persist
+	Msg  Message // without its Link stamp or TriggerEvent
 }
 
 type jAckRec struct {
@@ -184,14 +184,17 @@ func (r *ReliableEndpoint) EnableJournal(store *durable.Store, name string) (int
 	for peer, s := range st.Out {
 		o := r.outLink(peer)
 		o.nextSeq = s.NextSeq
-		o.q = o.q[:0]
+		o.q, o.head = o.q[:0], 0
 		for _, q := range s.Msgs {
-			o.q = append(o.q, relMsg{seq: q.Seq, m: q.Msg})
+			// The stamp is rebuilt, not stored: the journaled sequence number
+			// and the resumed incarnation epoch are all it holds.
+			q.Msg.Link = LinkStamp{Epoch: r.epoch, Seq: q.Seq}
+			o.push(q.Msg)
 		}
 		o.mDepth.Set(int64(len(o.q)))
 		if len(o.q) > 0 {
 			replayed += len(o.q)
-			r.scheduleLocked(peer, o)
+			r.scheduleLocked(o)
 		}
 	}
 	for peer, s := range st.In {
@@ -260,8 +263,8 @@ func (r *ReliableEndpoint) checkpointLocked() {
 	st.Epoch = r.epoch
 	for peer, o := range r.out {
 		s := &relOutSnap{NextSeq: o.nextSeq}
-		for _, e := range o.q {
-			s.Msgs = append(s.Msgs, jQueued{Seq: e.seq, Msg: e.m})
+		for _, m := range o.unacked() {
+			s.Msgs = append(s.Msgs, jQueued{Seq: m.Link.Seq, Msg: m})
 		}
 		st.Out[peer] = s
 	}

@@ -97,11 +97,11 @@ func TestReliableBasicDelivery(t *testing.T) {
 	}
 	clk.Advance(time.Second)
 	wantInOrder(t, p.seqs(), 5)
-	// The sequencing metadata is stripped before delivery, user payload kept.
+	// The link stamp is stripped before delivery, user payload kept.
 	p.mu.Lock()
 	for i, m := range *p.got {
-		if _, ok := m.Payload[relSeqKey]; ok {
-			t.Fatalf("rel.seq leaked to receiver: %v", m.Payload)
+		if m.Link != (LinkStamp{}) {
+			t.Fatalf("link stamp leaked to receiver: %+v", m.Link)
 		}
 		if m.Payload["k"] != fmt.Sprint(i) {
 			t.Fatalf("payload lost: %v", m.Payload)

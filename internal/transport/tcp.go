@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -26,15 +25,17 @@ import (
 // round-trip was in flight into a single wire frame (flush-on-idle: under
 // light load each frame carries one message and latency is one
 // round-trip; under load the batch grows to amortize the round-trip
-// without adding any timer delay).  Per-link FIFO order — the Appendix
-// A.2 property-7 delivery assumption — is preserved end to end: the
-// single flusher drains the outbox in send order, frames are serialized
-// one round-trip at a time, and the receiver unpacks each frame in order
-// into the per-sender inbox.  Send therefore only reports synchronous
-// routing problems; delivery failures surface as LinkEvents through
-// OnLinkEvent (on a raw TCP endpoint a failed frame means its messages
-// are lost for good — LinkGaveUp — while reliable.go layered on top
-// retransmits until acked).
+// without adding any timer delay).  The flusher encodes each batch
+// straight into one frame body with the binary codec of codec.go, whose
+// interned-string table lives as long as the connection.  Per-link FIFO
+// order — the Appendix A.2 property-7 delivery assumption — is preserved
+// end to end: the single flusher drains the outbox in send order, frames
+// are serialized one round-trip at a time, and the receiver unpacks each
+// frame in order into the per-sender inbox.  Send therefore only reports
+// synchronous routing problems; delivery failures surface as LinkEvents
+// through OnLinkEvent (on a raw TCP endpoint a failed frame means its
+// messages are lost for good — LinkGaveUp — while reliable.go layered on
+// top retransmits until acked).
 type TCP struct {
 	shellID  string
 	addrs    map[string]string           // shellID -> address
@@ -44,7 +45,7 @@ type TCP struct {
 	srv      *wire.Server
 	done     chan struct{}
 	mu       sync.Mutex
-	peers    map[string]*wire.Client
+	peers    map[string]*tcpPeer
 	inbox    map[string]chan Message // per-sender serial delivery queues
 	closed   bool
 
@@ -61,11 +62,25 @@ type TCP struct {
 	mDropped    *obs.Counter
 }
 
-// tcpOut is one peer's send-side batch queue.
+// tcpOut is one peer's send-side batch queue.  pending and spare are two
+// buffers that trade places each round: Send appends to pending while the
+// flusher ships the other, and the shipped one comes back as spare, so a
+// steady stream of batches re-grows neither.
 type tcpOut struct {
 	addr    string
 	pending []Message
+	spare   []Message
 	running bool // a flusher goroutine owns this outbox
+}
+
+// tcpPeer is one outbound connection with the encoder bound to it: the
+// interned-string table lives exactly as long as the connection, as its
+// mirror in the receiving session does.  Only the peer's flusher uses enc
+// and buf.
+type tcpPeer struct {
+	c   *wire.Client
+	enc batchEncoder
+	buf []byte
 }
 
 // tcpBatchBuckets sizes the cmtk_transport_batch_size histogram: batch
@@ -83,7 +98,7 @@ func NewTCP(shellID, listenAddr string, addrs map[string]string, recv func(Messa
 		recv:     recv,
 		dialOpts: dialOpts,
 		done:     make(chan struct{}),
-		peers:    map[string]*wire.Client{},
+		peers:    map[string]*tcpPeer{},
 		inbox:    map[string]chan Message{},
 		outbox:   map[string]*tcpOut{},
 		mBatch: obs.Default.Histogram("cmtk_transport_batch_size",
@@ -127,37 +142,42 @@ func BufferDropCounter(reg *obs.Registry, shellID, buffer string) *obs.Counter {
 type tcpHandler struct{ t *TCP }
 
 func (h tcpHandler) NewSession(func(wire.Message) error) (wire.Session, error) {
-	return tcpSession{h.t}, nil
+	return &tcpSession{t: h.t}, nil
 }
 
-type tcpSession struct{ t *TCP }
+// tcpSession is one inbound connection: the decoder mirroring the
+// sender's interned-string table, and a message buffer reused per frame.
+type tcpSession struct {
+	t    *TCP
+	dec  batchDecoder
+	msgs []Message
+	err  error // a frame failed to decode; the table is no longer trusted
+}
 
-func (s tcpSession) Handle(m wire.Message) wire.Message {
-	switch m.Type {
-	case "shellmsg":
-		var msg Message
-		if err := json.Unmarshal([]byte(m.Field("m")), &msg); err != nil {
-			return wire.ErrorReply(m, fmt.Errorf("transport: bad message: %w", err))
-		}
-		s.t.deliver(msg)
-	case "shellmsgb":
-		// A batched frame: the sender's flusher coalesced consecutive
-		// messages for us into one round-trip.  Unpacking in slice order
-		// into the per-sender FIFO inbox keeps property-7 delivery order.
-		var msgs []Message
-		if err := json.Unmarshal([]byte(m.Field("m")), &msgs); err != nil {
-			return wire.ErrorReply(m, fmt.Errorf("transport: bad batch: %w", err))
-		}
-		for _, msg := range msgs {
-			s.t.deliver(msg)
-		}
-	default:
+func (s *tcpSession) Handle(m wire.Message) wire.Message {
+	if m.Type != frameType {
 		return wire.ErrorReply(m, fmt.Errorf("transport: unknown request %q", m.Type))
 	}
+	if s.err != nil {
+		return wire.ErrorReply(m, s.err)
+	}
+	msgs, err := s.dec.decodeBatch(s.msgs[:0], m.Body)
+	if err != nil {
+		s.err = fmt.Errorf("transport: bad batch: %w", err)
+		return wire.ErrorReply(m, s.err)
+	}
+	// The sender's flusher coalesced consecutive messages into this
+	// frame; unpacking in order into the per-sender FIFO inbox keeps
+	// property-7 delivery order.
+	for i := range msgs {
+		s.t.deliver(msgs[i])
+		msgs[i] = Message{}
+	}
+	s.msgs = msgs[:0]
 	return wire.Reply(m)
 }
 
-func (tcpSession) Close() {}
+func (*tcpSession) Close() {}
 
 // deliver queues an inbound message on its sender's FIFO worker.  The
 // queue is keyed by sender shell ID, not connection, so order holds even
@@ -239,6 +259,16 @@ func (t *TCP) Send(to string, m Message) error {
 		t.outbox[to] = o
 	}
 	o.addr = addr
+	if n := len(o.pending); n > 0 && m.Kind == relAckKind && o.pending[n-1].Kind == relAckKind {
+		// Reliable's acks are cumulative, so a newer one supersedes an ack
+		// still queued at the tail.  Taking its slot leaves the order of
+		// everything else untouched, and the peer handles one ack per frame
+		// instead of one per message it sent: without this a sender whose
+		// data outruns its ack processing overflows its reliable outbox.
+		o.pending[n-1] = m
+		t.outMu.Unlock()
+		return nil
+	}
 	if limit := t.outboxLimit; limit > 0 && len(o.pending) >= limit {
 		// Bounded outbox: the newest message is dropped (queued ones keep
 		// their FIFO order) and the loss is surfaced, not silent — on a raw
@@ -266,47 +296,49 @@ func (t *TCP) Send(to string, m Message) error {
 }
 
 // flushPeer drains one peer's outbox: each iteration takes everything
-// queued so far as one batch, renders it wire-ready and ships it as a
-// single frame.  The goroutine exits when the outbox is empty (flush-on-
-// idle); the next Send restarts it.
+// queued so far as one batch and ships it as a single frame.  The
+// goroutine exits when the outbox is empty (flush-on-idle); the next Send
+// restarts it.
 func (t *TCP) flushPeer(to string, o *tcpOut) {
+	var shipped []Message
 	for {
 		t.outMu.Lock()
+		if shipped != nil {
+			o.spare = shipped[:0]
+		}
 		batch := o.pending
-		o.pending = nil
-		addr := o.addr
 		if len(batch) == 0 {
 			o.running = false
 			t.outCond.Broadcast()
 			t.outMu.Unlock()
 			return
 		}
+		o.pending, o.spare = o.spare, nil
+		addr := o.addr
 		t.outMu.Unlock()
 		t.mu.Lock()
 		closed := t.closed
 		t.mu.Unlock()
 		if closed {
 			t.dropBatch(to, batch, fmt.Errorf("transport: endpoint %s closed", t.shellID))
-			continue
+		} else {
+			t.mBatch.Observe(float64(len(batch)))
+			if err := t.sendFrame(to, addr, batch); err != nil {
+				t.dropBatch(to, batch, err)
+			}
 		}
-		t.mBatch.Observe(float64(len(batch)))
-		if err := t.sendFrame(to, addr, batch); err != nil {
-			t.dropBatch(to, batch, err)
-		}
+		clear(batch) // release what the shipped messages reference
+		shipped = batch
 	}
 }
 
 // sendFrame performs one batched round-trip to a peer, dialing lazily.
-// It owns the marshal boundary: every message is rendered wire-ready
-// here, immediately before encoding, so the materialization is local to
-// the serialization it protects.
+// The batch is encoded straight into the frame body; the in-process
+// fields it needs (BindingsVal, TriggerEvent's descriptor) are read
+// there, and TriggerEvent itself never crosses the network.
 func (t *TCP) sendFrame(to, addr string, batch []Message) error {
-	for i := range batch {
-		batch[i].WireReady()
-		batch[i].TriggerEvent = nil // never crosses the network
-	}
 	t.mu.Lock()
-	c, ok := t.peers[to]
+	p, ok := t.peers[to]
 	t.mu.Unlock()
 	if !ok {
 		nc, err := wire.Dial(addr, nil, t.dialOpts...)
@@ -317,35 +349,23 @@ func (t *TCP) sendFrame(to, addr string, batch []Message) error {
 		if exist, dup := t.peers[to]; dup {
 			t.mu.Unlock()
 			nc.Close()
-			c = exist
+			p = exist
 		} else {
-			t.peers[to] = nc
+			p = &tcpPeer{c: nc}
+			t.peers[to] = p
 			t.mu.Unlock()
-			c = nc
 		}
 	}
-	var buf []byte
-	var err error
-	typ := "shellmsgb"
-	if len(batch) == 1 {
-		// A single message keeps the original frame shape, so batching and
-		// non-batching endpoints interoperate.
-		typ = "shellmsg"
-		buf, err = json.Marshal(batch[0])
-	} else {
-		buf, err = json.Marshal(batch)
-	}
-	if err != nil {
-		return fmt.Errorf("transport: marshal: %w", err)
-	}
-	if _, err := c.Do(wire.Message{Type: typ, F: map[string]string{"m": string(buf)}}); err != nil {
-		// Drop the broken connection so the next frame redials.
+	p.buf = p.enc.appendBatch(p.buf[:0], batch)
+	if _, err := p.c.Do(wire.Message{Type: frameType, Body: p.buf}); err != nil {
+		// Drop the broken connection, and the encoder state bound to it, so
+		// the next frame redials with a fresh table on both ends.
 		t.mu.Lock()
-		if t.peers[to] == c {
+		if t.peers[to] == p {
 			delete(t.peers, to)
 		}
 		t.mu.Unlock()
-		c.Close()
+		p.c.Close()
 		return err
 	}
 	return nil
@@ -394,10 +414,10 @@ func (t *TCP) Close() error {
 		close(t.done)
 	}
 	peers := t.peers
-	t.peers = map[string]*wire.Client{}
+	t.peers = map[string]*tcpPeer{}
 	t.mu.Unlock()
-	for _, c := range peers {
-		c.Close()
+	for _, p := range peers {
+		p.c.Close()
 	}
 	t.outMu.Lock()
 	t.outCond.Broadcast()

@@ -27,12 +27,13 @@ type Message struct {
 	Bindings map[string]string // parameter -> literal encoding
 	Trigger  EventRef
 
-	// BindingsVal is the in-process fast path for Bindings: senders on an
-	// in-memory network hand over the bound values directly and receivers
-	// take ownership, skipping the encode/decode round trip entirely.  A
-	// serializing boundary (TCP, the durable reliable journal) calls
-	// WireReady first, which folds BindingsVal into Bindings; when both are
-	// set, Bindings wins.
+	// BindingsVal is the fast path for Bindings: senders hand over the
+	// bound values directly and receivers take ownership, skipping literal
+	// rendering and parsing.  On an in-memory network the map itself moves;
+	// the TCP codec carries the values as tagged binary and the receiver
+	// gets BindingsVal back.  The durable reliable journal calls WireReady
+	// first, which folds BindingsVal into Bindings; when both are set,
+	// Bindings wins.
 	BindingsVal event.Bindings `json:"-"`
 
 	// failure: a site's interface failed.
@@ -49,14 +50,20 @@ type Message struct {
 	// chain provenance; it does not cross the network (TCP receivers
 	// reconstruct a stub from Trigger).
 	TriggerEvent *event.Event `json:"-"`
+
+	// Link is the reliability layer's stamp (reliable.go); it is zero on
+	// messages that did not pass through a ReliableEndpoint.  The journal
+	// does not store it: replay rebuilds it from the journaled sequence
+	// number and epoch.
+	Link LinkStamp `json:"-"`
 }
 
-// WireReady materializes the wire form of the in-process-only fields:
+// WireReady materializes the literal form of the in-process-only fields:
 // BindingsVal is encoded into Bindings and the trigger descriptor is
-// rendered from TriggerEvent when the sender left it blank.  Serializing
-// transports call this before a message leaves the process or lands on
-// disk; in-memory networks skip it so the hot path never pays for string
-// encoding.
+// rendered from TriggerEvent when the sender left it blank.  The durable
+// reliable journal, which stores messages as JSON, calls it before a
+// message lands on disk; the TCP codec (codec.go) encodes BindingsVal and
+// TriggerEvent itself, and in-memory networks skip both.
 func (m *Message) WireReady() {
 	if m.BindingsVal != nil {
 		if m.Bindings == nil {

@@ -1,14 +1,24 @@
 // Package wire provides the framing used by every network protocol in the
-// toolkit: length-prefixed JSON messages over TCP, with synchronous
-// request/response plus server-initiated push (for remote notify
-// interfaces).  Messages on one connection are processed strictly in
-// order, which is the in-order delivery assumption of Appendix A.2
-// property 7 made concrete.
+// toolkit — the shell mesh, the RIS servers and their notify pushes: one
+// binary envelope per message over TCP, with synchronous request/response
+// plus server-initiated push (for remote notify interfaces).  Messages on
+// one connection are processed strictly in order, which is the in-order
+// delivery assumption of Appendix A.2 property 7 made concrete.
+//
+// A frame is a 4-byte big-endian payload length (at most MaxFrame) and
+// the payload: a format byte, a uvarint ID, then Type, Err, the F pairs in
+// ascending key order, Cols, Rows and Body, each string or byte field a
+// uvarint length and its bytes.  The encoding is canonical — decoding
+// accepts exactly what encoding produces — and Body is opaque here: the
+// shell mesh carries its message batches in it (package transport).  A
+// frame that does not decode is rejected with an error wrapping
+// ErrFormat, ErrMalformed or ErrTooLarge, never a panic; a JSON frame from
+// a build that predates the binary envelope is an ErrFormat.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -27,14 +37,20 @@ const MaxFrame = 8 << 20
 // Message is the single envelope used by all toolkit protocols.  Type
 // names the operation (request) or reply kind; F carries scalar fields;
 // Cols/Rows carry tabular payloads with values rendered as rule-language
-// literals.
+// literals; Body carries a protocol's own binary encoding.  Empty and nil
+// collections are not distinguished on the wire: they decode as nil.
 type Message struct {
-	ID   uint64            `json:"id,omitempty"`
-	Type string            `json:"type"`
-	Err  string            `json:"err,omitempty"`
-	F    map[string]string `json:"f,omitempty"`
-	Cols []string          `json:"cols,omitempty"`
-	Rows [][]string        `json:"rows,omitempty"`
+	ID   uint64
+	Type string
+	Err  string
+	F    map[string]string
+	Cols []string
+	Rows [][]string
+	// Body is opaque to this package.  On a message returned by Conn.Read
+	// it aliases the connection's read buffer and is valid only until the
+	// next Read; a Session's Handle may read it until it returns, and
+	// Client copies it before handing a message on.
+	Body []byte
 }
 
 // Field reads one scalar field, defaulting to "".
@@ -105,53 +121,73 @@ func DecodeError(s string) error {
 }
 
 // Conn frames messages over a byte stream.  Reads and writes may proceed
-// concurrently; writes are serialized internally.
+// concurrently; writes are serialized internally, and Read must be called
+// from one goroutine at a time.  Each side encodes into and decodes from a
+// buffer the Conn keeps, so a steady stream of frames allocates none.
 type Conn struct {
-	rw  io.ReadWriteCloser
-	wmu sync.Mutex
+	rw io.ReadWriteCloser
+
+	wmu  sync.Mutex
+	wbuf []byte   // frame being written, reused under wmu
+	keys []string // F-key sort scratch, reused under wmu
+
+	rhdr [4]byte
+	rbuf []byte // backs the last frame read; its Body aliases it
+	rtyp string // the last frame's Type, reused when it repeats
 }
+
+// maxRetained bounds the read and write buffers a Conn keeps between
+// frames; a larger frame uses a buffer of its own.
+const maxRetained = 64 << 10
 
 // NewConn wraps a stream.
 func NewConn(rw io.ReadWriteCloser) *Conn { return &Conn{rw: rw} }
 
-// Read reads the next message.
+// Read reads the next message.  It allocates at most the frame's claimed
+// length, which is capped at MaxFrame, plus the decoded fields.
 func (c *Conn) Read() (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.rw, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.rw, c.rhdr[:]); err != nil {
 		return Message{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.rhdr[:])
 	if n > MaxFrame {
-		return Message{}, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+		return Message{}, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	buf := make([]byte, n)
+	var buf []byte
+	if n <= maxRetained {
+		if cap(c.rbuf) < int(n) {
+			c.rbuf = make([]byte, n)
+		}
+		buf = c.rbuf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	if _, err := io.ReadFull(c.rw, buf); err != nil {
 		return Message{}, err
 	}
-	var m Message
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return Message{}, fmt.Errorf("wire: bad frame: %w", err)
+	m, err := decodeMessage(buf, c.rtyp)
+	if err != nil {
+		return Message{}, err
 	}
+	c.rtyp = m.Type
 	return m, nil
 }
 
-// Write sends a message.
+// Write sends a message as one frame.
 func (c *Conn) Write(m Message) error {
-	buf, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
-	}
-	if len(buf) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(buf))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.rw.Write(hdr[:]); err != nil {
-		return err
+	buf := append(c.wbuf[:0], 0, 0, 0, 0)
+	buf, c.keys = appendMessage(buf, m, c.keys)
+	if cap(buf) <= maxRetained {
+		c.wbuf = buf
 	}
-	_, err = c.rw.Write(buf)
+	n := len(buf) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	_, err := c.rw.Write(buf)
 	return err
 }
 
@@ -161,7 +197,8 @@ func (c *Conn) Close() error { return c.rw.Close() }
 // Session handles one client connection on a server.
 type Session interface {
 	// Handle processes one request and returns the reply.  Requests on one
-	// connection are handled sequentially in arrival order.
+	// connection are handled sequentially in arrival order; m.Body is
+	// valid only until Handle returns.
 	Handle(m Message) Message
 	// Close releases per-connection state (e.g. cancels watchers).
 	Close()
@@ -356,6 +393,11 @@ func (c *Client) readLoop() {
 				close(c.closed)
 			}
 			return
+		}
+		if m.Body != nil {
+			// The body aliases the connection's read buffer, which the next
+			// Read overwrites while a waiter or push handler may still hold it.
+			m.Body = bytes.Clone(m.Body)
 		}
 		if m.ID == 0 {
 			if c.onPush != nil {
