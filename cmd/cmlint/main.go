@@ -29,14 +29,12 @@ import (
 	"cmtk/internal/analysis/lockorder"
 	"cmtk/internal/analysis/metricname"
 	"cmtk/internal/analysis/wallclock"
-	"cmtk/internal/analysis/wireready"
 )
 
 var analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	wallclock.Analyzer,
 	metricname.Analyzer,
-	wireready.Analyzer,
 	goroleak.Analyzer,
 }
 

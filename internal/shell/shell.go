@@ -830,9 +830,11 @@ func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 		return
 	}
 	// Trigger.Desc stays blank and the bindings ride as values: an
-	// in-process receiver uses TriggerEvent and BindingsVal directly, and a
-	// serializing transport renders both wire fields via Message.WireReady
-	// only when the message actually leaves the process.
+	// in-process receiver uses TriggerEvent and BindingsVal directly, and
+	// the binary codec that carries the message over TCP and into the
+	// reliable journal renders Trigger.Desc from TriggerEvent and writes
+	// the values as tagged data, so a receiver in another process, or after
+	// a crash replay, gets BindingsVal back too.
 	msg := transport.Message{
 		Kind:         "fire",
 		Rule:         r.ID,
@@ -893,9 +895,9 @@ func (s *Shell) receive(m transport.Message) {
 				return
 			}
 		}
-		// In-process fast path: the sender's dispatch handed over a private
-		// bindings map as values, so take ownership directly (Bindings wins
-		// when a serializing hop already materialized it).
+		// Fast path: the sender's dispatch handed over a private bindings
+		// map as values (or the codec decoded one), so take ownership
+		// directly.  Bindings wins when a sender supplied literals instead.
 		b := m.BindingsVal
 		if m.Bindings != nil || b == nil {
 			var err error
@@ -1428,14 +1430,6 @@ func (s *Shell) reportFailure(f cmi.Failure, propagate bool) {
 			FailErr:  fmt.Sprint(f.Err),
 		})
 	}
-}
-
-func encodeBindings(b event.Bindings) map[string]string {
-	out := make(map[string]string, len(b))
-	for k, v := range b {
-		out[k] = v.String()
-	}
-	return out
 }
 
 func decodeBindings(m map[string]string) (event.Bindings, error) {

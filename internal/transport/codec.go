@@ -1,7 +1,8 @@
 package transport
 
-// The shell mesh's batch encoding: the Body of one TCP frame carries a
-// count and that many messages, in send order.  A message is
+// The shell mesh's batch encoding, which the reliable journal
+// (reliable_durable.go) stores messages in too: the Body of one TCP frame
+// carries a count and that many messages, in send order.  A message is
 //
 //	Kind From To       interned strings
 //	flags              which optional sections follow
@@ -73,8 +74,9 @@ const (
 // 0 for the empty string, 1 and a literal for a string not yet in the
 // table (both ends then append it), or 2+i for table entry i.  The table
 // lives exactly as long as the connection, whose receiving session holds
-// the mirror (batchDecoder); past maxInterned entries new strings travel
-// as literals and are not added.
+// the mirror (batchDecoder), or, in the reliable journal, as one record
+// or snapshot; past maxInterned entries new strings travel as literals
+// and are not added.
 type batchEncoder struct {
 	ids  map[string]uint64
 	keys []string // map-key sort scratch

@@ -22,6 +22,7 @@ package transport
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
 	"sync"
 	"time"
@@ -319,8 +320,11 @@ type ReliableEndpoint struct {
 
 	// durable journal (nil until EnableJournal); jErr latches the first
 	// journaling failure, after which the journal is treated as dead.
+	// jEnc and jBuf are reused to encode each record and snapshot.
 	j    *durable.Log
 	jErr error
+	jEnc batchEncoder
+	jBuf []byte
 }
 
 // NewReliableEndpoint creates an unbound reliable endpoint delivering
@@ -491,15 +495,21 @@ func (r *ReliableEndpoint) Send(to string, m Message) error {
 	}
 	seq := o.nextSeq
 	o.nextSeq++
-	if r.j != nil {
-		// The journal serializes queued messages; in-process-only fields
-		// (BindingsVal, TriggerEvent) would not survive a crash replay, so
-		// fold them into their literal form before the message is logged.
-		m.WireReady()
-		r.journalLocked(jSend, jSendRec{Peer: to, Seq: seq, Msg: m})
-	}
 	m.Link = LinkStamp{Epoch: r.epoch, Seq: seq}
-	o.push(m)
+	queued := m
+	if r.j != nil {
+		if m.Trigger.Desc == "" && m.TriggerEvent != nil {
+			// Render the descriptor once, for the journal and for a codec
+			// on the inner transport alike.
+			m.Trigger.Desc = m.TriggerEvent.Desc.String()
+		}
+		r.journalLocked(jSend, appendSendRec(r.recordLocked(), &r.jEnc, to, seq, m))
+		// The receiver owns the bindings map it is handed and may write
+		// into it, while checkpoints encode the outbox: keep a copy.
+		queued = m
+		queued.BindingsVal = maps.Clone(m.BindingsVal)
+	}
+	o.push(queued)
 	o.mSends.Inc()
 	o.mDepth.Set(int64(len(o.unacked())))
 	r.maybeCheckpointLocked()
@@ -548,7 +558,9 @@ func (r *ReliableEndpoint) retry(to string) {
 		o.mDepth.Set(0)
 		// The drop is permanent state: journal a synthetic full ack so a
 		// restart does not resurrect the abandoned outbox.
-		r.journalLocked(jAck, jAckRec{Peer: to, Ack: o.nextSeq})
+		if r.j != nil {
+			r.journalLocked(jAck, appendAckRec(r.recordLocked(), to, o.nextSeq))
+		}
 		evs = append(evs, LinkEvent{
 			Kind: LinkGaveUp, Peer: to, Err: o.lastErr, Attempts: r.opts.RetryBudget,
 			Messages: len(dropped), Fires: countFires(dropped),
@@ -563,6 +575,10 @@ func (r *ReliableEndpoint) retry(to string) {
 	batch := append([]Message(nil), q...)
 	for i := range batch {
 		batch[i].Link.Base = q[0].Link.Seq
+		if r.j != nil {
+			// As in Send: the outbox keeps its own bindings.
+			batch[i].BindingsVal = maps.Clone(batch[i].BindingsVal)
+		}
 	}
 	o.mRetries.Add(uint64(len(batch)))
 	evs = append(evs, LinkEvent{
@@ -678,11 +694,11 @@ func (r *ReliableEndpoint) Deliver(m Message) {
 			r.met.holdDropped.Inc()
 		}
 	}
-	if in.epoch != prevEpoch || in.next != prevNext || fresh {
+	if r.j != nil && (in.epoch != prevEpoch || in.next != prevNext || fresh) {
 		// The dedup cursor moved (or the link is new): journal it so a
 		// restarted receiver keeps discarding retransmits it already
 		// processed instead of re-executing them.
-		r.journalLocked(jIn, jInRec{Peer: from, Epoch: in.epoch, Next: in.next})
+		r.journalLocked(jIn, appendInRec(r.recordLocked(), from, in.epoch, in.next))
 		r.maybeCheckpointLocked()
 	}
 	ack := in.next
@@ -720,8 +736,10 @@ func (r *ReliableEndpoint) handleAck(m Message) {
 		o.retire(n)
 		o.mAcked.Add(uint64(n))
 		o.mDepth.Set(int64(len(o.unacked())))
-		r.journalLocked(jAck, jAckRec{Peer: peer, Ack: ack})
-		r.maybeCheckpointLocked()
+		if r.j != nil {
+			r.journalLocked(jAck, appendAckRec(r.recordLocked(), peer, ack))
+			r.maybeCheckpointLocked()
+		}
 		o.attempts = 0
 		o.lastErr = nil
 		if o.degraded {

@@ -9,7 +9,9 @@ import (
 	"cmtk/internal/vclock"
 )
 
-// Message is one inter-shell message.
+// Message is one inter-shell message.  Over TCP and in the reliable
+// journal it is encoded by the batch codec (codec.go); its JSON tags and
+// WireReady serve JSON renderings outside the transport.
 type Message struct {
 	Kind string // "fire" or "failure"
 	From string // sending shell ID
@@ -30,10 +32,9 @@ type Message struct {
 	// BindingsVal is the fast path for Bindings: senders hand over the
 	// bound values directly and receivers take ownership, skipping literal
 	// rendering and parsing.  On an in-memory network the map itself moves;
-	// the TCP codec carries the values as tagged binary and the receiver
-	// gets BindingsVal back.  The durable reliable journal calls WireReady
-	// first, which folds BindingsVal into Bindings; when both are set,
-	// Bindings wins.
+	// the codec (codec.go), over TCP and in the reliable journal, carries
+	// the values as tagged binary and the receiver, or a crash replay, gets
+	// BindingsVal back.  When both are set, Bindings wins.
 	BindingsVal event.Bindings `json:"-"`
 
 	// failure: a site's interface failed.
@@ -52,18 +53,17 @@ type Message struct {
 	TriggerEvent *event.Event `json:"-"`
 
 	// Link is the reliability layer's stamp (reliable.go); it is zero on
-	// messages that did not pass through a ReliableEndpoint.  The journal
-	// does not store it: replay rebuilds it from the journaled sequence
-	// number and epoch.
+	// messages that did not pass through a ReliableEndpoint.  The codec
+	// carries it over TCP; the journal does not store it, and replay
+	// rebuilds it from the journaled sequence number and epoch.
 	Link LinkStamp `json:"-"`
 }
 
 // WireReady materializes the literal form of the in-process-only fields:
 // BindingsVal is encoded into Bindings and the trigger descriptor is
-// rendered from TriggerEvent when the sender left it blank.  The durable
-// reliable journal, which stores messages as JSON, calls it before a
-// message lands on disk; the TCP codec (codec.go) encodes BindingsVal and
-// TriggerEvent itself, and in-memory networks skip both.
+// rendered from TriggerEvent when the sender left it blank, so the
+// message survives a JSON encoding.  No transport calls it: the codec
+// encodes both fields itself, and in-memory networks skip both.
 func (m *Message) WireReady() {
 	if m.BindingsVal != nil {
 		if m.Bindings == nil {
