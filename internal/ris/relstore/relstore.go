@@ -18,10 +18,18 @@
 // Comparison operators: = <> != < <= > >=.  Literals: numbers, 'strings'
 // (with ” escaping), NULL, TRUE, FALSE.  WHERE conditions are
 // conjunctions of column-vs-literal comparisons.
+//
+// Trigger rows: a stored row is never changed in place, only replaced.
+// An UPDATE or DELETE hands its triggers the retired row as old; the new
+// row of an INSERT or UPDATE is a copy of the stored one.  So a row a
+// trigger keeps never changes under it, and writing into one does not
+// change the table.  Triggers must not rely on any other aliasing: every
+// trigger of a row is handed the same two slices.
 package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -104,8 +112,15 @@ func (o TriggerOp) String() string {
 
 // Trigger is a row-level trigger callback.  old is nil for inserts, new is
 // nil for deletes.  Triggers run after the statement commits, outside the
-// engine lock, in firing order.
+// engine lock, in firing order and, per row, in registration order.  The
+// package comment states what a trigger may do with the rows.
 type Trigger func(op TriggerOp, table string, old, new Row)
+
+// regTrigger is one registered trigger; id orders registrations.
+type regTrigger struct {
+	id int64
+	fn Trigger
+}
 
 // Result is the outcome of executing one statement.
 type Result struct {
@@ -124,11 +139,14 @@ type table struct {
 
 // DB is the engine.  The zero value is not usable; use New.
 type DB struct {
-	mu       sync.RWMutex
-	name     string
-	tables   map[string]*table
-	trigMu   sync.Mutex
-	triggers map[string]map[int64]Trigger
+	mu     sync.RWMutex
+	name   string
+	tables map[string]*table
+	trigMu sync.Mutex
+	// triggers holds each table's triggers in registration order.  A
+	// slice is replaced, never written, so a reader may keep it after
+	// unlocking trigMu.
+	triggers map[string][]regTrigger
 	nextTrig int64
 }
 
@@ -137,7 +155,7 @@ func New(name string) *DB {
 	return &DB{
 		name:     name,
 		tables:   map[string]*table{},
-		triggers: map[string]map[int64]Trigger{},
+		triggers: map[string][]regTrigger{},
 	}
 }
 
@@ -186,16 +204,17 @@ func (db *DB) RegisterTrigger(tableName string, fn Trigger) (func(), error) {
 	}
 	db.trigMu.Lock()
 	defer db.trigMu.Unlock()
-	if db.triggers[key] == nil {
-		db.triggers[key] = map[int64]Trigger{}
-	}
 	id := db.nextTrig
 	db.nextTrig++
-	db.triggers[key][id] = fn
+	trigs := db.triggers[key]
+	db.triggers[key] = append(trigs[:len(trigs):len(trigs)], regTrigger{id, fn})
 	return func() {
 		db.trigMu.Lock()
 		defer db.trigMu.Unlock()
-		delete(db.triggers[key], id)
+		trigs := db.triggers[key]
+		if i := slices.IndexFunc(trigs, func(r regTrigger) bool { return r.id == id }); i >= 0 {
+			db.triggers[key] = slices.Concat(trigs[:i], trigs[i+1:])
+		}
 	}, nil
 }
 
@@ -220,30 +239,20 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	return res, nil
 }
 
+// fire runs the triggers registered when the statement's firings are
+// handed over: one snapshot per statement, so a trigger cancelled or
+// registered by a trigger takes effect from the next statement.
 func (db *DB) fire(fires []firing) {
 	if len(fires) == 0 {
 		return
 	}
 	db.trigMu.Lock()
-	type call struct {
-		fn Trigger
-		f  firing
-	}
-	var calls []call
-	for _, f := range fires {
-		trigs := db.triggers[strings.ToLower(f.table)]
-		ids := make([]int64, 0, len(trigs))
-		for id := range trigs {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			calls = append(calls, call{trigs[id], f})
-		}
-	}
+	trigs := db.triggers[strings.ToLower(fires[0].table)] // a statement touches one table
 	db.trigMu.Unlock()
-	for _, c := range calls {
-		c.fn(c.f.op, c.f.table, c.f.old, c.f.new)
+	for _, f := range fires {
+		for _, tr := range trigs {
+			tr.fn(f.op, f.table, f.old, f.new)
+		}
 	}
 }
 
@@ -319,7 +328,9 @@ func (t *table) keyFor(r Row) (string, error) {
 	return strings.Join(parts, "\x00"), nil
 }
 
-// coerce checks/adapts a literal to a column type.
+// coerce checks/adapts a literal to a column type.  Its result is stored,
+// so a string is copied out of the statement text it was lexed from: a
+// row must not keep the whole statement alive.
 func coerce(v data.Value, ct ColType, col string) (data.Value, error) {
 	if v.IsNull() {
 		return v, nil
@@ -338,7 +349,7 @@ func coerce(v data.Value, ct ColType, col string) (data.Value, error) {
 		}
 	case TText:
 		if v.Kind() == data.String {
-			return v, nil
+			return data.NewString(strings.Clone(v.Str())), nil
 		}
 	case TBool:
 		if v.Kind() == data.Bool {
@@ -444,35 +455,38 @@ func (t *table) matchWhere(conds []Cond, r Row) (bool, error) {
 // pkLookup returns the storage key when the WHERE conjunction pins every
 // primary-key column with an equality — the common translator pattern
 // "WHERE empid = $n" — enabling O(1) row access instead of a scan.
+// The key is built as keyFor builds it, from the first equality on each
+// key column; a NULL there pins no row.
 func (t *table) pkLookup(conds []Cond) (string, bool) {
 	if len(t.pkIdx) == 0 {
 		return "", false
 	}
-	vals := make([]data.Value, len(t.pkIdx))
-	have := make([]bool, len(t.pkIdx))
-	for _, c := range conds {
-		if c.Op != "=" {
-			continue
-		}
-		idx, ok := t.colIdx[strings.ToLower(c.Column)]
-		if !ok {
-			continue
-		}
-		for i, pk := range t.pkIdx {
-			if pk == idx && !have[i] {
-				vals[i] = c.Value
-				have[i] = true
+	key := ""
+	for i, pk := range t.pkIdx {
+		found := false
+		for _, c := range conds {
+			if c.Op != "=" {
+				continue
 			}
+			if idx, ok := t.colIdx[strings.ToLower(c.Column)]; !ok || idx != pk {
+				continue
+			}
+			if c.Value.IsNull() {
+				return "", false
+			}
+			if i == 0 {
+				key = c.Value.String()
+			} else {
+				key += "\x00" + c.Value.String()
+			}
+			found = true
+			break
 		}
-	}
-	parts := make([]string, len(vals))
-	for i := range vals {
-		if !have[i] || vals[i].IsNull() {
+		if !found {
 			return "", false
 		}
-		parts[i] = vals[i].String()
 	}
-	return strings.Join(parts, "\x00"), true
+	return key, true
 }
 
 // candidateKeys returns the keys a statement's WHERE must examine, in
@@ -549,7 +563,9 @@ func (db *DB) runUpdate(s *UpdateStmt) (*Result, []firing, error) {
 		idx int
 		v   data.Value
 	}
-	var sets []setOp
+	var setBuf [8]setOp // a longer SET list spills to the heap
+	sets := setBuf[:0]
+	rekeys := false // some SET assigns a primary-key column
 	for _, a := range s.Sets {
 		idx, ok := t.colIdx[strings.ToLower(a.Column)]
 		if !ok {
@@ -560,29 +576,29 @@ func (db *DB) runUpdate(s *UpdateStmt) (*Result, []firing, error) {
 			return nil, nil, err
 		}
 		sets = append(sets, setOp{idx, v})
+		rekeys = rekeys || slices.Contains(t.pkIdx, idx)
 	}
 	var fires []firing
 	affected := 0
 	for _, k := range t.candidateKeys(s.Where) {
-		r := t.rows[k]
-		ok, err := t.matchWhere(s.Where, r)
+		old := t.rows[k]
+		ok, err := t.matchWhere(s.Where, old)
 		if err != nil {
 			return nil, nil, err
 		}
 		if !ok {
 			continue
 		}
-		old := r.Clone()
-		nw := r.Clone()
+		// old is replaced below, never written, so triggers get it as is.
+		nw := old.Clone()
 		for _, so := range sets {
 			nw[so.idx] = so.v
 		}
-		newKey, err := t.keyFor(nw)
-		if err != nil {
-			return nil, nil, err
-		}
-		if newKey == "" {
-			newKey = k // no PK: row keeps its rowid
+		newKey := k // no PK column assigned, or no PK: the row keeps its key
+		if rekeys {
+			if newKey, err = t.keyFor(nw); err != nil {
+				return nil, nil, err
+			}
 		}
 		if newKey != k {
 			if _, dup := t.rows[newKey]; dup {

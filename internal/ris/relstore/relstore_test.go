@@ -3,8 +3,11 @@ package relstore
 import (
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cmtk/internal/data"
 	"cmtk/internal/ris"
@@ -203,6 +206,220 @@ func TestTriggers(t *testing.T) {
 	mustExec(t, db, "INSERT INTO employees (empid, salary, dept) VALUES ('e5', 1, 'hr')")
 	if len(fires) != 3 {
 		t.Fatalf("trigger fired after cancel")
+	}
+}
+
+// TestTriggerRowsAreSnapshots pins the trigger row contract of the
+// package comment and the order triggers run in.
+func TestTriggerRowsAreSnapshots(t *testing.T) {
+	salary := func(db *DB, empid string) data.Value {
+		t.Helper()
+		res := mustExec(t, db, "SELECT salary FROM employees WHERE empid = '"+empid+"'")
+		if len(res.Rows) != 1 {
+			t.Fatalf("%s: rows = %v", empid, res.Rows)
+		}
+		return res.Rows[0][0]
+	}
+
+	// Rows a trigger keeps do not change under later statements on the key.
+	db := newEmployees(t)
+	var kept [][2]Row
+	if _, err := db.RegisterTrigger("employees", func(_ TriggerOp, _ string, old, new Row) {
+		kept = append(kept, [2]Row{old, new})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "UPDATE employees SET salary = 101 WHERE empid = 'e1'")
+	mustExec(t, db, "UPDATE employees SET salary = 102 WHERE empid = 'e1'")
+	mustExec(t, db, "UPDATE employees SET empid = 'e9' WHERE empid = 'e1'")
+	mustExec(t, db, "DELETE FROM employees WHERE empid = 'e9'")
+	want := [][2]string{{"100", "101"}, {"101", "102"}, {"102", "102"}, {"102", ""}}
+	if len(kept) != len(want) {
+		t.Fatalf("fires = %d, want %d", len(kept), len(want))
+	}
+	for i, w := range want {
+		for side, r := range kept[i] {
+			got := ""
+			if r != nil {
+				got = r[1].String()
+			}
+			if got != w[side] {
+				t.Errorf("fire %d side %d: salary %q, want %q", i, side, got, w[side])
+			}
+		}
+	}
+
+	// Writing into handed rows does not reach the table.
+	db = newEmployees(t)
+	if _, err := db.RegisterTrigger("employees", func(_ TriggerOp, _ string, old, new Row) {
+		for _, r := range []Row{old, new} {
+			if r != nil {
+				r[1] = data.NewInt(-1)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "INSERT INTO employees (empid, salary, dept) VALUES ('e4', 400, 'hr')")
+	mustExec(t, db, "UPDATE employees SET dept = 'ops' WHERE empid = 'e2'")
+	mustExec(t, db, "UPDATE employees SET salary = 301 WHERE empid = 'e3'")
+	for empid, w := range map[string]int64{"e4": 400, "e2": 200, "e3": 301} {
+		if got := salary(db, empid); !got.Equal(data.NewInt(w)) {
+			t.Errorf("%s: salary %s after a trigger wrote its rows, want %d", empid, got, w)
+		}
+	}
+
+	// Triggers run in registration order; a re-registered one goes last,
+	// and cancelling twice is harmless.
+	db = newEmployees(t)
+	var order []string
+	reg := func(name string) func() {
+		cancel, err := db.RegisterTrigger("employees", func(TriggerOp, string, Row, Row) { order = append(order, name) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cancel
+	}
+	cancelA := reg("A")
+	reg("B")
+	reg("C")
+	cancelA()
+	cancelA()
+	reg("A")
+	mustExec(t, db, "UPDATE employees SET salary = 1 WHERE empid = 'e1'")
+	if got := strings.Join(order, ""); got != "BCA" {
+		t.Fatalf("order = %s, want BCA", got)
+	}
+
+	// A trigger that cancels itself during a multi-row UPDATE still runs
+	// for every row of that statement, and for none of the next.
+	db = newEmployees(t)
+	order = nil
+	var cancelS func()
+	cancelS, err := db.RegisterTrigger("employees", func(_ TriggerOp, _ string, _, new Row) {
+		order = append(order, "S"+new[0].Str())
+		cancelS()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg("T")
+	mustExec(t, db, "UPDATE employees SET salary = 7 WHERE dept = 'eng'")
+	mustExec(t, db, "UPDATE employees SET salary = 8 WHERE dept = 'eng'")
+	if got := strings.Join(order, " "); got != "Se2 T Se3 T T T" {
+		t.Fatalf("order = %s, want Se2 T Se3 T T T", got)
+	}
+}
+
+// TestTriggerRegistryConcurrent: statements fire a table's triggers while
+// other goroutines register and cancel triggers on it.  Run under -race,
+// it checks that a statement's snapshot is never written after it is taken.
+func TestTriggerRegistryConcurrent(t *testing.T) {
+	db := newEmployees(t)
+	var fired atomic.Int64
+	if _, err := db.RegisterTrigger("employees", func(TriggerOp, string, Row, Row) { fired.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 200
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				cancel, err := db.RegisterTrigger("employees", func(TriggerOp, string, Row, Row) {})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cancel()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := db.Exec("UPDATE employees SET salary = 1 WHERE dept = 'eng'"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := fired.Load(); got != 2*rounds*2 {
+		t.Fatalf("first trigger fired %d times, want %d", got, 2*rounds*2)
+	}
+}
+
+// TestStoredTextIsNotTheStatement: the lexer hands out quoted literals as
+// substrings of the statement, so a TEXT cell written by INSERT or UPDATE
+// must be a copy, or the row would keep the whole statement alive.
+func TestStoredTextIsNotTheStatement(t *testing.T) {
+	inside := func(s, stmt string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(stmt)))
+		return p >= lo && p < lo+uintptr(len(stmt))
+	}
+	db := newEmployees(t)
+	for _, stmt := range []string{
+		"INSERT INTO employees (empid, salary, dept) VALUES ('e4', 400, 'hr')",
+		"UPDATE employees SET dept = 'ops' WHERE empid = 'e4'",
+	} {
+		mustExec(t, db, stmt)
+		res := mustExec(t, db, "SELECT empid, dept FROM employees WHERE empid = 'e4'")
+		if len(res.Rows) != 1 {
+			t.Fatalf("rows = %v", res.Rows)
+		}
+		for _, v := range res.Rows[0] {
+			if inside(v.Str(), stmt) {
+				t.Errorf("%s: stored %q points into the statement", stmt, v.Str())
+			}
+		}
+	}
+}
+
+// TestExecAllocs pins the allocations of the two statements a translator
+// runs per propagated update: an UPDATE by primary key with a trigger
+// registered, and a SELECT by primary key.
+func TestExecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	db := newEmployees(t)
+	fired := 0
+	if _, err := db.RegisterTrigger("employees", func(TriggerOp, string, Row, Row) { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	updates := [2]string{
+		"UPDATE employees SET salary = 1234 WHERE empid = 'e2'",
+		"UPDATE employees SET salary = 5678 WHERE empid = 'e2'",
+	}
+	n := 0
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"update", 14, func() {
+			n++
+			if res, err := db.Exec(updates[n%2]); err != nil || res.Affected != 1 {
+				t.Fatalf("update: %v, %v", res, err)
+			}
+		}},
+		{"select", 12, func() {
+			if res, err := db.Exec("SELECT salary FROM employees WHERE empid = 'e2'"); err != nil || len(res.Rows) != 1 {
+				t.Fatalf("select: %v, %v", res, err)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, c.run); got > c.max {
+			t.Errorf("%s: %.1f allocs per Exec, budget %.0f", c.name, got, c.max)
+		} else {
+			t.Logf("%s: %.1f allocs per Exec (budget %.0f)", c.name, got, c.max)
+		}
+	}
+	if fired == 0 {
+		t.Fatal("trigger never fired")
 	}
 }
 
@@ -423,5 +640,51 @@ func TestPKFastPathSemantics(t *testing.T) {
 	res = mustExec(t, db, "SELECT empid FROM employees WHERE empid >= 'e1'")
 	if len(res.Rows) != 2 {
 		t.Fatalf("range rows = %v", res.Rows)
+	}
+}
+
+// TestPKLookupMultiColumn: a WHERE that pins every column of a two-column
+// key finds its row by the text keyFor stored, whatever the order of the
+// conditions; pinning one column scans.
+func TestPKLookupMultiColumn(t *testing.T) {
+	db := New("q")
+	mustExec(t, db, "CREATE TABLE grid (x INT, y TEXT, v INT, PRIMARY KEY (x, y))")
+	mustExec(t, db, "INSERT INTO grid VALUES (1, 'a', 10)")
+	mustExec(t, db, "INSERT INTO grid VALUES (1, 'b', 11)")
+	mustExec(t, db, "INSERT INTO grid VALUES (2, 'a', 20)")
+	tb := db.tables["grid"]
+	for key, row := range tb.rows {
+		for _, conds := range [][]Cond{
+			{{Column: "x", Op: "=", Value: row[0]}, {Column: "y", Op: "=", Value: row[1]}},
+			{{Column: "Y", Op: "=", Value: row[1]}, {Column: "v", Op: ">", Value: data.NewInt(0)}, {Column: "X", Op: "=", Value: row[0]}},
+		} {
+			if got, ok := tb.pkLookup(conds); !ok || got != key {
+				t.Errorf("pkLookup(%v) = %q, %v; want %q", conds, got, ok, key)
+			}
+		}
+	}
+	// The first equality on a column decides, a NULL one included.
+	x1, x2, ya := Cond{Column: "x", Op: "=", Value: data.NewInt(1)}, Cond{Column: "x", Op: "=", Value: data.NewInt(2)}, Cond{Column: "y", Op: "=", Value: data.NewString("a")}
+	xNull := Cond{Column: "x", Op: "=", Value: data.NullValue}
+	want, err := tb.keyFor(Row{data.NewInt(1), data.NewString("a"), data.NullValue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := tb.pkLookup([]Cond{x1, ya, x2}); !ok || got != want {
+		t.Errorf("pkLookup(x=1, y='a', x=2) = %q, %v; want %q", got, ok, want)
+	}
+	for _, conds := range [][]Cond{{x1}, {xNull, ya}, {xNull, x1, ya}} {
+		if got, ok := tb.pkLookup(conds); ok {
+			t.Errorf("pkLookup(%v) = %q, want no key", conds, got)
+		}
+	}
+	if r := mustExec(t, db, "UPDATE grid SET v = 12 WHERE y = 'b' AND x = 1"); r.Affected != 1 {
+		t.Fatalf("update affected = %d", r.Affected)
+	}
+	if res := mustExec(t, db, "SELECT v FROM grid WHERE x = 1"); len(res.Rows) != 2 {
+		t.Fatalf("one-column rows = %v", res.Rows)
+	}
+	if r := mustExec(t, db, "DELETE FROM grid WHERE x = 2 AND y = 'a'"); r.Affected != 1 {
+		t.Fatalf("delete affected = %d", r.Affected)
 	}
 }

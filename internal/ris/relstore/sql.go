@@ -83,8 +83,10 @@ type sqlTok struct {
 	pos  int
 }
 
-func sqlLex(src string) ([]sqlTok, error) {
-	var toks []sqlTok
+// sqlLex appends the tokens of src to toks, ending with an sEOF token.
+// Parse passes a stack array's slice, so a statement of ordinary length
+// lexes without allocating.
+func sqlLex(toks []sqlTok, src string) ([]sqlTok, error) {
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -94,26 +96,30 @@ func sqlLex(src string) ([]sqlTok, error) {
 		case c == '\'':
 			start := i
 			i++
-			var b strings.Builder
-			closed := false
+			escaped, closed := false, false
 			for i < len(src) {
 				if src[i] == '\'' {
 					if i+1 < len(src) && src[i+1] == '\'' {
-						b.WriteByte('\'')
+						escaped = true
 						i += 2
 						continue
 					}
-					i++
 					closed = true
 					break
 				}
-				b.WriteByte(src[i])
 				i++
 			}
 			if !closed {
 				return nil, fmt.Errorf("relstore: unterminated string at offset %d", start)
 			}
-			toks = append(toks, sqlTok{kind: sString, val: data.NewString(b.String()), pos: start})
+			// Every quote inside the literal is half of a '' pair, so the
+			// unescaped text is the body with each pair folded.
+			s := src[start+1 : i]
+			if escaped {
+				s = strings.ReplaceAll(s, "''", "'")
+			}
+			i++
+			toks = append(toks, sqlTok{kind: sString, val: data.NewString(s), pos: start})
 		case c >= '0' && c <= '9' || c == '-' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9':
 			start := i
 			if c == '-' {
@@ -160,7 +166,7 @@ func sqlLex(src string) ([]sqlTok, error) {
 			}
 			switch c {
 			case '(', ')', ',', '*', '=', '<', '>', ';':
-				toks = append(toks, sqlTok{kind: sPunct, text: string(c), pos: start})
+				toks = append(toks, sqlTok{kind: sPunct, text: src[i : i+1], pos: start})
 				i++
 			default:
 				return nil, fmt.Errorf("relstore: unexpected character %q at offset %d", string(c), start)
@@ -260,7 +266,10 @@ func (p *sqlParser) atEnd() bool {
 
 // Parse parses one SQL statement.
 func Parse(src string) (Stmt, error) {
-	toks, err := sqlLex(src)
+	// The token buffer lives in Parse's frame, not in the parser: a parser
+	// pointing into itself would be moved to the heap.
+	var buf [24]sqlTok
+	toks, err := sqlLex(buf[:0], src)
 	if err != nil {
 		return nil, err
 	}

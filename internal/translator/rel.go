@@ -53,19 +53,45 @@ func (t *Rel) Capabilities(base string) ris.Capability {
 
 // substSQL expands $n and $b in a SQL command template (Section 4.2.1:
 // "Our CM-Translator performs the necessary substitution given a
-// particular instance of n").
+// particular instance of n").  It makes one left-to-right pass over the
+// template and never rescans what it put in, so a key or value that
+// contains "$b" or "$n" is substituted as written.
 func substSQL(tpl string, item data.ItemName, v data.Value) (string, error) {
-	out := tpl
-	if strings.Contains(out, "$n") {
+	nn, nb := strings.Count(tpl, "$n"), strings.Count(tpl, "$b")
+	if nn == 0 && nb == 0 {
+		return tpl, nil
+	}
+	var key, val string
+	if nn > 0 {
 		if len(item.Args) != 1 {
 			return "", fmt.Errorf("translator: template %q wants $n but item %s has %d arguments", tpl, item, len(item.Args))
 		}
-		out = strings.ReplaceAll(out, "$n", relstore.QuoteSQL(item.Args[0]))
+		key = relstore.QuoteSQL(item.Args[0])
 	}
-	if strings.Contains(out, "$b") {
-		out = strings.ReplaceAll(out, "$b", relstore.QuoteSQL(v))
+	if nb > 0 {
+		val = relstore.QuoteSQL(v)
 	}
-	return out, nil
+	var b strings.Builder
+	b.Grow(len(tpl) + nn*(len(key)-2) + nb*(len(val)-2))
+	for {
+		i := strings.IndexByte(tpl, '$')
+		if i < 0 || i+1 == len(tpl) {
+			b.WriteString(tpl)
+			return b.String(), nil
+		}
+		b.WriteString(tpl[:i])
+		switch tpl[i+1] {
+		case 'n':
+			b.WriteString(key)
+		case 'b':
+			b.WriteString(val)
+		default:
+			b.WriteByte('$')
+			tpl = tpl[i+1:]
+			continue
+		}
+		tpl = tpl[i+2:]
+	}
 }
 
 func (t *Rel) binding(item data.ItemName) (*rid.ItemBinding, error) {

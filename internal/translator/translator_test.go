@@ -465,6 +465,70 @@ func TestSubstSQL(t *testing.T) {
 	}
 }
 
+// TestSubstSQLDoesNotRescanSubstitutedText: a key or value holding "$b",
+// "$n" or a quote is substituted as written in every template, and the
+// statement built from it reaches the item's own row.
+func TestSubstSQLDoesNotRescanSubstitutedText(t *testing.T) {
+	cfg, err := rid.ParseString(payrollRID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := cfg.Binding("salary2")
+	cases := []struct {
+		key  string
+		v    data.Value
+		want [4]string // read, write, insert, delete
+	}{
+		{"a$b", data.NewInt(5), [4]string{
+			"SELECT salary FROM employees WHERE empid = 'a$b'",
+			"UPDATE employees SET salary = 5 WHERE empid = 'a$b'",
+			"INSERT INTO employees (empid, salary) VALUES ('a$b', 5)",
+			"DELETE FROM employees WHERE empid = 'a$b'",
+		}},
+		{"$n'$b$", data.NewString("$n$b'"), [4]string{
+			"SELECT salary FROM employees WHERE empid = '$n''$b$'",
+			"UPDATE employees SET salary = '$n$b''' WHERE empid = '$n''$b$'",
+			"INSERT INTO employees (empid, salary) VALUES ('$n''$b$', '$n$b''')",
+			"DELETE FROM employees WHERE empid = '$n''$b$'",
+		}},
+	}
+	for _, c := range cases {
+		it := item("salary2", c.key)
+		for i, tpl := range []string{b.ReadSQL, b.WriteSQL, b.InsertSQL, b.DeleteSQL} {
+			got, err := substSQL(tpl, it, c.v)
+			if err != nil || got != c.want[i] {
+				t.Errorf("substSQL(%q, %s, %s) = %q, %v; want %q", tpl, it, c.v, got, err, c.want[i])
+			}
+		}
+	}
+
+	// Through the translator: row 'a5' is what the rescanning expansion
+	// hit when writing salary2("a$b") = 5.
+	db, tr := newRelTranslator(t)
+	if _, err := db.Exec("INSERT INTO employees VALUES ('a5', 1)"); err != nil {
+		t.Fatal(err)
+	}
+	it := item("salary2", "a$b")
+	for _, v := range []data.Value{data.NewInt(5), data.NewInt(6)} { // insert, then update
+		if err := tr.Write(it, v); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := tr.Read(it); err != nil || !ok || !got.Equal(v) {
+			t.Fatalf("Read %s = %s, %v, %v; want %s", it, got, ok, err, v)
+		}
+	}
+	if err := tr.Write(it, data.NullValue); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := tr.Read(it); err != nil || ok {
+		t.Fatalf("Read %s after delete = %v, %v", it, ok, err)
+	}
+	res, err := db.Exec("SELECT salary FROM employees WHERE empid = 'a5'")
+	if err != nil || len(res.Rows) != 1 || !res.Rows[0][0].Equal(data.NewInt(1)) {
+		t.Fatalf("row a5 = %v, %v; want untouched salary 1", res, err)
+	}
+}
+
 func TestConvertRender(t *testing.T) {
 	cases := []struct {
 		raw, typ string
