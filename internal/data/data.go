@@ -239,23 +239,29 @@ func Abs(v Value) (Value, error) {
 	}
 }
 
-// String renders the value in the rule-language literal syntax: null, true,
-// 42, 3.5, "text".
-func (v Value) String() string {
+// AppendLiteral appends the value's rule-language literal (null, true, 42,
+// 3.5, "text") to dst; it is the one writer of that syntax.
+func (v Value) AppendLiteral(dst []byte) []byte {
 	switch v.kind {
 	case Null:
-		return "null"
+		return append(dst, "null"...)
 	case Bool:
-		return strconv.FormatBool(v.b)
+		return strconv.AppendBool(dst, v.b)
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case String:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(dst, v.s)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
+}
+
+// String renders the value's literal (see AppendLiteral).
+func (v Value) String() string {
+	var buf [32]byte
+	return string(v.AppendLiteral(buf[:0]))
 }
 
 // ParseLiteral parses the String form back to a Value.
@@ -297,23 +303,32 @@ func Item(base string, args ...Value) ItemName {
 	return ItemName{Base: base, Args: args}
 }
 
-// String renders salary1("emp7") style keys; argument-free items render as
-// the bare base name.
+// AppendKey appends the item's key, salary1("emp7") or a bare base name,
+// to dst; it is the one writer of the key format.  A lookup renders into a
+// stack buffer and indexes m[string(key)], which does not allocate.
+func (n ItemName) AppendKey(dst []byte) []byte {
+	dst = append(dst, n.Base...)
+	if len(n.Args) == 0 {
+		return dst
+	}
+	dst = append(dst, '(')
+	for i, a := range n.Args {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = a.AppendLiteral(dst)
+	}
+	return append(dst, ')')
+}
+
+// String renders the item's key (see AppendKey).  An argument-free item's
+// key is its base name, returned without allocating.
 func (n ItemName) String() string {
 	if len(n.Args) == 0 {
 		return n.Base
 	}
-	var b strings.Builder
-	b.WriteString(n.Base)
-	b.WriteByte('(')
-	for i, a := range n.Args {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(a.String())
-	}
-	b.WriteByte(')')
-	return b.String()
+	var buf [64]byte
+	return string(n.AppendKey(buf[:0]))
 }
 
 // Key returns the canonical map key for the item.
@@ -405,25 +420,18 @@ func NewInterpretation() Interpretation { return Interpretation{} }
 
 // Get returns the value bound to item n, or NullValue when unbound.
 func (in Interpretation) Get(n ItemName) Value {
-	if in == nil {
-		return NullValue
-	}
-	return in[n.Key()]
+	var buf [64]byte
+	return in[string(n.AppendKey(buf[:0]))]
 }
 
 // Has reports whether item n is bound to a non-null value.
-func (in Interpretation) Has(n ItemName) bool {
-	if in == nil {
-		return false
-	}
-	v, ok := in[n.Key()]
-	return ok && !v.IsNull()
-}
+func (in Interpretation) Has(n ItemName) bool { return !in.Get(n).IsNull() }
 
 // Set binds item n to v in place.  Binding to null removes the entry.
 func (in Interpretation) Set(n ItemName, v Value) {
 	if v.IsNull() {
-		delete(in, n.Key())
+		var buf [64]byte
+		delete(in, string(n.AppendKey(buf[:0])))
 		return
 	}
 	in[n.Key()] = v

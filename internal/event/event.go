@@ -21,6 +21,7 @@ package event
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -126,23 +127,33 @@ func N(item data.ItemName, v data.Value) Desc { return Desc{Op: OpN, Item: item,
 // P builds a periodic descriptor P(period).
 func P(period time.Duration) Desc { return Desc{Op: OpP, Period: period} }
 
-// String renders the descriptor in the paper's syntax, e.g. N(salary1("e7"), 100).
-func (d Desc) String() string {
+// AppendTo appends the descriptor in the paper's syntax, e.g.
+// N(salary1("e7"), 100), to dst.  It is the one writer of that syntax.
+func (d Desc) AppendTo(dst []byte) []byte {
 	switch d.Op {
 	case OpF:
-		return "F"
+		return append(dst, 'F')
 	case OpP:
-		return fmt.Sprintf("P(%g)", d.Period.Seconds())
-	case OpRR:
-		return fmt.Sprintf("RR(%s)", d.Item)
-	case OpWs:
-		if d.OldVal.IsNull() {
-			return fmt.Sprintf("Ws(%s, %s)", d.Item, d.Val)
-		}
-		return fmt.Sprintf("Ws(%s, %s, %s)", d.Item, d.OldVal, d.Val)
-	default:
-		return fmt.Sprintf("%s(%s, %s)", d.Op, d.Item, d.Val)
+		dst = append(dst, "P("...)
+		dst = strconv.AppendFloat(dst, d.Period.Seconds(), 'g', -1, 64)
+		return append(dst, ')')
 	}
+	dst = append(dst, d.Op.String()...)
+	dst = d.Item.AppendKey(append(dst, '('))
+	if d.Op == OpRR {
+		return append(dst, ')')
+	}
+	if d.Op == OpWs && !d.OldVal.IsNull() {
+		dst = d.OldVal.AppendLiteral(append(dst, ", "...))
+	}
+	dst = d.Val.AppendLiteral(append(dst, ", "...))
+	return append(dst, ')')
+}
+
+// String renders the descriptor in the paper's syntax (see AppendTo).
+func (d Desc) String() string {
+	var buf [64]byte
+	return string(d.AppendTo(buf[:0]))
 }
 
 // Equal reports descriptor equality.

@@ -252,8 +252,8 @@ func envOf(in data.Interpretation) rule.Env { return itemEnv{in} }
 
 func (e itemEnv) Param(string) (data.Value, bool) { return data.NullValue, false }
 func (e itemEnv) Item(n data.ItemName) (data.Value, bool, error) {
-	v, ok := e.in[n.Key()]
-	return v, ok && !v.IsNull(), nil
+	v := e.in.Get(n)
+	return v, !v.IsNull(), nil
 }
 
 // ExistsWithin is the weakened referential-integrity guarantee of Section

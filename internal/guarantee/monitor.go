@@ -117,10 +117,16 @@ type famIndex struct {
 }
 
 func indexFamilies(tr *trace.Trace) *famIndex {
+	// Store each key once: a later sighting is an allocation-free lookup.
 	seen := map[string]data.ItemName{}
+	var buf [64]byte
 	for _, e := range tr.Events() {
-		if e.Desc.Op.HasItem() {
-			seen[e.Desc.Item.Key()] = e.Desc.Item
+		if !e.Desc.Op.HasItem() {
+			continue
+		}
+		k := e.Desc.Item.AppendKey(buf[:0])
+		if _, ok := seen[string(k)]; !ok {
+			seen[string(k)] = e.Desc.Item
 		}
 	}
 	for k := range tr.Initial() {
@@ -632,7 +638,8 @@ func (c *incExistsWithin) advance(tr *trace.Trace, ix *famIndex, end time.Time, 
 		if !e.Desc.Op.IsWrite() {
 			return true
 		}
-		for _, st := range c.byItem[e.Desc.Item.Key()] {
+		var buf [64]byte
+		for _, st := range c.byItem[string(e.Desc.Item.AppendKey(buf[:0]))] {
 			c.consider(st, e.Time, in, rep)
 		}
 		return true

@@ -52,8 +52,8 @@ func (m MapEnv) Param(name string) (data.Value, bool) {
 
 // Item implements Env.
 func (m MapEnv) Item(n data.ItemName) (data.Value, bool, error) {
-	v, ok := m.Items[n.Key()]
-	return v, ok && !v.IsNull(), nil
+	v := m.Items.Get(n)
+	return v, !v.IsNull(), nil
 }
 
 // Expr is a condition expression node.

@@ -94,9 +94,10 @@ type Shell struct {
 	durErr  error
 
 	// CM-initiated writes pending confirmation, to tell W from Ws when the
-	// underlying source's trigger fires for our own write.
+	// underlying source's trigger fires for our own write; keyed by
+	// appendPendKey.
 	pendMu  sync.Mutex
-	pending map[pendID]int
+	pending map[string]int
 
 	// implicit interface rules generated for provenance, keyed by
 	// (kind, site, base) so cache hits on the write path do not build the
@@ -230,7 +231,7 @@ func New(id string, spec *rule.Spec, opts Options) *Shell {
 		sites:      map[string]cmi.Interface{},
 		routing:    map[string]string{},
 		private:    data.NewInterpretation(),
-		pending:    map[pendID]int{},
+		pending:    map[string]int{},
 		implicit:   map[implID]rule.Rule{},
 		subscribed: map[string]bool{},
 		m:          newShellMetrics(opts.Metrics, opts.Fires, id),
@@ -650,16 +651,31 @@ func (s *Shell) Drain() {
 	s.qmu.Unlock()
 }
 
-// pendID identifies a CM-initiated write for trigger suppression; a
-// comparable struct key avoids building a separator-joined string per
-// write.
-type pendID struct{ item, val string }
-
 // implID identifies one generated interface rule in the cache.
 type implID struct{ kind, site, base string }
 
-func pendKey(item data.ItemName, v data.Value) pendID {
-	return pendID{item: item.Key(), val: v.String()}
+// appendPendKey appends the key that identifies a CM-initiated write of v
+// to item for trigger suppression: the item's key, a NUL, and v's literal.
+// A literal never holds a raw NUL (strings are quoted with escapes), so
+// the last NUL splits the key unambiguously.  Values with one literal, such
+// as Int(5) and Float(5), share a key: a source may echo either.
+func appendPendKey(dst []byte, item data.ItemName, v data.Value) []byte {
+	return v.AppendLiteral(append(item.AppendKey(dst), 0))
+}
+
+// unpendLocked consumes one pending echo under key k and reports whether
+// there was one.  It allocates only to store a count that stays above
+// zero.  The caller holds pendMu.
+func (s *Shell) unpendLocked(k []byte) bool {
+	switch n := s.pending[string(k)]; n {
+	case 0:
+		return false
+	case 1:
+		delete(s.pending, string(k))
+	default:
+		s.pending[string(k)] = n - 1
+	}
+	return true
 }
 
 // onSourceChange receives a native change callback from a translator and
@@ -667,17 +683,14 @@ func pendKey(item data.ItemName, v data.Value) pendID {
 // was recorded by the write path) or a genuinely spontaneous update, which
 // becomes Ws then N per the notify interface statement.
 func (s *Shell) onSourceChange(site string, item data.ItemName, old, new data.Value) {
+	var buf [64]byte
+	k := appendPendKey(buf[:0], item, new)
 	s.pendMu.Lock()
-	k := pendKey(item, new)
-	if s.pending[k] > 0 {
-		s.pending[k]--
-		if s.pending[k] == 0 {
-			delete(s.pending, k)
-		}
-		s.pendMu.Unlock()
+	echo := s.unpendLocked(k)
+	s.pendMu.Unlock()
+	if echo {
 		return
 	}
-	s.pendMu.Unlock()
 	if owner, ok := s.shardOwner(item.Base); ok && owner != s.id {
 		// Sharded rule ownership: this shell hosts the translator but the
 		// rules listening to the base live elsewhere.  Ship the trigger to
@@ -916,8 +929,9 @@ func (s *Shell) receive(m transport.Message) {
 			// replay after a restart, or a cross-process mesh): when the
 			// deployment shares one trace, the original trigger is still in
 			// it — re-link so provenance checking (property 5) survives.
+			var buf [64]byte
 			if e := s.tr.Find(m.Trigger.Seq); e != nil && e.Site == m.Trigger.Site &&
-				e.Desc.String() == m.Trigger.Desc {
+				string(e.Desc.AppendTo(buf[:0])) == m.Trigger.Desc {
 				trigger = e
 			} else {
 				trigger = stubTrigger(m.Trigger)
@@ -1223,24 +1237,18 @@ func (s *Shell) performPrivateWrite(r *rule.Rule, desc event.Desc, site string, 
 // this write must not be mistaken for a spontaneous update.  It reports
 // whether the write succeeded.
 func (s *Shell) translatorWrite(iface cmi.Interface, desc event.Desc) bool {
-	suppress := s.subscribed[desc.Item.Base]
-	k := pendKey(desc.Item, desc.Val)
-	if suppress {
-		s.pendMu.Lock()
-		s.pending[k]++
-		s.pendMu.Unlock()
+	if !s.subscribed[desc.Item.Base] {
+		return iface.Write(desc.Item, desc.Val) == nil
 	}
+	var buf [64]byte
+	k := appendPendKey(buf[:0], desc.Item, desc.Val)
+	s.pendMu.Lock()
+	s.pending[string(k)]++
+	s.pendMu.Unlock()
 	if err := iface.Write(desc.Item, desc.Val); err != nil {
-		if suppress {
-			s.pendMu.Lock()
-			if s.pending[k] > 0 {
-				s.pending[k]--
-				if s.pending[k] == 0 {
-					delete(s.pending, k)
-				}
-			}
-			s.pendMu.Unlock()
-		}
+		s.pendMu.Lock()
+		s.unpendLocked(k)
+		s.pendMu.Unlock()
 		return false
 	}
 	return true
@@ -1274,20 +1282,13 @@ func (e *shellEnv) NowValue() (data.Value, bool) {
 }
 
 func (e *shellEnv) Item(n data.ItemName) (data.Value, bool, error) {
-	if e.s.spec.Private[n.Base] != "" {
-		e.s.privMu.RLock()
-		defer e.s.privMu.RUnlock()
-		v, ok := e.s.private[n.Key()]
-		return v, ok && !v.IsNull(), nil
+	if iface := e.s.sites[e.site]; iface != nil && e.s.spec.Private[n.Base] == "" {
+		return iface.Read(n)
 	}
-	iface := e.s.sites[e.site]
-	if iface == nil {
-		e.s.privMu.RLock()
-		defer e.s.privMu.RUnlock()
-		v, ok := e.s.private[n.Key()]
-		return v, ok && !v.IsNull(), nil
-	}
-	return iface.Read(n)
+	e.s.privMu.RLock()
+	defer e.s.privMu.RUnlock()
+	v := e.s.private.Get(n)
+	return v, !v.IsNull(), nil
 }
 
 // implicitRule returns (generating on first use) the canonical interface
@@ -1378,8 +1379,8 @@ func (s *Shell) ImplicitRules() []rule.Rule {
 func (s *Shell) ReadAux(item data.ItemName) (data.Value, bool) {
 	s.privMu.RLock()
 	defer s.privMu.RUnlock()
-	v, ok := s.private[item.Key()]
-	return v, ok && !v.IsNull()
+	v := s.private.Get(item)
+	return v, !v.IsNull()
 }
 
 // WriteAux initializes a CM-private data item (setup only; strategies

@@ -197,9 +197,15 @@ func (t *Trace) Append(e *event.Event) *event.Event {
 func (t *Trace) appendLocked(sh *traceShard, e *event.Event) {
 	e.SetStateSource(t)
 	if e.Desc.Op.IsWrite() {
+		// One rendered key serves both maps: Interpretation.Set would
+		// render it a second time.
 		key := e.Desc.Item.Key()
 		sh.timelines[key] = insertBySeq(sh.timelines[key], e)
-		sh.state.Set(e.Desc.Item, e.Desc.Val)
+		if v := e.Desc.Val; v.IsNull() {
+			delete(sh.state, key)
+		} else {
+			sh.state[key] = v
+		}
 	}
 	sh.events = insertBySeq(sh.events, e)
 }
@@ -325,14 +331,15 @@ func (t *Trace) ValueAfter(seq uint64, item data.ItemName) data.Value {
 // retained write with Seq < bound, or the folded base when there is none.
 // O(log writes to item); only the item's own shard is locked.
 func (t *Trace) valueAtSeq(bound uint64, item data.ItemName) data.Value {
-	key := item.Key()
+	var buf [64]byte
+	key := item.AppendKey(buf[:0])
 	sh := &t.shards[t.ShardOf(item.Base)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	tl := sh.timelines[key]
+	tl := sh.timelines[string(key)]
 	j := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= bound })
 	if j == 0 {
-		return sh.base[key]
+		return sh.base[string(key)]
 	}
 	return tl[j-1].Desc.Val
 }
@@ -515,8 +522,10 @@ func (t *Trace) Timeline(item data.ItemName) []Sample {
 	sh := &t.shards[t.ShardOf(item.Base)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	out := []Sample{{V: sh.base.Get(item)}}
-	for _, e := range sh.timelines[item.Key()] {
+	var buf [64]byte
+	key := item.AppendKey(buf[:0])
+	out := []Sample{{V: sh.base[string(key)]}}
+	for _, e := range sh.timelines[string(key)] {
 		v := e.Desc.Val
 		if !v.Equal(out[len(out)-1].V) {
 			out = append(out, Sample{At: e.Time, Seq: e.Seq, V: v})
@@ -530,7 +539,8 @@ func (t *Trace) Writes(item data.ItemName) []*event.Event {
 	sh := &t.shards[t.ShardOf(item.Base)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	tl := sh.timelines[item.Key()]
+	var buf [64]byte
+	tl := sh.timelines[string(item.AppendKey(buf[:0]))]
 	if len(tl) == 0 {
 		return nil
 	}

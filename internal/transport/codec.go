@@ -80,6 +80,7 @@ const (
 type batchEncoder struct {
 	ids  map[string]uint64
 	keys []string // map-key sort scratch
+	desc []byte   // Trigger.Desc render scratch
 }
 
 // appendBatch appends the encoding of msgs to dst.
@@ -119,11 +120,14 @@ func (e *batchEncoder) appendMessage(dst []byte, m *Message) []byte {
 	dst = e.appendInterned(dst, m.Rule)
 	dst = e.appendInterned(dst, m.Trigger.Site)
 	dst = binary.AppendUvarint(dst, m.Trigger.Seq)
-	desc := m.Trigger.Desc
-	if desc == "" && m.TriggerEvent != nil {
-		desc = m.TriggerEvent.Desc.String()
+	if m.Trigger.Desc == "" && m.TriggerEvent != nil {
+		// The length prefix comes first, so render into scratch.
+		e.desc = m.TriggerEvent.Desc.AppendTo(e.desc[:0])
+		dst = binary.AppendUvarint(dst, uint64(len(e.desc)))
+		dst = append(dst, e.desc...)
+	} else {
+		dst = wire.AppendString(dst, m.Trigger.Desc)
 	}
-	dst = wire.AppendString(dst, desc)
 	if flags&flagTime != 0 {
 		dst = binary.AppendVarint(dst, m.Trigger.Time.UnixNano())
 	}

@@ -16,7 +16,9 @@ import (
 // the sending shell's Send and the receiving shell's callback counts —
 // the firing's own construction, sequencing, batching, framing, decoding,
 // the inbox hand-off and the ack flowing back — divided by the firings
-// delivered.
+// delivered.  The bound sits below 15, the cost when the codec rendered
+// the trigger's descriptor through Desc.String and fmt, so that path
+// coming back fails here.
 func TestHopAllocsPerMessage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -92,7 +94,7 @@ func TestHopAllocsPerMessage(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / total
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / total
 	t.Logf("hop: %.1f allocs, %.0f B per firing", allocs, bytes)
-	if allocs > 25 || bytes > 3<<10 {
-		t.Errorf("hop costs %.1f allocs and %.0f B per firing, want at most 25 and 3072", allocs, bytes)
+	if allocs > 10 || bytes > 2<<10 {
+		t.Errorf("hop costs %.1f allocs and %.0f B per firing, want at most 10 and 2048", allocs, bytes)
 	}
 }
