@@ -13,7 +13,9 @@
 //
 // The tables are verdict shapes (which guarantees hold, zero violations,
 // flat retention).  Timing a change is cmperf's job: bash
-// benchmarks/run.sh, then cmperf -compare on paired runs.
+// benchmarks/run.sh, then cmperf -compare on paired runs.  The
+// deterministic tables' scale-1 output is committed under
+// internal/harness/testdata/ and held by TestGoldenExperiments.
 package main
 
 import (
@@ -32,47 +34,30 @@ func main() {
 	obsMode := flag.Bool("obs", false, "print per-experiment metric deltas from the obs registry")
 	flag.Parse()
 
-	runners := map[string]func() harness.Table{
-		"E1":  func() harness.Table { return harness.E1(100 * *scale) },
-		"E2":  func() harness.Table { return harness.E2(60 * *scale) },
-		"E3":  func() harness.Table { return harness.E3(150 * *scale) },
-		"E4":  func() harness.Table { return harness.E4(200 * *scale) },
-		"E5":  func() harness.Table { return harness.E5(8 * *scale) },
-		"E6":  func() harness.Table { return harness.E6(10 * *scale) },
-		"E7":  func() harness.Table { return harness.E7(4 * *scale) },
-		"E8":  func() harness.Table { return harness.E8() },
-		"E9":  func() harness.Table { return harness.E9(60 * *scale) },
-		"E10": func() harness.Table { return harness.E10(20 * *scale) },
-		"E11": func() harness.Table { return harness.E11(4 * *scale) },
-		"E12": func() harness.Table { return harness.E12(3 * *scale) },
-		"E13": func() harness.Table { return harness.E13(3 * *scale) },
-		"E15": func() harness.Table { return harness.E15(60 * *scale) },
-		"E17": func() harness.Table { return harness.E17(2000 * *scale) },
-		"E18": func() harness.Table { return harness.E18(40000**scale, 20000**scale) },
-		"F1":  func() harness.Table { return harness.F1(100 * *scale) },
-		"F2":  func() harness.Table { return harness.F2(30 * *scale) },
+	byID := map[string]harness.Experiment{}
+	for _, x := range harness.Suite {
+		byID[x.ID] = x
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E15", "E17", "E18", "F1", "F2"}
-
-	var selected []string
+	var selected []harness.Experiment
 	if *exps == "all" {
-		selected = order
+		selected = harness.Suite
 	} else {
 		for _, id := range strings.Split(*exps, ",") {
 			id = strings.TrimSpace(strings.ToUpper(id))
-			if _, ok := runners[id]; !ok {
+			x, ok := byID[id]
+			if !ok {
 				fmt.Fprintf(os.Stderr, "cmbench: unknown experiment %q (want E1..E13, E15, E17, E18, F1, F2)\n", id)
 				os.Exit(2)
 			}
-			selected = append(selected, id)
+			selected = append(selected, x)
 		}
 	}
-	for _, id := range selected {
+	for _, x := range selected {
 		before := obs.Default.Snapshot()
-		fmt.Println(runners[id]())
+		fmt.Println(x.Run(*scale))
 		if *obsMode {
 			delta := obs.Default.Snapshot().Delta(before)
-			fmt.Printf("-- %s metric deltas (%d series moved) --\n%s\n", id, len(delta), delta.Format())
+			fmt.Printf("-- %s metric deltas (%d series moved) --\n%s\n", x.ID, len(delta), delta.Format())
 		}
 	}
 }

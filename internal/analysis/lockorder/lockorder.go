@@ -1,7 +1,6 @@
 // Package lockorder enforces the documented mutex acquisition order
-// (DESIGN.md §11): guarantee Monitor mu (10) → trace commitMu (20) →
-// trace shard mu (30).  The order is declared once, in the source, next
-// to each mutex:
+// (DESIGN.md §11): guarantee Monitor mu (10) → trace mu (20).  The
+// order is declared once, in the source, next to each mutex:
 //
 //	//cmlint:lockrank 10
 //	mu sync.Mutex

@@ -73,10 +73,10 @@ func closure(s *store) func() {
 	}
 }
 
-// compactor is the trace-compaction footprint: the commit lock, then
-// every shard stripe in ascending index order, all released by defers
-// at the end of the fold.  Stop-the-world over an ascending footprint
-// is rank-clean.
+// compactor is a stop-the-world footprint over a lock-striped store:
+// the commit lock, then every stripe in ascending index order, all
+// released by defers at the end of the fold.  Stop-the-world over an
+// ascending footprint is rank-clean.
 //
 //cmlint:acquires 20, 30
 func (s *store) compactor(fold func()) {

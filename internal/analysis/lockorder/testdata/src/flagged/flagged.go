@@ -64,9 +64,9 @@ func descending(parts []*part) {
 	}
 }
 
-// compactorDescending is the trace-compaction footprint gone wrong:
-// commit lock held, but the shard stripes acquired in descending index
-// order — deadlock-prone against any ascending acquirer.
+// compactorDescending is a striped store's stop-the-world footprint
+// gone wrong: commit lock held, but the stripes acquired in descending
+// index order — deadlock-prone against any ascending acquirer.
 func compactorDescending(s *store) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()

@@ -22,7 +22,7 @@ func equivRun(t *testing.T, members []string, families, rounds int, grow bool) (
 	sp, initial := chainSpec(t, families)
 	f, err := New(sp, Options{
 		Members: members,
-		Trace:   trace.NewSharded(initial, len(members)+1),
+		Trace:   trace.New(initial),
 		Metrics: obs.NewRegistry(),
 	})
 	if err != nil {

@@ -37,9 +37,9 @@ type Options struct {
 	// Clock.  The fleet wraps whatever network it gets with send/delivery
 	// accounting so Drain and Rebalance can prove the mesh is quiescent.
 	Network transport.Network
-	// Trace is the shared event trace; nil allocates a sharded trace
-	// sized to the member count.  All members share one trace so the
-	// Appendix A.2 checker sees the whole execution.
+	// Trace is the shared event trace; nil allocates an empty one.  All
+	// members share one trace so the Appendix A.2 checker sees the whole
+	// execution.
 	Trace *trace.Trace
 	// Store enables durable state: every member journals its CM-private
 	// items (handoffs land in the new owner's WAL before cutover) and the
@@ -146,7 +146,7 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 	}
 	tr := o.Trace
 	if tr == nil {
-		tr = trace.NewSharded(nil, len(members))
+		tr = trace.New(nil)
 	}
 	inner := o.Network
 	if inner == nil {

@@ -67,7 +67,7 @@ func TestFleetShardsAndCascades(t *testing.T) {
 	sp, initial := chainSpec(t, families)
 	f, err := New(sp, Options{
 		Members: []string{"s1", "s2", "s3"},
-		Trace:   trace.NewSharded(initial, 3),
+		Trace:   trace.New(initial),
 		Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
@@ -121,7 +121,7 @@ func TestFleetForwardsMisroutedTriggers(t *testing.T) {
 	sp, initial := chainSpec(t, families)
 	f, err := New(sp, Options{
 		Members: []string{"s1", "s2"},
-		Trace:   trace.NewSharded(initial, 2),
+		Trace:   trace.New(initial),
 		Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestFleetRebalanceHandsOffDurableState(t *testing.T) {
 		}
 		f, err := New(sp, Options{
 			Members: members,
-			Trace:   trace.NewSharded(initial, 3),
+			Trace:   trace.New(initial),
 			Store:   st,
 			Metrics: obs.NewRegistry(),
 		})
@@ -264,7 +264,7 @@ func TestFleetRebalanceRequiresRunningMembers(t *testing.T) {
 	sp, initial := chainSpec(t, 2)
 	f, err := New(sp, Options{
 		Members: []string{"s1"},
-		Trace:   trace.NewSharded(initial, 1),
+		Trace:   trace.New(initial),
 		Metrics: obs.NewRegistry(),
 	})
 	if err != nil {

@@ -45,7 +45,7 @@ rule g0: Ws(X0, b) && C0 = 0 ->5s W(Q0, b)
 	for _, b := range []string{"X0", "Y0", "Z0", "Q0", "C0"} {
 		initial.Set(data.Item(b), data.NewInt(0))
 	}
-	tr := trace.NewSharded(initial, 3)
+	tr := trace.New(initial)
 	reg := obs.NewRegistry()
 	routers := map[string]*Router{}
 	shells := map[string]*shell.Shell{}

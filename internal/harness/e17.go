@@ -90,7 +90,7 @@ func e17Run(shells, bases, events int, rebalance bool) E17Row {
 	}
 	f, err := fleet.New(sp, fleet.Options{
 		Members: members,
-		Trace:   trace.NewSharded(initial, shells+1),
+		Trace:   trace.New(initial),
 		Metrics: obs.NewRegistry(),
 	})
 	must(err)

@@ -623,3 +623,24 @@ guarantee metric-leads(salary1, salary2, 15s)
 		t.Fatal("empty guarantee accepted")
 	}
 }
+
+// FuzzSpecParse: the spec parser reads operator-written files.  A
+// malformed spec is an error, never a panic, and a spec it accepts
+// renders (Spec.String) to text that parses back and renders to the same
+// text again: parse → print → parse is a fixpoint.
+func FuzzSpecParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		sp, err := ParseSpecString(src)
+		if err != nil {
+			return
+		}
+		printed := sp.String()
+		again, err := ParseSpecString(printed)
+		if err != nil {
+			t.Fatalf("printed spec does not parse: %v\n--- source ---\n%s\n--- printed ---\n%s", err, src, printed)
+		}
+		if reprinted := again.String(); reprinted != printed {
+			t.Fatalf("parse → print is not a fixpoint:\n--- printed ---\n%s\n--- reprinted ---\n%s", printed, reprinted)
+		}
+	})
+}

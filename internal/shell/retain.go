@@ -233,7 +233,7 @@ func (rt *retention) countRejections(rep durable.ImportReport) {
 // durable checkpoint.  It is the body of the periodic driver and safe to
 // call directly; rounds are serialized by retainMu.
 //
-//cmlint:acquires 10, 20, 30
+//cmlint:acquires 10, 20
 func (s *Shell) CompactNow() trace.CompactStats {
 	s.retainMu.Lock()
 	defer s.retainMu.Unlock()

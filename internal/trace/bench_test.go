@@ -39,30 +39,26 @@ func BenchmarkTraceAppend(b *testing.B) {
 // once.  Reported per event, it is the overhead bounded-memory
 // operation adds to the recording hot path.
 func BenchmarkTraceCompact(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			tr := NewSharded(nil, shards)
-			names := make([]data.ItemName, 32)
-			for i := range names {
-				names[i] = data.Item(fmt.Sprintf("X%d", i))
-			}
-			const batch = 1024
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Append(&event.Event{
-					Time: at(i), Site: "A",
-					Desc: event.W(names[i%len(names)], data.NewInt(int64(i))),
-				})
-				if i%batch == batch-1 {
-					tr.CompactBefore(at(i-batch/2), 0)
-				}
-			}
-			b.StopTimer()
-			if pe, _ := tr.Pruned(); b.N > 2*batch && pe == 0 {
-				b.Fatal("compaction never pruned")
-			}
+	tr := New(nil)
+	names := make([]data.ItemName, 32)
+	for i := range names {
+		names[i] = data.Item(fmt.Sprintf("X%d", i))
+	}
+	const batch = 1024
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Append(&event.Event{
+			Time: at(i), Site: "A",
+			Desc: event.W(names[i%len(names)], data.NewInt(int64(i))),
 		})
+		if i%batch == batch-1 {
+			tr.CompactBefore(at(i-batch/2), 0)
+		}
+	}
+	b.StopTimer()
+	if pe, _ := tr.Pruned(); b.N > 2*batch && pe == 0 {
+		b.Fatal("compaction never pruned")
 	}
 }
 

@@ -1,21 +1,19 @@
 // Guarantee-aware compaction: the trace folds event prefixes that can
-// no longer change any verdict into its per-shard base interpretations,
-// making trace memory proportional to the retention horizon instead of
-// to the execution's age.
+// no longer change any verdict into its base interpretation, making
+// trace memory proportional to the retention horizon instead of to the
+// execution's age.
 //
 // The horizon comes from the caller (normally guarantee.Monitor): any
 // event older than the widest pending guarantee window — plus
 // demarcation/strategy holds — can never participate in a check again,
 // so its only remaining contribution is its write effect, which the
 // fold preserves exactly.  This is the amalgamated-knowledge-base move:
-// a certified base state plus a bounded delta log.
+// one certified base state plus one bounded delta log.
 //
-// Locking: CompactBefore takes the commit mutex (rank 20) and then
-// every shard mutex in ascending index order (rank 30) — the same rank
-// sequence AppendUnit uses — so compaction is atomic with respect to
-// both single appends and unit commits.  DESIGN.md §12 documents the
-// retention model; cmlint's lockorder analyzer machine-checks the rank
-// annotations.
+// Locking: CompactBefore, Checkpoint and Restore hold the trace mutex
+// (rank 20) for their whole body, so each is atomic with respect to
+// every append and every read.  DESIGN.md §12 documents the retention
+// model; cmlint's lockorder analyzer machine-checks the rank annotations.
 package trace
 
 import (
@@ -29,7 +27,7 @@ import (
 
 // CompactStats reports what one CompactBefore call folded away.
 type CompactStats struct {
-	PrunedEvents int       // events removed from the shards this call
+	PrunedEvents int       // events removed from the log this call
 	PrunedBytes  uint64    // estimated heap bytes those events pinned
 	CutSeq       uint64    // first retained sequence number after the call
 	CutTime      time.Time // time of the last folded event (zero when none)
@@ -45,79 +43,48 @@ type CompactStats struct {
 // the retained suffix keep answering exactly as before.  Callers pass
 // the widest rule δ plus any demarcation hold.
 //
-// The cut is a global sequence prefix: the minimum across shards of the
-// first event at or after horizon.  Taking the minimum means every
-// pruned event is older than horizon AND no retained event is ordered
-// before a pruned one, so per-shard state reconstruction from the new
-// base stays exact for every retained sequence point.
+// The cut is a sequence prefix: everything before the first event at or
+// after horizon.  No retained event is ordered before a pruned one, so
+// state reconstruction from the new base stays exact for every retained
+// sequence point.
 //
 // The call is a no-op (zero stats) when nothing is old enough to fold.
 //
-//cmlint:acquires 20, 30
+//cmlint:acquires 20
 func (t *Trace) CompactBefore(horizon time.Time, hold time.Duration) CompactStats {
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range t.shards {
-			t.shards[i].mu.Unlock()
-		}
-	}()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 
-	// Pass 1: the cut is the smallest sequence number that must survive.
-	// Shard event lists are time-nondecreasing in any healthy trace; the
-	// scan is linear in the pruned prefix, so compaction costs O(pruned),
-	// not O(retained).
-	cut := t.seq.Load() // all events eligible unless some shard bounds us
-	for i := range t.shards {
-		sh := &t.shards[i]
-		j := 0
-		for j < len(sh.events) && sh.events[j].Time.Before(horizon) {
-			j++
-		}
-		if j < len(sh.events) && sh.events[j].Seq < cut {
-			cut = sh.events[j].Seq
-		}
+	// The event log is time-nondecreasing in any healthy trace; the scan
+	// is linear in the pruned prefix, so compaction costs O(pruned), not
+	// O(retained).
+	p := 0
+	for p < len(t.events) && t.events[p].Time.Before(horizon) {
+		p++
 	}
-	if cut <= t.baseSeq.Load() {
-		return CompactStats{CutSeq: t.baseSeq.Load(), Retained: t.lenLocked()}
+	if p == 0 {
+		return CompactStats{CutSeq: t.baseSeq, Retained: len(t.events)}
 	}
+	pruned := t.events[:p]
+	cut := t.baseSeq + uint64(p)
 
-	// Pass 2: collect the pruned prefixes and decide which folded events
-	// must keep materialized state views — those inside the hold band
-	// plus any already referenced as a trigger by a retained event.
-	parts := make([][]*event.Event, 0, len(t.shards))
-	cuts := make([]int, len(t.shards))
-	total := 0
+	// Folded events that must keep materialized state views: those
+	// inside the hold band plus any already referenced as a trigger by a
+	// retained event.
 	keep := map[*event.Event]bool{}
-	for i := range t.shards {
-		sh := &t.shards[i]
-		p := sort.Search(len(sh.events), func(j int) bool { return sh.events[j].Seq >= cut })
-		cuts[i] = p
-		if p > 0 {
-			parts = append(parts, sh.events[:p])
-			total += p
-		}
-		for _, e := range sh.events[p:] {
-			if tr := e.Trigger; tr != nil && tr.Seq < cut && !tr.HasEagerStates() {
-				keep[tr] = true
-			}
+	for _, e := range t.events[p:] {
+		if tr := e.Trigger; tr != nil && tr.Seq < cut && !tr.HasEagerStates() {
+			keep[tr] = true
 		}
 	}
-	pruned := mergeBySeq(parts, total)
 	bandStart := horizon.Add(-hold)
 
-	// Pass 3: walk the pruned prefix in sequence order, materializing
-	// eager views where needed, severing trigger chains so the folded
-	// events stop pinning the history behind them, and accounting bytes.
-	state := data.NewInterpretation()
-	for i := range t.shards {
-		for k, v := range t.shards[i].base {
-			state[k] = v
-		}
-	}
+	// Walk the pruned prefix in sequence order, materializing eager views
+	// where needed, severing trigger chains so the folded events stop
+	// pinning the history behind them, and accounting bytes.  The running
+	// state ends as the new base.
+	state := t.base.Clone()
+	touched := map[string]bool{}
 	var bytes uint64
 	var cutTime time.Time
 	for _, e := range pruned {
@@ -128,6 +95,7 @@ func (t *Trace) CompactBefore(horizon time.Time, hold time.Duration) CompactStat
 		}
 		if e.Desc.Op.IsWrite() {
 			state.Set(e.Desc.Item, e.Desc.Val)
+			touched[e.Desc.Item.Key()] = true
 		}
 		if need {
 			e.SetStates(old, state.Clone())
@@ -137,55 +105,32 @@ func (t *Trace) CompactBefore(horizon time.Time, hold time.Duration) CompactStat
 		cutTime = e.Time
 	}
 
-	// Pass 4: fold each shard's pruned writes into its base, cut the
-	// event and timeline prefixes (copying, so the backing arrays of the
-	// folded prefix are released), and publish the accounting.
-	for i := range t.shards {
-		sh := &t.shards[i]
-		p := cuts[i]
-		if p == 0 {
-			continue
-		}
-		touched := map[string]bool{}
-		for _, e := range sh.events[:p] {
-			if e.Desc.Op.IsWrite() {
-				sh.base.Set(e.Desc.Item, e.Desc.Val)
-				touched[e.Desc.Item.Key()] = true
-			}
-		}
-		sh.events = append(make([]*event.Event, 0, len(sh.events)-p), sh.events[p:]...)
-		for key := range touched {
-			tl := sh.timelines[key]
-			q := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= cut })
-			if q == len(tl) {
-				delete(sh.timelines, key)
-			} else if q > 0 {
-				sh.timelines[key] = append(make([]*event.Event, 0, len(tl)-q), tl[q:]...)
-			}
+	// Cut the event and timeline prefixes (copying, so the backing arrays
+	// of the folded prefix are released) and publish the fold.
+	t.base = state
+	t.events = append(make([]*event.Event, 0, len(t.events)-p), t.events[p:]...)
+	for key := range touched {
+		tl := t.timelines[key]
+		q := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= cut })
+		if q == len(tl) {
+			delete(t.timelines, key)
+		} else if q > 0 {
+			t.timelines[key] = append(make([]*event.Event, 0, len(tl)-q), tl[q:]...)
 		}
 	}
-	t.baseSeq.Store(cut)
+	t.baseSeq = cut
 	if !cutTime.IsZero() {
-		t.baseNanos.Store(cutTime.UnixNano())
+		t.baseNanos = cutTime.UnixNano()
 	}
-	t.prunedEvents.Add(uint64(total))
-	t.prunedBytes.Add(bytes)
+	t.prunedEvents += uint64(p)
+	t.prunedBytes += bytes
 	return CompactStats{
-		PrunedEvents: total,
+		PrunedEvents: p,
 		PrunedBytes:  bytes,
 		CutSeq:       cut,
 		CutTime:      cutTime,
-		Retained:     t.lenLocked(),
+		Retained:     len(t.events),
 	}
-}
-
-// lenLocked counts retained events; every shard lock is already held.
-func (t *Trace) lenLocked() int {
-	n := 0
-	for i := range t.shards {
-		n += len(t.shards[i].events)
-	}
-	return n
 }
 
 // eventFootprint estimates the heap bytes one recorded event pins: the
@@ -202,29 +147,42 @@ func eventFootprint(e *event.Event) uint64 {
 
 // BaseSeq returns the first retained sequence number: 0 until the first
 // compaction or restore, the fold cut afterwards.
-func (t *Trace) BaseSeq() uint64 { return t.baseSeq.Load() }
+func (t *Trace) BaseSeq() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.baseSeq
+}
 
 // BaseTime returns the timestamp of the last folded event, or the zero
 // time when nothing has been folded.
 func (t *Trace) BaseTime() time.Time {
-	n := t.baseNanos.Load()
-	if n == 0 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.baseTimeLocked()
+}
+
+func (t *Trace) baseTimeLocked() time.Time {
+	if t.baseNanos == 0 {
 		return time.Time{}
 	}
-	return time.Unix(0, n)
+	return time.Unix(0, t.baseNanos)
 }
 
 // Pruned reports the cumulative folded-away totals: events and their
 // estimated bytes.  Len() counts only retained events, so the lifetime
 // event count is Pruned events + Len().
 func (t *Trace) Pruned() (events, bytes uint64) {
-	return t.prunedEvents.Load(), t.prunedBytes.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.prunedEvents, t.prunedBytes
 }
 
 // TotalEvents reports the lifetime number of recorded events, folded or
 // retained.
 func (t *Trace) TotalEvents() uint64 {
-	return t.prunedEvents.Load() + uint64(t.Len())
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.prunedEvents + uint64(len(t.events))
 }
 
 // CheckpointState is the trace's exportable fold: everything a restart
@@ -243,49 +201,40 @@ type CheckpointState struct {
 // Checkpoint captures the full current state as a restorable fold: the
 // final interpretation, the next sequence number, and the lifetime
 // accounting (everything up to the checkpoint counts as folded once a
-// restart restores from it).  Taken under the commit mutex so the
+// restart restores from it).  Taken under the trace mutex so the
 // snapshot sits on a unit boundary.
 //
-//cmlint:acquires 20, 30
+//cmlint:acquires 20
 func (t *Trace) Checkpoint() CheckpointState {
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	cs := CheckpointState{Base: map[string]string{}}
-	retained := 0
-	var last time.Time
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.state {
-			cs.Base[k] = v.String()
-		}
-		if n := len(sh.events); n > 0 {
-			if at := sh.events[n-1].Time; at.After(last) {
-				last = at
-			}
-		}
-		retained += len(sh.events)
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cs := CheckpointState{
+		NextSeq:      t.seq,
+		BaseTime:     t.baseTimeLocked(),
+		PrunedEvents: t.prunedEvents + uint64(len(t.events)),
+		PrunedBytes:  t.prunedBytes,
+		Base:         make(map[string]string, len(t.state)),
 	}
-	cs.NextSeq = t.seq.Load()
-	cs.BaseTime = last
-	if last.IsZero() {
-		cs.BaseTime = t.BaseTime()
+	for k, v := range t.state {
+		cs.Base[k] = v.String()
 	}
-	cs.PrunedEvents = t.prunedEvents.Load() + uint64(retained)
-	cs.PrunedBytes = t.prunedBytes.Load()
+	if n := len(t.events); n > 0 && !t.events[n-1].Time.IsZero() {
+		cs.BaseTime = t.events[n-1].Time
+	}
 	return cs
 }
 
-// Restore seeds an empty trace from a checkpoint: shard bases and
-// current state become the checkpointed interpretation, sequence
-// numbering resumes at NextSeq, and the fold accounting carries over.
-// Only a trace that has recorded nothing can be restored.
+// Restore seeds an empty trace from a checkpoint: the base and current
+// state become the checkpointed interpretation, sequence numbering
+// resumes at NextSeq, and the fold accounting carries over.  Only a
+// trace that has recorded nothing can be restored.
+//
+//cmlint:acquires 20
 func (t *Trace) Restore(cs CheckpointState) error {
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	if t.seq.Load() != 0 || t.prunedEvents.Load() != 0 {
-		return fmt.Errorf("trace: restore into a non-empty trace (seq=%d)", t.seq.Load())
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.seq != 0 || t.prunedEvents != 0 {
+		return fmt.Errorf("trace: restore into a non-empty trace (seq=%d)", t.seq)
 	}
 	for key, lit := range cs.Base {
 		item, err := data.ParseItemName(key)
@@ -296,18 +245,15 @@ func (t *Trace) Restore(cs CheckpointState) error {
 		if err != nil {
 			return fmt.Errorf("trace: checkpoint value %q for %q: %w", lit, key, err)
 		}
-		sh := &t.shards[t.ShardOf(item.Base)]
-		sh.mu.Lock()
-		sh.base.Set(item, v)
-		sh.state.Set(item, v)
-		sh.mu.Unlock()
+		t.base.Set(item, v)
+		t.state.Set(item, v)
 	}
-	t.seq.Store(cs.NextSeq)
-	t.baseSeq.Store(cs.NextSeq)
+	t.seq = cs.NextSeq
+	t.baseSeq = cs.NextSeq
 	if !cs.BaseTime.IsZero() {
-		t.baseNanos.Store(cs.BaseTime.UnixNano())
+		t.baseNanos = cs.BaseTime.UnixNano()
 	}
-	t.prunedEvents.Store(cs.PrunedEvents)
-	t.prunedBytes.Store(cs.PrunedBytes)
+	t.prunedEvents = cs.PrunedEvents
+	t.prunedBytes = cs.PrunedBytes
 	return nil
 }

@@ -33,93 +33,90 @@ func compactItems(n int) []data.ItemName {
 
 // TestCompactPreservesRetainedViews folds a prefix away and checks that
 // every read API answers identically to an uncompacted control for the
-// retained suffix — on the sharded and single-shard stores alike.
+// retained suffix.  The single case has one writer appending in order.
 func TestCompactPreservesRetainedViews(t *testing.T) {
-	stores := map[string]func() *Trace{
-		"sharded": func() *Trace { return NewSharded(data.Interpretation{"Init": data.NewInt(7)}, 4) },
-		"single":  func() *Trace { return New(data.Interpretation{"Init": data.NewInt(7)}) },
-	}
+	t.Run("single", testCompactPreservesRetainedViews)
+}
+
+func testCompactPreservesRetainedViews(t *testing.T) {
+	mk := func() *Trace { return New(data.Interpretation{"Init": data.NewInt(7)}) }
 	items := compactItems(5)
-	for name, mk := range stores {
-		t.Run(name, func(t *testing.T) {
-			tr, ctl := mk(), mk()
-			writeN(tr, items, 1, 200)
-			writeN(ctl, items, 1, 200)
+	tr, ctl := mk(), mk()
+	writeN(tr, items, 1, 200)
+	writeN(ctl, items, 1, 200)
 
-			stats := tr.CompactBefore(at(100), 10*time.Second)
-			if stats.PrunedEvents == 0 || stats.PrunedBytes == 0 {
-				t.Fatalf("nothing pruned: %+v", stats)
-			}
-			if got, want := stats.PrunedEvents+stats.Retained, 200; got != want {
-				t.Fatalf("pruned %d + retained %d != %d", stats.PrunedEvents, stats.Retained, want)
-			}
-			if tr.Len() != stats.Retained {
-				t.Fatalf("Len %d != retained %d", tr.Len(), stats.Retained)
-			}
-			if pe, _ := tr.Pruned(); tr.TotalEvents() != 200 || pe != uint64(stats.PrunedEvents) {
-				t.Fatalf("TotalEvents %d, pruned %d", tr.TotalEvents(), pe)
-			}
-			if tr.BaseSeq() != stats.CutSeq || tr.BaseSeq() == 0 {
-				t.Fatalf("BaseSeq %d, cut %d", tr.BaseSeq(), stats.CutSeq)
-			}
-			if tr.BaseTime().IsZero() || !tr.BaseTime().Before(at(100)) {
-				t.Fatalf("BaseTime %v", tr.BaseTime())
-			}
+	stats := tr.CompactBefore(at(100), 10*time.Second)
+	if stats.PrunedEvents == 0 || stats.PrunedBytes == 0 {
+		t.Fatalf("nothing pruned: %+v", stats)
+	}
+	if got, want := stats.PrunedEvents+stats.Retained, 200; got != want {
+		t.Fatalf("pruned %d + retained %d != %d", stats.PrunedEvents, stats.Retained, want)
+	}
+	if tr.Len() != stats.Retained {
+		t.Fatalf("Len %d != retained %d", tr.Len(), stats.Retained)
+	}
+	if pe, _ := tr.Pruned(); tr.TotalEvents() != 200 || pe != uint64(stats.PrunedEvents) {
+		t.Fatalf("TotalEvents %d, pruned %d", tr.TotalEvents(), pe)
+	}
+	if tr.BaseSeq() != stats.CutSeq || tr.BaseSeq() == 0 {
+		t.Fatalf("BaseSeq %d, cut %d", tr.BaseSeq(), stats.CutSeq)
+	}
+	if tr.BaseTime().IsZero() || !tr.BaseTime().Before(at(100)) {
+		t.Fatalf("BaseTime %v", tr.BaseTime())
+	}
 
-			// Every pruned event carried Time < horizon and every retained
-			// one a seq at or after the cut.
-			for _, e := range tr.Events() {
-				if e.Seq < stats.CutSeq {
-					t.Fatalf("retained event below cut: %v", e)
-				}
+	// Every pruned event carried Time < horizon and every retained
+	// one a seq at or after the cut.
+	for _, e := range tr.Events() {
+		if e.Seq < stats.CutSeq {
+			t.Fatalf("retained event below cut: %v", e)
+		}
+	}
+	if !tr.Final().Equal(ctl.Final()) {
+		t.Fatalf("Final diverged: %s vs %s", tr.Final(), ctl.Final())
+	}
+	// Initial() is now the folded base: control's state just before
+	// the cut.
+	if want := ctl.StateBefore(stats.CutSeq); !tr.Initial().Equal(want) {
+		t.Fatalf("Initial %s, want folded %s", tr.Initial(), want)
+	}
+	// Retained-suffix views agree with the control everywhere at or
+	// after the cut.
+	for seq := stats.CutSeq; seq < 200; seq++ {
+		if !tr.StateBefore(seq).Equal(ctl.StateBefore(seq)) {
+			t.Fatalf("StateBefore(%d) diverged", seq)
+		}
+		if !tr.StateAfter(seq).Equal(ctl.StateAfter(seq)) {
+			t.Fatalf("StateAfter(%d) diverged", seq)
+		}
+	}
+	// Timelines: retained samples identical; the head sample holds
+	// the folded value.
+	for _, item := range items {
+		got, want := tr.Timeline(item), ctl.Timeline(item)
+		if len(got) == 0 || len(want) < len(got) {
+			t.Fatalf("timeline %s: %d vs %d samples", item, len(got), len(want))
+		}
+		tail := want[len(want)-(len(got)-1):]
+		for i, s := range got[1:] {
+			if s.Seq != tail[i].Seq || !s.V.Equal(tail[i].V) {
+				t.Fatalf("timeline %s sample %d diverged", item, i)
 			}
-			if !tr.Final().Equal(ctl.Final()) {
-				t.Fatalf("Final diverged: %s vs %s", tr.Final(), ctl.Final())
-			}
-			// Initial() is now the folded base: control's state just before
-			// the cut.
-			if want := ctl.StateBefore(stats.CutSeq); !tr.Initial().Equal(want) {
-				t.Fatalf("Initial %s, want folded %s", tr.Initial(), want)
-			}
-			// Retained-suffix views agree with the control everywhere at or
-			// after the cut.
-			for seq := stats.CutSeq; seq < 200; seq++ {
-				if !tr.StateBefore(seq).Equal(ctl.StateBefore(seq)) {
-					t.Fatalf("StateBefore(%d) diverged", seq)
-				}
-				if !tr.StateAfter(seq).Equal(ctl.StateAfter(seq)) {
-					t.Fatalf("StateAfter(%d) diverged", seq)
-				}
-			}
-			// Timelines: retained samples identical; the head sample holds
-			// the folded value.
-			for _, item := range items {
-				got, want := tr.Timeline(item), ctl.Timeline(item)
-				if len(got) == 0 || len(want) < len(got) {
-					t.Fatalf("timeline %s: %d vs %d samples", item, len(got), len(want))
-				}
-				tail := want[len(want)-(len(got)-1):]
-				for i, s := range got[1:] {
-					if s.Seq != tail[i].Seq || !s.V.Equal(tail[i].V) {
-						t.Fatalf("timeline %s sample %d diverged", item, i)
-					}
-				}
-			}
-			// Appending after a fold keeps working, and a second fold makes
-			// progress from the new history.
-			writeN(tr, items, 300, 50)
-			writeN(ctl, items, 300, 50)
-			if !tr.Final().Equal(ctl.Final()) {
-				t.Fatal("Final diverged after post-fold appends")
-			}
-			again := tr.CompactBefore(at(320), 5*time.Second)
-			if again.PrunedEvents == 0 {
-				t.Fatalf("second fold pruned nothing: %+v", again)
-			}
-			if !tr.Final().Equal(ctl.Final()) {
-				t.Fatal("Final diverged after second fold")
-			}
-		})
+		}
+	}
+	// Appending after a fold keeps working, and a second fold makes
+	// progress from the new history.
+	writeN(tr, items, 300, 50)
+	writeN(ctl, items, 300, 50)
+	if !tr.Final().Equal(ctl.Final()) {
+		t.Fatal("Final diverged after post-fold appends")
+	}
+	again := tr.CompactBefore(at(320), 5*time.Second)
+	if again.PrunedEvents == 0 {
+		t.Fatalf("second fold pruned nothing: %+v", again)
+	}
+	if !tr.Final().Equal(ctl.Final()) {
+		t.Fatal("Final diverged after second fold")
 	}
 }
 
@@ -174,7 +171,7 @@ func TestCompactMaterializesHeldTriggers(t *testing.T) {
 // then checks the union of folded base and retained events equals the
 // control (run under -race in CI).
 func TestCompactConcurrentAppends(t *testing.T) {
-	tr := NewSharded(nil, 4)
+	tr := New(nil)
 	items := compactItems(8)
 	var compactor, writersWG sync.WaitGroup
 	stop := make(chan struct{})

@@ -16,8 +16,8 @@ import (
 // item, ValueBefore/ValueAfter equal StateBefore/StateAfter(seq).Get(item)
 // and the clone-per-event oracle, and Event.OldValue/NewValue equal
 // Old()/New().Get(item) whichever side answers — the source, an eager old,
-// an eager new, or nothing at all — before and after a compaction, on one
-// shard and on eight.
+// an eager new, or nothing at all — before and after a compaction,
+// recorded by one writer and by eight.
 func TestPointReadMatchesMaterializedRead(t *testing.T) {
 	const n = 240
 	items := append([]data.ItemName{data.Item("untouched")}, oracleItems...)
@@ -25,11 +25,12 @@ func TestPointReadMatchesMaterializedRead(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			src, initial := buildRandom(2024, n)
-			tr := NewSharded(initial, shards)
+			var script []*event.Event
 			for _, e := range src.Events() {
-				tr.Append(&event.Event{Time: e.Time, Site: e.Site, Desc: e.Desc})
+				script = append(script, &event.Event{Time: e.Time, Site: e.Site, Desc: e.Desc})
 			}
-			all := tr.Events() // Seq == index: one writer, nothing folded yet
+			tr := record(initial, script, shards)
+			all := tr.Events() // Seq == index: nothing folded yet
 			states := naiveStates(initial, all)
 
 			check := func(stage string) {

@@ -11,7 +11,7 @@
 // Event.New) reconstructed from the timelines on demand.  A reader that
 // wants a few items of a state does not build one: the point read
 // (ValueBefore / ValueAfter, reached through Event.OldValue / NewValue)
-// binary-searches the one item's timeline under the one shard's lock.
+// binary-searches the one item's timeline.
 // The Appendix A.2 checker evaluates every rule condition and guard that
 // way, so a pass costs what the rules read, not what the store holds.
 // What still materializes a full interpretation: the checker's properties
@@ -21,31 +21,28 @@
 //
 // # Concurrency
 //
-// The store is lock-striped by item base: NewSharded splits the per-item
-// timelines, the current state, and the event log across N shards, each
-// behind its own mutex, so appends to unrelated item bases contend only
-// on the atomic sequence counter.  Sequence numbers come from one atomic
-// counter, which makes seq order a linearization of the execution: if
-// Append(A) returns before Append(B) is called, A.Seq < B.Seq.  Readers
-// that need the whole execution (Events, the checker) merge the shards by
-// sequence number.
+// One mutex guards the whole store: the event log, the per-item
+// timelines, the current state and the folded base.  Every sequence
+// number is drawn under it, so the event log is always seq-ascending and
+// gap-free (event i of a snapshot has Seq BaseSeq()+i), seq order is a
+// linearization of the execution (if Append(A) returns before Append(B)
+// is called, A.Seq < B.Seq), and every read — Events, Find, the
+// checker's point reads — sees a seq prefix of the execution.
 //
-// AppendUnit is the serialized commit point every shell uses: it assigns
-// one contiguous block of sequence numbers to a unit of events (a shell
+// AppendUnit is the commit point every shell uses: it assigns one
+// contiguous block of sequence numbers to a unit of events (a shell
 // commits each event as a unit of one), stamps the unit's events with a
-// single commit-time timestamp, and publishes them to their shards — all
-// under one commit mutex, so units are atomic in seq order and
-// commit-time order equals seq order, even with several shells (a fleet)
-// committing to one shared trace.  DESIGN.md §9 documents why this
-// preserves the checker's observed order.
+// single commit-time timestamp, and publishes them — all under the one
+// mutex, so units are atomic in seq order and commit-time order equals
+// seq order, even with several shells (a fleet) committing to one shared
+// trace.  DESIGN.md §9 documents why this preserves the checker's
+// observed order, and why the store is not striped.
 package trace
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cmtk/internal/data"
@@ -57,116 +54,44 @@ import (
 // events can answer for their old/new components per Appendix A.2
 // properties 2 and 3.  Trace is safe for concurrent use.
 type Trace struct {
-	shards []traceShard
-	mask   uint64
-	seq    atomic.Uint64
-	// Retention accounting (see compact.go).  baseSeq is the first
-	// retained sequence number: every event below it has been folded into
-	// the shard base interpretations by CompactBefore or Restore.
-	baseSeq      atomic.Uint64
-	baseNanos    atomic.Int64 // Time of the last folded event (UnixNano; 0 = none)
-	prunedEvents atomic.Uint64
-	prunedBytes  atomic.Uint64
-	// commitMu serializes AppendUnit commits: sequence-block assignment,
-	// commit-time stamping, shard publication, and the caller's post-commit
-	// hook happen atomically with respect to other units.
+	// mu guards every field below.  AppendUnit holds it across sequence
+	// assignment, commit-time stamping, publication and the caller's
+	// post-commit hook, so units are atomic with respect to each other
+	// and to every reader.
 	//cmlint:lockrank 20
-	commitMu sync.Mutex
-}
-
-// traceShard is one lock stripe of the store: the events, per-item write
-// timelines, and current-state slice for the item bases that hash here.
-type traceShard struct {
-	//cmlint:lockrank 30
 	mu     sync.Mutex
-	events []*event.Event // seq-ascending, all with Seq >= the trace's baseSeq
-	// base is the folded initial interpretation for this shard's items:
-	// the trace's initial state overlaid with every write that compaction
-	// has pruned.  Lazy state reconstruction (stateAtSeq, Timeline) starts
-	// from base instead of the construction-time initial, so folding a
-	// prefix away never changes what the retained suffix reports.
+	seq    uint64         // next sequence number to assign
+	events []*event.Event // seq-ascending and gap-free from baseSeq
+	// base is the folded initial interpretation: the trace's initial
+	// state overlaid with every write that compaction has pruned.  Lazy
+	// state reconstruction (stateAtSeq, Timeline) starts from base
+	// instead of the construction-time initial, so folding a prefix away
+	// never changes what the retained suffix reports.
 	base data.Interpretation
 	// timelines holds, per item key, the performed-write events on that
 	// item in sequence order.  Write events are the only ones that change
 	// state, so the timelines are a complete versioned store: the state
-	// after any event is initial overlaid with each item's last write at
-	// or before that sequence number.
+	// after any event is base overlaid with each item's last write at or
+	// before that sequence number.
 	timelines map[string][]*event.Event
-	state     data.Interpretation // current values of this shard's items
+	state     data.Interpretation // current values
+	// Retention accounting (see compact.go).  baseSeq is the first
+	// retained sequence number: every event below it has been folded into
+	// base by CompactBefore or Restore.
+	baseSeq      uint64
+	baseNanos    int64 // Time of the last folded event (UnixNano; 0 = none)
+	prunedEvents uint64
+	prunedBytes  uint64
 }
-
-// shardSeed keys the base-name hash; one process-wide seed keeps shard
-// assignment consistent across traces (tests rely only on determinism
-// within a process).
-var shardSeed = maphash.MakeSeed()
 
 // New returns a trace starting from the given initial interpretation
 // (cloned; nil means the empty state).
 func New(initial data.Interpretation) *Trace {
-	return NewSharded(initial, 1)
-}
-
-// NewSharded returns a trace whose storage is striped across n shards by
-// item base (n is rounded up to a power of two; n < 1 means 1).  All read
-// APIs behave identically to New; a fleet's member shells share a sharded
-// trace so appends on unrelated item bases do not serialize on one lock.
-func NewSharded(initial data.Interpretation, n int) *Trace {
-	if initial == nil {
-		initial = data.NewInterpretation()
+	return &Trace{
+		base:      initial.Clone(),
+		timelines: map[string][]*event.Event{},
+		state:     initial.Clone(),
 	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	t := &Trace{
-		shards: make([]traceShard, shards),
-		mask:   uint64(shards - 1),
-	}
-	for i := range t.shards {
-		t.shards[i].timelines = map[string][]*event.Event{}
-		t.shards[i].base = data.NewInterpretation()
-		t.shards[i].state = data.NewInterpretation()
-	}
-	// Seed each shard's base and state slices with the initial items that
-	// hash to it, so Initial, Final and stateAtSeq are disjoint unions of
-	// the shards.
-	for key, v := range initial {
-		sh := &t.shards[t.ShardOf(baseOfKey(key))]
-		sh.base[key] = v
-		sh.state[key] = v
-	}
-	return t
-}
-
-// Shards reports the number of lock stripes.
-func (t *Trace) Shards() int { return len(t.shards) }
-
-// ShardOf returns the shard index an item base maps to.
-func (t *Trace) ShardOf(base string) int {
-	if t.mask == 0 {
-		return 0
-	}
-	return int(maphash.String(shardSeed, base) & t.mask)
-}
-
-// baseOfKey extracts the item base from an interpretation key
-// (`salary1("e7")` → `salary1`; argument-free keys are their own base).
-func baseOfKey(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '(' {
-			return key[:i]
-		}
-	}
-	return key
-}
-
-// shardForEvent picks the shard an event lands in: the shard of its item
-// base, or shard 0 for item-less events (P and F descriptors).
-func (t *Trace) shardForEvent(e *event.Event) *traceShard {
-	if !e.Desc.Op.HasItem() {
-		return &t.shards[0]
-	}
-	return &t.shards[t.ShardOf(e.Desc.Item.Base)]
 }
 
 // Append records the event, assigning its sequence number and wiring up
@@ -178,88 +103,62 @@ func (t *Trace) shardForEvent(e *event.Event) *traceShard {
 // execution).  The caller stamped e before the seq is drawn here, so
 // concurrent writers can commit in an order that inverts Time against Seq
 // — an Appendix A.2 property-1 violation.  Writers sharing a trace commit
-// through AppendUnit, which draws both under one mutex; shells always do.
+// through AppendUnit, which draws both under the trace mutex; shells
+// always do.
 func (t *Trace) Append(e *event.Event) *event.Event {
-	sh := t.shardForEvent(e)
-	sh.mu.Lock()
-	e.Seq = t.seq.Add(1) - 1
-	t.appendLocked(sh, e)
-	sh.mu.Unlock()
+	t.mu.Lock()
+	t.appendLocked(e)
+	t.mu.Unlock()
 	return e
 }
 
-// appendLocked publishes an event into its shard; the caller holds the
-// shard lock and has already assigned e.Seq.  Events normally arrive in
-// seq order per shard (the seq draw happens under the shard lock, or
-// under the commit mutex for units); the out-of-order guard keeps the
-// shard's invariants if a single-append path races a unit commit into
-// the same shard.
-func (t *Trace) appendLocked(sh *traceShard, e *event.Event) {
+// appendLocked assigns e the next sequence number and publishes it; the
+// caller holds the trace mutex.
+func (t *Trace) appendLocked(e *event.Event) {
+	e.Seq = t.seq
+	t.seq++
 	e.SetStateSource(t)
 	if e.Desc.Op.IsWrite() {
 		// One rendered key serves both maps: Interpretation.Set would
 		// render it a second time.
 		key := e.Desc.Item.Key()
-		sh.timelines[key] = insertBySeq(sh.timelines[key], e)
+		t.timelines[key] = append(t.timelines[key], e)
 		if v := e.Desc.Val; v.IsNull() {
-			delete(sh.state, key)
+			delete(t.state, key)
 		} else {
-			sh.state[key] = v
+			t.state[key] = v
 		}
 	}
-	sh.events = insertBySeq(sh.events, e)
-}
-
-// insertBySeq appends e to a seq-ascending slice, falling back to a
-// sorted insert when e arrived out of order (rare: a raw Append racing a
-// unit commit into the same shard).
-func insertBySeq(s []*event.Event, e *event.Event) []*event.Event {
-	if n := len(s); n == 0 || s[n-1].Seq < e.Seq {
-		return append(s, e)
-	}
-	i := sort.Search(len(s), func(i int) bool { return s[i].Seq > e.Seq })
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = e
-	return s
+	t.events = append(t.events, e)
 }
 
 // AppendUnit atomically commits a unit of work: it assigns the events one
 // contiguous block of sequence numbers (in slice order), stamps every
 // event with a single commit-time timestamp from now (when non-nil), and
-// publishes them to their shards — all under the trace's commit mutex, so
-// concurrent units are atomic in seq order and commit order equals both
-// seq order and stamp order.  then, when non-nil, runs while the commit
-// mutex is still held.  The shell commits each event as a unit of one
-// with no hook, so then has no production caller; it stays because the
-// benchmark module's trace.append_unit_ns drive calls AppendUnit with
-// this signature (passing nil) and TestAppendUnitAtomicity passes a hook.
+// publishes them — all under the trace mutex, so concurrent units are
+// atomic in seq order and commit order equals both seq order and stamp
+// order.  then, when non-nil, runs while the mutex is still held, so it
+// must not call back into the trace.  The shell commits each event as a
+// unit of one with no hook, so then has no production caller; it stays
+// because the benchmark module's trace.append_unit_ns drive calls
+// AppendUnit with this signature (passing nil) and
+// TestAppendUnitAtomicity passes a hook.
 //
-//cmlint:acquires 20, 30
+//cmlint:acquires 20
 func (t *Trace) AppendUnit(events []*event.Event, now func() time.Time, then func()) {
 	if len(events) == 0 && then == nil {
 		return
 	}
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	if n := len(events); n > 0 {
-		base := t.seq.Add(uint64(n)) - uint64(n)
-		var stamp time.Time
-		if now != nil {
-			stamp = now()
-		}
-		for i, e := range events {
-			e.Seq = base + uint64(i)
-			if now != nil {
-				e.Time = stamp
-			}
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(events) > 0 && now != nil {
+		stamp := now()
 		for _, e := range events {
-			sh := t.shardForEvent(e)
-			sh.mu.Lock()
-			t.appendLocked(sh, e)
-			sh.mu.Unlock()
+			e.Time = stamp
 		}
+	}
+	for _, e := range events {
+		t.appendLocked(e)
 	}
 	if then != nil {
 		then()
@@ -280,37 +179,29 @@ func (t *Trace) StateAfter(seq uint64) data.Interpretation {
 
 // stateAtSeq materializes the interpretation at a sequence point: the
 // folded base overlaid with each item's last retained write before seq
-// (or at seq, when inclusive).  O(items × log writes).  All shard locks
-// are taken in index order for a consistent cross-shard snapshot.  For
-// sequence points below the compaction cut the result is the folded
-// base itself — the trace no longer distinguishes states inside the
-// folded prefix.
+// (or at seq, when inclusive).  O(items × log writes).  For sequence
+// points below the compaction cut the result is the folded base itself —
+// the trace no longer distinguishes states inside the folded prefix.
 func (t *Trace) stateAtSeq(seq uint64, inclusive bool) data.Interpretation {
 	bound := seq
 	if inclusive {
 		bound++
 	}
-	out := data.NewInterpretation()
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for key, v := range sh.base {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := t.base.Clone()
+	for key, tl := range t.timelines {
+		// First write with w.Seq >= bound; the one before it is in force.
+		j := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= bound })
+		if j == 0 {
+			continue
+		}
+		v := tl[j-1].Desc.Val
+		if v.IsNull() {
+			delete(out, key)
+		} else {
 			out[key] = v
 		}
-		for key, tl := range sh.timelines {
-			// First write with w.Seq >= bound; the one before it is in force.
-			j := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= bound })
-			if j == 0 {
-				continue
-			}
-			v := tl[j-1].Desc.Val
-			if v.IsNull() {
-				delete(out, key)
-			} else {
-				out[key] = v
-			}
-		}
-		sh.mu.Unlock()
 	}
 	return out
 }
@@ -329,133 +220,68 @@ func (t *Trace) ValueAfter(seq uint64, item data.ItemName) data.Value {
 
 // valueAtSeq is stateAtSeq for one item: the value of the item's last
 // retained write with Seq < bound, or the folded base when there is none.
-// O(log writes to item); only the item's own shard is locked.
+// O(log writes to item).
 func (t *Trace) valueAtSeq(bound uint64, item data.ItemName) data.Value {
 	var buf [64]byte
 	key := item.AppendKey(buf[:0])
-	sh := &t.shards[t.ShardOf(item.Base)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	tl := sh.timelines[string(key)]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	tl := t.timelines[string(key)]
 	j := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= bound })
 	if j == 0 {
-		return sh.base[string(key)]
+		return t.base[string(key)]
 	}
 	return tl[j-1].Desc.Val
 }
 
-// Find returns the recorded event with the given sequence number, or nil.
-// Each shard's event list is seq-ascending, so the lookup is a binary
-// search per shard.  Deployments that share one trace across shells use
-// this to re-link a firing's trigger after the message lost its
-// in-process event pointer (a journaled replay, which crosses a process
-// boundary in spirit even when it does not in fact).
+// Find returns the recorded event with the given sequence number, or nil
+// when seq is folded away or not yet assigned.  The event log is gap-free
+// from BaseSeq, so the lookup is an index.  Deployments that share one
+// trace across shells use this to re-link a firing's trigger after the
+// message lost its in-process event pointer (a journaled replay, which
+// crosses a process boundary in spirit even when it does not in fact).
 func (t *Trace) Find(seq uint64) *event.Event {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		j := sort.Search(len(sh.events), func(j int) bool { return sh.events[j].Seq >= seq })
-		if j < len(sh.events) && sh.events[j].Seq == seq {
-			e := sh.events[j]
-			sh.mu.Unlock()
-			return e
-		}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if seq < t.baseSeq || seq-t.baseSeq >= uint64(len(t.events)) {
+		return nil
 	}
-	return nil
+	return t.events[seq-t.baseSeq]
 }
 
-// Events returns the recorded events in sequence order.  For a single
-// shard the slice is a read-only snapshot shared with the trace (events
-// are appended once and never mutated, and the capacity is capped so a
-// caller's append cannot clobber later records) — experiment loops call
-// this on every lookup, so the common read path must not copy the whole
-// history each time.  A sharded trace merges its stripes into a fresh
-// slice.
+// Events returns the recorded events in sequence order: a read-only
+// snapshot shared with the trace (events are appended once and never
+// mutated, and the capacity is capped so a caller's append cannot clobber
+// later records).  Experiment loops call this on every lookup, so the
+// read path must not copy the whole history each time.
 func (t *Trace) Events() []*event.Event {
-	if len(t.shards) == 1 {
-		sh := &t.shards[0]
-		sh.mu.Lock()
-		out := sh.events[:len(sh.events):len(sh.events)]
-		sh.mu.Unlock()
-		return out
-	}
-	parts := make([][]*event.Event, len(t.shards))
-	total := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		parts[i] = sh.events[:len(sh.events):len(sh.events)]
-		sh.mu.Unlock()
-		total += len(parts[i])
-	}
-	return mergeBySeq(parts, total)
-}
-
-// mergeBySeq k-way merges seq-ascending event slices.
-func mergeBySeq(parts [][]*event.Event, total int) []*event.Event {
-	out := make([]*event.Event, 0, total)
-	idx := make([]int, len(parts))
-	for len(out) < total {
-		best := -1
-		var bestSeq uint64
-		for i, p := range parts {
-			if idx[i] >= len(p) {
-				continue
-			}
-			if s := p[idx[i]].Seq; best < 0 || s < bestSeq {
-				best, bestSeq = i, s
-			}
-		}
-		out = append(out, parts[best][idx[best]])
-		idx[best]++
-	}
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.events[:len(t.events):len(t.events)]
 }
 
 // Len reports the number of recorded events.
 func (t *Trace) Len() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.events)
-		sh.mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.events)
 }
 
 // Initial returns the interpretation the retained suffix starts from:
 // the construction-time initial state for an uncompacted trace, or the
 // folded base (initial plus every pruned write) once CompactBefore has
-// run.  Shard bases are disjoint by item base, so the result is their
-// union.
+// run.
 func (t *Trace) Initial() data.Interpretation {
-	out := data.NewInterpretation()
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.base {
-			out[k] = v
-		}
-		sh.mu.Unlock()
-	}
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.base.Clone()
 }
 
-// Final returns the interpretation after the last recorded event.  Shard
-// states are disjoint by item base, so the result is their union.
+// Final returns the interpretation after the last recorded event.
 func (t *Trace) Final() data.Interpretation {
-	out := data.NewInterpretation()
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.state {
-			out[k] = v
-		}
-		sh.mu.Unlock()
-	}
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.state.Clone()
 }
 
 // StateAt returns the interpretation in force at instant at: the new
@@ -516,16 +342,14 @@ type Sample struct {
 // Timeline returns the distinct values item held over the execution, in
 // order, starting with its initial value.  Consecutive equal values are
 // collapsed; the guarantee checkers consume this.  Only the item's own
-// write timeline is scanned — O(writes to item), not O(events) — and only
-// the item's own shard is locked.
+// write timeline is scanned — O(writes to item), not O(events).
 func (t *Trace) Timeline(item data.ItemName) []Sample {
-	sh := &t.shards[t.ShardOf(item.Base)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	var buf [64]byte
 	key := item.AppendKey(buf[:0])
-	out := []Sample{{V: sh.base[string(key)]}}
-	for _, e := range sh.timelines[string(key)] {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := []Sample{{V: t.base[string(key)]}}
+	for _, e := range t.timelines[string(key)] {
 		v := e.Desc.Val
 		if !v.Equal(out[len(out)-1].V) {
 			out = append(out, Sample{At: e.Time, Seq: e.Seq, V: v})
@@ -536,11 +360,11 @@ func (t *Trace) Timeline(item data.ItemName) []Sample {
 
 // Writes returns the performed-write events (W and Ws) on item, in order.
 func (t *Trace) Writes(item data.ItemName) []*event.Event {
-	sh := &t.shards[t.ShardOf(item.Base)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	var buf [64]byte
-	tl := sh.timelines[string(item.AppendKey(buf[:0]))]
+	key := item.AppendKey(buf[:0])
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	tl := t.timelines[string(key)]
 	if len(tl) == 0 {
 		return nil
 	}
@@ -561,21 +385,12 @@ func (t *Trace) Matching(tpl event.Template) []*event.Event {
 // End returns the time of the last event, or the zero time for an empty
 // trace.
 func (t *Trace) End() time.Time {
-	var last *event.Event
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		if n := len(sh.events); n > 0 {
-			if e := sh.events[n-1]; last == nil || e.Seq > last.Seq {
-				last = e
-			}
-		}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n := len(t.events); n > 0 {
+		return t.events[n-1].Time
 	}
-	if last == nil {
-		return time.Time{}
-	}
-	return last.Time
+	return time.Time{}
 }
 
 // String renders the whole trace, one event per line, for debugging.
