@@ -25,13 +25,12 @@ type E18Row struct {
 	RetainedFinal int    // events held when the run ended
 	PrunedEvents  uint64
 	PrunedMB      float64 // estimated heap MB released by folding
-	EventsPerSec  float64
-	Flat          bool // retained peak stayed within the retention band
-	VerdictsEqual bool // equivalence arm: monitor == batch over unpruned control
-	Violations    int  // equivalence arm: Appendix A.2 checker findings (must be 0)
-	CheckpointB   int  // soak arm: final durable checkpoint size
-	ColdStartTail int  // soak arm: WAL records replayed at cold start
-	ColdStartOK   bool // soak arm: checkpoint verified and imported
+	Flat          bool    // retained peak stayed within the retention band
+	VerdictsEqual bool    // equivalence arm: monitor == batch over unpruned control
+	Violations    int     // equivalence arm: Appendix A.2 checker findings (must be 0)
+	CheckpointB   int     // soak arm: final durable checkpoint size
+	ColdStartTail int     // soak arm: WAL records replayed at cold start
+	ColdStartOK   bool    // soak arm: checkpoint verified and imported
 }
 
 // e18Bases is the strategy width: enough independent X→Y families to
@@ -141,9 +140,7 @@ func e18Equivalence(updates int) E18Row {
 	must(ctl.Start())
 	defer ctl.Stop()
 
-	start := time.Now()
 	peak := e18Drive(sh, clk, 0, updates, 1000)
-	wall := time.Since(start)
 	e18Drive(ctl, cclk, 0, updates, updates)
 
 	tr := sh.Trace()
@@ -158,7 +155,6 @@ func e18Equivalence(updates int) E18Row {
 		RetainedFinal: tr.Len(),
 		PrunedEvents:  pruned,
 		PrunedMB:      float64(prunedBytes) / (1 << 20),
-		EventsPerSec:  float64(tr.TotalEvents()) / wall.Seconds(),
 		Flat:          peak <= e18Band(),
 		VerdictsEqual: guarantee.EqualVerdicts(want, got),
 		Violations:    len(checker.Check(ctl.Trace())),
@@ -187,9 +183,7 @@ func e18Soak(updates int) E18Row {
 	must(err)
 	must(sh.Start())
 
-	start := time.Now()
 	peak := e18Drive(sh, clk, 0, updates, 1000)
-	wall := time.Since(start)
 	tr := sh.Trace()
 	events := tr.TotalEvents()
 	retained := tr.Len()
@@ -228,7 +222,6 @@ func e18Soak(updates int) E18Row {
 		RetainedFinal: retained,
 		PrunedEvents:  pruned,
 		PrunedMB:      float64(prunedBytes) / (1 << 20),
-		EventsPerSec:  float64(events) / wall.Seconds(),
 		Flat:          peak <= e18Band(),
 		VerdictsEqual: allHold(mon.Reports(tr)), // clean copy workload: every guarantee holds
 		CheckpointB:   len(ckpt.Snapshot),
@@ -253,7 +246,7 @@ func E18(soakUpdates, eqUpdates int) Table {
 		Title: "Bounded-memory retention: guarantee-aware compaction + verified checkpoint cold start",
 		Ref:   "DESIGN.md §12 retention model; ROADMAP bounded-memory item",
 		Columns: []string{"arm", "updates", "events", "retained peak", "retained final",
-			"pruned", "pruned MB", "events/sec", "flat", "verdicts", "cold start"},
+			"pruned", "pruned MB", "flat", "verdicts", "cold start"},
 	}
 	for _, r := range E18Rows(soakUpdates, eqUpdates) {
 		cold := "-"
@@ -268,7 +261,6 @@ func E18(soakUpdates, eqUpdates int) Table {
 			r.Arm, fmt.Sprint(r.Updates), fmt.Sprint(r.Events),
 			fmt.Sprint(r.RetainedPeak), fmt.Sprint(r.RetainedFinal),
 			fmt.Sprint(r.PrunedEvents), fmt.Sprintf("%.1f", r.PrunedMB),
-			fmt.Sprintf("%.0f", r.EventsPerSec),
 			fmt.Sprint(r.Flat), verdicts, cold,
 		})
 	}

@@ -27,9 +27,9 @@ var Suite = []Experiment{
 	{"E11", func(s int) Table { return E11(4 * s) }, true},
 	{"E12", func(s int) Table { return E12(3 * s) }, true},
 	{"E13", func(s int) Table { return E13(3 * s) }, true},
-	{"E15", func(s int) Table { return E15(60 * s) }, false},
+	{"E15", func(s int) Table { return E15(60 * s) }, true},
 	{"E17", func(s int) Table { return E17(2000 * s) }, false},
-	{"E18", func(s int) Table { return E18(40000*s, 20000*s) }, false},
+	{"E18", func(s int) Table { return E18(40000*s, 20000*s) }, true},
 	{"F1", func(s int) Table { return F1(100 * s) }, true},
 	{"F2", func(s int) Table { return F2(30 * s) }, false},
 }
