@@ -98,6 +98,28 @@ func BenchmarkRuleDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSpontaneousCascade prices one Spontaneous update and its
+// three-event cascade on one serial shell on a virtual clock: the rule
+// shape of cmperf's engine_rules workload on one family, so a CPU profile
+// of it attributes that workload's time without the benchmark harness.
+func BenchmarkSpontaneousCascade(b *testing.B) {
+	clk := vclock.NewVirtual(vclock.Epoch)
+	s := cascadeShell(b, "s", "S", cascadeSpec(b, false), clk)
+	if err := s.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer s.Stop()
+	x := itemOf("X")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Spontaneous(x, valueOf(int64(i)), valueOf(int64(i+1)))
+		clk.Advance(time.Millisecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Trace().Len())/float64(b.N), "events/op")
+}
+
 // BenchmarkTraceCheck measures validating a recorded execution.
 func BenchmarkTraceCheck(b *testing.B) {
 	clk := vclock.NewVirtual(vclock.Epoch)

@@ -52,7 +52,7 @@ type Shell struct {
 
 	// run-to-completion event queue
 	qmu        sync.Mutex
-	queue      funcRing
+	queue      taskRing
 	processing bool
 	// qcond wakes Drain callers when the queue goes idle.
 	qcond *sync.Cond
@@ -78,10 +78,15 @@ type Shell struct {
 	// rules; before that both are empty.
 	dispatchIdx map[dispatchKey][]*rule.Rule
 
-	// Scratch state the match loop and expression evaluator reuse; the
-	// post queue serializes all use of it.  one is record's single-event
-	// slice, so committing through AppendUnit does not allocate.
+	// Scratch state the match loop, the RHS and the expression evaluator
+	// reuse; the post queue serializes all use of it.  scratchB is the
+	// bindings every match attempt writes into; execB is the bindings of
+	// the local firing executeSteps is running.  They are distinct because
+	// executeSteps matches the events it emits while execB is in use.  one
+	// is record's single-event slice, so committing through AppendUnit
+	// does not allocate.
 	scratchB event.Bindings
+	execB    event.Bindings
 	evalEnv  shellEnv
 	one      [1]*event.Event
 
@@ -228,6 +233,7 @@ func New(id string, spec *rule.Spec, opts Options) *Shell {
 		tr:         tr,
 		opts:       opts,
 		scratchB:   event.Bindings{},
+		execB:      event.Bindings{},
 		sites:      map[string]cmi.Interface{},
 		routing:    map[string]string{},
 		private:    data.NewInterpretation(),
@@ -504,10 +510,10 @@ func (s *Shell) Start() error {
 		p := p
 		site := site
 		tm := vclock.Every(s.clock, p, func() {
-			s.post(func() {
+			s.post(task{f: func() {
 				e := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: event.P(p)})
 				s.handleEvent(e)
-			})
+			}})
 		})
 		s.periodics = append(s.periodics, tm)
 	}
@@ -559,52 +565,112 @@ func (s *Shell) Stop() {
 	s.started = false
 }
 
-// funcRing is a reusable FIFO ring buffer of queued thunks.  The post
-// queue used to be a slice resliced on every pop, which leaks the drained
-// prefix's capacity and reallocates the backing array on every burst; the
-// ring reuses its storage across bursts and grows only when a burst
-// outsizes every previous one.
-type funcRing struct {
-	buf  []func()
+// taskKind says what a queued task runs.
+type taskKind uint8
+
+const (
+	// taskThunk runs f: Do, custom message handlers, periodic ticks and
+	// CM write requests, none of which is on the per-update path.
+	taskThunk taskKind = iota
+	// taskSpontaneous records Ws(item, old, new) at site and matches it.
+	taskSpontaneous
+	// taskNotify records the Ws/N pair of a translator notification.
+	taskNotify
+	// taskFire runs rule r's RHS for trigger under the task's bindings.
+	taskFire
+)
+
+// inlineBindings is how many bindings a local firing carries inside its
+// task.  Rules bind one to three parameters; a firing with more spills to
+// one cloned map.
+const inlineBindings = 4
+
+// binding is one parameter of a firing carried inline.
+type binding struct {
+	name string
+	v    data.Value
+}
+
+// task is one unit of work on the post queue.  The per-update entries —
+// a spontaneous write, a notification, a local or received firing — are
+// typed values that carry their arguments in the ring slot, so posting one
+// allocates nothing; everything else is a thunk.
+type task struct {
+	kind taskKind
+	f    func() // taskThunk
+
+	// taskSpontaneous, taskNotify
+	site     string
+	item     data.ItemName
+	old, new data.Value
+
+	// taskFire.  The bindings are the first nb entries of inline, or b
+	// when the firing owns a map: a received one, or one past
+	// inlineBindings.
+	r       *rule.Rule
+	trigger *event.Event
+	b       event.Bindings
+	nb      int
+	inline  [inlineBindings]binding
+}
+
+// carry copies a borrowed bindings map into a firing task: inline when it
+// fits, else into one cloned map.
+func (t *task) carry(b event.Bindings) {
+	if len(b) > inlineBindings {
+		t.b = b.Clone()
+		return
+	}
+	for k, v := range b {
+		t.inline[t.nb] = binding{k, v}
+		t.nb++
+	}
+}
+
+// taskRing is a reusable FIFO ring buffer of queued tasks.  It reuses its
+// storage across bursts and grows only when a burst outsizes every
+// previous one.
+type taskRing struct {
+	buf  []task
 	head int
 	n    int
 }
 
-func (r *funcRing) push(f func()) {
+func (r *taskRing) push(t *task) {
 	if r.n == len(r.buf) {
-		grown := make([]func(), max(8, 2*len(r.buf)))
+		grown := make([]task, max(8, 2*len(r.buf)))
 		for i := 0; i < r.n; i++ {
 			grown[i] = r.buf[(r.head+i)%len(r.buf)]
 		}
 		r.buf, r.head = grown, 0
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = f
+	r.buf[(r.head+r.n)%len(r.buf)] = *t
 	r.n++
 }
 
-// pop removes and returns the oldest thunk, or nil when empty.  The slot
-// is cleared so the ring does not pin executed closures.
-func (r *funcRing) pop() func() {
+// pop moves the oldest task into t and reports whether there was one.
+// The slot is cleared so the ring does not pin what the task referenced.
+func (r *taskRing) pop(t *task) bool {
 	if r.n == 0 {
-		return nil
+		return false
 	}
-	f := r.buf[r.head]
-	r.buf[r.head] = nil
+	*t = r.buf[r.head]
+	r.buf[r.head] = task{}
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
-	return f
+	return true
 }
 
-// post runs f on the shell's run-to-completion queue: events generated
+// post runs t on the shell's run-to-completion queue: events generated
 // while handling an event are processed after it, never reentrantly.  All
 // work — spontaneous updates, translator notifications, inbound firings,
 // write requests, ticks and internal continuations — enters here and runs
 // in arrival order.  The queue is unbounded; cmtk_shell_queue_depth
 // reports its depth.  The caller that finds the queue idle becomes its
 // drainer and runs everything posted until it is empty again.
-func (s *Shell) post(f func()) {
+func (s *Shell) post(t task) {
 	s.qmu.Lock()
-	s.queue.push(f)
+	s.queue.push(&t)
 	s.m.qdepth.Set(int64(s.queue.n))
 	if s.processing {
 		s.qmu.Unlock()
@@ -612,17 +678,52 @@ func (s *Shell) post(f func()) {
 	}
 	s.processing = true
 	for {
-		next := s.queue.pop()
+		ok := s.queue.pop(&t)
 		s.m.qdepth.Set(int64(s.queue.n))
-		if next == nil {
+		if !ok {
 			s.processing = false
 			s.qcond.Broadcast()
 			s.qmu.Unlock()
 			return
 		}
 		s.qmu.Unlock()
-		next()
+		s.run(&t)
 		s.qmu.Lock()
+	}
+}
+
+// run executes one task on the drainer.  A local firing's inline bindings
+// are loaded into execB, which executeSteps may then extend: nothing else
+// uses execB, and executeSteps never nests, because the firings it
+// triggers are posted behind it.
+func (s *Shell) run(t *task) {
+	switch t.kind {
+	case taskThunk:
+		t.f()
+	case taskSpontaneous:
+		e := s.record(&event.Event{Time: s.clock.Now(), Site: t.site, Desc: event.Ws(t.item, t.old, t.new)})
+		s.handleEvent(e)
+	case taskNotify:
+		now := s.clock.Now()
+		ws := s.record(&event.Event{Time: now, Site: t.site, Desc: event.Ws(t.item, t.old, t.new)})
+		notifRule := s.implicitRule("notify", t.site, t.item)
+		n := s.record(&event.Event{
+			Time: now, Site: t.site,
+			Desc: event.N(t.item, t.new),
+			Rule: notifRule.ID, Trigger: ws,
+		})
+		s.handleEvent(ws)
+		s.handleEvent(n)
+	case taskFire:
+		b := t.b
+		if b == nil {
+			b = s.execB
+			clear(b)
+			for _, p := range t.inline[:t.nb] {
+				b[p.name] = p.v
+			}
+		}
+		s.executeSteps(t.r, b, t.trigger)
 	}
 }
 
@@ -707,18 +808,7 @@ func (s *Shell) onSourceChange(site string, item data.ItemName, old, new data.Va
 // notifyLocal records the Ws/N pair for a spontaneous source change and
 // runs the rules it triggers.  The owner-side half of onSourceChange.
 func (s *Shell) notifyLocal(site string, item data.ItemName, old, new data.Value) {
-	s.post(func() {
-		now := s.clock.Now()
-		ws := s.record(&event.Event{Time: now, Site: site, Desc: event.Ws(item, old, new)})
-		notifRule := s.implicitRule("notify", site, item)
-		n := s.record(&event.Event{
-			Time: now, Site: site,
-			Desc: event.N(item, new),
-			Rule: notifRule.ID, Trigger: ws,
-		})
-		s.handleEvent(ws)
-		s.handleEvent(n)
-	})
+	s.post(task{kind: taskNotify, site: site, item: item, old: old, new: new})
 }
 
 // Spontaneous injects a spontaneous write for items without a translator
@@ -744,10 +834,7 @@ func (s *Shell) spontaneousLocal(item data.ItemName, old, new data.Value) {
 			s.setPrivate(item, new)
 		}
 	}
-	s.post(func() {
-		e := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: event.Ws(item, old, new)})
-		s.handleEvent(e)
-	})
+	s.post(task{kind: taskSpontaneous, site: site, item: item, old: old, new: new})
 }
 
 // handleEvent matches an event against the owned rules and dispatches
@@ -763,9 +850,10 @@ func (s *Shell) handleEvent(e *event.Event) {
 }
 
 // matchRule tries one rule against one event, dispatching on a match
-// whose condition holds.  The scratch bindings map is reused across
-// attempts (the queue runs one thunk at a time) and cloned only for
-// actual firings.
+// whose condition holds.  Every attempt writes into scratchB (the queue
+// runs one task at a time); dispatch borrows it and copies what it keeps.
+// A delayed dispatch gets its own clone, because its timer outlives the
+// scratch.
 func (s *Shell) matchRule(r *rule.Rule, e *event.Event) {
 	b := s.scratchB
 	clear(b)
@@ -789,21 +877,21 @@ func (s *Shell) matchRule(r *rule.Rule, e *event.Event) {
 		}
 	}
 	s.m.matches.Inc()
-	bCopy := b.Clone()
 	if s.opts.FireDelay == 0 {
-		// Dispatch inline: the queue runs one thunk at a time, so firings
+		// Dispatch inline: the queue runs one task at a time, so firings
 		// leave in match order and the FIFO transport keeps them ordered —
 		// required on the real clock, where timer goroutines would
 		// otherwise race (Appendix A.2 property 7).
-		s.dispatch(r, bCopy, e)
+		s.dispatch(r, b, e)
 		return
 	}
-	trigger := e
+	bCopy, trigger := b.Clone(), e
 	s.clock.AfterFunc(s.opts.FireDelay, func() { s.dispatch(r, bCopy, trigger) })
 }
 
 // dispatch routes a rule firing to the shell hosting the RHS site.  It
-// takes ownership of b.
+// borrows b: a local firing copies the bindings into its task and a
+// remote one clones them into the message, whose receiver owns that map.
 func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	effSite, err := effectSite(s.spec, *r)
 	if err != nil || effSite == "" {
@@ -832,7 +920,9 @@ func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 			TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
 			Matched: trigger.Time, Dispatched: s.clock.Now(),
 		})
-		s.post(func() { s.executeSteps(r, b, trigger) })
+		t := task{kind: taskFire, r: r, trigger: trigger}
+		t.carry(b)
+		s.post(t)
 		return
 	}
 	if s.ep == nil {
@@ -851,7 +941,7 @@ func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	msg := transport.Message{
 		Kind:         "fire",
 		Rule:         r.ID,
-		BindingsVal:  b,
+		BindingsVal:  b.Clone(),
 		Trigger:      transport.EventRef{Site: trigger.Site, Seq: trigger.Seq, Time: trigger.Time},
 		TriggerEvent: trigger,
 	}
@@ -909,8 +999,9 @@ func (s *Shell) receive(m transport.Message) {
 			}
 		}
 		// Fast path: the sender's dispatch handed over a private bindings
-		// map as values (or the codec decoded one), so take ownership
-		// directly.  Bindings wins when a sender supplied literals instead.
+		// map as values (or the codec decoded one), so the task takes
+		// ownership of it directly.  Bindings wins when a sender supplied
+		// literals instead.
 		b := m.BindingsVal
 		if m.Bindings != nil || b == nil {
 			var err error
@@ -938,7 +1029,7 @@ func (s *Shell) receive(m transport.Message) {
 			}
 		}
 		s.m.recvFires.Inc()
-		s.post(func() { s.executeSteps(r, b, trigger) })
+		s.post(task{kind: taskFire, r: r, trigger: trigger, b: b})
 	case "failure":
 		kind := cmi.FailMetric
 		if m.FailKind == "logical" {
@@ -969,7 +1060,7 @@ func (s *Shell) receiveCustom(m transport.Message) {
 	fn := s.custom[m.Kind]
 	s.failMu.Unlock()
 	if fn != nil {
-		s.post(func() { fn(m) })
+		s.post(task{f: func() { fn(m) }})
 	}
 }
 
@@ -992,7 +1083,7 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 	if !ok {
 		site = s.id
 	}
-	s.post(func() {
+	s.post(task{f: func() {
 		desc := event.WR(item, v)
 		wr := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: desc})
 		s.handleEvent(wr)
@@ -1015,7 +1106,7 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 		w := s.record(&event.Event{Time: s.clock.Now(), Site: site,
 			Desc: event.W(item, v), Rule: writeRule.ID, Trigger: wr})
 		s.handleEvent(w)
-	})
+	}})
 }
 
 // Interface returns the translator for a hosted site (nil when the site
@@ -1023,7 +1114,7 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 func (s *Shell) Interface(site string) cmi.Interface { return s.sites[site] }
 
 // Do runs f on the shell's event queue, serialized with event handling.
-func (s *Shell) Do(f func()) { s.post(f) }
+func (s *Shell) Do(f func()) { s.post(task{f: f}) }
 
 // HandleKind registers a handler for a custom inter-shell message kind
 // (programmatic strategy components such as the Demarcation Protocol use
@@ -1059,9 +1150,9 @@ func stubTrigger(ref transport.EventRef) *event.Event {
 	return e
 }
 
-// executeSteps runs the RHS of a rule at this shell.  Runs on the queue;
-// it owns b (both callers — dispatch and receive — hand
-// over a private map, so no defensive clone is needed to extend it).
+// executeSteps runs the RHS of a rule at this shell.  Runs on the queue,
+// from run only; it may extend b, which is either execB (a local firing)
+// or the map a received firing owns, and keeps no reference to it.
 func (s *Shell) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	now := s.clock.Now()
 	s.m.ring.Record(obs.FireTrace{
@@ -1257,7 +1348,7 @@ func (s *Shell) translatorWrite(iface cmi.Interface, desc event.Desc) bool {
 // env builds the condition-evaluation environment for a site: CM-private
 // items plus the site's database items through its translator.  The
 // shell's single evalEnv is reused — expression evaluation is synchronous
-// and the queue runs one thunk at a time, so returning a pointer into the
+// and the queue runs one task at a time, so returning a pointer into the
 // shell costs no allocation per evaluation.
 func (s *Shell) env(site string, b event.Bindings) rule.Env {
 	s.evalEnv.site = site
