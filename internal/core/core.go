@@ -61,20 +61,12 @@ type Config struct {
 	// predecessor's trace lets the checker and the guarantees see the whole
 	// history across the crash.
 	Trace *trace.Trace
-	// StateDir, when non-empty, makes the deployment crash-recoverable:
-	// Deploy opens a durable.Store there (tuned by DurableOptions) and
-	// every shell journals its CM-private items and every demarcation
-	// agent its limits into it.  Stop closes the store.  To journal the
-	// transport outbox too, point ReliableOptions.Durable at tk.Durable()
-	// — or at the same store — when building the Network.
-	StateDir string
-	// DurableOptions tunes the store opened for StateDir (fsync policy,
-	// segment size, metrics registry).
-	DurableOptions durable.Options
-	// Durable supplies an already-open store instead of StateDir — the
-	// caller keeps ownership (Stop does not close it).  Harnesses use this
-	// to share one store between the toolkit and a Reliable network, and
-	// to simulate crashes with store.Crash.
+	// Durable, when set, makes the deployment crash-recoverable: every
+	// shell journals its CM-private items and every demarcation agent its
+	// limits into the store.  The caller keeps ownership (Stop does not
+	// close it).  To journal the transport outbox too, point
+	// ReliableOptions.Durable at the same store when building the Network;
+	// harnesses simulate crashes with store.Crash.
 	Durable *durable.Store
 	// ShellOptions, when non-nil, rewrites each shell's options just
 	// before construction: per-shell clock skew (vclock.Skewed) or a
@@ -133,8 +125,6 @@ type Toolkit struct {
 	ifaces    map[string]cmi.Interface // by site
 	entries   []guaranteeEntry
 	network   transport.Network
-	store     *durable.Store
-	ownStore  bool
 	restored  int
 }
 
@@ -309,19 +299,6 @@ func (tk *Toolkit) Deploy() error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	// Durable state: adopt the caller's store or open one in StateDir, then
-	// give every shell a journal for its CM-private items.
-	switch {
-	case tk.cfg.Durable != nil:
-		tk.store = tk.cfg.Durable
-	case tk.cfg.StateDir != "":
-		st, err := durable.Open(tk.cfg.StateDir, tk.cfg.DurableOptions)
-		if err != nil {
-			return fmt.Errorf("core: opening state dir: %w", err)
-		}
-		tk.store = st
-		tk.ownStore = true
-	}
 	opts := shell.Options{Clock: tk.clock, Trace: tk.tr, FireDelay: tk.cfg.FireDelay}
 	for _, name := range names {
 		shOpts := opts
@@ -332,8 +309,8 @@ func (tk *Toolkit) Deploy() error {
 		for _, s := range byShell[name] {
 			sh.AddSite(s.RID.Site, tk.ifaces[s.RID.Site])
 		}
-		if tk.store != nil {
-			n, err := sh.EnableDurable(tk.store)
+		if tk.cfg.Durable != nil {
+			n, err := sh.EnableDurable(tk.cfg.Durable)
 			if err != nil {
 				return fmt.Errorf("core: durable state for shell %s: %w", name, err)
 			}
@@ -433,18 +410,13 @@ func (tk *Toolkit) Stop() {
 	for _, iface := range tk.ifaces {
 		iface.Close()
 	}
-	if tk.store != nil && tk.ownStore {
-		tk.store.Close()
-		tk.store = nil
-	}
 	tk.started = false
 }
 
-// Durable returns the deployment's durable store, if any — the one opened
-// for Config.StateDir or supplied through Config.Durable.  Callers use it
-// to share the store with a Reliable network, inspect WasClean, or inject
-// a crash in tests.
-func (tk *Toolkit) Durable() *durable.Store { return tk.store }
+// Durable returns the deployment's durable store, if any — the one
+// supplied through Config.Durable.  Callers use it to share the store with
+// a Reliable network, inspect WasClean, or inject a crash in tests.
+func (tk *Toolkit) Durable() *durable.Store { return tk.cfg.Durable }
 
 // RestoredItems reports how many CM-private items Deploy recovered from
 // the durable store across all shells (0 on a cold start).
@@ -685,14 +657,14 @@ func (tk *Toolkit) AddInequality(c Inequality) (xAgent, yAgent *demarcation.Agen
 	}
 	xAgent = demarcation.NewAgent(xShell, xSite, yShell.ID(), data.Item(c.X), data.Item(lx), true, c.Policy)
 	yAgent = demarcation.NewAgent(yShell, ySite, xShell.ID(), data.Item(c.Y), data.Item(ly), false, c.Policy)
-	if tk.store != nil {
+	if tk.cfg.Durable != nil {
 		// Recovered agents keep their persisted position through the Init
 		// below — re-running the deployment's initialization after a crash
 		// must not resurrect slack a side already granted away.
-		if _, err := xAgent.EnableDurable(tk.store); err != nil {
+		if _, err := xAgent.EnableDurable(tk.cfg.Durable); err != nil {
 			return nil, nil, fmt.Errorf("core: durable limits for %s: %w", xSite, err)
 		}
-		if _, err := yAgent.EnableDurable(tk.store); err != nil {
+		if _, err := yAgent.EnableDurable(tk.cfg.Durable); err != nil {
 			return nil, nil, fmt.Errorf("core: durable limits for %s: %w", ySite, err)
 		}
 	}

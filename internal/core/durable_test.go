@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cmtk/internal/durable"
 	"cmtk/internal/rid"
 	"cmtk/internal/translator"
 	"cmtk/internal/vclock"
@@ -34,8 +35,8 @@ interface WR(Y, b) ->1s W(Y, b)
 `
 
 // buildDurableToolkit assembles a two-site demarcation deployment whose
-// durable state lives in dir, modelling one incarnation of a process.
-func buildDurableToolkit(t *testing.T, dir string, clk *vclock.Virtual) (*Toolkit, *demarcationAgents) {
+// durable state lives in st, modelling one incarnation of a process.
+func buildDurableToolkit(t *testing.T, st *durable.Store, clk *vclock.Virtual) (*Toolkit, *demarcationAgents) {
 	t.Helper()
 	cfgX, err := rid.ParseString(durRidX)
 	if err != nil {
@@ -45,7 +46,7 @@ func buildDurableToolkit(t *testing.T, dir string, clk *vclock.Virtual) (*Toolki
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk := New(Config{Clock: clk, BusLatency: 50 * time.Millisecond, StateDir: dir})
+	tk := New(Config{Clock: clk, BusLatency: 50 * time.Millisecond, Durable: st})
 	if err := tk.AddSite(Site{RID: cfgX, Local: &translator.LocalStores{Rel: newEmployeesDB(t, "x")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +76,27 @@ type demarcationAgents struct {
 	}
 }
 
-// TestToolkitStateDirSurvivesRestart: a toolkit built with StateDir
-// persists its demarcation limits and CM-private items; a second toolkit
-// over the same directory resumes the moved position instead of the
-// initial arguments.
+// openStore opens the durable store in dir; the test closes it.
+func openStore(t *testing.T, dir string) *durable.Store {
+	t.Helper()
+	st, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestToolkitStateDirSurvivesRestart: a toolkit built over a store in a
+// state directory persists its demarcation limits and CM-private items; a
+// second toolkit over a store reopened in the same directory resumes the
+// moved position instead of the initial arguments.
 func TestToolkitStateDirSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	clk := vclock.NewVirtual(vclock.Epoch)
-	tk, ag := buildDurableToolkit(t, dir, clk)
-	if tk.Durable() == nil {
-		t.Fatal("StateDir set but Durable() is nil")
+	st := openStore(t, dir)
+	tk, ag := buildDurableToolkit(t, st, clk)
+	if tk.Durable() != st {
+		t.Fatal("Durable() is not the store in Config.Durable")
 	}
 	if tk.RestoredItems() != 0 {
 		t.Fatalf("fresh deployment restored %d items", tk.RestoredItems())
@@ -107,12 +119,14 @@ func TestToolkitStateDirSurvivesRestart(t *testing.T) {
 		t.Fatalf("limits never moved: Lx=%d Ly=%d", xl, yl)
 	}
 	tk.Stop()
-	if tk.Durable() != nil {
-		t.Fatal("Stop left an owned store open")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	clk2 := vclock.NewVirtual(vclock.Epoch)
-	tk2, ag2 := buildDurableToolkit(t, dir, clk2)
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	tk2, ag2 := buildDurableToolkit(t, st2, clk2)
 	defer tk2.Stop()
 	if !tk2.Durable().WasClean() {
 		t.Fatal("clean Stop left no clean-shutdown marker")

@@ -42,7 +42,7 @@ private Ly @ SY
 		t.Fatal(err)
 	}
 	bus := transport.NewBus(p.clk, 100*time.Millisecond)
-	opts := shell.Options{Clock: p.clk, Trace: trace.New(nil), Metrics: obs.NewRegistry(), Fires: obs.NewRing(8)}
+	opts := shell.Options{Clock: p.clk, Trace: trace.New(nil), Metrics: obs.NewRegistry()}
 
 	stX, err := durable.Open(dirX, durable.Options{Metrics: obs.NewRegistry()})
 	if err != nil {

@@ -25,9 +25,6 @@ type Options struct {
 	Members []string
 	// Shells is the member count when Members is empty.
 	Shells int
-	// VNodes and LoadFactor parameterize the ring (see Params).
-	VNodes     int
-	LoadFactor float64
 	// Clock drives the shells and the default bus.  Nil means real time —
 	// which is also what an in-process fleet needs: bus deliveries ride
 	// timer callbacks, and a virtual clock only fires those inside
@@ -120,8 +117,9 @@ func (n *countingNet) quiet() bool { return n.sent.Load() == n.delivered.Load() 
 
 // New assembles a fleet for a spec.  The spec must be fully CM-private
 // (no translator-backed items): the in-process fleet shards constraint
-// state, while mixed deployments pin translator sites via Params.Pinned
-// and cmshell's -route-table flag.
+// state, while mixed deployments place translator sites with a route file
+// and cmshell's -route-table flag.  The ring uses DefaultVNodes and
+// DefaultLoadFactor.
 func New(spec *rule.Spec, o Options) (*Fleet, error) {
 	if len(spec.Items) > 0 {
 		return nil, fmt.Errorf("fleet: spec has %d translator-backed item(s); the in-process fleet shards CM-private state only (pin database sites with a route file and cmshell -route-table)", len(spec.Items))
@@ -154,7 +152,7 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 	}
 	f := &Fleet{
 		spec:    spec,
-		params:  Params{VNodes: o.VNodes, LoadFactor: o.LoadFactor, Affinity: Affinity(spec)}.withDefaults(),
+		params:  Params{Affinity: Affinity(spec)}.withDefaults(),
 		bases:   SpecBases(spec),
 		clock:   clock,
 		tr:      tr,

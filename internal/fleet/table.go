@@ -32,10 +32,6 @@ type Params struct {
 	// (condition reads live with the trigger base, every effect of one
 	// rule lives together) so a rule firing never needs remote reads.
 	Affinity map[string]string
-	// Pinned forces a base's group onto a fixed member — translator-backed
-	// sites whose process cannot move.  Two different pins reaching one
-	// affinity group is an error.
-	Pinned map[string]string
 }
 
 func (p Params) withDefaults() Params {
@@ -67,7 +63,7 @@ const TableLogName = "fleet-table"
 
 // Assign computes the epoch's ownership table: affinity groups are
 // placed on the first ring successor of their anchor base with room
-// under the bounded-load cap, pinned groups go to their pin.  The result
+// under the bounded-load cap.  The result
 // is a pure function of (epoch, members, bases, params) — two processes
 // with the same inputs compute byte-identical tables, which is what lets
 // translators route without asking the shells.
@@ -114,30 +110,6 @@ func Assign(epoch uint64, members, bases []string, p Params) (Table, error) {
 	}
 	sort.Strings(anchors)
 
-	// Per-group pin, if any member of the group is pinned.
-	pinOf := map[string]string{}
-	for _, a := range anchors {
-		for _, b := range groups[a] {
-			pin, ok := p.Pinned[b]
-			if !ok {
-				continue
-			}
-			if prev, dup := pinOf[a]; dup && prev != pin {
-				return Table{}, fmt.Errorf("fleet: bases %q pinned to both %s and %s but co-located by affinity", a, prev, pin)
-			}
-			pinOf[a] = pin
-		}
-	}
-	memberSet := map[string]bool{}
-	for _, m := range members {
-		memberSet[m] = true
-	}
-	for a, pin := range pinOf {
-		if !memberSet[pin] {
-			return Table{}, fmt.Errorf("fleet: group %q pinned to unknown member %s", a, pin)
-		}
-	}
-
 	bound := int(math.Ceil(float64(len(bases)) * p.LoadFactor / float64(len(members))))
 	if bound < 1 {
 		bound = 1
@@ -151,14 +123,7 @@ func Assign(epoch uint64, members, bases []string, p Params) (Table, error) {
 		}
 		load[member] += len(groups[a])
 	}
-	// Pinned groups first: their load is a fact the bounded placement of
-	// the free groups must see.
-	for _, a := range anchors {
-		if pin, ok := pinOf[a]; ok {
-			place(a, pin)
-		}
-	}
-	// Free groups place in two passes so membership changes move little.
+	// Groups place in two passes so membership changes move little.
 	// Pass 1 gives every group its natural owner — the first ring
 	// successor of its anchor, load-blind; that choice depends only on
 	// the hash geometry, so a group's natural owner never changes unless
@@ -170,9 +135,6 @@ func Assign(epoch uint64, members, bases []string, p Params) (Table, error) {
 	// lands elsewhere and (b) the overflow delta — not the whole ring.
 	natural := map[string][]string{}
 	for _, a := range anchors {
-		if _, ok := pinOf[a]; ok {
-			continue
-		}
 		var owner string
 		ring.walk(a, func(m string) bool { owner = m; return true })
 		natural[owner] = append(natural[owner], a)

@@ -124,7 +124,7 @@ func TestAssignDeterministicAcrossProcesses(t *testing.T) {
 	}
 }
 
-// Affinity groups always land together, and pins drag the whole group.
+// Affinity groups always land together.
 func TestAssignAffinityAndPins(t *testing.T) {
 	bases := []string{"A", "B", "C", "D", "E"}
 	aff := map[string]string{"C": "A", "E": "D"}
@@ -137,25 +137,6 @@ func TestAssignAffinityAndPins(t *testing.T) {
 	}
 	if tab.Owners["D"] != tab.Owners["E"] {
 		t.Errorf("affinity pair D/E split: %s vs %s", tab.Owners["D"], tab.Owners["E"])
-	}
-
-	pinned, err := Assign(1, []string{"m1", "m2", "m3"}, bases,
-		Params{Affinity: aff, Pinned: map[string]string{"C": "m2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinned.Owners["A"] != "m2" || pinned.Owners["C"] != "m2" {
-		t.Errorf("pin on C should drag the A/C group to m2, got A=%s C=%s",
-			pinned.Owners["A"], pinned.Owners["C"])
-	}
-
-	if _, err := Assign(1, []string{"m1", "m2"}, bases,
-		Params{Affinity: aff, Pinned: map[string]string{"A": "m1", "C": "m2"}}); err == nil {
-		t.Error("conflicting pins inside one affinity group should be rejected")
-	}
-	if _, err := Assign(1, []string{"m1"}, bases,
-		Params{Pinned: map[string]string{"A": "nope"}}); err == nil {
-		t.Error("pin to unknown member should be rejected")
 	}
 }
 

@@ -101,9 +101,7 @@ func e15Run(campaign string, rate float64, updates int) E15Row {
 	reg := obs.NewRegistry()
 	keys := workload.Keys(4)
 	mesh, err := NewLoadMesh(LoadMeshOptions{
-		Clock: clk, BusLatency: 100 * time.Millisecond, Seed: 15,
-		RetryInterval: time.Second, MaxBackoff: 4 * time.Second,
-		Metrics: reg, Keys: append(keys, "probe"),
+		Clock: clk, Metrics: reg, Keys: append(keys, "probe"),
 	})
 	must(err)
 	defer mesh.Stop()

@@ -20,14 +20,6 @@ import (
 type LoadMeshOptions struct {
 	// Clock drives the deployment; nil means real time.
 	Clock vclock.Clock
-	// BusLatency is the in-process link latency (default 10ms).
-	BusLatency time.Duration
-	// Seed drives the Flaky fault layer deterministically.
-	Seed int64
-	// RetryInterval and MaxBackoff tune the reliable links (defaults
-	// 200ms / 1s).
-	RetryInterval time.Duration
-	MaxBackoff    time.Duration
 	// Metrics is the registry everything instrumented lands in; nil means
 	// obs.Default.
 	Metrics *obs.Registry
@@ -54,17 +46,10 @@ type LoadMesh struct {
 
 // NewLoadMesh assembles and starts the deployment.  Every key in
 // opts.Keys exists in both databases (value 0) before the constraint
-// deploys, so a load run is pure UPDATE traffic.
+// deploys, so a load run is pure UPDATE traffic.  The links are E15's:
+// 100ms bus latency, fault layer and retry jitter seeded with 15, and
+// reliable retries every 1s backing off to 4s.
 func NewLoadMesh(o LoadMeshOptions) (*LoadMesh, error) {
-	if o.BusLatency <= 0 {
-		o.BusLatency = 10 * time.Millisecond
-	}
-	if o.RetryInterval <= 0 {
-		o.RetryInterval = 200 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = time.Second
-	}
 	if o.Metrics == nil {
 		o.Metrics = obs.Default
 	}
@@ -89,12 +74,13 @@ func NewLoadMesh(o LoadMeshOptions) (*LoadMesh, error) {
 		keys[k] = true
 	}
 
-	flaky := transport.NewFlaky(transport.NewBus(clk, o.BusLatency), transport.FlakyOptions{
-		Clock: clk, Seed: o.Seed, Metrics: o.Metrics,
+	const seed = 15
+	flaky := transport.NewFlaky(transport.NewBus(clk, 100*time.Millisecond), transport.FlakyOptions{
+		Clock: clk, Seed: seed, Metrics: o.Metrics,
 	})
 	network := transport.NewReliable(flaky, transport.ReliableOptions{
-		Clock: clk, RetryInterval: o.RetryInterval, MaxBackoff: o.MaxBackoff,
-		Seed: o.Seed, Metrics: o.Metrics,
+		Clock: clk, RetryInterval: time.Second, MaxBackoff: 4 * time.Second,
+		Seed: seed, Metrics: o.Metrics,
 	})
 
 	clocks := map[string]*vclock.Skewed{}

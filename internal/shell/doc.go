@@ -25,10 +25,9 @@
 // cmtk_shell_fire_latency_seconds histogram (trigger event to RHS
 // execution, on the shell clock).  Every rule firing additionally leaves
 // structured hop records (matched → dispatched → executed, with outcome)
-// in the configured obs.Ring.  Options.Metrics and Options.Fires select
-// the registry and ring; nil means the process-wide obs.Default and
-// obs.DefaultRing, which cmd/cmshell serves at -metrics-addr under
-// /metrics and /debug/traces.  Delivery() reads back this shell
+// in obs.DefaultRing.  Options.Metrics selects the registry; nil means
+// the process-wide obs.Default.  cmd/cmshell serves both at -metrics-addr
+// under /metrics and /debug/traces.  Delivery() reads back this shell
 // instance's remote-delivery counters for programmatic use (the
 // registry-backed replacement for the removed Stats plumbing); metric
 // names, labels, and the trace schema are catalogued in OBSERVABILITY.md.

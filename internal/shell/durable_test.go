@@ -23,7 +23,7 @@ private tb @ S
 		t.Fatal(err)
 	}
 	clk := vclock.NewVirtual(vclock.Epoch)
-	s := New("s", spec, Options{Clock: clk, Metrics: obs.NewRegistry(), Fires: obs.NewRing(8)})
+	s := New("s", spec, Options{Clock: clk, Metrics: obs.NewRegistry()})
 	s.AddSite("S", nil)
 	restored, err := s.EnableDurable(store)
 	if err != nil {

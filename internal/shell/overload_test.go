@@ -25,7 +25,6 @@ func TestExternalWorkFromDrainerRunsAfterIt(t *testing.T) {
 	s := New("s", spec, Options{
 		Clock:   vclock.NewVirtual(vclock.Epoch),
 		Metrics: reg,
-		Fires:   obs.NewRing(8),
 	})
 	s.AddSite("S", nil)
 	if err := s.Start(); err != nil {

@@ -35,10 +35,6 @@ type Retention struct {
 	// periodic driver (CompactNow can still be called directly).
 	Every time.Duration
 
-	// Hold widens the retention band beyond the monitor horizon and the
-	// strategy hold, for operators who want extra queryable history.
-	Hold time.Duration
-
 	// Store, when set, persists folds as verified checkpoints (log
 	// "trace-"+id) and restores from one on enable.
 	Store *durable.Store
@@ -126,7 +122,7 @@ func (s *Shell) strategyHold() time.Duration {
 }
 
 // EnableRetention bounds the shell's trace memory: history older than
-// the monitor's horizon (widened by the strategy hold and r.Hold) is
+// the monitor's horizon (widened by the strategy hold) is
 // folded into the trace base on a periodic cadence, and each fold is
 // checkpointed durably when a store is given.  On enable, a persisted
 // checkpoint is verified section-by-section and imported all-or-nothing
@@ -145,7 +141,7 @@ func (s *Shell) EnableRetention(r Retention) (RetentionRestore, error) {
 	}
 	rt := &retention{
 		mon:       r.Monitor,
-		hold:      s.strategyHold() + r.Hold,
+		hold:      s.strategyHold(),
 		ckptEvery: max(r.CheckpointEvery, 1),
 		m:         newRetainMetrics(s.opts.Metrics, s.id),
 	}

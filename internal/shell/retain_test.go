@@ -36,7 +36,7 @@ func retainShell(t *testing.T, id string, start time.Time, reg *obs.Registry) (*
 		t.Fatal(err)
 	}
 	clk := vclock.NewVirtual(start)
-	s := New(id, sp, Options{Clock: clk, Metrics: reg, Fires: obs.NewRing(8)})
+	s := New(id, sp, Options{Clock: clk, Metrics: reg})
 	s.AddSite("S", nil)
 	return s, clk
 }

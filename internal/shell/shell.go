@@ -31,9 +31,6 @@ type Options struct {
 	// Metrics is the registry the shell's counters land in; nil means
 	// obs.Default, so a deployment's shells share one scrape surface.
 	Metrics *obs.Registry
-	// Fires receives structured rule-firing trace records; nil means
-	// obs.DefaultRing.
-	Fires *obs.Ring
 	// Router makes the shell a fleet member: rule ownership, fire targets
 	// and external-trigger routing resolve through the installed route
 	// table (see shard.go and package fleet) instead of the static
@@ -147,7 +144,6 @@ type shellMetrics struct {
 	failLogical  *obs.Counter
 	latency      *obs.Histogram
 	qdepth       *obs.Gauge
-	ring         *obs.Ring
 	base         DeliveryCounts
 }
 
@@ -160,7 +156,7 @@ type DeliveryCounts struct {
 	// for a remote shell (cmtk_shell_fires_total{scope="remote"}).
 	RemoteFires uint64
 	// DroppedFires counts remote firings lost for good: raw-endpoint send
-	// errors, reliable-link outbox overflow, or retry-budget exhaustion
+	// errors or reliable-link outbox overflow
 	// (cmtk_shell_remote_fires_dropped_total).
 	DroppedFires uint64
 	// RetriedFires counts firing retransmissions by the reliability layer
@@ -174,12 +170,9 @@ type DeliveryCounts struct {
 }
 
 // newShellMetrics resolves the per-shell obs handles.
-func newShellMetrics(reg *obs.Registry, ring *obs.Ring, id string) shellMetrics {
+func newShellMetrics(reg *obs.Registry, id string) shellMetrics {
 	if reg == nil {
 		reg = obs.Default
-	}
-	if ring == nil {
-		ring = obs.DefaultRing
 	}
 	fires := reg.Counter("cmtk_shell_fires_total",
 		"Rule firings by scope: dispatched locally, sent to a remote shell, or received from one.",
@@ -193,7 +186,7 @@ func newShellMetrics(reg *obs.Registry, ring *obs.Ring, id string) shellMetrics 
 		remoteFires: fires.With(id, "remote"),
 		recvFires:   fires.With(id, "received"),
 		droppedFires: reg.Counter("cmtk_shell_remote_fires_dropped_total",
-			"Remote firings lost for good: raw send errors, outbox overflow, retry-budget exhaustion.", "shell").With(id),
+			"Remote firings lost for good: raw send errors, outbox overflow.", "shell").With(id),
 		retriedFires: reg.Counter("cmtk_shell_remote_fires_retried_total",
 			"Firing retransmissions by the reliability layer.", "shell").With(id),
 		replayed: reg.Counter("cmtk_shell_replayed_sends_total",
@@ -204,7 +197,6 @@ func newShellMetrics(reg *obs.Registry, ring *obs.Ring, id string) shellMetrics 
 			"Delay from trigger event to RHS execution, on the shell clock.", nil, "shell").With(id),
 		qdepth: reg.Gauge("cmtk_shell_queue_depth",
 			"Current depth of the shell's run-to-completion post queue.", "shell").With(id),
-		ring: ring,
 	}
 	m.failLogical = reg.Counter("cmtk_shell_failures_total", "", "shell", "kind").With(id, "logical")
 	m.base = DeliveryCounts{
@@ -240,7 +232,7 @@ func New(id string, spec *rule.Spec, opts Options) *Shell {
 		pending:    map[string]int{},
 		implicit:   map[implID]rule.Rule{},
 		subscribed: map[string]bool{},
-		m:          newShellMetrics(opts.Metrics, opts.Fires, id),
+		m:          newShellMetrics(opts.Metrics, id),
 	}
 	s.qcond = sync.NewCond(&s.qmu)
 	s.evalEnv.s = s
@@ -310,12 +302,6 @@ func (s *Shell) sitesRoutedTo(peer string) []string {
 	return sites
 }
 
-// onLinkEvent maps reliability-layer link events onto the failure
-// taxonomy: a degraded link is a metric failure (the outbox "can remember
-// messages that need to be sent out upon recovery", Section 5) for every
-// site reached through the peer; dropped messages (overflow, exhausted
-// retry budget) are logical failures; recovery clears the link's metric
-// failures here and tells peers to do the same.
 // linkErrSuffix renders a link event's error for a failure message; the
 // batching TCP path reports delivery failures asynchronously, so the
 // event may carry no error at all.
@@ -326,6 +312,12 @@ func linkErrSuffix(err error) string {
 	return ": " + err.Error()
 }
 
+// onLinkEvent maps link events onto the failure taxonomy: a degraded
+// link is a metric failure (the outbox "can remember messages that need
+// to be sent out upon recovery", Section 5) for every site reached
+// through the peer; dropped messages (reliable outbox overflow, a failed
+// frame on a raw TCP link) are logical failures; recovery clears the
+// link's metric failures here and tells peers to do the same.
 func (s *Shell) onLinkEvent(ev transport.LinkEvent) {
 	switch ev.Kind {
 	case transport.LinkRetry:
@@ -914,7 +906,7 @@ func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	}
 	if target == s.id {
 		s.m.localFires.Inc()
-		s.m.ring.Record(obs.FireTrace{
+		obs.DefaultRing.Record(obs.FireTrace{
 			Rule: r.ID, Shell: s.id, Site: trigger.Site,
 			Outcome:     obs.OutcomeLocal,
 			TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
@@ -956,7 +948,7 @@ func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 		// a reliable endpoint never errors here — it buffers and reports
 		// link health through onLinkEvent instead.
 		s.m.droppedFires.Inc()
-		s.m.ring.Record(obs.FireTrace{
+		obs.DefaultRing.Record(obs.FireTrace{
 			Rule: r.ID, Shell: s.id, Site: trigger.Site, Target: target,
 			Outcome:     obs.OutcomeDropped,
 			TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
@@ -969,7 +961,7 @@ func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 		}, true)
 		return
 	}
-	s.m.ring.Record(obs.FireTrace{
+	obs.DefaultRing.Record(obs.FireTrace{
 		Rule: r.ID, Shell: s.id, Site: trigger.Site, Target: target,
 		Outcome:     obs.OutcomeSent,
 		TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
@@ -1155,7 +1147,7 @@ func stubTrigger(ref transport.EventRef) *event.Event {
 // or the map a received firing owns, and keeps no reference to it.
 func (s *Shell) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	now := s.clock.Now()
-	s.m.ring.Record(obs.FireTrace{
+	obs.DefaultRing.Record(obs.FireTrace{
 		Rule: r.ID, Shell: s.id, Site: trigger.Site,
 		Outcome:     obs.OutcomeExecuted,
 		TriggerDesc: &trigger.Desc, Seq: trigger.Seq,

@@ -20,7 +20,7 @@
 // package obs (nil Metrics in their options means obs.Default).  Per
 // peer link: cmtk_transport_sends_total, cmtk_transport_retries_total,
 // cmtk_transport_acked_total, cmtk_transport_replayed_total,
-// cmtk_transport_outbox_dropped_total{reason=overflow|gave-up},
+// cmtk_transport_outbox_dropped_total{reason=overflow},
 // cmtk_transport_dups_dropped_total, cmtk_transport_reorder_held_total,
 // and the cmtk_transport_outbox_depth gauge.  Flaky counts injected
 // faults in cmtk_flaky_faults_total{kind=drop|duplicate|delay|partition}.

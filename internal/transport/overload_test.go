@@ -41,20 +41,18 @@ func stallListener(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestTCPOutboxCapExactDrops parks the flusher against a stalled peer,
-// fills the bounded outbox, and checks the overflow accounting exactly:
-// 4 admitted, 5 dropped, 5 LinkOverflow events of one message each.
-func TestTCPOutboxCapExactDrops(t *testing.T) {
+// TestTCPStalledPeerQueuesWithoutLoss parks the flusher against a
+// stalled peer and checks that the send-side queue has no cap of its own:
+// every message sent while the first round-trip hangs is queued, none is
+// dropped, and no link event fires.
+func TestTCPStalledPeerQueuesWithoutLoss(t *testing.T) {
 	addr := stallListener(t)
-	// TCP metrics land in obs.Default; read deltas against this baseline.
-	before := obs.Default.Snapshot()
 	ep, err := NewTCP("A", "127.0.0.1:0", map[string]string{"B": addr},
 		func(Message) {}, wire.WithRequestTimeout(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	ep.SetOutboxLimit(4)
 	var evMu sync.Mutex
 	var evs []LinkEvent
 	ep.OnLinkEvent(func(ev LinkEvent) {
@@ -66,7 +64,7 @@ func TestTCPOutboxCapExactDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait until the flusher has taken the first message as its in-flight
-	// batch, so the outbox is empty and subsequent admissions are exact.
+	// batch, so the outbox is empty and the count below is exact.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ep.outMu.Lock()
@@ -80,31 +78,32 @@ func TestTCPOutboxCapExactDrops(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for i := 1; i <= 9; i++ {
+	const queued = 49
+	for i := 1; i <= queued; i++ {
 		if err := ep.Send("B", Message{Kind: "fire", Rule: "r" + strconv.Itoa(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	evMu.Lock()
-	gotEvs := append([]LinkEvent{}, evs...)
-	evMu.Unlock()
-	if len(gotEvs) != 5 {
-		t.Fatalf("LinkOverflow events = %d, want exactly 5", len(gotEvs))
+	ep.outMu.Lock()
+	pending := ep.outbox["B"].pending
+	depth := len(pending)
+	var order []string
+	for _, m := range pending {
+		order = append(order, m.Rule)
 	}
-	for i, ev := range gotEvs {
-		if ev.Kind != LinkOverflow || ev.Peer != "B" || ev.Messages != 1 || ev.Fires != 1 {
-			t.Fatalf("event %d = %+v, want LinkOverflow peer B, 1 message, 1 fire", i, ev)
+	ep.outMu.Unlock()
+	if depth != queued {
+		t.Fatalf("pending = %d, want exactly %d", depth, queued)
+	}
+	for i, r := range order {
+		if want := "r" + strconv.Itoa(i+1); r != want {
+			t.Fatalf("pending[%d] = %s, want %s (FIFO broken)", i, r, want)
 		}
 	}
-	ep.outMu.Lock()
-	depth := len(ep.outbox["B"].pending)
-	ep.outMu.Unlock()
-	if depth != 4 {
-		t.Fatalf("outbox depth = %d, want exactly the limit 4", depth)
-	}
-	delta := obs.Default.Snapshot().Delta(before)
-	if got := delta[`cmtk_transport_buffer_dropped_total{shell="A",buffer="tcp-outbox"}`]; got != 5 {
-		t.Fatalf("tcp-outbox drop counter = %v, want exactly 5", got)
+	evMu.Lock()
+	defer evMu.Unlock()
+	if len(evs) != 0 {
+		t.Fatalf("link events = %+v, want none", evs)
 	}
 }
 

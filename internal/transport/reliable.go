@@ -12,10 +12,11 @@
 //
 // Peer health maps onto the Section 5 failure taxonomy through LinkEvents:
 // FailThreshold consecutive failed delivery attempts degrade the link
-// (metric failure — messages keep buffering), outbox overflow or retry-
-// budget exhaustion loses messages (logical failure), and a degraded link
-// whose outbox fully drains after reconnection raises a recovery event so
-// shells can clear the metric failures it caused.
+// (metric failure — messages keep buffering and retries never stop),
+// outbox overflow is the one way a reliable link loses messages (logical
+// failure), and a degraded link whose outbox fully drains after
+// reconnection raises a recovery event so shells can clear the metric
+// failures it caused.
 
 package transport
 
@@ -72,8 +73,9 @@ const (
 	// LinkOverflow: the outbox hit OutboxLimit and a message was dropped —
 	// a logical failure.
 	LinkOverflow
-	// LinkGaveUp: RetryBudget attempts elapsed and the outbox was dropped —
-	// a logical failure.
+	// LinkGaveUp: a raw TCP endpoint (no Reliable above it) failed to
+	// deliver a frame, and its messages are lost for good — a logical
+	// failure.  A reliable link never gives up; it retransmits until acked.
 	LinkGaveUp
 )
 
@@ -122,9 +124,6 @@ type ReliableOptions struct {
 	// FailThreshold is the number of consecutive unacked delivery attempts
 	// after which the link is reported degraded (default 3).
 	FailThreshold int
-	// RetryBudget bounds attempts per outage; exceeding it drops the
-	// outbox with a LinkGaveUp event.  0 means retry forever.
-	RetryBudget int
 	// OutboxLimit bounds the unacked messages buffered per link (default
 	// 4096); the receive-side reorder buffer shares the bound.  A healthy
 	// link at saturation also holds every message whose ack is still on
@@ -148,8 +147,8 @@ type ReliableOptions struct {
 	// CheckpointBytes is the journal size that triggers compaction into a
 	// checkpoint snapshot (default 256 KiB).
 	CheckpointBytes int64
-	// Name is the owning shell's ID, used as the label on the shared
-	// bounded-buffer drop counter (cmtk_transport_buffer_dropped_total).
+	// Name is the owning shell's ID, used as the label on the reorder-hold
+	// drop counter (cmtk_transport_buffer_dropped_total).
 	// Reliable.Join fills it with the joining shell's ID; direct
 	// NewReliableEndpoint constructions should set it themselves (empty
 	// falls back to "local").
@@ -240,7 +239,6 @@ type relOut struct {
 	mAcked    *obs.Counter
 	mReplayed *obs.Counter
 	mOverflow *obs.Counter
-	mGaveUp   *obs.Counter
 	mDepth    *obs.Gauge
 }
 
@@ -261,8 +259,8 @@ type relMetrics struct {
 	dropped                         *obs.CounterVec // peer, reason
 	dups, held                      *obs.CounterVec
 	depth                           *obs.GaugeVec
-	// holdDropped counts reorder-buffer evictions under the shared
-	// bounded-buffer family; one cell per endpoint, resolved by Name.
+	// holdDropped counts reorder-buffer evictions; one cell per endpoint,
+	// resolved by Name.
 	holdDropped *obs.Counter
 }
 
@@ -271,7 +269,9 @@ func newRelMetrics(reg *obs.Registry, name string) relMetrics {
 		reg = obs.Default
 	}
 	return relMetrics{
-		holdDropped: BufferDropCounter(reg, name, "reorder-hold"),
+		holdDropped: reg.Counter("cmtk_transport_buffer_dropped_total",
+			"Messages dropped because a bounded transport buffer was at its cap, by buffer.",
+			"shell", "buffer").With(name, "reorder-hold"),
 		sends: reg.Counter("cmtk_transport_sends_total",
 			"Messages sequenced and buffered for transmission, per link.", "peer"),
 		retries: reg.Counter("cmtk_transport_retries_total",
@@ -281,7 +281,7 @@ func newRelMetrics(reg *obs.Registry, name string) relMetrics {
 		replayed: reg.Counter("cmtk_transport_replayed_total",
 			"Messages replayed in order and acknowledged while a link recovered from degradation.", "peer"),
 		dropped: reg.Counter("cmtk_transport_outbox_dropped_total",
-			"Buffered messages lost for good, by reason (overflow, gave-up).", "peer", "reason"),
+			"Buffered messages lost for good, by reason (overflow).", "peer", "reason"),
 		dups: reg.Counter("cmtk_transport_dups_dropped_total",
 			"Receiver-side duplicates discarded by sequence-number dedup, per link.", "peer"),
 		held: reg.Counter("cmtk_transport_reorder_held_total",
@@ -426,7 +426,6 @@ func (r *ReliableEndpoint) outLink(to string) *relOut {
 			mAcked:    r.met.acked.With(to),
 			mReplayed: r.met.replayed.With(to),
 			mOverflow: r.met.dropped.With(to, "overflow"),
-			mGaveUp:   r.met.dropped.With(to, "gave-up"),
 			mDepth:    r.met.depth.With(to),
 		}
 		o.retryFn = func() { r.retry(to) }
@@ -552,26 +551,6 @@ func (r *ReliableEndpoint) retry(to string) {
 			Kind: LinkDegraded, Peer: to, Err: o.lastErr, Attempts: o.attempts,
 			Messages: len(q), Fires: countFires(q),
 		})
-	}
-	if r.opts.RetryBudget > 0 && o.attempts > r.opts.RetryBudget {
-		dropped := q
-		o.q, o.head = nil, 0
-		o.attempts = 0
-		o.degraded = false
-		o.mGaveUp.Add(uint64(len(dropped)))
-		o.mDepth.Set(0)
-		// The drop is permanent state: journal a synthetic full ack so a
-		// restart does not resurrect the abandoned outbox.
-		if r.j != nil {
-			r.journalLocked(jAck, appendAckRec(r.recordLocked(), to, o.nextSeq))
-		}
-		evs = append(evs, LinkEvent{
-			Kind: LinkGaveUp, Peer: to, Err: o.lastErr, Attempts: r.opts.RetryBudget,
-			Messages: len(dropped), Fires: countFires(dropped),
-		})
-		r.mu.Unlock()
-		r.emit(evs)
-		return
 	}
 	// Each retransmission round re-stamps the current outbox base, so a
 	// receiver that lost its link state (a process restart) can adopt the

@@ -265,59 +265,6 @@ func TestJournalSummaryCountsFires(t *testing.T) {
 	}
 }
 
-// TestJournalSurvivesGaveUp: a RetryBudget drop is permanent — the next
-// incarnation must not resurrect the abandoned outbox.
-func TestJournalSurvivesGaveUp(t *testing.T) {
-	dir := t.TempDir()
-	clk := vclock.NewVirtual(vclock.Epoch)
-	bus := NewBus(clk, 10*time.Millisecond)
-	flaky := NewFlaky(bus, FlakyOptions{Clock: clk, Metrics: obs.NewRegistry()})
-	st, err := durable.Open(dir, durable.Options{Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewReliableEndpoint(nil, ReliableOptions{
-		Clock: clk, RetryInterval: 100 * time.Millisecond, RetryBudget: 2,
-		Metrics: obs.NewRegistry(),
-	})
-	if _, err := a.EnableJournal(st, "rel-A"); err != nil {
-		t.Fatal(err)
-	}
-	inner, err := flaky.Join("A", a.Deliver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Bind(inner)
-	flaky.PartitionBoth("A", "B")
-	if err := a.Send("B", fireMsg(0)); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(time.Minute) // budget exhausts, outbox dropped
-	if n := a.Pending("B"); n != 0 {
-		t.Fatalf("outbox not dropped: %d pending", n)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := durable.Open(dir, durable.Options{Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	a2 := NewReliableEndpoint(nil, ReliableOptions{Clock: clk, Metrics: obs.NewRegistry()})
-	replayed, err := a2.EnableJournal(st2, "rel-A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed != 0 {
-		t.Fatalf("restart resurrected %d dropped messages", replayed)
-	}
-}
-
 func TestJournalDoubleEnableRejected(t *testing.T) {
 	st, err := durable.Open(t.TempDir(), durable.Options{Metrics: obs.NewRegistry()})
 	if err != nil {

@@ -131,8 +131,8 @@ func runJournal(t *testing.T, p journalPath, steps []jStep) *durable.Recovery {
 }
 
 // journalHistory journals every kind of message the mesh sends, to two
-// peers, with acks, cursor moves, an epoch record, RetryBudget's
-// synthetic full ack and a restart (recover and checkpoint) in the middle.
+// peers, with acks, cursor moves, an epoch record, a full ack of one
+// peer's whole outbox and a restart (recover and checkpoint) in the middle.
 func journalHistory() []jStep {
 	var steps []jStep
 	send := func(peer string, seq uint64, m Message) {
@@ -152,7 +152,7 @@ func journalHistory() []jStep {
 		jStep{jIn, jInRec{Peer: "C", Epoch: 9, Next: 4}},
 		jStep{jIn, jInRec{Peer: "B", Epoch: 5, Next: 3}},
 		jStep{}, // restart: the outbox and cursors so far become a checkpoint
-		jStep{jAck, jAckRec{Peer: "B", Ack: uint64(len(corpus))}}, // RetryBudget gave up on B's whole outbox
+		jStep{jAck, jAckRec{Peer: "B", Ack: uint64(len(corpus))}}, // B acked its whole outbox
 		jStep{jIn, jInRec{Peer: "B", Epoch: 6, Next: 0}},
 	)
 	for i, m := range corpus[:4] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cmtk/internal/obs"
 	"cmtk/internal/vclock"
 )
 
@@ -239,23 +240,62 @@ func TestReliableOutboxOverflow(t *testing.T) {
 	wantInOrder(t, p.seqs(), 3)
 }
 
-func TestReliableRetryBudgetExhaustion(t *testing.T) {
+// TestReliablePartitionNeverGivesUp: a reliable link has no retry
+// budget.  Across a ten-minute two-way partition it degrades once, keeps
+// every message buffered and keeps retrying on its seeded backoff
+// schedule; after the heal the backlog replays in order, exactly once.
+func TestReliablePartitionNeverGivesUp(t *testing.T) {
 	clk := vclock.NewVirtual(vclock.Epoch)
-	flaky := NewFlaky(NewBus(clk, 10*time.Millisecond), FlakyOptions{Clock: clk})
+	reg := obs.NewRegistry()
+	flaky := NewFlaky(NewBus(clk, 10*time.Millisecond), FlakyOptions{Clock: clk, Metrics: reg})
 	rel := NewReliable(flaky, ReliableOptions{
 		Clock: clk, RetryInterval: 100 * time.Millisecond,
-		MaxBackoff: 100 * time.Millisecond, RetryBudget: 4,
+		MaxBackoff: time.Second, Seed: 5, Metrics: reg,
 	})
 	p := joinPair(t, rel)
 	flaky.PartitionBoth("A", "B")
-	p.a.Send("B", fireMsg(0))
-	clk.Advance(time.Minute)
-	gave := p.events(LinkGaveUp)
-	if len(gave) != 1 || gave[0].Messages != 1 || gave[0].Fires != 1 {
-		t.Fatalf("gave-up events = %v", gave)
+	for i := 0; i < 3; i++ {
+		if err := p.a.Send("B", fireMsg(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := p.a.(*ReliableEndpoint).Pending("B"); n != 0 {
-		t.Fatalf("outbox holds %d after giving up", n)
+	clk.Advance(10 * time.Minute)
+	if evs := p.events(LinkDegraded); len(evs) != 1 || evs[0].Messages != 3 || evs[0].Fires != 3 {
+		t.Fatalf("degraded events = %v, want exactly one for 3 messages / 3 fires", evs)
+	}
+	if evs := append(p.events(LinkGaveUp), p.events(LinkOverflow)...); len(evs) != 0 {
+		t.Fatalf("loss events during a partition = %v, want none", evs)
+	}
+	re := p.a.(*ReliableEndpoint)
+	if n := re.Pending("B"); n != 3 {
+		t.Fatalf("outbox holds %d during outage, want 3", n)
+	}
+	// Backoff 100ms, 200ms, 400ms, 800ms, then 1s per round, each plus up
+	// to 10% jitter drawn from the link's seeded stream: the virtual clock
+	// makes the round count over ten minutes exact, and every round resends
+	// all three messages.
+	const rounds = 574
+	if evs := p.events(LinkRetry); len(evs) != rounds {
+		t.Fatalf("retry rounds = %d, want exactly %d", len(evs), rounds)
+	}
+	if got := reg.Snapshot()[`cmtk_transport_retries_total{peer="B"}`]; got != 3*rounds {
+		t.Fatalf("retries = %v, want exactly %d", got, 3*rounds)
+	}
+	if n := len(p.seqs()); n != 0 {
+		t.Fatalf("%d messages crossed the partition", n)
+	}
+
+	flaky.HealAll()
+	clk.Advance(5 * time.Second)
+	wantInOrder(t, p.seqs(), 3)
+	if n := re.Pending("B"); n != 0 {
+		t.Fatalf("outbox holds %d after heal", n)
+	}
+	if recov := p.events(LinkRecovered); len(recov) != 1 || recov[0].Messages != 3 {
+		t.Fatalf("recovered events = %v, want exactly one for 3 messages", recov)
+	}
+	if evs := append(p.events(LinkGaveUp), p.events(LinkOverflow)...); len(evs) != 0 {
+		t.Fatalf("loss events after heal = %v, want none", evs)
 	}
 }
 

@@ -52,14 +52,8 @@ type TCP struct {
 	outMu   sync.Mutex
 	outCond *sync.Cond // signalled when an outbox drains (Flush waits on it)
 	outbox  map[string]*tcpOut
-	// outboxLimit caps each peer's pending slice; 0 means unbounded (the
-	// pre-overload-protection behavior).  Overflow drops the NEWEST message
-	// — never a queued one, so per-link FIFO order of what does ship is
-	// untouched — with a LinkOverflow event and a drop-counter increment.
-	outboxLimit int
-	linkFns     []func(LinkEvent)
-	mBatch      *obs.Histogram
-	mDropped    *obs.Counter
+	linkFns []func(LinkEvent)
+	mBatch  *obs.Histogram
 }
 
 // tcpOut is one peer's send-side batch queue.  pending and spare are two
@@ -104,7 +98,6 @@ func NewTCP(shellID, listenAddr string, addrs map[string]string, recv func(Messa
 		mBatch: obs.Default.Histogram("cmtk_transport_batch_size",
 			"Messages coalesced into one wire frame by the TCP send-side batcher.",
 			tcpBatchBuckets, "shell").With(shellID),
-		mDropped: BufferDropCounter(obs.Default, shellID, "tcp-outbox"),
 	}
 	t.outCond = sync.NewCond(&t.outMu)
 	srv, err := wire.Serve(listenAddr, tcpHandler{t})
@@ -117,27 +110,6 @@ func NewTCP(shellID, listenAddr string, addrs map[string]string, recv func(Messa
 
 // Addr returns the listening address.
 func (t *TCP) Addr() string { return t.srv.Addr() }
-
-// SetOutboxLimit caps each peer's send-side batch queue at n messages
-// (0 restores unbounded).  Call before traffic for deterministic counts;
-// runtime changes only affect subsequent sends.
-func (t *TCP) SetOutboxLimit(n int) {
-	t.outMu.Lock()
-	t.outboxLimit = n
-	t.outMu.Unlock()
-}
-
-// BufferDropCounter resolves the shared bounded-buffer drop counter: one
-// family, cmtk_transport_buffer_dropped_total, labelled by owning shell
-// and which buffer overflowed (tcp-outbox, reorder-hold).
-func BufferDropCounter(reg *obs.Registry, shellID, buffer string) *obs.Counter {
-	if reg == nil {
-		reg = obs.Default
-	}
-	return reg.Counter("cmtk_transport_buffer_dropped_total",
-		"Messages dropped because a bounded transport buffer was at its cap, by buffer.",
-		"shell", "buffer").With(shellID, buffer)
-}
 
 type tcpHandler struct{ t *TCP }
 
@@ -267,23 +239,6 @@ func (t *TCP) Send(to string, m Message) error {
 		// data outruns its ack processing overflows its reliable outbox.
 		o.pending[n-1] = m
 		t.outMu.Unlock()
-		return nil
-	}
-	if limit := t.outboxLimit; limit > 0 && len(o.pending) >= limit {
-		// Bounded outbox: the newest message is dropped (queued ones keep
-		// their FIFO order) and the loss is surfaced, not silent — on a raw
-		// endpoint a shed message is gone for good.
-		t.outMu.Unlock()
-		t.mDropped.Inc()
-		fires := 0
-		if m.Kind == "fire" {
-			fires = 1
-		}
-		t.emitLink(LinkEvent{
-			Kind: LinkOverflow, Peer: to,
-			Err:      fmt.Errorf("transport: outbox for %s at limit %d", to, limit),
-			Messages: 1, Fires: fires,
-		})
 		return nil
 	}
 	o.pending = append(o.pending, m)

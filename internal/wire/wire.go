@@ -373,9 +373,6 @@ func Dial(addr string, onPush func(Message), opts ...DialOption) (*Client, error
 	return c, nil
 }
 
-// SetTimeout adjusts the per-request timeout.
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
-
 func (c *Client) readLoop() {
 	for {
 		m, err := c.conn.Read()

@@ -140,12 +140,11 @@ func TestConcurrentRequests(t *testing.T) {
 
 func TestTimeout(t *testing.T) {
 	srv := startServer(t)
-	c, err := Dial(srv.Addr(), nil)
+	c, err := Dial(srv.Addr(), nil, WithRequestTimeout(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetTimeout(20 * time.Millisecond)
 	_, err = c.Do(Message{Type: "slow"})
 	if !ris.IsTransient(err) {
 		t.Fatalf("timeout err = %v", err)
