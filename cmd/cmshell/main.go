@@ -85,7 +85,7 @@ func main() {
 	routeTable := flag.String("route-table", "", "fleet route-table JSON file: shard constraint ownership across the mesh (empty: static site routing)")
 	retry := flag.Duration("retry", 200*time.Millisecond, "reliable-link base retransmit interval")
 	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "mesh peer dial timeout")
-	reqTimeout := flag.Duration("req-timeout", 10*time.Second, "mesh request timeout")
+	reqTimeout := flag.Duration("req-timeout", 10*time.Second, "mesh frame write timeout: a frame a stalled peer has not taken by then fails")
 	var ridPaths, peers, routes repeated
 	flag.Var(&ridPaths, "rid", "CM-RID file for a hosted site (repeatable)")
 	flag.Var(&peers, "peer", "peer shell as id=addr (repeatable)")

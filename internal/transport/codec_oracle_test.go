@@ -56,8 +56,8 @@ func oracleHandle(m wire.Message, deliver func(Message)) error {
 		deliver(msg)
 	case "shellmsgb":
 		// A batched frame: the sender's flusher coalesced consecutive
-		// messages for us into one round-trip.  Unpacking in slice order
-		// into the per-sender FIFO inbox keeps property-7 delivery order.
+		// messages for us into one frame.  Unpacking in slice order keeps
+		// property-7 delivery order.
 		var msgs []Message
 		if err := json.Unmarshal([]byte(m.Field("m")), &msgs); err != nil {
 			return fmt.Errorf("transport: bad batch: %w", err)

@@ -1,7 +1,7 @@
 // Package transport carries messages between CM-Shells.  Two base
 // implementations are provided: an in-process Bus whose delivery is
 // driven by the toolkit clock (deterministic under a virtual clock, with
-// configurable per-link latency), and a TCP mesh built on package wire.
+// configurable per-link latency), and a TCP mesh of one-way wire frames.
 // Both preserve FIFO order per (sender, receiver) pair — the in-order
 // delivery assumption that Appendix A.2 property 7 formalizes and that
 // the Section 4.2.3 guarantee proofs were found to require.

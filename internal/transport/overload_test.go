@@ -3,6 +3,7 @@ package transport
 import (
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,30 +13,33 @@ import (
 	"cmtk/internal/wire"
 )
 
-// stallListener accepts connections and reads forever without replying,
-// so a TCP endpoint's flusher parks mid-round-trip and its outbox fills.
+// stallListener accepts connections and never reads from them, so a
+// frame larger than the socket buffers parks its writer mid-write.
 func stallListener(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go func(c net.Conn) {
-				defer c.Close()
-				buf := make([]byte, 4096)
-				for {
-					if _, err := c.Read(buf); err != nil {
-						return
-					}
-				}
-			}(c)
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
 		}
 	}()
 	return ln.Addr().String()
@@ -43,11 +47,13 @@ func stallListener(t *testing.T) string {
 
 // TestTCPStalledPeerQueuesWithoutLoss parks the flusher against a
 // stalled peer and checks that the send-side queue has no cap of its own:
-// every message sent while the first round-trip hangs is queued, none is
-// dropped, and no link event fires.
+// every message sent while the first frame's write hangs is queued, none
+// is dropped, and no link event fires.  The first message is close to
+// wire.MaxFrame, far more than loopback socket buffers take from a peer
+// that never reads, so the write cannot complete.
 func TestTCPStalledPeerQueuesWithoutLoss(t *testing.T) {
 	addr := stallListener(t)
-	ep, err := NewTCP("A", "127.0.0.1:0", map[string]string{"B": addr},
+	ep, err := NewTCP("stalled-A", "127.0.0.1:0", map[string]string{"B": addr},
 		func(Message) {}, wire.WithRequestTimeout(time.Hour))
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +66,9 @@ func TestTCPStalledPeerQueuesWithoutLoss(t *testing.T) {
 		evs = append(evs, ev)
 		evMu.Unlock()
 	})
-	if err := ep.Send("B", Message{Kind: "fire", Rule: "r0"}); err != nil {
+	frames := ep.mBatch.Count()
+	big := Message{Kind: "fire", Rule: strings.Repeat("r", wire.MaxFrame-4096)}
+	if err := ep.Send("B", big); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the flusher has taken the first message as its in-flight
@@ -92,6 +100,9 @@ func TestTCPStalledPeerQueuesWithoutLoss(t *testing.T) {
 		order = append(order, m.Rule)
 	}
 	ep.outMu.Unlock()
+	if shipped := ep.mBatch.Count() - frames; shipped != 1 {
+		t.Fatalf("precondition: the flusher shipped %d batches, want 1 parked mid-write", shipped)
+	}
 	if depth != queued {
 		t.Fatalf("pending = %d, want exactly %d", depth, queued)
 	}

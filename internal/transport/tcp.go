@@ -10,32 +10,26 @@ import (
 
 // TCP is a mesh endpoint over real sockets.  Each shell listens on its
 // own address and dials peers lazily, keeping one connection per peer.
-// Inbound frames are acknowledged at the wire layer immediately and
-// handed to a per-sender FIFO worker, so links stay ordered per (sender,
-// receiver) pair like the in-process Bus while the receive callback never
-// blocks the wire reply.  The decoupling matters: a handler that sends
-// back to its peer while still inside the inbound frame (an ack arriving
-// mid-request, a recovery broadcast) would otherwise form a cycle of
-// requests each awaiting a reply the other side can only produce after
-// its own nested send completes — a distributed deadlock broken only by
-// request timeouts.
+// Mesh frames are one-way writes: nothing waits for a reply, and each
+// inbound connection's reader decodes a frame and calls the receive
+// callback with its messages in order, so links stay ordered per
+// (sender, receiver) pair like the in-process Bus.
 //
 // Sends are batched: Send enqueues on a per-peer outbox and one flusher
 // goroutine per peer coalesces everything queued while the previous
-// round-trip was in flight into a single wire frame (flush-on-idle: under
-// light load each frame carries one message and latency is one
-// round-trip; under load the batch grows to amortize the round-trip
-// without adding any timer delay).  The flusher encodes each batch
+// frame's write was in flight into a single wire frame (flush-on-idle:
+// under light load each frame carries one message; under load the batch
+// grows without adding any timer delay).  The flusher encodes each batch
 // straight into one frame body with the binary codec of codec.go, whose
 // interned-string table lives as long as the connection.  Per-link FIFO
 // order — the Appendix A.2 property-7 delivery assumption — is preserved
 // end to end: the single flusher drains the outbox in send order, frames
-// are serialized one round-trip at a time, and the receiver unpacks each
-// frame in order into the per-sender inbox.  Send therefore only reports
+// are written one at a time on one connection, and the receiver unpacks
+// each frame in order into the callback.  Send therefore only reports
 // synchronous routing problems; delivery failures surface as LinkEvents
-// through OnLinkEvent (on a raw TCP endpoint a failed frame means its
-// messages are lost for good — LinkGaveUp — while reliable.go layered on
-// top retransmits until acked).
+// through OnLinkEvent (on a raw TCP endpoint a frame that could not be
+// written means its messages are lost for good — LinkGaveUp — while
+// reliable.go layered on top retransmits until acked).
 type TCP struct {
 	shellID  string
 	addrs    map[string]string           // shellID -> address
@@ -43,11 +37,14 @@ type TCP struct {
 	recv     func(Message)
 	dialOpts []wire.DialOption
 	srv      *wire.Server
-	done     chan struct{}
 	mu       sync.Mutex
 	peers    map[string]*tcpPeer
-	inbox    map[string]chan Message // per-sender serial delivery queues
 	closed   bool
+
+	// recvMu is held across each inbound frame's delivery: recv runs
+	// serially, as Network.Join promises, even while an old connection's
+	// reader overlaps a peer's reconnect.
+	recvMu sync.Mutex
 
 	outMu   sync.Mutex
 	outCond *sync.Cond // signalled when an outbox drains (Flush waits on it)
@@ -91,9 +88,7 @@ func NewTCP(shellID, listenAddr string, addrs map[string]string, recv func(Messa
 		addrs:    addrs,
 		recv:     recv,
 		dialOpts: dialOpts,
-		done:     make(chan struct{}),
 		peers:    map[string]*tcpPeer{},
-		inbox:    map[string]chan Message{},
 		outbox:   map[string]*tcpOut{},
 		mBatch: obs.Default.Histogram("cmtk_transport_batch_size",
 			"Messages coalesced into one wire frame by the TCP send-side batcher.",
@@ -139,50 +134,18 @@ func (s *tcpSession) Handle(m wire.Message) wire.Message {
 		return wire.ErrorReply(m, s.err)
 	}
 	// The sender's flusher coalesced consecutive messages into this
-	// frame; unpacking in order into the per-sender FIFO inbox keeps
-	// property-7 delivery order.
+	// frame; delivering them in order keeps property-7 delivery order.
+	s.t.recvMu.Lock()
 	for i := range msgs {
-		s.t.deliver(msgs[i])
+		s.t.recv(msgs[i])
 		msgs[i] = Message{}
 	}
+	s.t.recvMu.Unlock()
 	s.msgs = msgs[:0]
 	return wire.Reply(m)
 }
 
 func (*tcpSession) Close() {}
-
-// deliver queues an inbound message on its sender's FIFO worker.  The
-// queue is keyed by sender shell ID, not connection, so order holds even
-// across a peer's reconnects.
-func (t *TCP) deliver(m Message) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	q, ok := t.inbox[m.From]
-	if !ok {
-		q = make(chan Message, 1024)
-		t.inbox[m.From] = q
-		go t.drain(q)
-	}
-	t.mu.Unlock()
-	select {
-	case q <- m: // backpressure: a full queue blocks this sender's frames
-	case <-t.done:
-	}
-}
-
-func (t *TCP) drain(q chan Message) {
-	for {
-		select {
-		case m := <-q:
-			t.recv(m)
-		case <-t.done:
-			return
-		}
-	}
-}
 
 // OnLinkEvent registers a link-health observer.  The batching sender
 // reports delivery failures here (Send itself only fails on routing
@@ -287,7 +250,7 @@ func (t *TCP) flushPeer(to string, o *tcpOut) {
 	}
 }
 
-// sendFrame performs one batched round-trip to a peer, dialing lazily.
+// sendFrame writes one batch to a peer as a one-way frame, dialing lazily.
 // The batch is encoded straight into the frame body; the in-process
 // fields it needs (BindingsVal, TriggerEvent's descriptor) are read
 // there, and TriggerEvent itself never crosses the network.
@@ -312,7 +275,7 @@ func (t *TCP) sendFrame(to, addr string, batch []Message) error {
 		}
 	}
 	p.buf = p.enc.appendBatch(p.buf[:0], batch)
-	if _, err := p.c.Do(wire.Message{Type: frameType, Body: p.buf}); err != nil {
+	if err := p.c.Send(wire.Message{Type: frameType, Body: p.buf}); err != nil {
 		// Drop the broken connection, and the encoder state bound to it, so
 		// the next frame redials with a fresh table on both ends.
 		t.mu.Lock()
@@ -341,8 +304,8 @@ func (t *TCP) dropBatch(to string, batch []Message, err error) {
 }
 
 // Flush blocks until every queued outbound message has been either
-// delivered or reported lost, implementing Flusher for scenario
-// teardowns and tests that need send-completion.
+// written or reported lost, implementing Flusher for scenario teardowns
+// and tests that need send-completion.
 func (t *TCP) Flush() error {
 	t.outMu.Lock()
 	defer t.outMu.Unlock()
@@ -364,10 +327,7 @@ func (t *TCP) Flush() error {
 // Close implements Endpoint.
 func (t *TCP) Close() error {
 	t.mu.Lock()
-	if !t.closed {
-		t.closed = true
-		close(t.done)
-	}
+	t.closed = true
 	peers := t.peers
 	t.peers = map[string]*tcpPeer{}
 	t.mu.Unlock()

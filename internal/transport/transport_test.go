@@ -273,6 +273,105 @@ func TestTCPNetwork(t *testing.T) {
 	}
 }
 
+// TestTCPSerialDeliveryAcrossReconnect blocks B's callback on A's first
+// message, then cuts A's connection so that A's next send redials.  The
+// old connection's reader is still inside the callback when the frame on
+// the new connection arrives; that frame must wait for the callback to
+// return and then arrive in order, as Network.Join's serial delivery
+// promises.
+func TestTCPSerialDeliveryAcrossReconnect(t *testing.T) {
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(unblock) })
+	overlap := make(chan string, 1)
+	all := make(chan struct{})
+	var mu sync.Mutex
+	var got []string
+	inside := 0
+	recvB := func(m Message) {
+		mu.Lock()
+		if inside++; inside > 1 {
+			select {
+			case overlap <- m.Rule:
+			default:
+			}
+		}
+		mu.Unlock()
+		if m.Rule == "first" {
+			close(entered)
+			<-unblock
+		}
+		mu.Lock()
+		inside--
+		if got = append(got, m.Rule); len(got) == 2 {
+			close(all)
+		}
+		mu.Unlock()
+	}
+	b, err := NewTCP("B", "127.0.0.1:0", nil, recvB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	defer release() // before b.Close, which waits for B's readers
+	a, err := NewTCP("A", "127.0.0.1:0", map[string]string{"B": b.Addr()}, func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var evMu sync.Mutex
+	var evs []LinkEvent
+	a.OnLinkEvent(func(ev LinkEvent) {
+		evMu.Lock()
+		evs = append(evs, ev)
+		evMu.Unlock()
+	})
+	if err := a.Send("B", Message{Kind: "fire", Rule: "first"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first message never reached B")
+	}
+	// Cut connection 1 as a failed write would; B's reader on it stays
+	// inside the callback.
+	a.mu.Lock()
+	p := a.peers["B"]
+	delete(a.peers, "B")
+	a.mu.Unlock()
+	p.c.Close()
+	if err := a.Send("B", Message{Kind: "fire", Rule: "second"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	evMu.Lock()
+	if len(evs) != 0 {
+		t.Fatalf("link events = %+v, want none: the second frame was not written", evs)
+	}
+	evMu.Unlock()
+	// The second frame is written on connection 2.  Unserialized, its
+	// reader would call the callback within microseconds; give it ample
+	// time to try.
+	select {
+	case r := <-overlap:
+		t.Fatalf("%s was delivered while the callback for first was still running", r)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second message never reached B")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
+		t.Fatalf("delivered %v, want [first second]", got)
+	}
+}
+
 func TestBusZeroLatencyRealClockFIFO(t *testing.T) {
 	// On the real clock, equal-deadline timers race; per-pair queues must
 	// still deliver in send order.

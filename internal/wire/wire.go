@@ -1,9 +1,9 @@
 // Package wire provides the framing used by every network protocol in the
 // toolkit — the shell mesh, the RIS servers and their notify pushes: one
-// binary envelope per message over TCP, with synchronous request/response
-// plus server-initiated push (for remote notify interfaces).  Messages on
-// one connection are processed strictly in order, which is the in-order
-// delivery assumption of Appendix A.2 property 7 made concrete.
+// binary envelope per message over TCP, with request/response, one-way
+// client frames (the mesh) and server push (remote notify interfaces).
+// Messages on one connection are processed strictly in order, which is
+// the in-order delivery assumption of Appendix A.2 property 7 made concrete.
 //
 // A frame is a 4-byte big-endian payload length (at most MaxFrame) and
 // the payload: a format byte, a uvarint ID, then Type, Err, the F pairs in
@@ -174,9 +174,19 @@ func (c *Conn) Read() (Message, error) {
 }
 
 // Write sends a message as one frame.
-func (c *Conn) Write(m Message) error {
+func (c *Conn) Write(m Message) error { return c.writeWithin(m, 0) }
+
+// writeWithin bounds the write by d when d > 0 and the stream takes
+// deadlines; a write cut off mid-frame leaves the stream unusable.
+func (c *Conn) writeWithin(m Message, d time.Duration) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if dl, ok := c.rw.(interface{ SetWriteDeadline(time.Time) error }); ok && d > 0 {
+		if err := dl.SetWriteDeadline(time.Now().Add(d)); err != nil {
+			return err
+		}
+		defer dl.SetWriteDeadline(time.Time{})
+	}
 	buf := append(c.wbuf[:0], 0, 0, 0, 0)
 	buf, c.keys = appendMessage(buf, m, c.keys)
 	if cap(buf) <= maxRetained {
@@ -198,7 +208,8 @@ func (c *Conn) Close() error { return c.rw.Close() }
 type Session interface {
 	// Handle processes one request and returns the reply.  Requests on one
 	// connection are handled sequentially in arrival order; m.Body is
-	// valid only until Handle returns.
+	// valid only until Handle returns.  A one-way frame (ID 0) gets no
+	// reply: an error reply to one closes the connection instead.
 	Handle(m Message) Message
 	// Close releases per-connection state (e.g. cancels watchers).
 	Close()
@@ -301,6 +312,14 @@ func (s *Server) serveConn(conn *Conn) {
 			return
 		}
 		reply := sess.Handle(m)
+		if m.ID == 0 {
+			// A one-way frame gets no reply.  What its sender sends next may
+			// build on it, so a rejection closes the connection instead.
+			if reply.Type == "error" {
+				return
+			}
+			continue
+		}
 		reply.ID = m.ID
 		if reply.Type == "" {
 			reply.Type = "ok"
@@ -312,7 +331,7 @@ func (s *Server) serveConn(conn *Conn) {
 }
 
 // Client is a synchronous request/response client with support for
-// server-push messages.
+// one-way frames and server-push messages.
 type Client struct {
 	conn    *Conn
 	mu      sync.Mutex
@@ -339,7 +358,8 @@ func WithDialTimeout(d time.Duration) DialOption {
 	return func(c *DialConfig) { c.DialTimeout = d }
 }
 
-// WithRequestTimeout bounds each request/response round trip.
+// WithRequestTimeout bounds each request/response round trip, and the
+// write of each one-way frame (Client.Send).
 func WithRequestTimeout(d time.Duration) DialOption {
 	return func(c *DialConfig) { c.RequestTimeout = d }
 }
@@ -451,6 +471,22 @@ func (c *Client) Do(m Message) (Message, error) {
 		c.mu.Unlock()
 		return Message{}, ris.Transient(fmt.Errorf("wire: request %s timed out", m.Type))
 	}
+}
+
+// Send writes a one-way message: it goes out with ID 0, the server handles
+// it in order with the requests around it and sends no reply, and a
+// rejection closes the connection.  The write is bounded by the request
+// timeout, so a peer that stops reading fails it as a timed-out Do
+// would.  After an error the connection must be closed.
+func (c *Client) Send(m Message) error {
+	c.mu.Lock()
+	err := c.err
+	c.mu.Unlock()
+	if err == nil {
+		m.ID = 0
+		err = c.conn.writeWithin(m, c.timeout)
+	}
+	return ris.Transient(err)
 }
 
 // Close closes the connection.

@@ -238,3 +238,118 @@ func TestDialOptions(t *testing.T) {
 		t.Fatalf("default request timeout = %v", c2.timeout)
 	}
 }
+
+// recordHandler hands every frame it accepts to got, in arrival order,
+// replies to it as an echo, and rejects type "bad".
+type recordHandler struct{ got chan Message }
+
+func (h recordHandler) NewSession(func(Message) error) (Session, error) { return h, nil }
+
+func (h recordHandler) Handle(m Message) Message {
+	if m.Type == "bad" {
+		return ErrorReply(m, errors.New("rejected"))
+	}
+	h.got <- Message{ID: m.ID, Type: m.Type, F: m.F}
+	r := Reply(m)
+	r.F = m.F
+	return r
+}
+
+func (recordHandler) Close() {}
+
+func startRecorder(t *testing.T) (*Server, chan Message) {
+	t.Helper()
+	got := make(chan Message, 64)
+	srv, err := Serve("127.0.0.1:0", recordHandler{got})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, got
+}
+
+// TestSendIsOneWay: one-way frames reach Handle in order and draw no
+// reply, and a Do on the same connection still gets exactly its own.
+func TestSendIsOneWay(t *testing.T) {
+	srv, got := startRecorder(t)
+	var pushMu sync.Mutex
+	var pushes []Message
+	c, err := Dial(srv.Addr(), func(m Message) {
+		pushMu.Lock()
+		pushes = append(pushes, m)
+		pushMu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 10
+	for i := 0; i < n; i++ {
+		if err := c.Send(Message{Type: "note", F: map[string]string{"i": fmt.Sprint(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reply, err := c.Do(Message{Type: "echo", F: map[string]string{"k": "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Type != "ok" || reply.Field("k") != "v" {
+		t.Fatalf("reply = %+v", reply)
+	}
+	// The server handled every one-way frame before the Do and the client
+	// reads in order, so a reply to any of them would have reached the
+	// push handler before Do returned.
+	pushMu.Lock()
+	if len(pushes) != 0 {
+		t.Fatalf("one-way frames drew %d frames back: %+v", len(pushes), pushes)
+	}
+	pushMu.Unlock()
+	for i := 0; i < n; i++ {
+		m := <-got
+		if m.ID != 0 || m.Type != "note" || m.Field("i") != fmt.Sprint(i) {
+			t.Fatalf("frame %d handled as %+v", i, m)
+		}
+	}
+	if m := <-got; m.ID == 0 || m.Type != "echo" {
+		t.Fatalf("request handled as %+v", m)
+	}
+
+	// A one-way write's deadline does not outlive it: a Do written after
+	// the request timeout has passed still goes out.
+	c2, err := Dial(srv.Addr(), nil, WithRequestTimeout(100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := c2.Send(Message{Type: "note"}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(150 * time.Millisecond)
+	if _, err := c2.Do(Message{Type: "echo"}); err != nil {
+		t.Fatalf("Do after Send: %v", err)
+	}
+}
+
+// TestRejectedSendClosesConnection: the server cannot tell a one-way
+// sender its frame was rejected, so it closes the connection; nothing
+// after the rejected frame is handled, and the client's next Send fails.
+func TestRejectedSendClosesConnection(t *testing.T) {
+	srv, got := startRecorder(t)
+	c, err := Dial(srv.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send(Message{Type: "bad"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Do(Message{Type: "echo"}); !errors.Is(err, ris.ErrUnavailable) && !ris.IsTransient(err) {
+		t.Fatalf("Do after a rejected one-way frame: err = %v, want the connection lost", err)
+	}
+	if err := c.Send(Message{Type: "note"}); !ris.IsTransient(err) {
+		t.Fatalf("Send on the closed connection: err = %v, want transient", err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("%d frames handled after the rejected one", len(got))
+	}
+}
