@@ -71,10 +71,11 @@ func BenchmarkSQLParse(b *testing.B) {
 	}
 }
 
-func BenchmarkQuoteSQL(b *testing.B) {
+func BenchmarkAppendSQL(b *testing.B) {
 	v := data.NewString("it's a value with 'quotes'")
+	var buf [64]byte
 	for i := 0; i < b.N; i++ {
-		if QuoteSQL(v) == "" {
+		if len(AppendSQL(buf[:0], v)) == 0 {
 			b.Fatal("empty")
 		}
 	}

@@ -19,12 +19,17 @@
 // (with ” escaping), NULL, TRUE, FALSE.  WHERE conditions are
 // conjunctions of column-vs-literal comparisons.
 //
+// Exec parses a statement under the engine lock and returns its Result by
+// value.  An UPDATE parses into storage the DB owns, cleared before the
+// lock is released, so a keyed UPDATE costs one allocation: its new row.
+//
 // Trigger rows: a stored row is never changed in place, only replaced.
 // An UPDATE or DELETE hands its triggers the retired row as old; the new
-// row of an INSERT or UPDATE is a copy of the stored one.  So a row a
-// trigger keeps never changes under it, and writing into one does not
-// change the table.  Triggers must not rely on any other aliasing: every
-// trigger of a row is handed the same two slices.
+// row of an INSERT or UPDATE is a copy of the stored one, allocated with
+// it in one array but not overlapping it.  So a row a trigger keeps never
+// changes under it, and writing into one does not change the table.
+// Triggers must not rely on any other aliasing: every trigger of a row is
+// handed the same two slices.
 package relstore
 
 import (
@@ -87,6 +92,14 @@ func (r Row) Clone() Row {
 	return out
 }
 
+// rowPair returns a row of n columns to store and one for its trigger
+// copy, cut from one allocation.  The stored row's capacity ends where
+// the copy begins, so neither reaches the other.
+func rowPair(n int) (stored, trig Row) {
+	both := make(Row, 2*n)
+	return both[:n:n], both[n:]
+}
+
 // TriggerOp distinguishes the mutation kinds visible to triggers.
 type TriggerOp int
 
@@ -129,11 +142,18 @@ type Result struct {
 	Affected int
 }
 
+// rowEntry is a stored row and the key it is stored under, so a row can
+// be stored back, deleted or rekeyed without building its key again.
+type rowEntry struct {
+	key string
+	row Row
+}
+
 type table struct {
 	schema Schema
 	colIdx map[string]int
 	pkIdx  []int
-	rows   map[string]Row
+	rows   map[string]rowEntry
 	nextID int64
 }
 
@@ -142,6 +162,7 @@ type DB struct {
 	mu     sync.RWMutex
 	name   string
 	tables map[string]*table
+	stmt   stmtBuf // the UPDATE being run; guarded by mu
 	trigMu sync.Mutex
 	// triggers holds each table's triggers in registration order.  A
 	// slice is replaced, never written, so a reader may keep it after
@@ -226,17 +247,29 @@ type firing struct {
 }
 
 // Exec parses and executes one SQL statement.
-func (db *DB) Exec(sql string) (*Result, error) {
-	stmt, err := Parse(sql)
+func (db *DB) Exec(sql string) (Result, error) {
+	var buf [1]firing // a statement that changes one row fires once
+	res, fires, err := db.exec(sql, buf[:0])
 	if err != nil {
-		return nil, err
-	}
-	res, fires, err := db.run(stmt)
-	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	db.fire(fires)
 	return res, nil
+}
+
+// exec parses and runs a statement under the engine lock, appending its
+// firings to fires.  An UPDATE parses into db.stmt, which is cleared
+// before the lock is released, so it holds no statement's text after.
+func (db *DB) exec(sql string, fires []firing) (Result, []firing, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	stmt, err := parse(sql, &db.stmt)
+	var res Result
+	if err == nil {
+		res, fires, err = db.run(stmt, fires)
+	}
+	db.stmt = stmtBuf{}
+	return res, fires, err
 }
 
 // fire runs the triggers registered when the statement's firings are
@@ -256,76 +289,81 @@ func (db *DB) fire(fires []firing) {
 	}
 }
 
-func (db *DB) run(stmt Stmt) (*Result, []firing, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+// run executes a parsed statement; db.mu is held.
+func (db *DB) run(stmt Stmt, fires []firing) (Result, []firing, error) {
 	switch s := stmt.(type) {
 	case *CreateStmt:
 		return db.runCreate(s)
 	case *DropStmt:
 		return db.runDrop(s)
 	case *InsertStmt:
-		return db.runInsert(s)
+		return db.runInsert(s, fires)
 	case *SelectStmt:
 		return db.runSelect(s)
 	case *UpdateStmt:
-		return db.runUpdate(s)
+		return db.runUpdate(s, fires)
 	case *DeleteStmt:
-		return db.runDelete(s)
+		return db.runDelete(s, fires)
 	default:
-		return nil, nil, fmt.Errorf("relstore: unknown statement type %T", stmt)
+		return Result{}, nil, fmt.Errorf("relstore: unknown statement type %T", stmt)
 	}
 }
 
-func (db *DB) runCreate(s *CreateStmt) (*Result, []firing, error) {
+func (db *DB) runCreate(s *CreateStmt) (Result, []firing, error) {
 	key := strings.ToLower(s.Schema.Table)
 	if _, exists := db.tables[key]; exists {
-		return nil, nil, fmt.Errorf("relstore: table %s already exists", s.Schema.Table)
+		return Result{}, nil, fmt.Errorf("relstore: table %s already exists", s.Schema.Table)
 	}
 	t := &table{
 		schema: s.Schema,
 		colIdx: map[string]int{},
-		rows:   map[string]Row{},
+		rows:   map[string]rowEntry{},
 	}
 	for i, c := range s.Schema.Columns {
 		lc := strings.ToLower(c.Name)
 		if _, dup := t.colIdx[lc]; dup {
-			return nil, nil, fmt.Errorf("relstore: duplicate column %s", c.Name)
+			return Result{}, nil, fmt.Errorf("relstore: duplicate column %s", c.Name)
 		}
 		t.colIdx[lc] = i
 	}
 	for _, pk := range s.Schema.PK {
 		idx, ok := t.colIdx[strings.ToLower(pk)]
 		if !ok {
-			return nil, nil, fmt.Errorf("relstore: primary key column %s not in table", pk)
+			return Result{}, nil, fmt.Errorf("relstore: primary key column %s not in table", pk)
 		}
 		t.pkIdx = append(t.pkIdx, idx)
 	}
 	db.tables[key] = t
-	return &Result{}, nil, nil
+	return Result{}, nil, nil
 }
 
-func (db *DB) runDrop(s *DropStmt) (*Result, []firing, error) {
+func (db *DB) runDrop(s *DropStmt) (Result, []firing, error) {
 	key := strings.ToLower(s.Table)
 	if _, ok := db.tables[key]; !ok {
-		return nil, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
+		return Result{}, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
 	}
 	delete(db.tables, key)
-	return &Result{}, nil, nil
+	return Result{}, nil, nil
 }
 
+// keyFor returns the key a row is stored under: its primary-key values'
+// literals joined by NUL, which no literal contains.
 func (t *table) keyFor(r Row) (string, error) {
 	if len(t.pkIdx) == 0 {
 		return "", nil // caller assigns a rowid
 	}
-	parts := make([]string, len(t.pkIdx))
+	var buf [64]byte
+	key := buf[:0]
 	for i, idx := range t.pkIdx {
 		if r[idx].IsNull() {
 			return "", fmt.Errorf("relstore: null in primary key column %s", t.schema.Columns[idx].Name)
 		}
-		parts[i] = r[idx].String()
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = r[idx].AppendLiteral(key)
 	}
-	return strings.Join(parts, "\x00"), nil
+	return string(key), nil
 }
 
 // coerce checks/adapts a literal to a column type.  Its result is stored,
@@ -359,50 +397,51 @@ func coerce(v data.Value, ct ColType, col string) (data.Value, error) {
 	return data.NullValue, fmt.Errorf("relstore: value %s does not fit column %s %s", v, col, ct)
 }
 
-func (db *DB) runInsert(s *InsertStmt) (*Result, []firing, error) {
+func (db *DB) runInsert(s *InsertStmt, fires []firing) (Result, []firing, error) {
 	t, ok := db.tables[strings.ToLower(s.Table)]
 	if !ok {
-		return nil, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
+		return Result{}, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
 	}
-	row := make(Row, len(t.schema.Columns))
+	row, trig := rowPair(len(t.schema.Columns))
 	for i := range row {
 		row[i] = data.NullValue
 	}
 	cols := s.Columns
 	if len(cols) == 0 {
 		if len(s.Values) != len(t.schema.Columns) {
-			return nil, nil, fmt.Errorf("relstore: INSERT has %d values for %d columns", len(s.Values), len(t.schema.Columns))
+			return Result{}, nil, fmt.Errorf("relstore: INSERT has %d values for %d columns", len(s.Values), len(t.schema.Columns))
 		}
 		for _, c := range t.schema.Columns {
 			cols = append(cols, c.Name)
 		}
 	}
 	if len(cols) != len(s.Values) {
-		return nil, nil, fmt.Errorf("relstore: INSERT has %d columns but %d values", len(cols), len(s.Values))
+		return Result{}, nil, fmt.Errorf("relstore: INSERT has %d columns but %d values", len(cols), len(s.Values))
 	}
 	for i, cn := range cols {
 		idx, ok := t.colIdx[strings.ToLower(cn)]
 		if !ok {
-			return nil, nil, fmt.Errorf("relstore: no column %s in %s", cn, s.Table)
+			return Result{}, nil, fmt.Errorf("relstore: no column %s in %s", cn, s.Table)
 		}
 		v, err := coerce(s.Values[i], t.schema.Columns[idx].Type, cn)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, nil, err
 		}
 		row[idx] = v
 	}
 	key, err := t.keyFor(row)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, nil, err
 	}
 	if key == "" {
 		key = fmt.Sprintf("\x01rowid:%d", t.nextID)
 		t.nextID++
 	} else if _, dup := t.rows[key]; dup {
-		return nil, nil, fmt.Errorf("relstore: duplicate primary key in %s", s.Table)
+		return Result{}, nil, fmt.Errorf("relstore: duplicate primary key in %s", s.Table)
 	}
-	t.rows[key] = row
-	return &Result{Affected: 1}, []firing{{TrigInsert, t.schema.Table, nil, row.Clone()}}, nil
+	t.rows[key] = rowEntry{key, row}
+	copy(trig, row)
+	return Result{Affected: 1}, append(fires, firing{TrigInsert, t.schema.Table, nil, trig}), nil
 }
 
 // matchWhere evaluates the conjunction against a row.
@@ -452,69 +491,80 @@ func (t *table) matchWhere(conds []Cond, r Row) (bool, error) {
 	return true, nil
 }
 
-// pkLookup returns the storage key when the WHERE conjunction pins every
-// primary-key column with an equality — the common translator pattern
-// "WHERE empid = $n" — enabling O(1) row access instead of a scan.
-// The key is built as keyFor builds it, from the first equality on each
-// key column; a NULL there pins no row.
-func (t *table) pkLookup(conds []Cond) (string, bool) {
+// appendPK appends the key of the one row a WHERE conjunction can match,
+// as keyFor renders it, when the conjunction pins every primary-key
+// column with an equality — the common translator pattern "WHERE empid =
+// $n" — enabling O(1) row access instead of a scan.  The first equality
+// on each key column decides.  It pins the row only when every column
+// the conjunction names exists, so that no error a scan would report is
+// skipped, and only when each key literal has its column's own kind,
+// which Value.Equal matches exactly when the literals render alike: an
+// INT within ±2^53 (Equal compares numbers as float64), a TEXT string or
+// a BOOL.  Anything else scans, a FLOAT key too: 0 and -0 are two keys
+// but equal values.
+func (t *table) appendPK(dst []byte, conds []Cond) ([]byte, bool) {
 	if len(t.pkIdx) == 0 {
-		return "", false
+		return dst, false
 	}
-	key := ""
+	for _, c := range conds {
+		if _, ok := t.colIdx[strings.ToLower(c.Column)]; !ok {
+			return dst, false
+		}
+	}
 	for i, pk := range t.pkIdx {
-		found := false
-		for _, c := range conds {
-			if c.Op != "=" {
-				continue
-			}
-			if idx, ok := t.colIdx[strings.ToLower(c.Column)]; !ok || idx != pk {
-				continue
-			}
-			if c.Value.IsNull() {
-				return "", false
-			}
-			if i == 0 {
-				key = c.Value.String()
-			} else {
-				key += "\x00" + c.Value.String()
-			}
-			found = true
-			break
+		j := slices.IndexFunc(conds, func(c Cond) bool {
+			return c.Op == "=" && t.colIdx[strings.ToLower(c.Column)] == pk
+		})
+		if j < 0 || !exactKey(t.schema.Columns[pk].Type, conds[j].Value) {
+			return dst, false
 		}
-		if !found {
-			return "", false
+		if i > 0 {
+			dst = append(dst, 0)
 		}
+		dst = conds[j].Value.AppendLiteral(dst)
 	}
-	return key, true
+	return dst, true
 }
 
-// candidateKeys returns the keys a statement's WHERE must examine, in
-// deterministic order: a single key on a full PK equality, else all rows.
-func (t *table) candidateKeys(conds []Cond) []string {
-	if key, ok := t.pkLookup(conds); ok {
-		if _, exists := t.rows[key]; exists {
-			return []string{key}
+// exactKey reports whether Value.Equal holds between v and a value of a
+// column of type ct exactly when their literals are the same.
+func exactKey(ct ColType, v data.Value) bool {
+	switch ct {
+	case TInt:
+		return v.Kind() == data.Int && v.Int() > -1<<53 && v.Int() < 1<<53
+	case TText:
+		return v.Kind() == data.String
+	case TBool:
+		return v.Kind() == data.Bool
+	default:
+		return false
+	}
+}
+
+// candidates returns the rows a statement's WHERE must examine, in key
+// order: the one row appendPK pins, returned in hit, else every row.
+func (t *table) candidates(conds []Cond, hit *[1]rowEntry) []rowEntry {
+	var buf [64]byte
+	if key, ok := t.appendPK(buf[:0], conds); ok {
+		e, exists := t.rows[string(key)]
+		if !exists {
+			return nil
 		}
-		return nil
+		hit[0] = e
+		return hit[:]
 	}
-	return t.sortedKeys()
+	es := make([]rowEntry, 0, len(t.rows))
+	for _, e := range t.rows {
+		es = append(es, e)
+	}
+	slices.SortFunc(es, func(a, b rowEntry) int { return strings.Compare(a.key, b.key) })
+	return es
 }
 
-// sortedKeys iterates rows deterministically.
-func (t *table) sortedKeys() []string {
-	ks := make([]string, 0, len(t.rows))
-	for k := range t.rows {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func (db *DB) runSelect(s *SelectStmt) (*Result, []firing, error) {
+func (db *DB) runSelect(s *SelectStmt) (Result, []firing, error) {
 	t, ok := db.tables[strings.ToLower(s.Table)]
 	if !ok {
-		return nil, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
+		return Result{}, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
 	}
 	var colIdx []int
 	var colNames []string
@@ -527,25 +577,25 @@ func (db *DB) runSelect(s *SelectStmt) (*Result, []firing, error) {
 		for _, cn := range s.Columns {
 			idx, ok := t.colIdx[strings.ToLower(cn)]
 			if !ok {
-				return nil, nil, fmt.Errorf("relstore: no column %s in %s", cn, s.Table)
+				return Result{}, nil, fmt.Errorf("relstore: no column %s in %s", cn, s.Table)
 			}
 			colIdx = append(colIdx, idx)
 			colNames = append(colNames, t.schema.Columns[idx].Name)
 		}
 	}
-	res := &Result{Columns: colNames}
-	for _, k := range t.candidateKeys(s.Where) {
-		r := t.rows[k]
-		ok, err := t.matchWhere(s.Where, r)
+	res := Result{Columns: colNames}
+	var hit [1]rowEntry
+	for _, e := range t.candidates(s.Where, &hit) {
+		ok, err := t.matchWhere(s.Where, e.row)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, nil, err
 		}
 		if !ok {
 			continue
 		}
 		out := make(Row, len(colIdx))
 		for i, idx := range colIdx {
-			out[i] = r[idx]
+			out[i] = e.row[idx]
 		}
 		res.Rows = append(res.Rows, out)
 	}
@@ -553,10 +603,10 @@ func (db *DB) runSelect(s *SelectStmt) (*Result, []firing, error) {
 	return res, nil, nil
 }
 
-func (db *DB) runUpdate(s *UpdateStmt) (*Result, []firing, error) {
+func (db *DB) runUpdate(s *UpdateStmt, fires []firing) (Result, []firing, error) {
 	t, ok := db.tables[strings.ToLower(s.Table)]
 	if !ok {
-		return nil, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
+		return Result{}, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
 	}
 	// Pre-validate SET columns.
 	type setOp struct {
@@ -569,71 +619,71 @@ func (db *DB) runUpdate(s *UpdateStmt) (*Result, []firing, error) {
 	for _, a := range s.Sets {
 		idx, ok := t.colIdx[strings.ToLower(a.Column)]
 		if !ok {
-			return nil, nil, fmt.Errorf("relstore: no column %s in %s", a.Column, s.Table)
+			return Result{}, nil, fmt.Errorf("relstore: no column %s in %s", a.Column, s.Table)
 		}
 		v, err := coerce(a.Value, t.schema.Columns[idx].Type, a.Column)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, nil, err
 		}
 		sets = append(sets, setOp{idx, v})
 		rekeys = rekeys || slices.Contains(t.pkIdx, idx)
 	}
-	var fires []firing
 	affected := 0
-	for _, k := range t.candidateKeys(s.Where) {
-		old := t.rows[k]
-		ok, err := t.matchWhere(s.Where, old)
+	var hit [1]rowEntry
+	for _, e := range t.candidates(s.Where, &hit) {
+		ok, err := t.matchWhere(s.Where, e.row)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, nil, err
 		}
 		if !ok {
 			continue
 		}
-		// old is replaced below, never written, so triggers get it as is.
-		nw := old.Clone()
+		// e.row is replaced below, never written, so triggers get it as is.
+		nw, trig := rowPair(len(e.row))
+		copy(nw, e.row)
 		for _, so := range sets {
 			nw[so.idx] = so.v
 		}
-		newKey := k // no PK column assigned, or no PK: the row keeps its key
+		key := e.key // no PK column assigned, or no PK: the row keeps its key
 		if rekeys {
-			if newKey, err = t.keyFor(nw); err != nil {
-				return nil, nil, err
+			if key, err = t.keyFor(nw); err != nil {
+				return Result{}, nil, err
 			}
 		}
-		if newKey != k {
-			if _, dup := t.rows[newKey]; dup {
-				return nil, nil, fmt.Errorf("relstore: update would duplicate primary key in %s", s.Table)
+		if key != e.key {
+			if _, dup := t.rows[key]; dup {
+				return Result{}, nil, fmt.Errorf("relstore: update would duplicate primary key in %s", s.Table)
 			}
-			delete(t.rows, k)
+			delete(t.rows, e.key)
 		}
-		t.rows[newKey] = nw
+		t.rows[key] = rowEntry{key, nw}
 		affected++
-		fires = append(fires, firing{TrigUpdate, t.schema.Table, old, nw.Clone()})
+		copy(trig, nw)
+		fires = append(fires, firing{TrigUpdate, t.schema.Table, e.row, trig})
 	}
-	return &Result{Affected: affected}, fires, nil
+	return Result{Affected: affected}, fires, nil
 }
 
-func (db *DB) runDelete(s *DeleteStmt) (*Result, []firing, error) {
+func (db *DB) runDelete(s *DeleteStmt, fires []firing) (Result, []firing, error) {
 	t, ok := db.tables[strings.ToLower(s.Table)]
 	if !ok {
-		return nil, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
+		return Result{}, nil, fmt.Errorf("relstore: table %s: %w", s.Table, ris.ErrNotFound)
 	}
-	var fires []firing
 	affected := 0
-	for _, k := range t.candidateKeys(s.Where) {
-		r := t.rows[k]
-		ok, err := t.matchWhere(s.Where, r)
+	var hit [1]rowEntry
+	for _, e := range t.candidates(s.Where, &hit) {
+		ok, err := t.matchWhere(s.Where, e.row)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, nil, err
 		}
 		if !ok {
 			continue
 		}
-		delete(t.rows, k)
+		delete(t.rows, e.key)
 		affected++
-		fires = append(fires, firing{TrigDelete, t.schema.Table, r, nil})
+		fires = append(fires, firing{TrigDelete, t.schema.Table, e.row, nil})
 	}
-	return &Result{Affected: affected}, fires, nil
+	return Result{Affected: affected}, fires, nil
 }
 
 // RowCount reports the number of rows in a table, for tests and tools.

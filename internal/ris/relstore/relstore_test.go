@@ -2,6 +2,8 @@ package relstore
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +15,7 @@ import (
 	"cmtk/internal/ris"
 )
 
-func mustExec(t *testing.T, db *DB, sql string) *Result {
+func mustExec(t *testing.T, db *DB, sql string) Result {
 	t.Helper()
 	res, err := db.Exec(sql)
 	if err != nil {
@@ -351,6 +353,120 @@ func TestTriggerRegistryConcurrent(t *testing.T) {
 	}
 }
 
+// TestExecConcurrentStatements: four goroutines share one DB, and so the
+// buffer an UPDATE parses into.  Each owns three rows and runs keyed and
+// multi-row UPDATEs and SELECTs with SET and WHERE lists of its own, some
+// longer than the buffer holds; every Result and every trigger's rows must
+// be its own statement's.  Run under -race.
+func TestExecConcurrentStatements(t *testing.T) {
+	const workers, rounds = 4, 100
+	cols := []string{"k", "g", "a", "b", "c"}
+	type set struct {
+		col int
+		v   data.Value
+	}
+	type fire struct{ old, new Row }
+	db := New("c")
+	mustExec(t, db, "CREATE TABLE w (k INT, g INT, a INT, b INT, c TEXT, PRIMARY KEY (k))")
+	var model [workers][3]Row
+	for g := range model {
+		for j := range model[g] {
+			model[g][j] = Row{data.NewInt(int64(10*g + j)), data.NewInt(int64(g)), data.NewInt(0), data.NewInt(0), data.NewString("")}
+			mustExec(t, db, fmt.Sprintf("INSERT INTO w VALUES (%d, %d, 0, 0, '')", 10*g+j, g))
+		}
+	}
+	// A trigger runs in the goroutine whose statement fired it, and each
+	// goroutine's rows carry its number in g.
+	var fired [workers][]fire
+	if _, err := db.RegisterTrigger("w", func(_ TriggerOp, _ string, old, new Row) {
+		g := new[1].Int()
+		fired[g] = append(fired[g], fire{old, new})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	run := func(g int) error {
+		check := func(sql string, want Result, wantFires []fire) error {
+			fired[g] = nil
+			got, err := db.Exec(sql)
+			if err != nil {
+				return fmt.Errorf("%s: %v", sql, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("%s: result %v, want %v", sql, got, want)
+			}
+			if !reflect.DeepEqual(fired[g], wantFires) {
+				return fmt.Errorf("%s: fired %v, want %v", sql, fired[g], wantFires)
+			}
+			return nil
+		}
+		rows := &model[g]
+		for i := 0; i < rounds; i++ {
+			j := i % 3
+			k, n := data.NewInt(int64(10*g+j)), data.NewInt(int64(i))
+			tag := data.NewString(fmt.Sprintf("g%di%d", g, i))
+			sets := [workers][]set{
+				{{2, n}},
+				{{2, n}, {4, tag}},
+				{{4, tag}, {3, n}, {2, n}},
+				{{3, n}, {2, n}, {4, tag}, {1, data.NewInt(3)}, {0, k}},
+			}[g]
+			where := [workers]string{
+				"k = %d",
+				"k = %d AND g = 1",
+				"g = 2 AND k = %d AND a >= 0",
+				"k = %d AND g = 3 AND a >= 0 AND b >= 0 AND c <> 'none'",
+			}[g]
+			sql := "UPDATE w SET "
+			old, nw := rows[j], rows[j].Clone()
+			for x, s := range sets {
+				if x > 0 {
+					sql += ", "
+				}
+				sql += cols[s.col] + " = " + quoteSQL(s.v)
+				nw[s.col] = s.v
+			}
+			sql += " WHERE " + fmt.Sprintf(where, 10*g+j)
+			rows[j] = nw
+			if err := check(sql, Result{Affected: 1}, []fire{{old, nw}}); err != nil {
+				return err
+			}
+
+			b := data.NewInt(int64(1000 + i))
+			var all []fire
+			for j := range rows {
+				nw := rows[j].Clone()
+				nw[3] = b
+				all = append(all, fire{rows[j], nw})
+				rows[j] = nw
+			}
+			sql = fmt.Sprintf("UPDATE w SET b = %d WHERE g = %d AND k >= %d AND k <= %d", 1000+i, g, 10*g, 10*g+2)
+			if err := check(sql, Result{Affected: 3}, all); err != nil {
+				return err
+			}
+
+			sql = fmt.Sprintf("SELECT c, a FROM w WHERE k = %d", 10*g+j)
+			want := Result{Columns: []string{"c", "a"}, Rows: []Row{{rows[j][4], rows[j][2]}}, Affected: 1}
+			if err := check(sql, want, nil); err != nil {
+				return err
+			}
+			want = Result{Columns: cols, Rows: rows[:], Affected: 3}
+			if err := check(fmt.Sprintf("SELECT * FROM w WHERE g = %d", g), want, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		go func() { errs <- run(g) }()
+	}
+	for g := 0; g < workers; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestStoredTextIsNotTheStatement: the lexer hands out quoted literals as
 // substrings of the statement, so a TEXT cell written by INSERT or UPDATE
 // must be a copy, or the row would keep the whole statement alive.
@@ -400,13 +516,13 @@ func TestExecAllocs(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"update", 14, func() {
+		{"update", 1, func() {
 			n++
 			if res, err := db.Exec(updates[n%2]); err != nil || res.Affected != 1 {
 				t.Fatalf("update: %v, %v", res, err)
 			}
 		}},
-		{"select", 12, func() {
+		{"select", 7, func() {
 			if res, err := db.Exec("SELECT salary FROM employees WHERE empid = 'e2'"); err != nil || len(res.Rows) != 1 {
 				t.Fatalf("select: %v, %v", res, err)
 			}
@@ -533,7 +649,10 @@ func TestSchemaOfAndTables(t *testing.T) {
 	}
 }
 
-func TestQuoteSQL(t *testing.T) {
+// quoteSQL renders v as AppendSQL does, as a string.
+func quoteSQL(v data.Value) string { return string(AppendSQL(nil, v)) }
+
+func TestAppendSQL(t *testing.T) {
 	cases := map[string]data.Value{
 		"NULL":    data.NullValue,
 		"TRUE":    data.NewBool(true),
@@ -544,13 +663,13 @@ func TestQuoteSQL(t *testing.T) {
 		"'it''s'": data.NewString("it's"),
 	}
 	for want, v := range cases {
-		if got := QuoteSQL(v); got != want {
-			t.Errorf("QuoteSQL(%s) = %q, want %q", v, got, want)
+		if got := quoteSQL(v); got != want {
+			t.Errorf("AppendSQL(%s) = %q, want %q", v, got, want)
 		}
 	}
 }
 
-// Property: a value round-trips through QuoteSQL + INSERT + SELECT.
+// Property: a value round-trips through AppendSQL + INSERT + SELECT.
 func TestQuickValueRoundTrip(t *testing.T) {
 	db := New("t")
 	mustExec(t, db, "CREATE TABLE rt (k INT, v TEXT, PRIMARY KEY (k))")
@@ -560,11 +679,11 @@ func TestQuickValueRoundTrip(t *testing.T) {
 			return true // NUL not representable in our line protocols anyway
 		}
 		k++
-		ins := "INSERT INTO rt (k, v) VALUES (" + QuoteSQL(data.NewInt(k)) + ", " + QuoteSQL(data.NewString(s)) + ")"
+		ins := "INSERT INTO rt (k, v) VALUES (" + quoteSQL(data.NewInt(k)) + ", " + quoteSQL(data.NewString(s)) + ")"
 		if _, err := db.Exec(ins); err != nil {
 			return false
 		}
-		sel := "SELECT v FROM rt WHERE k = " + QuoteSQL(data.NewInt(k))
+		sel := "SELECT v FROM rt WHERE k = " + quoteSQL(data.NewInt(k))
 		res, err := db.Exec(sel)
 		if err != nil || len(res.Rows) != 1 {
 			return false
@@ -643,6 +762,39 @@ func TestPKFastPathSemantics(t *testing.T) {
 	}
 }
 
+// pkLookup returns the key appendPK renders, as a string.
+func (t *table) pkLookup(conds []Cond) (string, bool) {
+	key, ok := t.appendPK(nil, conds)
+	return string(key), ok
+}
+
+// TestPKFastPathMatchesScan: an equality on the key finds what the same
+// bounds as a range find.  A FLOAT literal against an INT key (-0.0,
+// 10000000000000000.0) renders to no stored row's key, but Value.Equal,
+// which a scan applies, matches it, so such a literal must scan.
+func TestPKFastPathMatchesScan(t *testing.T) {
+	db := New("q")
+	mustExec(t, db, "CREATE TABLE nums (k INT, v TEXT, PRIMARY KEY (k))")
+	mustExec(t, db, "INSERT INTO nums VALUES (0, 'zero')")
+	mustExec(t, db, "INSERT INTO nums VALUES (10000000000000000, 'big')")
+	for _, c := range []struct{ lit, v string }{
+		{"-0.0", "zero"},
+		{"10000000000000000.0", "big"},
+	} {
+		eq := mustExec(t, db, "SELECT v FROM nums WHERE k = "+c.lit)
+		rng := mustExec(t, db, "SELECT v FROM nums WHERE k >= "+c.lit+" AND k <= "+c.lit)
+		if len(eq.Rows) != 1 || eq.Rows[0][0].Str() != c.v || len(rng.Rows) != 1 || rng.Rows[0][0].Str() != c.v {
+			t.Errorf("k = %s: rows %v, range rows %v; want one row %q", c.lit, eq.Rows, rng.Rows, c.v)
+		}
+	}
+	if r := mustExec(t, db, "UPDATE nums SET v = 'z' WHERE k = -0.0"); r.Affected != 1 {
+		t.Errorf("UPDATE WHERE k = -0.0 affected %d rows, want 1", r.Affected)
+	}
+	if res := mustExec(t, db, "SELECT v FROM nums WHERE k = 0"); len(res.Rows) != 1 || res.Rows[0][0].Str() != "z" {
+		t.Errorf("after the UPDATE, k = 0 holds %v, want z", res.Rows)
+	}
+}
+
 // TestPKLookupMultiColumn: a WHERE that pins every column of a two-column
 // key finds its row by the text keyFor stored, whatever the order of the
 // conditions; pinning one column scans.
@@ -653,7 +805,8 @@ func TestPKLookupMultiColumn(t *testing.T) {
 	mustExec(t, db, "INSERT INTO grid VALUES (1, 'b', 11)")
 	mustExec(t, db, "INSERT INTO grid VALUES (2, 'a', 20)")
 	tb := db.tables["grid"]
-	for key, row := range tb.rows {
+	for key, e := range tb.rows {
+		row := e.row
 		for _, conds := range [][]Cond{
 			{{Column: "x", Op: "=", Value: row[0]}, {Column: "y", Op: "=", Value: row[1]}},
 			{{Column: "Y", Op: "=", Value: row[1]}, {Column: "v", Op: ">", Value: data.NewInt(0)}, {Column: "X", Op: "=", Value: row[0]}},

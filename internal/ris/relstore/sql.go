@@ -265,8 +265,23 @@ func (p *sqlParser) atEnd() bool {
 }
 
 // Parse parses one SQL statement.
-func Parse(src string) (Stmt, error) {
-	// The token buffer lives in Parse's frame, not in the parser: a parser
+func Parse(src string) (Stmt, error) { return parse(src, nil) }
+
+// stmtBuf is the storage an UPDATE parses into when the engine runs it:
+// the statement and room for four SET and four WHERE items, past which
+// the lists spill to the heap.
+type stmtBuf struct {
+	upd   UpdateStmt
+	sets  [4]Assign
+	where [4]Cond
+}
+
+// parse parses one statement, an UPDATE into b when b is not nil.  b is
+// an argument, not a parser field: the statement returned points into b,
+// and escape analysis, which does not follow fields apart, would move a
+// parser holding b to the heap, and the token array with it.
+func parse(src string, b *stmtBuf) (Stmt, error) {
+	// The token buffer lives in parse's frame, not in the parser: a parser
 	// pointing into itself would be moved to the heap.
 	var buf [24]sqlTok
 	toks, err := sqlLex(buf[:0], src)
@@ -285,7 +300,7 @@ func Parse(src string) (Stmt, error) {
 	case p.keyword("SELECT"):
 		stmt, err = p.parseSelect()
 	case p.keyword("UPDATE"):
-		stmt, err = p.parseUpdate()
+		stmt, err = p.parseUpdate(b)
 	case p.keyword("DELETE"):
 		stmt, err = p.parseDelete()
 	default:
@@ -436,11 +451,11 @@ func (p *sqlParser) parseInsert() (Stmt, error) {
 	return st, nil
 }
 
-func (p *sqlParser) parseWhere() ([]Cond, error) {
+// parseWhere appends a WHERE clause's conditions to out.
+func (p *sqlParser) parseWhere(out []Cond) ([]Cond, error) {
 	if !p.keyword("WHERE") {
-		return nil, nil
+		return out, nil
 	}
-	var out []Cond
 	for {
 		col, err := p.word()
 		if err != nil {
@@ -493,19 +508,27 @@ func (p *sqlParser) parseSelect() (Stmt, error) {
 		return nil, err
 	}
 	st.Table = name
-	st.Where, err = p.parseWhere()
+	st.Where, err = p.parseWhere(nil)
 	if err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-func (p *sqlParser) parseUpdate() (Stmt, error) {
+// parseUpdate parses an UPDATE into b, or into a new statement when b is
+// nil.
+func (p *sqlParser) parseUpdate(b *stmtBuf) (Stmt, error) {
 	name, err := p.word()
 	if err != nil {
 		return nil, err
 	}
-	st := &UpdateStmt{Table: name}
+	var st *UpdateStmt
+	if b != nil {
+		b.upd = UpdateStmt{Table: name, Sets: b.sets[:0], Where: b.where[:0]}
+		st = &b.upd
+	} else {
+		st = &UpdateStmt{Table: name}
+	}
 	if err := p.expectKeyword("SET"); err != nil {
 		return nil, err
 	}
@@ -526,7 +549,7 @@ func (p *sqlParser) parseUpdate() (Stmt, error) {
 			break
 		}
 	}
-	st.Where, err = p.parseWhere()
+	st.Where, err = p.parseWhere(st.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -543,27 +566,38 @@ func (p *sqlParser) parseDelete() (Stmt, error) {
 	}
 	st := &DeleteStmt{Table: name}
 	var err2 error
-	st.Where, err2 = p.parseWhere()
+	st.Where, err2 = p.parseWhere(nil)
 	if err2 != nil {
 		return nil, err2
 	}
 	return st, nil
 }
 
-// QuoteSQL renders a data.Value as a SQL literal for command-template
-// substitution in CM-RIDs ($b in "update employees set salary = $b ...").
-func QuoteSQL(v data.Value) string {
+// AppendSQL appends v as a SQL literal, for command-template substitution
+// in CM-RIDs ($b in "update employees set salary = $b ...").
+func AppendSQL(dst []byte, v data.Value) []byte {
 	switch v.Kind() {
 	case data.Null:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case data.Bool:
 		if v.Bool() {
-			return "TRUE"
+			return append(dst, "TRUE"...)
 		}
-		return "FALSE"
+		return append(dst, "FALSE"...)
 	case data.String:
-		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
+		dst = append(dst, '\'')
+		for s := v.Str(); ; {
+			i := strings.IndexByte(s, '\'')
+			if i < 0 {
+				dst = append(dst, s...)
+				break
+			}
+			dst = append(dst, s[:i+1]...)
+			dst = append(dst, '\'')
+			s = s[i+1:]
+		}
+		return append(dst, '\'')
 	default:
-		return v.String()
+		return v.AppendLiteral(dst)
 	}
 }

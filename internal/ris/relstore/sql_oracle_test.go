@@ -119,7 +119,7 @@ func parseOracle(src string) (Stmt, error) {
 	case p.keyword("SELECT"):
 		stmt, err = p.parseSelect()
 	case p.keyword("UPDATE"):
-		stmt, err = p.parseUpdate()
+		stmt, err = p.parseUpdate(nil)
 	case p.keyword("DELETE"):
 		stmt, err = p.parseDelete()
 	default:

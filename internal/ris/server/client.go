@@ -64,19 +64,19 @@ func (rc *RelClient) onPush(m wire.Message) {
 }
 
 // Exec runs one SQL statement remotely.
-func (rc *RelClient) Exec(sql string) (*relstore.Result, error) {
+func (rc *RelClient) Exec(sql string) (relstore.Result, error) {
 	reply, err := rc.c.Do(wire.Message{Type: "sql", F: map[string]string{"q": sql}})
 	if err != nil {
-		return nil, err
+		return relstore.Result{}, err
 	}
-	res := &relstore.Result{Columns: reply.Cols}
+	res := relstore.Result{Columns: reply.Cols}
 	if a := reply.Field("affected"); a != "" {
 		res.Affected, _ = strconv.Atoi(a)
 	}
 	for _, row := range reply.Rows {
 		r, err := decodeRow(row)
 		if err != nil {
-			return nil, fmt.Errorf("server: decoding result row: %w", err)
+			return relstore.Result{}, fmt.Errorf("server: decoding result row: %w", err)
 		}
 		res.Rows = append(res.Rows, r)
 	}

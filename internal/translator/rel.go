@@ -18,7 +18,7 @@ import (
 // SQL text in, results out, plus trigger registration.  Both a local
 // *relstore.DB and a remote *server.RelClient satisfy it.
 type RelSource interface {
-	Exec(sql string) (*relstore.Result, error)
+	Exec(sql string) (relstore.Result, error)
 	RegisterTrigger(table string, fn relstore.Trigger) (func(), error)
 }
 
@@ -55,42 +55,34 @@ func (t *Rel) Capabilities(base string) ris.Capability {
 // "Our CM-Translator performs the necessary substitution given a
 // particular instance of n").  It makes one left-to-right pass over the
 // template and never rescans what it put in, so a key or value that
-// contains "$b" or "$n" is substituted as written.
+// contains "$b" or "$n" is substituted as written.  The statement is
+// built in a stack buffer, so it costs one allocation: the string.
 func substSQL(tpl string, item data.ItemName, v data.Value) (string, error) {
-	nn, nb := strings.Count(tpl, "$n"), strings.Count(tpl, "$b")
-	if nn == 0 && nb == 0 {
+	if strings.IndexByte(tpl, '$') < 0 {
 		return tpl, nil
 	}
-	var key, val string
-	if nn > 0 {
-		if len(item.Args) != 1 {
-			return "", fmt.Errorf("translator: template %q wants $n but item %s has %d arguments", tpl, item, len(item.Args))
+	var buf [256]byte
+	out := buf[:0]
+	for rest := tpl; ; {
+		i := strings.IndexByte(rest, '$')
+		if i < 0 || i+1 == len(rest) {
+			return string(append(out, rest...)), nil
 		}
-		key = relstore.QuoteSQL(item.Args[0])
-	}
-	if nb > 0 {
-		val = relstore.QuoteSQL(v)
-	}
-	var b strings.Builder
-	b.Grow(len(tpl) + nn*(len(key)-2) + nb*(len(val)-2))
-	for {
-		i := strings.IndexByte(tpl, '$')
-		if i < 0 || i+1 == len(tpl) {
-			b.WriteString(tpl)
-			return b.String(), nil
-		}
-		b.WriteString(tpl[:i])
-		switch tpl[i+1] {
+		out = append(out, rest[:i]...)
+		switch rest[i+1] {
 		case 'n':
-			b.WriteString(key)
+			if len(item.Args) != 1 {
+				return "", fmt.Errorf("translator: template %q wants $n but item %s has %d arguments", tpl, item, len(item.Args))
+			}
+			out = relstore.AppendSQL(out, item.Args[0])
 		case 'b':
-			b.WriteString(val)
+			out = relstore.AppendSQL(out, v)
 		default:
-			b.WriteByte('$')
-			tpl = tpl[i+1:]
+			out = append(out, '$')
+			rest = rest[i+1:]
 			continue
 		}
-		tpl = tpl[i+2:]
+		rest = rest[i+2:]
 	}
 }
 

@@ -465,6 +465,28 @@ func TestSubstSQL(t *testing.T) {
 	}
 }
 
+// TestSubstSQLAllocs pins the cost of rendering the payroll write
+// template for a TEXT key and a 3-digit value: the statement's string.
+func TestSubstSQLAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	cfg, err := rid.ParseString(payrollRID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := cfg.Binding("salary2")
+	it, v := item("salary2", "e17"), data.NewInt(250)
+	const want = "UPDATE employees SET salary = 250 WHERE empid = 'e17'"
+	if got := testing.AllocsPerRun(200, func() {
+		if q, err := substSQL(b.WriteSQL, it, v); err != nil || q != want {
+			t.Fatalf("substSQL = %q, %v; want %q", q, err, want)
+		}
+	}); got > 1 {
+		t.Errorf("substSQL: %.1f allocs, budget 1", got)
+	}
+}
+
 // TestSubstSQLDoesNotRescanSubstitutedText: a key or value holding "$b",
 // "$n" or a quote is substituted as written in every template, and the
 // statement built from it reaches the item's own row.
