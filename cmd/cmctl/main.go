@@ -18,8 +18,10 @@
 //
 // The ckpt subcommand decodes the sectioned trace checkpoints a
 // retention-enabled shell persists, checking every section's CRC and
-// printing granular verdicts; -verify turns the outcome into an exit
-// code for scripted preflight before a cold start.
+// decoding the meta and base sections as a cold start does, and prints
+// granular verdicts; -verify turns the outcome into an exit code for
+// scripted preflight before a cold start.  The monitor section is checked
+// by its CRC only: decoding it needs the deployment's guarantees.
 //
 // The state subcommand reads a cmshell durable state directory without
 // modifying it (safe while the shell is running): per-journal segment
@@ -39,7 +41,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -53,8 +54,8 @@ import (
 	"cmtk/internal/guarantee"
 	"cmtk/internal/rid"
 	"cmtk/internal/rule"
+	"cmtk/internal/shell"
 	"cmtk/internal/strategy"
-	"cmtk/internal/trace"
 	"cmtk/internal/translator"
 	"cmtk/internal/transport"
 )
@@ -84,7 +85,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       cmctl suggest -x BASE -xrid FILE -y BASE -yrid FILE [-arity N]")
 	fmt.Fprintln(os.Stderr, "       cmctl state -state-dir DIR")
 	fmt.Fprintln(os.Stderr, "       cmctl ring {-route FILE | -spec FILE -members A,B,C | -state-dir DIR} [-rid FILE] [-plan A,B,C,D] [-write FILE]")
-	fmt.Fprintln(os.Stderr, "       cmctl ckpt -state-dir DIR [-log NAME] [-verify]")
+	fmt.Fprintln(os.Stderr, "       cmctl ckpt -state-dir DIR [-log NAME] [-verify]  (-verify checks CRCs and decodes meta/base; monitor needs the guarantees)")
 	os.Exit(2)
 }
 
@@ -199,12 +200,13 @@ func state(args []string) {
 // while the shell runs).  Every section's CRC is checked and its
 // verdict printed; with -verify the exit code reflects the outcome, so
 // an operator can validate a checkpoint before trusting a cold start to
-// it.
+// it.  The monitor section is checked by its CRC only, because resuming
+// it needs the deployment's guarantees.
 func ckptCmd(args []string) {
 	fs := flag.NewFlagSet("ckpt", flag.ExitOnError)
 	dir := fs.String("state-dir", "", "durable state directory to inspect")
 	logName := fs.String("log", "", "checkpoint log to decode (default: every trace-* log)")
-	verify := fs.Bool("verify", false, "exit nonzero unless every snapshot verifies")
+	verify := fs.Bool("verify", false, "exit nonzero unless every snapshot verifies (section CRCs, meta and base decode; the monitor section is CRC-checked only)")
 	fs.Parse(args)
 	if *dir == "" {
 		usage()
@@ -243,9 +245,9 @@ func ckptCmd(args []string) {
 			fmt.Println()
 			continue
 		}
-		secs, rep := durable.DecodeSections(rec.Snapshot)
+		cs, rep, err := shell.DecodeTraceCheckpoint(rec.Snapshot)
 		verdict := "verified"
-		if err := rep.Err(); err != nil {
+		if err != nil {
 			verdict = err.Error()
 			ok = false
 		}
@@ -257,15 +259,10 @@ func ckptCmd(args []string) {
 			}
 			fmt.Printf("  section %-10s %8d bytes  %s\n", st.Name, st.Bytes, v)
 		}
-		if meta, found := secs["meta"]; found {
-			var cs trace.CheckpointState
-			items := map[string]string{}
-			json.Unmarshal(secs["base"], &items)
-			if err := json.Unmarshal(meta, &cs); err == nil {
-				fmt.Printf("  next seq %d, %d event(s) folded (%d bytes), base time %s, %d base item(s)\n",
-					cs.NextSeq, cs.PrunedEvents, cs.PrunedBytes,
-					cs.BaseTime.Format("2006-01-02 15:04:05"), len(items))
-			}
+		if err == nil {
+			fmt.Printf("  next seq %d, %d event(s) folded (%d bytes), base time %s, %d base item(s)\n",
+				cs.NextSeq, cs.PrunedEvents, cs.PrunedBytes,
+				cs.BaseTime.Format("2006-01-02 15:04:05"), len(cs.Base))
 		}
 	}
 	if *verify && !ok {
@@ -344,8 +341,8 @@ func ringCmd(args []string) {
 		if len(rec.Snapshot) == 0 {
 			log.Fatalf("cmctl: %s: no %s checkpoint (not a fleet member's state dir?)", *stateDir, fleet.TableLogName)
 		}
-		if err := json.Unmarshal(rec.Snapshot, &tab); err != nil {
-			log.Fatalf("cmctl: %s: decoding %s: %v", *stateDir, fleet.TableLogName, err)
+		if tab, err = fleet.DecodeTable(rec.Snapshot); err != nil {
+			log.Fatalf("cmctl: %s: %s log: %v", *stateDir, fleet.TableLogName, err)
 		}
 		source = fmt.Sprintf("%s (%s log)", *stateDir, fleet.TableLogName)
 	default:

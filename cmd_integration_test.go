@@ -487,3 +487,44 @@ interface WR(salary2(n), b) ->3s W(salary2(n), b)
 		t.Fatalf("state dir journals = %v, want rel-shellA and shell-shellA", names)
 	}
 }
+
+// TestCkptVerifyRejectsUndecodableMeta: a trace checkpoint whose sections
+// all pass their CRCs but whose meta section is not JSON is one a cold
+// start discards, so `cmctl ckpt -verify` must exit non-zero on it.
+func TestCkptVerifyRejectsUndecodableMeta(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test")
+	}
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin, "./cmd/cmctl")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building cmctl: %v", err)
+	}
+	dir := t.TempDir()
+	st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, _, err := st.Log("trace-s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Checkpoint(durable.EncodeSections([]durable.Section{
+		{Name: "meta", Data: []byte("not json")},
+		{Name: "base", Data: []byte("{}")},
+		{Name: "monitor", Data: []byte("{}")},
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(filepath.Join(bin, "cmctl"), "ckpt", "-state-dir", dir, "-verify").CombinedOutput()
+	if err == nil {
+		t.Fatalf("cmctl ckpt -verify exited 0 on an undecodable meta section:\n%s", out)
+	}
+	if !strings.Contains(string(out), "decoding checkpoint meta") {
+		t.Fatalf("cmctl ckpt -verify did not name the meta section:\n%s", out)
+	}
+}

@@ -11,6 +11,7 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -123,10 +124,16 @@ func (v Value) Truthy() bool {
 
 // Equal reports value equality.  Int and Float compare numerically, so
 // NewInt(3).Equal(NewFloat(3)) is true: heterogeneous sources disagree on
-// numeric representation and copy constraints must not care.
+// numeric representation and copy constraints must not care.  The
+// comparison is exact: two Ints are equal only as the same int64, and an
+// Int equals a Float only when the float is integral and converts back to
+// that int64.
 func (v Value) Equal(w Value) bool {
 	if v.kind == Null || w.kind == Null {
 		return v.kind == w.kind
+	}
+	if c, ok := v.compareExact(w); ok {
+		return c == 0
 	}
 	if vf, ok := v.AsFloat(); ok {
 		if wf, ok := w.AsFloat(); ok {
@@ -146,10 +153,14 @@ func (v Value) Equal(w Value) bool {
 	return false
 }
 
-// Compare orders two values.  Numerics order numerically, strings
-// lexicographically, bools false<true.  The second result is false when the
-// values are not comparable (mixed non-numeric kinds or nulls).
+// Compare orders two values.  Numerics order numerically — exactly when
+// an Int is involved, see Equal — strings lexicographically, bools
+// false<true.  The second result is false when the values are not
+// comparable (mixed non-numeric kinds or nulls).
 func (v Value) Compare(w Value) (int, bool) {
+	if c, ok := v.compareExact(w); ok {
+		return c, true
+	}
 	if vf, vok := v.AsFloat(); vok {
 		wf, wok := w.AsFloat()
 		if !wok {
@@ -182,6 +193,44 @@ func (v Value) Compare(w Value) (int, bool) {
 	default:
 		return 0, false
 	}
+}
+
+// compareExact orders two numbers of which at least one is an Int, without
+// rounding the Int to a float64.  ok is false for any other pair, and for
+// a NaN, which stays on the float path.
+func (v Value) compareExact(w Value) (int, bool) {
+	switch {
+	case v.kind == Int && w.kind == Int:
+		return cmp.Compare(v.i, w.i), true
+	case v.kind == Int && w.kind == Float && !math.IsNaN(w.f):
+		return compareIntFloat(v.i, w.f), true
+	case v.kind == Float && w.kind == Int && !math.IsNaN(v.f):
+		return -compareIntFloat(w.i, v.f), true
+	}
+	return 0, false
+}
+
+// compareIntFloat orders i against f, which is not NaN.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	// -2^63 <= f < 2^63, so f's integral part is an int64, and f minus it
+	// is exact.
+	t := int64(f)
+	if c := cmp.Compare(i, t); c != 0 {
+		return c
+	}
+	switch frac := f - float64(t); {
+	case frac > 0:
+		return -1
+	case frac < 0:
+		return 1
+	}
+	return 0
 }
 
 // Arith applies a binary arithmetic operator (+, -, *, /) to numeric

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -42,6 +43,30 @@ func TestValueEqualNumericCoercion(t *testing.T) {
 	}
 	if !NullValue.Equal(NullValue) || NullValue.Equal(NewInt(0)) {
 		t.Error("null equality broken")
+	}
+}
+
+// TestValueEqualIsExact: numbers compare by their exact values, never by
+// rounding an Int to a float64.
+func TestValueEqualIsExact(t *testing.T) {
+	const big = 10000000000000000 // 10^16, above 2^53
+	if NewInt(big + 1).Equal(NewInt(big)) {
+		t.Error("Int(10^16+1) == Int(10^16)")
+	}
+	if NewInt(big + 1).Equal(NewFloat(big)) {
+		t.Error("Int(10^16+1) == Float(10^16)")
+	}
+	if !NewInt(big).Equal(NewFloat(big)) {
+		t.Error("Int(10^16) != Float(10^16)")
+	}
+	if NewInt(math.MaxInt64).Equal(NewFloat(0x1p63)) {
+		t.Error("Int(2^63-1) == Float(2^63)")
+	}
+	if !NewInt(math.MinInt64).Equal(NewFloat(-0x1p63)) {
+		t.Error("Int(-2^63) != Float(-2^63)")
+	}
+	if c, ok := NewInt(big + 1).Compare(NewFloat(big)); !ok || c != 1 {
+		t.Errorf("Compare(Int(10^16+1), Float(10^16)) = %d, %v, want 1, true", c, ok)
 	}
 }
 
@@ -315,4 +340,67 @@ func TestQuickInterpretationSetGet(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzValueOrder checks Equal and Compare over Int and Float pairs against
+// math/big's exact order.  kinds picks each side's kind: bit 0 makes the
+// first an Int (from i), bit 1 the second.  For pairs without a NaN,
+// Equal agrees with Compare == 0 and Compare is antisymmetric.
+func FuzzValueOrder(f *testing.F) {
+	for _, c := range []struct {
+		i, j  int64
+		x, y  float64
+		kinds uint8
+	}{
+		{1 << 53, 1<<53 + 1, 0x1p53, 0x1p53, 1},
+		{1<<53 + 1, 0, 0, 0x1p53, 1},
+		{0, 0, 0, math.Copysign(0, -1), 1},
+		{0, 0, math.Inf(1), math.Inf(-1), 0},
+		{math.MaxInt64, 0, 0, 0x1p63, 1},
+		{math.MinInt64, 0, 0, -0x1p63, 1},
+		{0, 1, 0.5, 0, 2},
+		{0, 0, math.NaN(), 1, 2},
+		{3, 3, 0, 0, 3},
+	} {
+		f.Add(c.i, c.j, c.x, c.y, c.kinds)
+	}
+	f.Fuzz(func(t *testing.T, i, j int64, x, y float64, kinds uint8) {
+		v, w := NewFloat(x), NewFloat(y)
+		if kinds&1 != 0 {
+			v = NewInt(i)
+		}
+		if kinds&2 != 0 {
+			w = NewInt(j)
+		}
+		eq := v.Equal(w)
+		c, ok := v.Compare(w)
+		if !ok {
+			t.Fatalf("Compare(%s, %s) not comparable", v, w)
+		}
+		if isNaN(v) || isNaN(w) {
+			if eq {
+				t.Fatalf("%s equals %s", v, w)
+			}
+			return
+		}
+		if want := exact(v).Cmp(exact(w)); c != want {
+			t.Fatalf("Compare(%s, %s) = %d, want %d", v, w, c, want)
+		}
+		if eq != (c == 0) {
+			t.Fatalf("Equal(%s, %s) = %v but Compare = %d", v, w, eq, c)
+		}
+		if r, _ := w.Compare(v); r != -c {
+			t.Fatalf("Compare(%s, %s) = %d but Compare(%s, %s) = %d", v, w, c, w, v, r)
+		}
+	})
+}
+
+func isNaN(v Value) bool { return v.Kind() == Float && math.IsNaN(v.Float()) }
+
+// exact is v's exact value as a big.Float.
+func exact(v Value) *big.Float {
+	if v.Kind() == Int {
+		return new(big.Float).SetInt64(v.Int())
+	}
+	return new(big.Float).SetFloat64(v.Float())
 }

@@ -181,7 +181,7 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 		}
 		f.tlog = lg
 		if rec.Snapshot != nil {
-			t, err := decodeTable(rec.Snapshot)
+			t, err := DecodeTable(rec.Snapshot)
 			if err != nil {
 				return nil, err
 			}

@@ -272,10 +272,12 @@ func ReadFile(path string) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	return decodeTable(buf)
+	return DecodeTable(buf)
 }
 
-func decodeTable(buf []byte) (Table, error) {
+// DecodeTable decodes a route table as WriteFile and a fleet's
+// fleet-table log write it, and rejects one without an owners map.
+func DecodeTable(buf []byte) (Table, error) {
 	var t Table
 	if err := json.Unmarshal(buf, &t); err != nil {
 		return Table{}, fmt.Errorf("fleet: decoding route table: %w", err)

@@ -499,9 +499,9 @@ func (t *table) matchWhere(conds []Cond, r Row) (bool, error) {
 // the conjunction names exists, so that no error a scan would report is
 // skipped, and only when each key literal has its column's own kind,
 // which Value.Equal matches exactly when the literals render alike: an
-// INT within ±2^53 (Equal compares numbers as float64), a TEXT string or
-// a BOOL.  Anything else scans, a FLOAT key too: 0 and -0 are two keys
-// but equal values.
+// INT (Equal compares two Ints exactly), a TEXT string or a BOOL.
+// Anything else scans, a FLOAT key too: 0 and -0 are two keys but equal
+// values.
 func (t *table) appendPK(dst []byte, conds []Cond) ([]byte, bool) {
 	if len(t.pkIdx) == 0 {
 		return dst, false
@@ -531,7 +531,7 @@ func (t *table) appendPK(dst []byte, conds []Cond) ([]byte, bool) {
 func exactKey(ct ColType, v data.Value) bool {
 	switch ct {
 	case TInt:
-		return v.Kind() == data.Int && v.Int() > -1<<53 && v.Int() < 1<<53
+		return v.Kind() == data.Int
 	case TText:
 		return v.Kind() == data.String
 	case TBool:

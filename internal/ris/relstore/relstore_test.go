@@ -795,6 +795,25 @@ func TestPKFastPathMatchesScan(t *testing.T) {
 	}
 }
 
+// TestPKLookupExactBeyondFloat: two INT keys that round to one float64
+// are two rows, and an equality on one key touches only its row.
+func TestPKLookupExactBeyondFloat(t *testing.T) {
+	db := New("q")
+	mustExec(t, db, "CREATE TABLE nums (k INT, v TEXT, PRIMARY KEY (k))")
+	mustExec(t, db, "INSERT INTO nums VALUES (10000000000000000, 'even')")
+	mustExec(t, db, "INSERT INTO nums VALUES (10000000000000001, 'odd')")
+	res := mustExec(t, db, "SELECT v FROM nums WHERE k = 10000000000000000")
+	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "even" {
+		t.Fatalf("SELECT k = 10^16: rows %v, want one row even", res.Rows)
+	}
+	if r := mustExec(t, db, "UPDATE nums SET v = 'x' WHERE k = 10000000000000000"); r.Affected != 1 {
+		t.Fatalf("UPDATE k = 10^16 affected %d rows, want 1", r.Affected)
+	}
+	if res := mustExec(t, db, "SELECT v FROM nums WHERE k = 10000000000000001"); len(res.Rows) != 1 || res.Rows[0][0].Str() != "odd" {
+		t.Fatalf("after the UPDATE, k = 10^16+1 holds %v, want odd", res.Rows)
+	}
+}
+
 // TestPKLookupMultiColumn: a WHERE that pins every column of a two-column
 // key finds its row by the text keyFor stored, whatever the order of the
 // conditions; pinning one column scans.

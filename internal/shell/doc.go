@@ -12,6 +12,14 @@
 // deployment can be re-validated against the Appendix A.2 execution
 // properties and its guarantees checked after the fact.
 //
+// A CM-private item lives in the shell even at a site with a translator:
+// conditions, W and WR effects, RR effects and RequestWrite all read and
+// write it in the shell's private state, and every other item at a
+// translator-hosting site goes through the translator.  A firing's
+// bindings are written only in the shell's own scratch: a map received
+// from a peer is read, never written, because the sender's reliable
+// outbox may still hold it.
+//
 // # Observability
 //
 // Shells are instrumented through package obs.  Each shell registers, at

@@ -156,3 +156,68 @@ rule r: N(a(n), v) ->1s W(seen(n), v)
 	src.change(x, data.NewInt(1))
 	expect("a(\"x\") echo", x, 5, 3, 0)
 }
+
+// TestPrivateItemAtTranslatorSite: a CM-private item lives in the shell
+// even at a site whose translator could read and write it.  A rule's
+// WR(cache(n), v) sets the private copy, as RequestWrite does, and a
+// rule's RR(seen(n)) answers with the private value, as a condition reads
+// it; none of them reaches the translator.
+func TestPrivateItemAtTranslatorSite(t *testing.T) {
+	spec, err := rule.ParseSpecString(`
+site S
+item a @ S
+item b @ S
+private cache @ S
+private seen @ S
+private agree @ S
+rule w: N(a(n), v) ->1s WR(cache(n), v)
+rule r: N(a(n), v) ->1s RR(seen(n))
+rule c: N(b(n), v) && cache(n) = v && seen(n) = 42 ->1s W(agree(n), v)
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(nil)
+	src := &echoSource{}
+	s := New("s", spec, Options{Clock: vclock.NewVirtual(vclock.Epoch), Trace: tr})
+	s.AddSite("S", src)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	x := data.NewString("x")
+	s.WriteAux(data.Item("seen", x), data.NewInt(42))
+
+	src.change(data.Item("a", x), data.NewInt(5))
+	s.Drain()
+	if v, _ := s.ReadAux(data.Item("cache", x)); !v.Equal(data.NewInt(5)) {
+		t.Errorf("after the rule's WR, private cache(\"x\") = %s, want 5", v)
+	}
+	has := func(want string) bool {
+		for _, e := range tr.Events() {
+			if e.Desc.String() == want {
+				return true
+			}
+		}
+		return false
+	}
+	for _, want := range []string{`W(cache("x"), 5)`, `R(seen("x"), 42)`} {
+		if !has(want) {
+			t.Errorf("trace has no %s", want)
+		}
+	}
+
+	// A condition reads the same private values the rules wrote and read.
+	src.change(data.Item("b", x), data.NewInt(5))
+	s.Drain()
+	if v, _ := s.ReadAux(data.Item("agree", x)); !v.Equal(data.NewInt(5)) {
+		t.Errorf("condition over cache(\"x\") and seen(\"x\") did not hold: agree = %s", v)
+	}
+
+	// RequestWrite lands in the same private copy.
+	s.RequestWrite(data.Item("cache", x), data.NewInt(7))
+	s.Drain()
+	if v, _ := s.ReadAux(data.Item("cache", x)); !v.Equal(data.NewInt(7)) {
+		t.Errorf("after RequestWrite, private cache(\"x\") = %s, want 7", v)
+	}
+}

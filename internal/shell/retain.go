@@ -305,6 +305,21 @@ func (s *Shell) checkpointTraceLocked(rt *retention) {
 	rt.m.ckptBytes.Set(int64(len(snap)))
 }
 
+// DecodeTraceCheckpoint verifies a persisted trace checkpoint the way a
+// cold start does before it restores one: every section's CRC, then the
+// "meta" and "base" sections.  It returns the checkpoint state and the
+// per-section report; an error means a cold start would discard the
+// snapshot.  The "monitor" section is checked by its CRC only, because
+// resuming it needs the deployment's guarantees.
+func DecodeTraceCheckpoint(snap []byte) (trace.CheckpointState, durable.ImportReport, error) {
+	secs, rep := durable.DecodeSections(snap)
+	if err := rep.Err(); err != nil {
+		return trace.CheckpointState{}, rep, err
+	}
+	cs, err := decodeTraceCheckpoint(secs)
+	return cs, rep, err
+}
+
 // decodeTraceCheckpoint reassembles a trace.CheckpointState from the
 // verified "meta" and "base" sections.
 func decodeTraceCheckpoint(secs map[string][]byte) (trace.CheckpointState, error) {

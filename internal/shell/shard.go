@@ -60,6 +60,20 @@ func ruleAnchor(r *rule.Rule) (string, bool) {
 	return "", false
 }
 
+// ownsRule reports whether this shell owns rule r, whose LHS site is
+// site: the fleet route table decides when it holds the rule's anchor
+// base, and otherwise the static Fig. 1 assignment does — the shell
+// hosting site owns the rule.
+func (s *Shell) ownsRule(r *rule.Rule, site string) bool {
+	if base, ok := ruleAnchor(r); ok {
+		if owner, ok := s.shardOwner(base); ok {
+			return owner == s.id
+		}
+	}
+	_, hosted := s.sites[site]
+	return hosted
+}
+
 // effectBase is the base whose owner executes the rule's RHS (all of a
 // rule's effects resolve to one owner — the fleet assignment co-locates
 // them by affinity, mirroring Appendix A.1's one-site RHS restriction).
@@ -129,26 +143,23 @@ func (s *Shell) forwardShard(m transport.Message, owner, kind string) {
 	}
 }
 
-// forwardTrigger ships an external trigger (spontaneous update,
-// translator notification, write request) to the base's owner as a
-// "fleet-trigger" message.  Values travel as literal encodings; the
-// owner replays the trigger through the same local path the original
-// shell would have used.
-func (s *Shell) forwardTrigger(op, site string, item data.ItemName, old, new data.Value, owner string) {
+// forwardTrigger ships an external trigger of the given task kind to the
+// base's owner as a "fleet-trigger" message.  Values travel as literal
+// encodings; the owner replays the trigger through external, the path the
+// original shell would have used.
+func (s *Shell) forwardTrigger(kind taskKind, site string, item data.ItemName, old, new data.Value, owner string) {
 	m := transport.Message{
 		Kind: "fleet-trigger",
 		Payload: map[string]string{
-			"op":   op,
+			"op":   triggerOps[kind],
 			"item": item.String(),
 			"old":  old.String(),
 			"new":  new.String(),
 		},
+		Epoch: s.opts.Router.Epoch(),
 	}
 	if site != "" {
 		m.Payload["site"] = site
-	}
-	if s.opts.Router != nil {
-		m.Epoch = s.opts.Router.Epoch()
 	}
 	s.opts.Router.Forwarded("trigger")
 	if s.ep == nil {
@@ -167,9 +178,9 @@ func (s *Shell) forwardTrigger(op, site string, item data.ItemName, old, new dat
 }
 
 // receiveTrigger handles an inbound "fleet-trigger": if this shell owns
-// the base, the trigger replays through the local path it would have
-// taken had it arrived here first; otherwise it is forwarded onward
-// (the sender held a stale table).
+// the base, the trigger replays through external as if it had arrived
+// here first; otherwise it is forwarded onward (the sender held a stale
+// table).
 func (s *Shell) receiveTrigger(m transport.Message) {
 	s.noteStaleEpoch(&m)
 	item, err := data.ParseItemName(m.Payload["item"])
@@ -200,19 +211,17 @@ func (s *Shell) receiveTrigger(m transport.Message) {
 		}, false)
 		return
 	}
-	switch op := m.Payload["op"]; op {
-	case "ws":
-		s.spontaneousLocal(item, old, newV)
-	case "notify":
-		s.notifyLocal(m.Payload["site"], item, old, newV)
-	case "wr":
-		s.requestWriteLocal(item, newV)
-	default:
-		s.reportFailure(cmi.Failure{
-			Kind: cmi.FailLogical, Site: s.id, When: s.clock.Now(),
-			Op: "receive", Err: fmt.Errorf("fleet-trigger from %s: unknown op %q", m.From, op),
-		}, false)
+	op := m.Payload["op"]
+	for kind, name := range triggerOps {
+		if name != "" && name == op {
+			s.external(taskKind(kind), m.Payload["site"], item, old, newV)
+			return
+		}
 	}
+	s.reportFailure(cmi.Failure{
+		Kind: cmi.FailLogical, Site: s.id, When: s.clock.Now(),
+		Op: "receive", Err: fmt.Errorf("fleet-trigger from %s: unknown op %q", m.From, op),
+	}, false)
 }
 
 // RefreshOwnership recomputes the owned-rule set and dispatch index
@@ -235,14 +244,7 @@ func (s *Shell) RefreshOwnership() error {
 		if err != nil {
 			return err
 		}
-		_, hosted := s.sites[site]
-		owns := hosted
-		if base, ok := ruleAnchor(&r); ok {
-			if owner, ok := s.opts.Router.OwnerOf(base); ok {
-				owns = owner == s.id
-			}
-		}
-		if owns {
+		if s.ownsRule(&r, site) {
 			owned = append(owned, r)
 		}
 	}

@@ -2,6 +2,7 @@ package shell
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -78,7 +79,7 @@ type Shell struct {
 	// Scratch state the match loop, the RHS and the expression evaluator
 	// reuse; the post queue serializes all use of it.  scratchB is the
 	// bindings every match attempt writes into; execB is the bindings of
-	// the local firing executeSteps is running.  They are distinct because
+	// the firing executeSteps is running.  They are distinct because
 	// executeSteps matches the events it emits while execB is in use.  one
 	// is record's single-event slice, so committing through AppendUnit
 	// does not allocate.
@@ -437,10 +438,6 @@ func (s *Shell) Start() error {
 	if s.started {
 		return fmt.Errorf("shell %s: already started", s.id)
 	}
-	// Own the rules whose LHS site is hosted here — or, when a fleet
-	// route table is installed, the rules whose anchor base the table
-	// assigns to this shell (bases outside the table keep the static
-	// Fig. 1 assignment).
 	needNotify := map[string]string{} // item base -> site, for N/Ws LHS rules
 	periods := map[time.Duration]string{}
 	for _, r := range s.spec.Rules {
@@ -448,34 +445,18 @@ func (s *Shell) Start() error {
 		if err != nil {
 			return err
 		}
-		_, hosted := s.sites[site]
-		owns := hosted
-		routed := false
-		if s.opts.Router != nil {
-			if base, ok := ruleAnchor(&r); ok {
-				if owner, ok := s.opts.Router.OwnerOf(base); ok {
-					owns, routed = owner == s.id, true
-				}
-			}
-		}
-		if routed && !owns && hosted && s.sites[site] != nil {
-			// Sharded ownership moved the rule off the hosting shell, but
-			// the translator's callbacks still arrive here: keep the
-			// subscription and forward each trigger to the owner
-			// (onSourceChange routes by the table).
-			switch r.LHS.Op {
-			case event.OpN, event.OpWs:
-				needNotify[r.LHS.Item.Base] = site
-			}
+		owns := s.ownsRule(&r, site)
+		// A translator here delivers the base's callbacks even when the
+		// fleet moved the rule to another shell: keep the subscription and
+		// let onSourceChange forward each trigger to the owner.
+		if (owns || s.sites[site] != nil) && (r.LHS.Op == event.OpN || r.LHS.Op == event.OpWs) {
+			needNotify[r.LHS.Item.Base] = site
 		}
 		if !owns {
 			continue
 		}
 		s.owned = append(s.owned, r)
-		switch r.LHS.Op {
-		case event.OpN, event.OpWs:
-			needNotify[r.LHS.Item.Base] = site
-		case event.OpP:
+		if r.LHS.Op == event.OpP {
 			periods[r.LHS.Period] = site
 		}
 	}
@@ -561,16 +542,21 @@ func (s *Shell) Stop() {
 type taskKind uint8
 
 const (
-	// taskThunk runs f: Do, custom message handlers, periodic ticks and
-	// CM write requests, none of which is on the per-update path.
+	// taskThunk runs f: Do, custom message handlers and periodic ticks,
+	// none of which is on the per-update path.
 	taskThunk taskKind = iota
 	// taskSpontaneous records Ws(item, old, new) at site and matches it.
 	taskSpontaneous
 	// taskNotify records the Ws/N pair of a translator notification.
 	taskNotify
+	// taskWriteRequest runs a CM write request WR(item, new) at site.
+	taskWriteRequest
 	// taskFire runs rule r's RHS for trigger under the task's bindings.
 	taskFire
 )
+
+// triggerOps names the external task kinds on the "fleet-trigger" wire.
+var triggerOps = [...]string{taskSpontaneous: "ws", taskNotify: "notify", taskWriteRequest: "wr"}
 
 // inlineBindings is how many bindings a local firing carries inside its
 // task.  Rules bind one to three parameters; a firing with more spills to
@@ -584,21 +570,21 @@ type binding struct {
 }
 
 // task is one unit of work on the post queue.  The per-update entries —
-// a spontaneous write, a notification, a local or received firing — are
-// typed values that carry their arguments in the ring slot, so posting one
-// allocates nothing; everything else is a thunk.
+// a spontaneous write, a notification, a write request, a local or
+// received firing — are typed values that carry their arguments in the
+// ring slot, so posting one allocates nothing; everything else is a thunk.
 type task struct {
 	kind taskKind
 	f    func() // taskThunk
 
-	// taskSpontaneous, taskNotify
+	// taskSpontaneous, taskNotify, taskWriteRequest
 	site     string
 	item     data.ItemName
 	old, new data.Value
 
 	// taskFire.  The bindings are the first nb entries of inline, or b
-	// when the firing owns a map: a received one, or one past
-	// inlineBindings.
+	// when the firing carries a map: a received one, or one past
+	// inlineBindings.  run reads b and never writes into it.
 	r       *rule.Rule
 	trigger *event.Event
 	b       event.Bindings
@@ -684,10 +670,11 @@ func (s *Shell) post(t task) {
 	}
 }
 
-// run executes one task on the drainer.  A local firing's inline bindings
-// are loaded into execB, which executeSteps may then extend: nothing else
-// uses execB, and executeSteps never nests, because the firings it
-// triggers are posted behind it.
+// run executes one task on the drainer.  A firing's bindings, inline or
+// a carried map, are copied into execB, which executeSteps may then
+// extend: nothing else uses execB, and executeSteps never nests, because
+// the firings it triggers are posted behind it.  A carried map is only
+// read, so a received one may still be shared with the sender's outbox.
 func (s *Shell) run(t *task) {
 	switch t.kind {
 	case taskThunk:
@@ -695,6 +682,8 @@ func (s *Shell) run(t *task) {
 	case taskSpontaneous:
 		e := s.record(&event.Event{Time: s.clock.Now(), Site: t.site, Desc: event.Ws(t.item, t.old, t.new)})
 		s.handleEvent(e)
+	case taskWriteRequest:
+		s.writeRequest("", event.WR(t.item, t.new), t.site, nil)
 	case taskNotify:
 		now := s.clock.Now()
 		ws := s.record(&event.Event{Time: now, Site: t.site, Desc: event.Ws(t.item, t.old, t.new)})
@@ -707,13 +696,11 @@ func (s *Shell) run(t *task) {
 		s.handleEvent(ws)
 		s.handleEvent(n)
 	case taskFire:
-		b := t.b
-		if b == nil {
-			b = s.execB
-			clear(b)
-			for _, p := range t.inline[:t.nb] {
-				b[p.name] = p.v
-			}
+		b := s.execB
+		clear(b)
+		maps.Copy(b, t.b)
+		for _, p := range t.inline[:t.nb] {
+			b[p.name] = p.v
 		}
 		s.executeSteps(t.r, b, t.trigger)
 	}
@@ -784,49 +771,40 @@ func (s *Shell) onSourceChange(site string, item data.ItemName, old, new data.Va
 	if echo {
 		return
 	}
-	if owner, ok := s.shardOwner(item.Base); ok && owner != s.id {
-		// Sharded rule ownership: this shell hosts the translator but the
-		// rules listening to the base live elsewhere.  Ship the trigger to
-		// the owner; it replays notifyLocal there.  The owner's implicit
-		// notify rule uses the default 1s bound (it has no translator to
-		// read the declared one from) — conservative, documented in
-		// DESIGN.md §10.
-		s.forwardTrigger("notify", site, item, old, new, owner)
-		return
-	}
-	s.notifyLocal(site, item, old, new)
-}
-
-// notifyLocal records the Ws/N pair for a spontaneous source change and
-// runs the rules it triggers.  The owner-side half of onSourceChange.
-func (s *Shell) notifyLocal(site string, item data.ItemName, old, new data.Value) {
-	s.post(task{kind: taskNotify, site: site, item: item, old: old, new: new})
+	// Under sharded ownership the owner's implicit notify rule uses the
+	// default 1s bound (it has no translator to read the declared one
+	// from) — conservative, documented in DESIGN.md §10.
+	s.external(taskNotify, site, item, old, new)
 }
 
 // Spontaneous injects a spontaneous write for items without a translator
 // (CM-private scenarios and tests).  It mirrors onSourceChange.
 func (s *Shell) Spontaneous(item data.ItemName, old, new data.Value) {
-	if owner, ok := s.shardOwner(item.Base); ok && owner != s.id {
-		// Not ours: route to the owner, which maintains the private copy
-		// and runs the triggered rules.
-		s.forwardTrigger("ws", "", item, old, new, owner)
-		return
-	}
-	s.spontaneousLocal(item, old, new)
+	s.external(taskSpontaneous, "", item, old, new)
 }
 
-// spontaneousLocal is the owner-side half of Spontaneous.
-func (s *Shell) spontaneousLocal(item data.ItemName, old, new data.Value) {
-	site, ok := s.spec.SiteOf(item.Base)
-	if !ok {
-		site = s.id
+// external takes a trigger from outside the rules — a translator's
+// notification (kind taskNotify), a spontaneous write (taskSpontaneous)
+// or a write request (taskWriteRequest) — to the fleet member that owns
+// the item's base, or queues it here.  An empty site means the item's
+// declared site, resolved by the shell that queues it.  A spontaneous
+// write to a CM-private item hosted here sets the private copy before it
+// is queued.
+func (s *Shell) external(kind taskKind, site string, item data.ItemName, old, new data.Value) {
+	if owner, ok := s.shardOwner(item.Base); ok && owner != s.id {
+		s.forwardTrigger(kind, site, item, old, new, owner)
+		return
 	}
-	if _, hosted := s.sites[site]; hosted {
-		if s.spec.Private[item.Base] == site {
-			s.setPrivate(item, new)
+	if site == "" {
+		var ok bool
+		if site, ok = s.spec.SiteOf(item.Base); !ok {
+			site = s.id
 		}
 	}
-	s.post(task{kind: taskSpontaneous, site: site, item: item, old: old, new: new})
+	if _, hosted := s.sites[site]; hosted && kind == taskSpontaneous && s.spec.Private[item.Base] == site {
+		s.setPrivate(item, new)
+	}
+	s.post(task{kind: kind, site: site, item: item, old: old, new: new})
 }
 
 // handleEvent matches an event against the owned rules and dispatches
@@ -990,10 +968,10 @@ func (s *Shell) receive(m transport.Message) {
 				return
 			}
 		}
-		// Fast path: the sender's dispatch handed over a private bindings
-		// map as values (or the codec decoded one), so the task takes
-		// ownership of it directly.  Bindings wins when a sender supplied
-		// literals instead.
+		// Fast path: the sender's dispatch handed over a bindings map as
+		// values (or the codec decoded one), so the task carries it as is;
+		// run only reads it, because a journaled outbox may still hold the
+		// same map.  Bindings wins when a sender supplied literals instead.
 		b := m.BindingsVal
 		if m.Bindings != nil || b == nil {
 			var err error
@@ -1062,43 +1040,7 @@ func (s *Shell) receiveCustom(m transport.Message) {
 // an application — and the performed W chains from it through the write
 // interface rule.  It runs asynchronously on the shell's queue.
 func (s *Shell) RequestWrite(item data.ItemName, v data.Value) {
-	if owner, ok := s.shardOwner(item.Base); ok && owner != s.id {
-		s.forwardTrigger("wr", "", item, data.NullValue, v, owner)
-		return
-	}
-	s.requestWriteLocal(item, v)
-}
-
-// requestWriteLocal is the owner-side half of RequestWrite.
-func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
-	site, ok := s.spec.SiteOf(item.Base)
-	if !ok {
-		site = s.id
-	}
-	s.post(task{f: func() {
-		desc := event.WR(item, v)
-		wr := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: desc})
-		s.handleEvent(wr)
-		iface := s.sites[site]
-		if s.spec.Private[item.Base] != "" {
-			iface = nil // CM-private items never go through a translator
-		}
-		if iface == nil {
-			s.setPrivate(item, v)
-			writeRule := s.implicitRule("write", site, item)
-			w := s.record(&event.Event{Time: s.clock.Now(), Site: site,
-				Desc: event.W(item, v), Rule: writeRule.ID, Trigger: wr})
-			s.handleEvent(w)
-			return
-		}
-		if !s.translatorWrite(iface, desc) {
-			return
-		}
-		writeRule := s.implicitRule("write", site, item)
-		w := s.record(&event.Event{Time: s.clock.Now(), Site: site,
-			Desc: event.W(item, v), Rule: writeRule.ID, Trigger: wr})
-		s.handleEvent(w)
-	}})
+	s.external(taskWriteRequest, "", item, data.NullValue, v)
 }
 
 // Interface returns the translator for a hosted site (nil when the site
@@ -1143,8 +1085,8 @@ func stubTrigger(ref transport.EventRef) *event.Event {
 }
 
 // executeSteps runs the RHS of a rule at this shell.  Runs on the queue,
-// from run only; it may extend b, which is either execB (a local firing)
-// or the map a received firing owns, and keeps no reference to it.
+// from run only; it may extend b, which is always execB, and keeps no
+// reference to it.
 func (s *Shell) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	now := s.clock.Now()
 	obs.DefaultRing.Record(obs.FireTrace{
@@ -1226,93 +1168,82 @@ func (s *Shell) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Even
 
 // emit performs one effect event.
 func (s *Shell) emit(r *rule.Rule, desc event.Desc, site string, trigger *event.Event) {
-	now := s.clock.Now()
 	switch desc.Op {
 	case event.OpWR:
-		wr := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
-		s.handleEvent(wr)
-		iface := s.sites[site]
-		if iface == nil {
-			// No translator: treat as a write to private/engine state.
-			s.performPrivateWrite(r, desc, site, wr)
-			return
-		}
-		if !s.translatorWrite(iface, desc) {
+		s.writeRequest(r.ID, desc, site, trigger)
+	case event.OpW:
+		// Direct write: a W effect performs the write immediately (no
+		// request hop).
+		iface := s.source(site, desc.Item.Base)
+		if iface != nil && !s.translatorWrite(iface, desc) {
 			return // failure already reported by the translator hub
 		}
-		writeRule := s.implicitRule("write", site, desc.Item)
-		w := s.record(&event.Event{
-			Time: s.clock.Now(), Site: site,
-			Desc: event.W(desc.Item, desc.Val),
-			Rule: writeRule.ID, Trigger: wr,
-		})
-		s.handleEvent(w)
-	case event.OpW:
-		// Direct write: CM-private items live in the shell; a W effect on
-		// a database item performs the write immediately (no request hop).
-		if s.spec.Private[desc.Item.Base] != "" {
-			w := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
-			s.setPrivate(desc.Item, desc.Val)
-			s.handleEvent(w)
-			return
-		}
-		iface := s.sites[site]
+		w := s.record(&event.Event{Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
 		if iface == nil {
-			w := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
 			s.setPrivate(desc.Item, desc.Val)
-			s.handleEvent(w)
-			return
 		}
-		if !s.translatorWrite(iface, desc) {
-			return
-		}
-		w := s.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
 		s.handleEvent(w)
 	case event.OpRR:
-		rr := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
+		rr := s.record(&event.Event{Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
 		s.handleEvent(rr)
-		iface := s.sites[site]
-		var v data.Value
-		if iface != nil {
-			val, exists, err := iface.Read(desc.Item)
-			if err != nil {
-				return // reported by the hub
-			}
-			if exists {
-				v = val
-			}
-		} else {
-			s.privMu.RLock()
-			v = s.private.Get(desc.Item)
-			s.privMu.RUnlock()
+		v, exists, err := s.read(site, desc.Item)
+		if err != nil {
+			return // reported by the hub
+		}
+		if !exists {
+			v = data.NullValue
 		}
 		readRule := s.implicitRule("read", site, desc.Item)
-		resp := s.record(&event.Event{
-			Time: s.clock.Now(), Site: site,
-			Desc: event.R(desc.Item, v),
-			Rule: readRule.ID, Trigger: rr,
-		})
+		resp := s.record(&event.Event{Site: site, Desc: event.R(desc.Item, v), Rule: readRule.ID, Trigger: rr})
 		s.handleEvent(resp)
 	case event.OpN:
-		n := s.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
+		n := s.record(&event.Event{Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
 		s.handleEvent(n)
 	default:
 		s.reportFailure(cmi.Failure{
-			Kind: cmi.FailLogical, Site: site, When: now,
+			Kind: cmi.FailLogical, Site: site, When: s.clock.Now(),
 			Op: "execute", Err: fmt.Errorf("rule %s: cannot emit %s", r.ID, desc),
 		}, true)
 	}
 }
 
-func (s *Shell) performPrivateWrite(r *rule.Rule, desc event.Desc, site string, wr *event.Event) {
-	s.setPrivate(desc.Item, desc.Val)
+// writeRequest records the write request desc at site — rule ruleID's,
+// caused by trigger, or a spontaneous one when ruleID is empty — and
+// performs it through source: a translator write, or a set of the
+// private copy.  A performed write is recorded as W under the site's
+// implicit write rule.
+func (s *Shell) writeRequest(ruleID string, desc event.Desc, site string, trigger *event.Event) {
+	wr := s.record(&event.Event{Site: site, Desc: desc, Rule: ruleID, Trigger: trigger})
+	s.handleEvent(wr)
+	if iface := s.source(site, desc.Item.Base); iface == nil {
+		s.setPrivate(desc.Item, desc.Val)
+	} else if !s.translatorWrite(iface, desc) {
+		return // failure already reported by the translator hub
+	}
 	writeRule := s.implicitRule("write", site, desc.Item)
-	w := s.record(&event.Event{
-		Time: s.clock.Now(), Site: site,
-		Desc: event.W(desc.Item, desc.Val),
-		Rule: writeRule.ID, Trigger: wr,
-	})
+	w := s.record(&event.Event{Site: site, Desc: event.W(desc.Item, desc.Val), Rule: writeRule.ID, Trigger: wr})
 	s.handleEvent(w)
+}
+
+// source is the translator through which base is read and written at
+// site, or nil when the item lives in the shell's private state: the base
+// is CM-private (Section 3.2), or the site has no translator.
+func (s *Shell) source(site, base string) cmi.Interface {
+	if s.spec.Private[base] != "" {
+		return nil
+	}
+	return s.sites[site]
+}
+
+// read reads an item at site through source.
+func (s *Shell) read(site string, n data.ItemName) (data.Value, bool, error) {
+	if iface := s.source(site, n.Base); iface != nil {
+		return iface.Read(n)
+	}
+	s.privMu.RLock()
+	v := s.private.Get(n)
+	s.privMu.RUnlock()
+	return v, !v.IsNull(), nil
 }
 
 // translatorWrite performs a write through a translator with echo
@@ -1364,15 +1295,7 @@ func (e *shellEnv) NowValue() (data.Value, bool) {
 	return vclock.TimeValue(e.s.clock.Now()), true
 }
 
-func (e *shellEnv) Item(n data.ItemName) (data.Value, bool, error) {
-	if iface := e.s.sites[e.site]; iface != nil && e.s.spec.Private[n.Base] == "" {
-		return iface.Read(n)
-	}
-	e.s.privMu.RLock()
-	defer e.s.privMu.RUnlock()
-	v := e.s.private.Get(n)
-	return v, !v.IsNull(), nil
-}
+func (e *shellEnv) Item(n data.ItemName) (data.Value, bool, error) { return e.s.read(e.site, n) }
 
 // implicitRule returns (generating on first use) the canonical interface
 // statement rule for provenance of translator-performed actions:

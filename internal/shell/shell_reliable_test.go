@@ -8,7 +8,10 @@ import (
 
 	"cmtk/internal/cmi"
 	"cmtk/internal/data"
+	"cmtk/internal/durable"
+	"cmtk/internal/obs"
 	"cmtk/internal/rule"
+	"cmtk/internal/trace"
 	"cmtk/internal/transport"
 	"cmtk/internal/vclock"
 )
@@ -174,5 +177,73 @@ func TestShellsSurvivePartitionWithReliableLinks(t *testing.T) {
 				t.Fatalf("shell %s still records link failure after recovery: %v", name, f)
 			}
 		}
+	}
+}
+
+// TestJournaledRemoteFiresReadBindingsOnly: over a journaled Reliable
+// link the receiver is handed the very bindings map the sender's outbox
+// keeps, and with CheckpointBytes 1 every send checkpoints, encoding that
+// outbox.  The remote firing binds "now" as it runs W(T, now); it must
+// bind it in the shell's own execB, never in the map it was handed, or the
+// race detector sees the checkpoint race the receiver.
+func TestJournaledRemoteFiresReadBindingsOnly(t *testing.T) {
+	sp, err := rule.ParseSpecString(`site S
+site B
+private X @ S
+private W @ B
+private T @ B
+rule t: Ws(X, b) ->5s W(T, now)
+rule w: Ws(X, b) ->5s W(W, b)
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := durable.Open(t.TempDir(), durable.Options{Sync: durable.SyncNever, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	net := transport.NewReliable(transport.NewBus(vclock.Real{}, 0), transport.ReliableOptions{
+		Durable: st, CheckpointBytes: 1, RetryInterval: 20 * time.Millisecond, Metrics: obs.NewRegistry(),
+	})
+	tr := trace.New(nil)
+	sa := New("sa", sp, Options{Trace: tr, Metrics: obs.NewRegistry()})
+	sa.AddSite("S", nil)
+	sa.Route("B", "sb")
+	sb := New("sb", sp, Options{Trace: tr, Metrics: obs.NewRegistry()})
+	sb.AddSite("B", nil)
+	sb.Route("S", "sa")
+	for _, s := range []*Shell{sa, sb} {
+		if err := s.Attach(net); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer sb.Stop()
+	defer sa.Stop()
+	const n = 100
+	for i := 1; i <= n; i++ {
+		sa.Spontaneous(data.Item("X"), data.NewInt(int64(i-1)), data.NewInt(int64(i)))
+	}
+	// Rule t fires before rule w on each update and the link is FIFO, so
+	// once W holds the last value every W(T, now) has run.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sb.Drain()
+		if v, _ := sb.ReadAux(data.Item("W")); v.Equal(data.NewInt(n)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("remote firings never all arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, ok := sb.ReadAux(data.Item("T")); !ok {
+		t.Fatal("T was never written with the firing time")
+	}
+	if err := sa.ep.(*transport.ReliableEndpoint).JournalError(); err != nil {
+		t.Fatal(err)
 	}
 }

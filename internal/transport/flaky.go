@@ -120,13 +120,6 @@ func (f *Flaky) SetDelay(p float64, by time.Duration) {
 	f.mu.Unlock()
 }
 
-// SetDuplicate replaces the duplication probability for subsequent sends.
-func (f *Flaky) SetDuplicate(p float64) {
-	f.mu.Lock()
-	f.opts.Duplicate = p
-	f.mu.Unlock()
-}
-
 // Heal restores the directed link from one shell to another.
 func (f *Flaky) Heal(from, to string) {
 	f.mu.Lock()

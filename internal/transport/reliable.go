@@ -23,7 +23,6 @@ package transport
 import (
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"math/rand"
 	"sync"
 	"time"
@@ -499,7 +498,6 @@ func (r *ReliableEndpoint) Send(to string, m Message) error {
 	seq := o.nextSeq
 	o.nextSeq++
 	m.Link = LinkStamp{Epoch: r.epoch, Seq: seq}
-	queued := m
 	if r.j != nil {
 		if m.Trigger.Desc == "" && m.TriggerEvent != nil {
 			// Render the descriptor once, for the journal and for a codec
@@ -507,12 +505,10 @@ func (r *ReliableEndpoint) Send(to string, m Message) error {
 			m.Trigger.Desc = m.TriggerEvent.Desc.String()
 		}
 		r.journalLocked(jSend, appendSendRec(r.recordLocked(), &r.jEnc, to, seq, m))
-		// The receiver owns the bindings map it is handed and may write
-		// into it, while checkpoints encode the outbox: keep a copy.
-		queued = m
-		queued.BindingsVal = maps.Clone(m.BindingsVal)
 	}
-	o.push(queued)
+	// The outbox and the receiver share BindingsVal: a sent map is
+	// read-only, so checkpoints may encode it while the receiver runs.
+	o.push(m)
 	o.mSends.Inc()
 	o.mDepth.Set(int64(len(o.unacked())))
 	r.maybeCheckpointLocked()
@@ -558,10 +554,6 @@ func (r *ReliableEndpoint) retry(to string) {
 	batch := append([]Message(nil), q...)
 	for i := range batch {
 		batch[i].Link.Base = q[0].Link.Seq
-		if r.j != nil {
-			// As in Send: the outbox keeps its own bindings.
-			batch[i].BindingsVal = maps.Clone(batch[i].BindingsVal)
-		}
 	}
 	o.mRetries.Add(uint64(len(batch)))
 	evs = append(evs, LinkEvent{

@@ -7,11 +7,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"cmtk/internal/data"
 	"cmtk/internal/durable"
-	"cmtk/internal/event"
 	"cmtk/internal/obs"
 	"cmtk/internal/vclock"
 	"cmtk/internal/wire"
@@ -297,53 +295,6 @@ func TestJournalRejectsParentFormat(t *testing.T) {
 			t.Errorf("%s: a refused journal installed %d send and %d receive links", tc.name, len(e.out), len(e.in))
 		}
 		st.Close()
-	}
-}
-
-// TestJournalOutboxDoesNotShareBindings: with journaling on, the outbox
-// keeps its own copy of a firing's bindings, so a receiver writing into
-// the map it was handed (as executeSteps does) never races a checkpoint
-// encoding the outbox.  Run it under -race.
-func TestJournalOutboxDoesNotShareBindings(t *testing.T) {
-	const n = 100
-	st, err := durable.Open(t.TempDir(), durable.Options{Sync: durable.SyncNever, Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	rel := NewReliable(NewBus(vclock.Real{}, 0), ReliableOptions{
-		Durable: st, CheckpointBytes: 1, RetryInterval: 20 * time.Millisecond, Metrics: obs.NewRegistry(),
-	})
-	arrived := make(chan struct{}, n)
-	b, err := rel.Join("B", func(m Message) {
-		m.BindingsVal["now"] = data.NewInt(1)
-		arrived <- struct{}{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a, err := rel.Join("A", func(Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	for i := 0; i < n; i++ {
-		if err := a.Send("B", Message{Kind: "fire", Rule: "r",
-			BindingsVal: event.Bindings{"n": data.NewInt(int64(i))}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	timeout := time.After(10 * time.Second)
-	for i := 0; i < n; i++ {
-		select {
-		case <-arrived:
-		case <-timeout:
-			t.Fatalf("%d of %d firings arrived", i, n)
-		}
-	}
-	if err := a.(*ReliableEndpoint).JournalError(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -30,11 +30,13 @@ type Message struct {
 	Trigger  EventRef
 
 	// BindingsVal is the fast path for Bindings: senders hand over the
-	// bound values directly and receivers take ownership, skipping literal
-	// rendering and parsing.  On an in-memory network the map itself moves;
-	// the codec (codec.go), over TCP and in the reliable journal, carries
-	// the values as tagged binary and the receiver, or a crash replay, gets
-	// BindingsVal back.  When both are set, Bindings wins.
+	// bound values directly, skipping literal rendering and parsing.  The
+	// map is read-only once sent: on an in-memory network the map itself
+	// moves, and Reliable's outbox keeps the same map for retransmission
+	// and checkpoints, so neither the sender nor a receiver may write into
+	// it.  The codec (codec.go), over TCP and in the reliable journal,
+	// carries the values as tagged binary and the receiver, or a crash
+	// replay, gets BindingsVal back.  When both are set, Bindings wins.
 	BindingsVal event.Bindings `json:"-"`
 
 	// failure: a site's interface failed.
@@ -104,15 +106,13 @@ type Network interface {
 }
 
 // Bus is the in-process Network.  Latency models the network: each
-// message is delivered Latency after it is sent, on the bus clock, and
-// links stay FIFO even if latency changes between sends.
+// message is delivered a fixed latency after it is sent, on the bus clock,
+// so due times are monotone per link and links stay FIFO.
 type Bus struct {
 	clock   vclock.Clock
 	latency time.Duration
 	mu      sync.Mutex
 	members map[string]*busEndpoint
-	// lastDue enforces FIFO per (from,to) pair under varying latency.
-	lastDue map[[2]string]time.Time
 	// queues holds in-flight messages per (from,to) pair; a fired delivery
 	// timer hands over the head, one goroutine at a time, so arrival order
 	// equals send order even when equal-deadline timers race on the real
@@ -186,16 +186,8 @@ func NewBus(clock vclock.Clock, latency time.Duration) *Bus {
 		clock:   clock,
 		latency: latency,
 		members: map[string]*busEndpoint{},
-		lastDue: map[[2]string]time.Time{},
 		queues:  map[[2]string]*pairQueue{},
 	}
-}
-
-// SetLatency changes the link latency for subsequent sends.
-func (b *Bus) SetLatency(d time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.latency = d
 }
 
 // Join implements Network.
@@ -234,23 +226,17 @@ func (e *busEndpoint) Send(to string, m Message) error {
 	}
 	m.From, m.To = e.id, to
 	key := [2]string{e.id, to}
-	due := b.clock.Now().Add(b.latency)
-	if last, ok := b.lastDue[key]; ok && due.Before(last) {
-		due = last // FIFO: never deliver before an earlier message
-	}
-	b.lastDue[key] = due
 	q := b.queues[key]
 	if q == nil {
 		q = &pairQueue{}
 		q.deliver = func() { q.drain(b) }
 		b.queues[key] = q
 	}
-	delay := due.Sub(b.clock.Now())
 	b.mu.Unlock()
 	q.mu.Lock()
 	q.msgs = append(q.msgs, m)
 	q.mu.Unlock()
-	b.clock.AfterFunc(delay, q.deliver)
+	b.clock.AfterFunc(b.latency, q.deliver)
 	return nil
 }
 

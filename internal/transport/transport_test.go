@@ -40,21 +40,6 @@ func TestBusDeliveryAndLatency(t *testing.T) {
 	}
 }
 
-func TestBusFIFOUnderVaryingLatency(t *testing.T) {
-	clk := vclock.NewVirtual(vclock.Epoch)
-	bus := NewBus(clk, 5*time.Second)
-	var order []string
-	bus.Join("B", func(m Message) { order = append(order, m.Rule) })
-	a, _ := bus.Join("A", nil)
-	a.Send("B", Message{Rule: "first"}) // due at t=5
-	bus.SetLatency(time.Second)
-	a.Send("B", Message{Rule: "second"}) // naively due at t=1; FIFO forces t=5
-	clk.Advance(10 * time.Second)
-	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
 func TestBusErrors(t *testing.T) {
 	bus := NewBus(vclock.NewVirtual(vclock.Epoch), 0)
 	a, _ := bus.Join("A", nil)

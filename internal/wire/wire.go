@@ -282,6 +282,16 @@ func (s *Server) acceptLoop() {
 		}
 		conn := NewConn(nc)
 		s.mu.Lock()
+		select {
+		case <-s.done:
+			// Close already closed the connections it knew of; one
+			// accepted after that would block its serveConn, and Close's
+			// wait, forever.
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
