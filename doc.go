@@ -6,6 +6,6 @@
 //
 // The implementation lives under internal/; see README.md for the
 // architecture, DESIGN.md for the paper-to-module map, and EXPERIMENTS.md
-// for the reproduced scenario results.  The root-level bench_test.go
-// regenerates every experiment as a Go benchmark.
+// for the reproduced scenario results; internal/harness holds every
+// experiment's table byte for byte against a committed golden file.
 package cmtk

@@ -3,7 +3,7 @@
 // Each experiment builds a deployment, drives a workload, validates the
 // recorded execution against Appendix A.2, checks the claimed guarantees,
 // and reports a table.  cmd/cmbench prints the tables; EXPERIMENTS.md
-// records them; the root bench_test.go wraps them as Go benchmarks.
+// records them; TestGoldenExperiments holds each against testdata/.
 package harness
 
 import (

@@ -60,8 +60,8 @@ type LinkEventKind int
 
 // Link event kinds.
 const (
-	// LinkRetry: a retransmission round ran for a link with unacked
-	// messages.
+	// LinkRetry: messages were retransmitted — by a timed retry round,
+	// or by an ack that moved a round's window (see retryWindow).
 	LinkRetry LinkEventKind = iota
 	// LinkDegraded: FailThreshold consecutive delivery attempts went
 	// unacked — a metric failure; buffering continues.
@@ -99,7 +99,8 @@ type LinkEvent struct {
 	Peer string // the remote shell
 	Err  error  // last send error, when one was observed
 	// Attempts is the count of consecutive unacknowledged delivery
-	// attempts (Retry, Degraded).
+	// attempts (Retry, Degraded); 0 on a Retry that an advancing ack
+	// released.
 	Attempts int
 	// Messages counts the messages involved: retransmitted (Retry),
 	// replayed and acknowledged since degradation (Recovered), or dropped
@@ -216,6 +217,15 @@ func (r *Reliable) Join(shellID string, recv func(Message)) (Endpoint, error) {
 
 var _ Network = (*Reliable)(nil)
 
+// retryWindow bounds a retransmission: a retry round resends at most
+// this many messages from the ack point, and until the cumulative ack
+// passes the nextSeq recorded at the round, each advancing ack resends
+// the messages that newly enter [ack, ack+retryWindow).  A healed
+// partition drains about a window per round trip, an isolated loss costs
+// one resend, and a round never queues a copy of the whole outbox behind
+// the last one (the collapse when acks trail the retry interval).
+const retryWindow = 32
+
 // relOut is the sender half of one link.
 type relOut struct {
 	nextSeq uint64
@@ -229,8 +239,13 @@ type relOut struct {
 	attempts int    // consecutive unacked delivery attempts
 	degraded bool
 	replayed int // messages acked while degraded
-	lastErr  error
-	rng      *rand.Rand
+	// replayedFires is how many of replayed are rule firings.
+	replayedFires int
+	// The open retry round: resent is the first seq it has not resent,
+	// roundEnd the nextSeq when it ran; it is over once resent ≥ roundEnd.
+	resent, roundEnd uint64
+	lastErr          error
+	rng              *rand.Rand
 
 	// per-peer metric cells, resolved once when the link is created
 	mSends    *obs.Counter
@@ -542,20 +557,14 @@ func (r *ReliableEndpoint) retry(to string) {
 	var evs []LinkEvent
 	if !o.degraded && o.attempts >= r.opts.FailThreshold {
 		o.degraded = true
-		o.replayed = 0
+		o.replayed, o.replayedFires = 0, 0
 		evs = append(evs, LinkEvent{
 			Kind: LinkDegraded, Peer: to, Err: o.lastErr, Attempts: o.attempts,
 			Messages: len(q), Fires: countFires(q),
 		})
 	}
-	// Each retransmission round re-stamps the current outbox base, so a
-	// receiver that lost its link state (a process restart) can adopt the
-	// sender's position instead of waiting for retired messages.
-	batch := append([]Message(nil), q...)
-	for i := range batch {
-		batch[i].Link.Base = q[0].Link.Seq
-	}
-	o.mRetries.Add(uint64(len(batch)))
+	o.resent, o.roundEnd = q[0].Link.Seq, o.nextSeq
+	batch := o.windowLocked()
 	evs = append(evs, LinkEvent{
 		Kind: LinkRetry, Peer: to, Err: o.lastErr, Attempts: o.attempts,
 		Messages: len(batch), Fires: countFires(batch),
@@ -563,17 +572,46 @@ func (r *ReliableEndpoint) retry(to string) {
 	r.scheduleLocked(o)
 	inner := r.inner
 	r.mu.Unlock()
-	if inner != nil {
-		for _, m := range batch {
-			if err := inner.Send(to, m); err != nil {
-				r.mu.Lock()
-				o.lastErr = err
-				r.mu.Unlock()
-				break // link is down; the next round retries from the ack point
-			}
+	r.resend(inner, to, o, batch)
+	r.emit(evs)
+}
+
+// windowLocked copies the open round's messages that are in the window
+// [ack, ack+retryWindow) and not yet resent, marks them resent, and
+// counts them as retries.  Each copy re-stamps the current outbox base,
+// so a receiver that lost its link state (a process restart) can adopt
+// the sender's position instead of waiting for retired messages.
+func (o *relOut) windowLocked() []Message {
+	q := o.unacked()
+	q = q[:min(len(q), retryWindow)]
+	var batch []Message
+	for _, m := range q {
+		if m.Link.Seq < o.resent || m.Link.Seq >= o.roundEnd {
+			continue
+		}
+		m.Link.Base = q[0].Link.Seq
+		batch = append(batch, m)
+	}
+	if len(batch) > 0 {
+		o.resent = batch[len(batch)-1].Link.Seq + 1
+		o.mRetries.Add(uint64(len(batch)))
+	}
+	return batch
+}
+
+// resend transmits a retransmission batch outside the endpoint's lock.
+func (r *ReliableEndpoint) resend(inner Endpoint, to string, o *relOut, batch []Message) {
+	if inner == nil {
+		return
+	}
+	for _, m := range batch {
+		if err := inner.Send(to, m); err != nil {
+			r.mu.Lock()
+			o.lastErr = err
+			r.mu.Unlock()
+			return // link is down; the next round retries from the ack point
 		}
 	}
-	r.emit(evs)
 }
 
 // Deliver is the inbound path: raw endpoints route their receive callback
@@ -656,15 +694,15 @@ func (r *ReliableEndpoint) Deliver(m Message) {
 			in.next++
 		}
 	default:
-		// A gap: buffer for in-order release; the sender's go-back-N
-		// retransmit will fill the hole even if this copy is evicted.
+		// A gap: buffer for in-order release; the sender's retransmit
+		// from the ack point fills the hole even if this copy is evicted.
 		if len(in.hold) < r.opts.OutboxLimit {
 			in.hold[seq] = m
 			in.mHeld.Inc()
 		} else {
 			// Eviction at the cap is deterministic (the arriving copy is
 			// discarded, held ones stay) and counted — bounded RSS must not
-			// mean silent loss in the books, even though go-back-N will
+			// mean silent loss in the books, even though a retransmit will
 			// resend this copy.
 			r.met.holdDropped.Inc()
 		}
@@ -707,6 +745,7 @@ func (r *ReliableEndpoint) handleAck(m Message) {
 	}
 	fires := countFires(q[:n])
 	var evs []LinkEvent
+	var batch []Message
 	if n > 0 {
 		o.retire(n)
 		o.mAcked.Add(uint64(n))
@@ -719,6 +758,7 @@ func (r *ReliableEndpoint) handleAck(m Message) {
 		o.lastErr = nil
 		if o.degraded {
 			o.replayed += n
+			o.replayedFires += fires
 			o.mReplayed.Add(uint64(n))
 			if len(o.unacked()) == 0 {
 				// The outage's backlog has fully replayed, in order: the
@@ -726,9 +766,18 @@ func (r *ReliableEndpoint) handleAck(m Message) {
 				o.degraded = false
 				evs = append(evs, LinkEvent{
 					Kind: LinkRecovered, Peer: peer,
-					Messages: o.replayed, Fires: fires,
+					Messages: o.replayed, Fires: o.replayedFires,
 				})
-				o.replayed = 0
+				o.replayed, o.replayedFires = 0, 0
+			}
+		}
+		if o.resent < o.roundEnd {
+			// The ack moved an open round's window: resend what entered it.
+			if batch = o.windowLocked(); len(batch) > 0 {
+				evs = append(evs, LinkEvent{
+					Kind: LinkRetry, Peer: peer, Attempts: o.attempts,
+					Messages: len(batch), Fires: countFires(batch),
+				})
 			}
 		}
 		if len(o.unacked()) > 0 && o.timer != nil {
@@ -738,25 +787,10 @@ func (r *ReliableEndpoint) handleAck(m Message) {
 			r.scheduleLocked(o)
 		}
 	}
+	inner := r.inner
 	r.mu.Unlock()
+	r.resend(inner, peer, o, batch)
 	r.emit(evs)
-}
-
-// Flush retransmits every buffered message immediately (scenario
-// teardown; the retry schedule makes this optional).
-func (r *ReliableEndpoint) Flush() error {
-	r.mu.Lock()
-	peers := make([]string, 0, len(r.out))
-	for p, o := range r.out {
-		if len(o.unacked()) > 0 {
-			peers = append(peers, p)
-		}
-	}
-	r.mu.Unlock()
-	for _, p := range peers {
-		r.retry(p)
-	}
-	return nil
 }
 
 // Close implements Endpoint.
@@ -785,7 +819,4 @@ func (r *ReliableEndpoint) Close() error {
 	return nil
 }
 
-var (
-	_ Endpoint = (*ReliableEndpoint)(nil)
-	_ Flusher  = (*ReliableEndpoint)(nil)
-)
+var _ Endpoint = (*ReliableEndpoint)(nil)

@@ -136,11 +136,122 @@ func TestReliableRetransmitsThroughDrops(t *testing.T) {
 		t.Fatalf("outbox still holds %d", n)
 	}
 	// The drop pattern and backoff jitter are both seeded and the clock is
-	// virtual, so the retransmission schedule is bit-reproducible: the run
-	// performs exactly this many retry rounds (each a LinkRetry event), and
-	// the retries recover every dropped copy.
-	if evs := p.events(LinkRetry); len(evs) != 4 {
-		t.Fatalf("retry rounds = %d, want exactly 4", len(evs))
+	// virtual, so the retransmission schedule is bit-reproducible.  A round
+	// resends at most retryWindow (32) messages, so the 40 no longer fit in
+	// one: the run takes exactly 5 timed rounds (32, 32, 28, 2, 2 messages)
+	// plus 2 windows that advancing acks released (2 and 4 messages), each
+	// a LinkRetry event, and those 102 resends recover every dropped copy.
+	rounds, acked, resent := 0, 0, 0
+	for _, ev := range p.events(LinkRetry) {
+		if ev.Attempts > 0 {
+			rounds++
+		} else {
+			acked++
+		}
+		resent += ev.Messages
+	}
+	if rounds != 5 || acked != 2 || resent != 102 {
+		t.Fatalf("retry rounds = %d, ack-released windows = %d, resent = %d; want exactly 5, 2, 102",
+			rounds, acked, resent)
+	}
+}
+
+// TestReliableRetriesBoundedWhenAcksTrail is the virtual-clock twin of
+// TestReliableCountersRace: 8 senders × 100 messages, split over both
+// directions, with a 1 ms retry interval and acks that take longer than
+// that to come back.  At 5 ms latency, rounds run at about 1, 3 and
+// 7 ms before the first ack arrives at 10 ms.  Resending the whole
+// outbox every round made 3 × 800 = 2 400 retries.  Bounded rounds
+// resend 32 each, and the acks arriving at 10 ms release the rest of
+// the round's window once: per direction 3 × 32 + 368 = 464, 928 in
+// all, below one resend per message plus the rounds.
+func TestReliableRetriesBoundedWhenAcksTrail(t *testing.T) {
+	for _, tc := range []struct {
+		latency time.Duration
+		retries float64
+	}{{5 * time.Millisecond, 928}, {20 * time.Millisecond, 1056}} {
+		clk := vclock.NewVirtual(vclock.Epoch)
+		reg := obs.NewRegistry()
+		rel := NewReliable(NewBus(clk, tc.latency), ReliableOptions{
+			Clock: clk, RetryInterval: time.Millisecond, Metrics: reg,
+		})
+		var recvA, recvB int
+		epA, err := rel.Join("A", func(Message) { recvA++ })
+		if err != nil {
+			t.Fatal(err)
+		}
+		epB, err := rel.Join("B", func(Message) { recvB++ })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < 8; w++ {
+			from, to := epA, "B"
+			if w%2 == 1 {
+				from, to = epB, "A"
+			}
+			for i := 0; i < 100; i++ {
+				if err := from.Send(to, Message{Kind: "fire", Rule: fmt.Sprint(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		clk.Advance(time.Second)
+		snap := reg.Snapshot()
+		if recvA != 400 || recvB != 400 || snap.Sum("cmtk_transport_acked_total") != 800 {
+			t.Fatalf("latency %v: delivered A=%d B=%d, acked %g; want 400, 400, 800",
+				tc.latency, recvA, recvB, snap.Sum("cmtk_transport_acked_total"))
+		}
+		if got := snap.Sum("cmtk_transport_retries_total"); got != tc.retries || got >= 2*800 {
+			t.Fatalf("latency %v: retries = %g, want exactly %g (< 2 × 800)", tc.latency, got, tc.retries)
+		}
+		epA.Close()
+		epB.Close()
+	}
+}
+
+// TestReliablePartitionDrainIsWindowed queues 1 000 messages across a
+// partition and pins what the heal costs.  During the outage each round
+// resends one window; after the heal the backlog drains about a window
+// per 20 ms round trip, each message resent once.  Resending the whole
+// outbox every round made 14 000 retries here and drained in 318 ms;
+// the bound trades drain time for retries.
+func TestReliablePartitionDrainIsWindowed(t *testing.T) {
+	clk := vclock.NewVirtual(vclock.Epoch)
+	reg := obs.NewRegistry()
+	flaky := NewFlaky(NewBus(clk, 10*time.Millisecond), FlakyOptions{Clock: clk})
+	rel := NewReliable(flaky, ReliableOptions{
+		Clock: clk, RetryInterval: 100 * time.Millisecond,
+		MaxBackoff: 400 * time.Millisecond, Metrics: reg,
+	})
+	p := joinPair(t, rel)
+	var drained time.Time
+	p.a.(*ReliableEndpoint).OnLinkEvent(func(ev LinkEvent) {
+		if ev.Kind == LinkRecovered {
+			drained = clk.Now()
+		}
+	})
+	flaky.PartitionBoth("A", "B")
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := p.a.Send("B", fireMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(5 * time.Second)
+	flaky.HealAll()
+	healed := clk.Now()
+	clk.Advance(time.Minute)
+	wantInOrder(t, p.seqs(), n)
+	recov := p.events(LinkRecovered)
+	if len(recov) != 1 || recov[0].Messages != n || recov[0].Fires != n {
+		t.Fatalf("recovered events = %+v, want one for %d messages / %d fires", recov, n, n)
+	}
+	// 13 rounds of 32 during the outage, then each of the 1 000 once.  The
+	// drain waits up to one 400 ms backoff for the first round after the
+	// heal, then takes 32 round trips of 20 ms.
+	retries := reg.Snapshot()[`cmtk_transport_retries_total{peer="B"}`]
+	if drain := drained.Sub(healed); retries != 1416 || drain != 1016440435*time.Nanosecond {
+		t.Fatalf("retries = %v, drain after heal = %v; want exactly 1416 and 1.016440435s", retries, drain)
 	}
 }
 
@@ -212,9 +323,11 @@ func TestReliablePartitionHealOrderedReplay(t *testing.T) {
 	if n := re.Pending("B"); n != 0 {
 		t.Fatalf("outbox holds %d after heal", n)
 	}
+	// Fires accumulates over the whole replay, as Messages does, not just
+	// over the last ack's messages.
 	recov := p.events(LinkRecovered)
-	if len(recov) != 1 || recov[0].Messages != 5 {
-		t.Fatalf("recovered events = %v", recov)
+	if len(recov) != 1 || recov[0].Messages != 5 || recov[0].Fires != 5 {
+		t.Fatalf("recovered events = %+v, want one for 5 messages / 5 fires", recov)
 	}
 }
 
@@ -291,8 +404,8 @@ func TestReliablePartitionNeverGivesUp(t *testing.T) {
 	if n := re.Pending("B"); n != 0 {
 		t.Fatalf("outbox holds %d after heal", n)
 	}
-	if recov := p.events(LinkRecovered); len(recov) != 1 || recov[0].Messages != 3 {
-		t.Fatalf("recovered events = %v, want exactly one for 3 messages", recov)
+	if recov := p.events(LinkRecovered); len(recov) != 1 || recov[0].Messages != 3 || recov[0].Fires != 3 {
+		t.Fatalf("recovered events = %+v, want exactly one for 3 messages / 3 fires", recov)
 	}
 	if evs := append(p.events(LinkGaveUp), p.events(LinkOverflow)...); len(evs) != 0 {
 		t.Fatalf("loss events after heal = %v, want none", evs)
