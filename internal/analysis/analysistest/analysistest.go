@@ -14,10 +14,8 @@
 package analysistest
 
 import (
-	"fmt"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 
 	"cmtk/internal/analysis"
@@ -100,14 +98,4 @@ func match(wants []*expectation, d analysis.Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-// Fprint renders diagnostics one per line — a convenience for debugging
-// fixtures.
-func Fprint(diags []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		fmt.Fprintln(&b, d)
-	}
-	return b.String()
 }

@@ -43,6 +43,8 @@ const pollEvery = 20 * time.Millisecond
 // run are still alive after the grace period; a failing suite reports
 // its own failure and the leak check is skipped (leaks are expected
 // when tests abort mid-flight).
+//
+//cmlint:allow deadsurface(every TestMain calls it; a leak check has no production caller)
 func Main(m *testing.M) {
 	baseline := snapshot()
 	code := m.Run()

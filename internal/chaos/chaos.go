@@ -16,7 +16,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -149,18 +148,6 @@ func (r *Runner) Counts() (inject, recover map[string]int) {
 	return inject, recover
 }
 
-// Describe renders the timeline one entry per line, sorted by time (the
-// recorded order already is), for experiment tables and debugging.
-func (r *Runner) Describe() string {
-	es := r.Timeline()
-	sort.SliceStable(es, func(i, j int) bool { return es[i].At.Before(es[j].At) })
-	out := ""
-	for _, e := range es {
-		out += e.String() + "\n"
-	}
-	return out
-}
-
 // ---- fault constructors binding to the toolkit's injection points ----
 
 // Partition severs both directions between two shells on a Flaky network
@@ -209,10 +196,4 @@ func Skew(c *vclock.Skewed, off time.Duration, at, dur time.Duration) Fault {
 		Inject:  func() { c.SetOffset(off) },
 		Recover: func() { c.Resync() },
 	}
-}
-
-// Custom wraps arbitrary inject/recover closures — process crash/restart
-// (the E13 boot closure), store.Crash, translator faults.
-func Custom(name string, at, dur time.Duration, inject, recover func()) Fault {
-	return Fault{Name: name, At: at, Duration: dur, Inject: inject, Recover: recover}
 }

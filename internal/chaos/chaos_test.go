@@ -19,9 +19,9 @@ func TestCampaignExactTimeline(t *testing.T) {
 	r := Start(clk, Campaign{
 		Name: "test",
 		Faults: []Fault{
-			Custom("a", 1*time.Second, 2*time.Second, mark("a+"), mark("a-")),
-			Custom("b", 2*time.Second, 0, mark("b+"), mark("b-")), // no recovery: dur 0
-			Custom("c", 3*time.Second, 1*time.Second, mark("c+"), mark("c-")),
+			{Name: "a", At: 1 * time.Second, Duration: 2 * time.Second, Inject: mark("a+"), Recover: mark("a-")},
+			{Name: "b", At: 2 * time.Second, Inject: mark("b+"), Recover: mark("b-")}, // no recovery: dur 0
+			{Name: "c", At: 3 * time.Second, Duration: 1 * time.Second, Inject: mark("c+"), Recover: mark("c-")},
 		},
 	})
 	clk.Advance(10 * time.Second)
@@ -34,7 +34,7 @@ func TestCampaignExactTimeline(t *testing.T) {
 	}
 	got := r.Timeline()
 	if len(got) != len(want) {
-		t.Fatalf("timeline has %d entries, want exactly %d:\n%s", len(got), len(want), r.Describe())
+		t.Fatalf("timeline has %d entries, want exactly %d: %v", len(got), len(want), got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -65,7 +65,7 @@ func TestStopCancelsPending(t *testing.T) {
 	clk := vclock.NewVirtual(vclock.Epoch)
 	n := 0
 	r := Start(clk, Campaign{Faults: []Fault{
-		Custom("x", time.Second, 4*time.Second, func() { n++ }, func() { n += 100 }),
+		{Name: "x", At: time.Second, Duration: 4 * time.Second, Inject: func() { n++ }, Recover: func() { n += 100 }},
 	}})
 	clk.Advance(2 * time.Second) // inject ran, recover pending
 	r.Stop()

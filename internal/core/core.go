@@ -34,7 +34,6 @@ import (
 	"cmtk/internal/event"
 	"cmtk/internal/guarantee"
 	"cmtk/internal/rid"
-	"cmtk/internal/ris"
 	"cmtk/internal/rule"
 	"cmtk/internal/shell"
 	"cmtk/internal/strategy"
@@ -125,7 +124,6 @@ type Toolkit struct {
 	ifaces    map[string]cmi.Interface // by site
 	entries   []guaranteeEntry
 	network   transport.Network
-	restored  int
 }
 
 // New creates an empty deployment.
@@ -310,11 +308,9 @@ func (tk *Toolkit) Deploy() error {
 			sh.AddSite(s.RID.Site, tk.ifaces[s.RID.Site])
 		}
 		if tk.cfg.Durable != nil {
-			n, err := sh.EnableDurable(tk.cfg.Durable)
-			if err != nil {
+			if _, err := sh.EnableDurable(tk.cfg.Durable); err != nil {
 				return fmt.Errorf("core: durable state for shell %s: %w", name, err)
 			}
-			tk.restored += n
 		}
 		tk.shells[name] = sh
 	}
@@ -417,10 +413,6 @@ func (tk *Toolkit) Stop() {
 // supplied through Config.Durable.  Callers use it to share the store with
 // a Reliable network, inspect WasClean, or inject a crash in tests.
 func (tk *Toolkit) Durable() *durable.Store { return tk.cfg.Durable }
-
-// RestoredItems reports how many CM-private items Deploy recovered from
-// the durable store across all shells (0 on a cold start).
-func (tk *Toolkit) RestoredItems() int { return tk.restored }
 
 func (tk *Toolkit) shellNames() []string {
 	names := make([]string, 0, len(tk.shells))
@@ -564,33 +556,6 @@ func IsMetric(g guarantee.Guarantee) bool {
 	}
 }
 
-// AppWrite performs an application write against a site's database and,
-// when the hosting shell has no notification subscription for the base
-// (read-only or polling deployments), records the spontaneous write into
-// the trace so executions model the whole system's state.  Scenario
-// drivers and the benchmark harness write through this.
-func (tk *Toolkit) AppWrite(site string, item data.ItemName, v data.Value) error {
-	iface, ok := tk.ifaces[site]
-	if !ok {
-		return fmt.Errorf("core: unknown site %s", site)
-	}
-	old, _, err := iface.Read(item)
-	if err != nil {
-		return err
-	}
-	caps := translator.CapsFromStatements(iface.Statements(), item.Base)
-	notifies := caps.Has(ris.CapNotify)
-	if err := iface.Write(item, v); err != nil {
-		return err
-	}
-	if !notifies {
-		if sh, ok := tk.ShellOfSite(site); ok {
-			sh.Spontaneous(item, old, v)
-		}
-	}
-	return nil
-}
-
 // RecordSpontaneous records an application write that the CM could not
 // observe (no notify interface), so the trace still models the whole
 // system.  Harness code that writes a store natively (e.g. raw SQL) calls
@@ -620,6 +585,8 @@ type Inequality struct {
 
 // AddInequality wires demarcation agents for c onto the shells hosting
 // the two items' sites and registers the X ≤ Y invariant guarantee.
+//
+//cmlint:allow deadsurface(the only caller of the demarcation journal, safety code that TestToolkitStateDirSurvivesRestart holds)
 func (tk *Toolkit) AddInequality(c Inequality) (xAgent, yAgent *demarcation.Agent, err error) {
 	if !tk.deployed {
 		return nil, nil, fmt.Errorf("core: AddInequality requires a deployed toolkit")
@@ -680,6 +647,8 @@ func (tk *Toolkit) AddInequality(c Inequality) (xAgent, yAgent *demarcation.Agen
 // consumes works here unchanged — usable alongside or instead of AddCopy.
 // Must be called before Deploy; the spec's sites must be declared through
 // AddSite (they are checked at Deploy).
+//
+//cmlint:allow deadsurface(the config-driven path of DESIGN §6, held by TestUseSpecConfigDriven)
 func (tk *Toolkit) UseSpec(spec *rule.Spec) error {
 	if tk.deployed {
 		return fmt.Errorf("core: deployment already built")
@@ -741,9 +710,10 @@ type Referential struct {
 
 // AddReferential wires a sweep strategy for c onto the shell hosting the
 // referencing site and registers the exists-within guarantee.  Called
-// after Deploy; the returned sweeper is started and stopped with the
-// toolkit (Stop stops its timer via the shell teardown is NOT automatic —
-// callers stop it or let the process exit; tests call its Stop).
+// after Deploy; the returned sweeper is already started, and Toolkit.Stop
+// stops it with every other sweeper.
+//
+//cmlint:allow deadsurface(the §6.2 declarative referential path, held by TestAddReferentialSweep)
 func (tk *Toolkit) AddReferential(c Referential) (*strategy.Sweeper, error) {
 	if !tk.deployed {
 		return nil, fmt.Errorf("core: AddReferential requires a deployed toolkit")

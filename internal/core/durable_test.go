@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cmtk/internal/data"
 	"cmtk/internal/durable"
 	"cmtk/internal/rid"
 	"cmtk/internal/translator"
@@ -36,7 +37,9 @@ interface WR(Y, b) ->1s W(Y, b)
 
 // buildDurableToolkit assembles a two-site demarcation deployment whose
 // durable state lives in st, modelling one incarnation of a process.
-func buildDurableToolkit(t *testing.T, st *durable.Store, clk *vclock.Virtual) (*Toolkit, *demarcationAgents) {
+// Before the demarcation agents initialize, the private limit items L_X
+// and L_Y must read lx and ly: what the shells' journals restored.
+func buildDurableToolkit(t *testing.T, st *durable.Store, clk *vclock.Virtual, lx, ly data.Value) (*Toolkit, *demarcationAgents) {
 	t.Helper()
 	cfgX, err := rid.ParseString(durRidX)
 	if err != nil {
@@ -58,6 +61,18 @@ func buildDurableToolkit(t *testing.T, st *durable.Store, clk *vclock.Virtual) (
 	}
 	if err := tk.Start(); err != nil {
 		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		site, item string
+		v          data.Value
+	}{{"SX", "L_X", lx}, {"SY", "L_Y", ly}} {
+		sh, ok := tk.ShellOfSite(want.site)
+		if !ok {
+			t.Fatalf("no shell hosts site %s", want.site)
+		}
+		if got, _ := sh.ReadAux(data.Item(want.item)); !got.Equal(want.v) || got.Kind() != want.v.Kind() {
+			t.Fatalf("before initialization %s = %v, want %v", want.item, got, want.v)
+		}
 	}
 	// The deployment re-runs its initialization every start, exactly as a
 	// restarted process would; recovered agents must keep their position.
@@ -94,12 +109,9 @@ func TestToolkitStateDirSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	clk := vclock.NewVirtual(vclock.Epoch)
 	st := openStore(t, dir)
-	tk, ag := buildDurableToolkit(t, st, clk)
+	tk, ag := buildDurableToolkit(t, st, clk, data.NullValue, data.NullValue)
 	if tk.Durable() != st {
 		t.Fatal("Durable() is not the store in Config.Durable")
-	}
-	if tk.RestoredItems() != 0 {
-		t.Fatalf("fresh deployment restored %d items", tk.RestoredItems())
 	}
 	// Force a limit-change round trip: X wants 60, Lx is 50.
 	okCh := make(chan bool, 1)
@@ -126,13 +138,10 @@ func TestToolkitStateDirSurvivesRestart(t *testing.T) {
 	clk2 := vclock.NewVirtual(vclock.Epoch)
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	tk2, ag2 := buildDurableToolkit(t, st2, clk2)
+	tk2, ag2 := buildDurableToolkit(t, st2, clk2, data.NewInt(xl), data.NewInt(yl))
 	defer tk2.Stop()
 	if !tk2.Durable().WasClean() {
 		t.Fatal("clean Stop left no clean-shutdown marker")
-	}
-	if tk2.RestoredItems() == 0 {
-		t.Fatal("restart restored no private items")
 	}
 	if got, gotL := ag2.xa.Value(), ag2.xa.Limit(); got != xv || gotL != xl {
 		t.Fatalf("X side = (%d, %d), want recovered (%d, %d)", got, gotL, xv, xl)

@@ -122,6 +122,8 @@ func (a *Agent) checkpointLocked() {
 }
 
 // DurableError reports the first journaling failure, if any.
+//
+//cmlint:allow deadsurface(production reads this latch through its OnClose hook; tests read it here)
 func (a *Agent) DurableError() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

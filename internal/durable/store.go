@@ -117,8 +117,9 @@ func (s *Store) Crash() { s.crashed.Store(true) }
 func (s *Store) Crashed() bool { return s.crashed.Load() }
 
 // Close shuts the store down.  On the clean path it runs the registered
-// final-checkpoint hooks, flushes and closes every log, and writes the
-// clean-shutdown marker; after Crash it only releases file handles.
+// final-checkpoint hooks, flushes and closes every log, and — only when
+// every hook and flush succeeded — writes the clean-shutdown marker;
+// after Crash it only releases file handles.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -155,10 +156,12 @@ func (s *Store) Close() error {
 			err = e
 		}
 	}
+	if err != nil {
+		// A failed hook or flush leaves the log tails authoritative: no
+		// marker, so the next Open replays them.
+		return err
+	}
 	marker := filepath.Join(s.dir, cleanMarkerFile)
 	stamp := []byte(fmt.Sprintf("clean shutdown at %s\n", time.Now().UTC().Format(time.RFC3339)))
-	if e := writeFileAtomic(marker, stamp); err == nil {
-		err = e
-	}
-	return err
+	return writeFileAtomic(marker, stamp)
 }

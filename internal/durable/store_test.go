@@ -119,6 +119,31 @@ func TestOnCloseHooksCheckpoint(t *testing.T) {
 	}
 }
 
+// TestFailedCloseWritesNoCleanMarker: a final-checkpoint hook that fails
+// makes Close return its error and leaves the shutdown dirty, so the next
+// Open replays the log tail instead of trusting checkpoints.
+func TestFailedCloseWritesNoCleanMarker(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	lg, _ := mustLog(t, s, "f")
+	if err := lg.Append(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	hookErr := errors.New("final checkpoint failed")
+	s.OnClose(func() error { return hookErr })
+	if err := s.Close(); !errors.Is(err, hookErr) {
+		t.Fatalf("Close = %v, want the hook's error", err)
+	}
+	s2 := openStore(t, dir, Options{})
+	defer s2.Close()
+	if s2.WasClean() {
+		t.Fatal("WasClean = true after a Close that failed")
+	}
+	if _, rec := mustLog(t, s2, "f"); rec.Clean || len(rec.Records) != 1 {
+		t.Fatalf("recovery = clean:%v records:%d, want dirty with the append", rec.Clean, len(rec.Records))
+	}
+}
+
 func TestLogOpenIsOnceAndNamesValidated(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})

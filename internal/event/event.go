@@ -73,10 +73,6 @@ func OpFromName(s string) Op {
 	return OpInvalid
 }
 
-// HasOldValue reports whether the op carries an old-value slot (only the
-// three-argument spontaneous write Ws(X, a, b)).
-func (o Op) HasOldValue() bool { return o == OpWs }
-
 // HasValue reports whether the op carries a value slot.
 func (o Op) HasValue() bool {
 	switch o {
@@ -114,9 +110,6 @@ func Ws(item data.ItemName, old, v data.Value) Desc {
 
 // WR builds a write-request descriptor WR(item, v).
 func WR(item data.ItemName, v data.Value) Desc { return Desc{Op: OpWR, Item: item, Val: v} }
-
-// RR builds a read-request descriptor RR(item).
-func RR(item data.ItemName) Desc { return Desc{Op: OpRR, Item: item} }
 
 // R builds a read-response descriptor R(item, v).
 func R(item data.ItemName, v data.Value) Desc { return Desc{Op: OpR, Item: item, Val: v} }
@@ -334,9 +327,6 @@ func (t Term) IsParam() (string, bool) { return t.param, t.kind == termParam }
 // IsWild reports whether the term is the wildcard.
 func (t Term) IsWild() bool { return t.kind == termWild }
 
-// IsLit reports whether the term is a literal, returning its value.
-func (t Term) IsLit() (data.Value, bool) { return t.lit, t.kind == termLit }
-
 // String renders the term in template syntax.
 func (t Term) String() string {
 	switch t.kind {
@@ -389,15 +379,6 @@ type ItemTemplate struct {
 
 // ItemT builds an item template.
 func ItemT(base string, args ...Term) ItemTemplate { return ItemTemplate{Base: base, Args: args} }
-
-// GroundItem builds a template that matches exactly one concrete item.
-func GroundItem(n data.ItemName) ItemTemplate {
-	args := make([]Term, len(n.Args))
-	for i, a := range n.Args {
-		args[i] = Lit(a)
-	}
-	return ItemTemplate{Base: n.Base, Args: args}
-}
 
 // String renders salary1(n) style.
 func (it ItemTemplate) String() string {
@@ -467,11 +448,6 @@ func TN(item ItemTemplate, v Term) Template  { return Template{Op: OpN, Item: it
 func TRR(item ItemTemplate) Template         { return Template{Op: OpRR, Item: item} }
 func TP(p time.Duration) Template            { return Template{Op: OpP, Period: p} }
 func TF() Template                           { return Template{Op: OpF} }
-
-// TWs builds the three-argument spontaneous write template Ws(item, old, new).
-func TWs(item ItemTemplate, old, v Term) Template {
-	return Template{Op: OpWs, Item: item, OldT: old, ValT: v}
-}
 
 // TWs2 builds the two-argument shorthand Ws(item, new) = Ws(item, *, new).
 func TWs2(item ItemTemplate, v Term) Template {

@@ -19,7 +19,7 @@ func TestDescString(t *testing.T) {
 		{Ws(item("X"), data.NullValue, data.NewInt(5)), "Ws(X, 5)"},
 		{Ws(item("X"), data.NewInt(4), data.NewInt(5)), "Ws(X, 4, 5)"},
 		{WR(item("Y"), data.NewString("v")), `WR(Y, "v")`},
-		{RR(item("X")), "RR(X)"},
+		{Desc{Op: OpRR, Item: item("X")}, "RR(X)"},
 		{R(item("X"), data.NewInt(1)), "R(X, 1)"},
 		{N(item("salary1", data.NewString("e7")), data.NewInt(100)), `N(salary1("e7"), 100)`},
 		{P(300 * time.Second), "P(300)"},
@@ -40,9 +40,6 @@ func TestOpProperties(t *testing.T) {
 		if op.IsWrite() {
 			t.Errorf("%v IsWrite", op)
 		}
-	}
-	if !OpWs.HasOldValue() || OpW.HasOldValue() {
-		t.Error("HasOldValue wrong")
 	}
 	if OpRR.HasValue() || !OpN.HasValue() {
 		t.Error("HasValue wrong")
@@ -118,7 +115,7 @@ func TestTemplateMatchLiteralAndWildcard(t *testing.T) {
 
 func TestTemplateRepeatedParamMustAgree(t *testing.T) {
 	// Ws(X, b, b): old and new must be equal for a match.
-	tpl := TWs(ItemT("X"), Param("b"), Param("b"))
+	tpl := Template{Op: OpWs, Item: ItemT("X"), OldT: Param("b"), ValT: Param("b")}
 	if _, ok := tpl.Match(Ws(item("X"), data.NewInt(3), data.NewInt(3))); !ok {
 		t.Error("repeated param equal values failed")
 	}
@@ -137,7 +134,7 @@ func TestTemplateWsShorthand(t *testing.T) {
 	if got := tpl.String(); got != "Ws(X, b)" {
 		t.Errorf("String = %q", got)
 	}
-	full := TWs(ItemT("X"), Param("a"), Param("b"))
+	full := Template{Op: OpWs, Item: ItemT("X"), OldT: Param("a"), ValT: Param("b")}
 	if got := full.String(); got != "Ws(X, a, b)" {
 		t.Errorf("String = %q", got)
 	}
@@ -194,7 +191,7 @@ func TestSubstUnboundFails(t *testing.T) {
 }
 
 func TestSubstWsOldValue(t *testing.T) {
-	tpl := TWs(ItemT("X"), Param("a"), Param("b"))
+	tpl := Template{Op: OpWs, Item: ItemT("X"), OldT: Param("a"), ValT: Param("b")}
 	b := Bindings{"a": data.NewInt(1), "b": data.NewInt(2)}
 	d, err := tpl.Subst(b)
 	if err != nil {
@@ -206,7 +203,7 @@ func TestSubstWsOldValue(t *testing.T) {
 }
 
 func TestParams(t *testing.T) {
-	tpl := TWs(ItemT("phone", Param("n")), Param("a"), Param("b"))
+	tpl := Template{Op: OpWs, Item: ItemT("phone", Param("n")), OldT: Param("a"), ValT: Param("b")}
 	ps := tpl.Params()
 	want := map[string]bool{"n": true, "a": true, "b": true}
 	if len(ps) != 3 {
@@ -332,7 +329,7 @@ func TestMatchRejectsBeforeAllocating(t *testing.T) {
 		Ws(item("X", k), data.NullValue, data.NewInt(1)),
 		N(item("X", k), data.NewInt(1)),
 		N(item("X", k), data.NewInt(2)),
-		RR(item("Y")),
+		Desc{Op: OpRR, Item: item("Y")},
 		P(time.Second),
 		P(time.Minute),
 		{Op: OpF},

@@ -303,20 +303,6 @@ func (f *Fleet) Post(item data.ItemName, old, new data.Value) error {
 	return nil
 }
 
-// PostVia injects an update at a specific member regardless of
-// ownership, exercising the shell-side forwarding path (a stale-table
-// ingress does exactly this).
-func (f *Fleet) PostVia(member string, item data.ItemName, old, new data.Value) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	sh, ok := f.shells[member]
-	if !ok {
-		return fmt.Errorf("fleet: no member %s", member)
-	}
-	sh.Spontaneous(item, old, new)
-	return nil
-}
-
 // RequestWrite routes a CM-originated write request to the owner.
 func (f *Fleet) RequestWrite(item data.ItemName, v data.Value) error {
 	f.mu.RLock()
@@ -452,7 +438,7 @@ func (f *Fleet) Rebalance(members []string) (RebalanceReport, error) {
 		// The handoff travels as a sectioned, CRC-verified snapshot: the
 		// importer refuses a payload that rotted rather than installing
 		// damaged constraint state under the new epoch.
-		snap := f.shells[h.from].ExportPrivate(func(b string) bool { return bases[b] }, true)
+		snap := f.shells[h.from].ExportPrivate(func(b string) bool { return bases[b] })
 		n, _, err := f.shells[h.to].ImportPrivate(snap)
 		if err != nil {
 			return RebalanceReport{}, err

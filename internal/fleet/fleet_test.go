@@ -142,9 +142,7 @@ func TestFleetForwardsMisroutedTriggers(t *testing.T) {
 		if tab.Owners[base] == "s1" {
 			wrong = "s2"
 		}
-		if err := f.PostVia(wrong, data.Item(base), data.NewInt(0), data.NewInt(1)); err != nil {
-			t.Fatal(err)
-		}
+		f.Shell(wrong).Spontaneous(data.Item(base), data.NewInt(0), data.NewInt(1))
 		posted++
 	}
 	f.Drain()

@@ -251,19 +251,6 @@ func (m *Monitor) Horizon() (time.Time, bool) {
 	return m.horizon, m.ok
 }
 
-// Widest reports the largest registered guarantee window.
-func (m *Monitor) Widest() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var w time.Duration
-	for _, e := range m.entries {
-		if k := e.g.Window(); k > w {
-			w = k
-		}
-	}
-	return w
-}
-
 // Reports renders the verdicts as if the trace ended now: accumulated
 // obligations plus an end-of-trace pass on a clone of the pending
 // state, so calling it never consumes obligations and the result equals

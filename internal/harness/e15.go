@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"cmtk/internal/chaos"
@@ -107,8 +108,6 @@ func e15Run(campaign string, rate float64, updates int) E15Row {
 	defer mesh.Stop()
 
 	total := time.Duration(float64(updates) / rate * float64(time.Second))
-	sched := workload.Constant(rate, total)
-	plan := sched.Updates(keys, 15, e15Deadline)
 
 	// The fault window sits mid-run: inject at 25% of the schedule, heal
 	// at 50%.
@@ -129,14 +128,22 @@ func e15Run(campaign string, rate float64, updates int) E15Row {
 	}
 	runner := chaos.Start(clk, chaos.Campaign{Name: campaign, Faults: faults})
 
-	// Open loop on the virtual clock: advance to each planned instant and
-	// fire, whether or not the mesh has caught up.
+	// Open loop on the virtual clock: one update every 1/rate seconds,
+	// fired at its planned instant whether or not the mesh has caught up.
+	// A seeded PRNG picks each key and every update writes a fresh value,
+	// so each one forces real propagation.
+	gap := time.Duration(float64(time.Second) / rate)
+	rng := rand.New(rand.NewSource(15))
 	start := clk.Now()
 	last := map[string]int64{}
-	for _, u := range plan {
-		clk.AdvanceTo(start.Add(u.At))
-		must(mesh.Write(u.Key, u.Value))
-		last[u.Key] = u.Value
+	sent, next := 0, int64(5000)
+	for at := gap; at <= total; at += gap {
+		sent++
+		next++
+		key := keys[rng.Intn(len(keys))]
+		clk.AdvanceTo(start.Add(at))
+		must(mesh.Write(key, next))
+		last[key] = next
 	}
 	// Drain: outlast the longest backoff and every campaign recovery,
 	// then move the trace end past the leads settle window with a marker
@@ -204,7 +211,7 @@ func e15Run(campaign string, rate float64, updates int) E15Row {
 
 	bounds, cum, count, okHist := mesh.FireLatency()
 	row := E15Row{
-		Campaign: campaign, RatePerSec: rate, Updates: len(plan),
+		Campaign: campaign, RatePerSec: rate, Updates: sent,
 		DeadlineMisses: misses, Lost: lost,
 		MetricFailures: metric, LogicalFailures: logical,
 		Prop7Apparent: prop7Apparent, Prop7: prop7,

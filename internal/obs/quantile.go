@@ -8,35 +8,14 @@ import (
 	"strings"
 )
 
-// Buckets returns the histogram's finite upper bounds and the cumulative
-// observation counts at each bound (Prometheus `le` semantics).  The
-// returned slices are snapshots; concurrent Observe calls may land between
-// reads of adjacent cells, which is the usual scrape-consistency caveat.
-func (h *Histogram) Buckets() (bounds []float64, cumulative []uint64) {
-	bounds = append([]float64(nil), h.buckets...)
-	cumulative = make([]uint64, len(h.buckets))
-	var cum uint64
-	for i := range h.s.counts {
-		cum += h.s.counts[i].Load()
-		cumulative[i] = cum
-	}
-	return bounds, cumulative
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) of the recorded
-// observations by linear interpolation inside the owning bucket, the same
-// estimator as PromQL's histogram_quantile.  Observations beyond the last
-// finite bound clamp to that bound; an empty histogram returns NaN.
-func (h *Histogram) Quantile(q float64) float64 {
-	bounds, cum := h.Buckets()
-	return QuantileFromBuckets(bounds, cum, h.Count(), q)
-}
-
-// QuantileFromBuckets is the estimator behind Histogram.Quantile, exposed
-// for callers that obtained bucket data elsewhere (e.g. by scraping a
-// remote shell's /metrics — see ParseHistogram).  bounds are ascending
-// finite upper bounds and cumulative the counts at each bound; total is
-// the overall observation count including the +Inf bucket.
+// QuantileFromBuckets estimates the q-th quantile (0 < q <= 1) of a
+// histogram's observations by linear interpolation inside the owning
+// bucket, the same estimator as PromQL's histogram_quantile.  The bucket
+// data comes from a registry's exposition text or a remote shell's
+// /metrics, through ParseHistogram.  bounds are ascending finite upper
+// bounds and cumulative the counts at each bound; total is the overall
+// observation count including the +Inf bucket.  Observations beyond the
+// last finite bound clamp to that bound; an empty histogram returns NaN.
 func QuantileFromBuckets(bounds []float64, cumulative []uint64, total uint64, q float64) float64 {
 	if total == 0 || len(bounds) == 0 || math.IsNaN(q) {
 		return math.NaN()

@@ -6,10 +6,20 @@ import (
 	"testing"
 )
 
+// TestHistogramQuantile reads a histogram the way the harness does: the
+// registry's exposition text through ParseHistogram, then the estimator.
 func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("q_test_seconds", "", []float64{0.1, 0.5, 1, 5}, "site").With("A")
-	if !math.IsNaN(h.Quantile(0.5)) {
+	scrape := func() (bounds []float64, cum []uint64, count uint64) {
+		var sb strings.Builder
+		if err := r.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		bounds, cum, count, _, _ = ParseHistogram(sb.String(), "q_test_seconds")
+		return bounds, cum, count
+	}
+	if bounds, cum, count := scrape(); !math.IsNaN(QuantileFromBuckets(bounds, cum, count, 0.5)) {
 		t.Fatal("empty histogram should yield NaN")
 	}
 	// 80 observations in (0, 0.1], 15 in (0.1, 0.5], 5 in (0.5, 1].
@@ -22,17 +32,19 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Observe(0.7)
 	}
+	bounds, cum, count := scrape()
 	// p50 rank 50 inside first bucket: 0 + 0.1*(50/80) = 0.0625.
-	if got := h.Quantile(0.50); math.Abs(got-0.0625) > 1e-9 {
+	if got := QuantileFromBuckets(bounds, cum, count, 0.50); math.Abs(got-0.0625) > 1e-9 {
 		t.Fatalf("p50 = %v, want 0.0625", got)
 	}
 	// p99 rank 99 inside (0.5,1]: 0.5 + 0.5*(99-95)/5 = 0.9.
-	if got := h.Quantile(0.99); math.Abs(got-0.9) > 1e-9 {
+	if got := QuantileFromBuckets(bounds, cum, count, 0.99); math.Abs(got-0.9) > 1e-9 {
 		t.Fatalf("p99 = %v, want 0.9", got)
 	}
 	// Beyond the last finite bound: clamp.
 	h.Observe(30)
-	if got := h.Quantile(0.9999); got != 5 {
+	bounds, cum, count = scrape()
+	if got := QuantileFromBuckets(bounds, cum, count, 0.9999); got != 5 {
 		t.Fatalf("p99.99 = %v, want clamp to 5", got)
 	}
 }

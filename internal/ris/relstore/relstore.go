@@ -201,17 +201,6 @@ func (db *DB) Tables() []string {
 	return out
 }
 
-// SchemaOf returns the schema of a table.
-func (db *DB) SchemaOf(name string) (Schema, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(name)]
-	if !ok {
-		return Schema{}, fmt.Errorf("relstore: table %s: %w", name, ris.ErrNotFound)
-	}
-	return t.schema, nil
-}
-
 // RegisterTrigger installs a trigger on a table (the moral equivalent of
 // CREATE TRIGGER; Section 4.2.1 notes a Sybase CM-Translator declares
 // triggers during initialization).  It returns a cancel function.
@@ -684,15 +673,4 @@ func (db *DB) runDelete(s *DeleteStmt, fires []firing) (Result, []firing, error)
 		fires = append(fires, firing{TrigDelete, t.schema.Table, e.row, nil})
 	}
 	return Result{Affected: affected}, fires, nil
-}
-
-// RowCount reports the number of rows in a table, for tests and tools.
-func (db *DB) RowCount(tableName string) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return 0, fmt.Errorf("relstore: table %s: %w", tableName, ris.ErrNotFound)
-	}
-	return len(t.rows), nil
 }

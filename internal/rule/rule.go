@@ -181,20 +181,6 @@ func (r Rule) Validate() error {
 // interface-statement shape of Section 3.1: a single step.
 func (r Rule) IsInterfaceStatement() bool { return len(r.Steps) == 1 }
 
-// EffectSites is a helper constraint from Appendix A.1 footnote 7: all RHS
-// events of a rule occur at the same site.  Site resolution lives in the
-// catalog (strategy/shell layer); this accessor exposes the effect item
-// bases so callers can check it.
-func (r Rule) EffectItemBases() []string {
-	var bases []string
-	for _, s := range r.Steps {
-		if s.Eff.Op.HasItem() {
-			bases = append(bases, s.Eff.Item.Base)
-		}
-	}
-	return bases
-}
-
 // Spec is a parsed specification file: the sites, the item→site catalog,
 // CM-private items, and the rules.  The same format serves Strategy
 // Specifications and the interface-statement section of CM-RIDs
@@ -210,7 +196,7 @@ type Spec struct {
 	// and cmctl consume the declarations from here.
 	Guarantees []string
 
-	// byID indexes Rules by ID for O(1) RuleByID on the per-message
+	// byID indexes Rules by ID for O(1) RuleRefByID on the per-message
 	// receive path.  Built by Index (the parser calls it); every hit is
 	// validated against Rules so a spec whose Rules were appended to after
 	// indexing still answers correctly via the scan fallback.
@@ -219,7 +205,7 @@ type Spec struct {
 
 // Index (re)builds the rule-ID lookup index.  ParseSpec calls it after
 // validation; hand-assembled specs may call it once Rules are final.  Not
-// safe to call concurrently with RuleByID.
+// safe to call concurrently with RuleRefByID.
 func (s *Spec) Index() {
 	s.byID = make(map[string]int, len(s.Rules))
 	for i, r := range s.Rules {
@@ -351,25 +337,12 @@ func sortedKeys(m map[string]string) []string {
 	return ks
 }
 
-// RuleByID finds a rule by id.  Indexed specs (anything from ParseSpec)
-// answer in O(1); the index is verified against Rules on every hit so
-// mutation after indexing degrades to the linear scan instead of
-// returning stale rules.
-func (s *Spec) RuleByID(id string) (Rule, bool) {
-	if i, ok := s.byID[id]; ok && i < len(s.Rules) && s.Rules[i].ID == id {
-		return s.Rules[i], true
-	}
-	for _, r := range s.Rules {
-		if r.ID == id {
-			return r, true
-		}
-	}
-	return Rule{}, false
-}
-
-// RuleRefByID is RuleByID without the copy: it returns a pointer into
-// Rules, valid as long as the spec is not mutated.  The shell's receive
-// path uses this so each inbound firing does not heap-allocate a Rule.
+// RuleRefByID finds a rule by id and returns a pointer into Rules, valid
+// as long as the spec is not mutated; the shell's receive path uses it
+// so each inbound firing does not copy a Rule.  Indexed specs (anything
+// from ParseSpec) answer in O(1); the index is verified against Rules on
+// every hit, so mutation after indexing degrades to the linear scan
+// instead of returning stale rules.
 func (s *Spec) RuleRefByID(id string) (*Rule, bool) {
 	if i, ok := s.byID[id]; ok && i < len(s.Rules) && s.Rules[i].ID == id {
 		return &s.Rules[i], true

@@ -359,8 +359,8 @@ rule N(X, b) ->5s WR(X, b)
 	if spec.Rules[0].ID != "r1" || spec.Rules[1].ID != "r2" {
 		t.Fatalf("auto ids = %s, %s", spec.Rules[0].ID, spec.Rules[1].ID)
 	}
-	if _, ok := spec.RuleByID("r2"); !ok {
-		t.Fatal("RuleByID failed")
+	if r, ok := spec.RuleRefByID("r2"); !ok || r != &spec.Rules[1] {
+		t.Fatal("RuleRefByID failed")
 	}
 }
 

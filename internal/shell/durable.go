@@ -150,6 +150,8 @@ func (s *Shell) checkpointPrivateLocked() {
 }
 
 // DurableError reports the first private-state journaling failure, if any.
+//
+//cmlint:allow deadsurface(production reads this latch through its OnClose hook; tests read it here)
 func (s *Shell) DurableError() error {
 	s.privMu.RLock()
 	defer s.privMu.RUnlock()

@@ -258,6 +258,8 @@ func (s *Shell) CompactNow() trace.CompactStats {
 // RetentionError reports the first durable checkpoint failure, if any
 // (latched, like the private-state journal: the last checkpoint that
 // reached disk is what the next incarnation recovers).
+//
+//cmlint:allow deadsurface(production reads this latch through its OnClose hook; tests read it here)
 func (s *Shell) RetentionError() error {
 	s.retainMu.Lock()
 	defer s.retainMu.Unlock()

@@ -326,7 +326,7 @@ func TestPrivateSnapHandoffVerifies(t *testing.T) {
 	a.WriteAux(data.Item("X0"), data.NewInt(11))
 	a.WriteAux(data.Item("X1"), data.NewInt(22))
 
-	snap := a.ExportPrivate(func(base string) bool { return base == "X0" || base == "X1" }, true)
+	snap := a.ExportPrivate(func(base string) bool { return base == "X0" || base == "X1" })
 	if v, ok := a.ReadAux(data.Item("X0")); ok {
 		t.Fatalf("export with remove left X0 = %v", v)
 	}

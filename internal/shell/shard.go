@@ -300,13 +300,13 @@ type handoffMeta struct {
 
 // ExportPrivate snapshots the CM-private items whose base satisfies sel
 // — literal encodings keyed by item key, in a sectioned, CRC-framed
-// snapshot — the handoff payload of a fleet rebalance.  With remove set
-// the items are also cleared here and the removals journaled, so a
-// crash-recovered shell cannot resurrect state it handed off.  The
-// receiving ImportPrivate refuses a payload that rotted in flight or on
-// a relay's disk, instead of silently installing damaged constraint
-// state under a new epoch.
-func (s *Shell) ExportPrivate(sel func(base string) bool, remove bool) []byte {
+// snapshot — the handoff payload of a fleet rebalance.  The items are
+// also cleared here and the removals journaled, so a crash-recovered
+// shell cannot resurrect state it handed off.  The receiving
+// ImportPrivate refuses a payload that rotted in flight or on a relay's
+// disk, instead of silently installing damaged constraint state under a
+// new epoch.
+func (s *Shell) ExportPrivate(sel func(base string) bool) []byte {
 	items := map[string]string{}
 	s.privMu.Lock()
 	for k, v := range s.private {
@@ -317,10 +317,8 @@ func (s *Shell) ExportPrivate(sel func(base string) bool, remove bool) []byte {
 		if !v.IsNull() {
 			items[k] = v.String()
 		}
-		if remove {
-			delete(s.private, k)
-			s.journalPrivateLocked(name, data.NullValue)
-		}
+		delete(s.private, k)
+		s.journalPrivateLocked(name, data.NullValue)
 	}
 	s.privMu.Unlock()
 	meta, _ := json.Marshal(handoffMeta{From: s.id, Items: len(items)})

@@ -22,6 +22,8 @@ import (
 // Only the two copy constraints are distributed; the arithmetic is a
 // purely local computation, so no global transactions are needed.
 // Requires notify interfaces on Y and Z and a write interface on X.
+//
+//cmlint:allow deadsurface(the paper's §7.1 strategy, held by TestArithmeticStrategyEndToEnd)
 func Arithmetic(x, y, z, op, xSite string, o Options) (Choice, error) {
 	if op != "+" && op != "-" {
 		return Choice{}, fmt.Errorf("strategy: arithmetic supports + and -, got %q", op)

@@ -358,19 +358,6 @@ func (t *Trace) Timeline(item data.ItemName) []Sample {
 	return out
 }
 
-// Writes returns the performed-write events (W and Ws) on item, in order.
-func (t *Trace) Writes(item data.ItemName) []*event.Event {
-	var buf [64]byte
-	key := item.AppendKey(buf[:0])
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tl := t.timelines[string(key)]
-	if len(tl) == 0 {
-		return nil
-	}
-	return append([]*event.Event(nil), tl...)
-}
-
 // Matching returns events whose descriptor matches the template.
 func (t *Trace) Matching(tpl event.Template) []*event.Event {
 	var out []*event.Event

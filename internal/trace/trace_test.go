@@ -96,8 +96,8 @@ func TestWritesAndMatching(t *testing.T) {
 	spontaneousWrite(tr, at(1), "A", itemX, data.NewInt(1))
 	spontaneousWrite(tr, at(2), "B", itemY, data.NewInt(2))
 	tr.Append(&event.Event{Time: at(3), Site: "A", Desc: event.N(itemX, data.NewInt(1))})
-	if got := len(tr.Writes(itemX)); got != 1 {
-		t.Fatalf("Writes(X) = %d", got)
+	if got := len(tr.Timeline(itemX)); got != 2 {
+		t.Fatalf("Timeline(X) = %d samples, want the initial value and one write", got)
 	}
 	tpl, err := rule.ParseTemplate("Ws(X, b)")
 	if err != nil {

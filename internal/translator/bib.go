@@ -16,7 +16,6 @@ import (
 // BibSource is the native bibliographic query interface; both a local
 // *bibstore.Store and a remote *server.BibClient satisfy it.
 type BibSource interface {
-	ByAuthor(author string) []bibstore.Record
 	Get(key string) (bibstore.Record, error)
 	Keys() []string
 }
@@ -25,9 +24,6 @@ type BibSource interface {
 // store's methods already match — but gives deployments a uniform
 // constructor shape.
 type LocalBib struct{ S *bibstore.Store }
-
-// ByAuthor implements BibSource.
-func (l LocalBib) ByAuthor(author string) []bibstore.Record { return l.S.ByAuthor(author) }
 
 // Get implements BibSource.
 func (l LocalBib) Get(key string) (bibstore.Record, error) { return l.S.Get(key) }
@@ -39,19 +35,9 @@ func (l LocalBib) Keys() []string { return l.S.Keys() }
 // BibSource shape; query errors surface as empty results after being
 // reported to the failure hub the translator installs.
 type RemoteBib struct {
-	ByAuthorFn func(string) ([]bibstore.Record, error)
-	GetFn      func(string) (bibstore.Record, error)
-	KeysFn     func() ([]string, error)
-	onErr      func(error)
-}
-
-// ByAuthor implements BibSource.
-func (r *RemoteBib) ByAuthor(author string) []bibstore.Record {
-	recs, err := r.ByAuthorFn(author)
-	if err != nil && r.onErr != nil {
-		r.onErr(err)
-	}
-	return recs
+	GetFn  func(string) (bibstore.Record, error)
+	KeysFn func() ([]string, error)
+	onErr  func(error)
 }
 
 // Get implements BibSource.
@@ -156,22 +142,6 @@ func (t *Bib) List(base string) ([]data.ItemName, error) {
 	out := make([]data.ItemName, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, data.Item(base, data.NewString(k)))
-	}
-	return out, nil
-}
-
-// ListByAuthor narrows a family listing to one author's records — the
-// query the Section 4.3 referential constraint needs ("every paper
-// authored by a Stanford database researcher").
-func (t *Bib) ListByAuthor(base, author string) ([]data.ItemName, error) {
-	t.countOp("list")
-	if _, ok := t.cfg.Binding(base); !ok {
-		return nil, t.report("read", fmt.Errorf("translator: no binding for item %s", base))
-	}
-	recs := t.src.ByAuthor(author)
-	out := make([]data.ItemName, 0, len(recs))
-	for _, r := range recs {
-		out = append(out, data.Item(base, data.NewString(r.Key)))
 	}
 	return out, nil
 }

@@ -86,7 +86,7 @@ func Open(cfg *rid.Config, local *LocalStores, clock vclock.Clock) (cmi.Interfac
 			if err != nil {
 				return nil, err
 			}
-			src = &RemoteBib{ByAuthorFn: c.ByAuthor, GetFn: c.Get, KeysFn: c.Keys}
+			src = &RemoteBib{GetFn: c.Get, KeysFn: c.Keys}
 		}
 		return NewBib(cfg, src, clock)
 	default:

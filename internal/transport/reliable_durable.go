@@ -406,6 +406,8 @@ func (r *ReliableEndpoint) checkpointLocked() {
 
 // JournalError reports the first journaling failure, if any (nil while
 // the journal is healthy or disabled).
+//
+//cmlint:allow deadsurface(production reads this latch through its OnClose hook; tests read it here)
 func (r *ReliableEndpoint) JournalError() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

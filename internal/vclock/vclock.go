@@ -101,17 +101,6 @@ func (v *Virtual) Pending() int {
 	return v.hp.Len()
 }
 
-// NextAt returns the due time of the earliest pending callback.  The second
-// result is false when nothing is pending.
-func (v *Virtual) NextAt() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.hp.Len() == 0 {
-		return time.Time{}, false
-	}
-	return v.hp[0].when, true
-}
-
 // Step delivers the single earliest pending callback, moving the clock to
 // its due time.  It reports whether a callback ran.
 func (v *Virtual) Step() bool {
@@ -217,12 +206,16 @@ func (t *vtimer) stopped() bool {
 type timerHeap []*vtimer
 
 func (h timerHeap) Len() int { return len(h) }
+
+//cmlint:allow deadsurface(container/heap calls it through heap.Interface)
 func (h timerHeap) Less(i, j int) bool {
 	if !h[i].when.Equal(h[j].when) {
 		return h[i].when.Before(h[j].when)
 	}
 	return h[i].seq < h[j].seq
 }
+
+//cmlint:allow deadsurface(container/heap calls it through heap.Interface)
 func (h timerHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx, h[j].idx = i, j

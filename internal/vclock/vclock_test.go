@@ -164,18 +164,6 @@ func TestVirtualRunLimit(t *testing.T) {
 	}
 }
 
-func TestVirtualNextAt(t *testing.T) {
-	v := NewVirtual(Epoch)
-	if _, ok := v.NextAt(); ok {
-		t.Fatal("NextAt ok on empty clock")
-	}
-	v.AfterFunc(4*time.Second, func() {})
-	at, ok := v.NextAt()
-	if !ok || !at.Equal(Epoch.Add(4*time.Second)) {
-		t.Fatalf("NextAt = %v,%v", at, ok)
-	}
-}
-
 func TestEveryPeriodic(t *testing.T) {
 	v := NewVirtual(Epoch)
 	var ticks []time.Duration

@@ -87,21 +87,6 @@ func Stream(cfg Config) []Update {
 	return out
 }
 
-// DistinctValues counts, per key, how many distinct consecutive values
-// the stream assigns — the number of changes the replica must see for the
-// leads guarantee to hold.
-func DistinctValues(us []Update) map[string]int {
-	out := map[string]int{}
-	last := map[string]int64{}
-	for _, u := range us {
-		if prev, ok := last[u.Key]; !ok || prev != u.Value {
-			out[u.Key]++
-			last[u.Key] = u.Value
-		}
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean of ds.
 func Mean(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
