@@ -23,8 +23,9 @@ smoke() {
 	bash benchmarks/run.sh --workload "$1" --seed 2 --seconds 2 --trace 0 | grep 'failed=0 correct=true'
 }
 
+# fuzz runs one target for 15 s; extra arguments go to go test.
 fuzz() {
-	go test -run '^$' -fuzz "^$1\$" -fuzztime 15s "$2"
+	go test -run '^$' -fuzz "^$1\$" -fuzztime 15s "${@:3}" "$2"
 }
 
 run() {
@@ -56,6 +57,9 @@ run() {
 		fuzz FuzzWireFrame ./internal/wire
 		fuzz FuzzMessageBatch ./internal/transport
 		fuzz FuzzJournal ./internal/transport
+		# Each input is a few files on disk: the default minimization of a
+		# new input (60 s) would take the whole 15 s.
+		fuzz FuzzLogRecovery ./internal/durable -fuzzminimizetime 50x
 		fuzz FuzzSQLParse ./internal/ris/relstore
 		fuzz FuzzExec ./internal/ris/relstore
 		fuzz FuzzItemKey ./internal/data

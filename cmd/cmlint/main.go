@@ -122,14 +122,14 @@ func load(patterns []string) ([]*analysis.Package, string, error) {
 			if root == "." || root == "" {
 				root = "."
 			}
-			tree, err := analysis.LoadTree(root, analysis.LoadOptions{})
+			tree, err := analysis.LoadTree(root)
 			if err != nil {
 				return nil, "", fmt.Errorf("load %s: %w", pat, err)
 			}
 			add(tree...)
 			continue
 		}
-		pkg, err := analysis.LoadDir(pat, modRoot, modPath, analysis.LoadOptions{})
+		pkg, err := analysis.LoadDir(pat, modRoot, modPath)
 		if err != nil {
 			return nil, "", fmt.Errorf("load %s: %w", pat, err)
 		}

@@ -210,7 +210,7 @@ func TestCatalogueCoversStaticRegistrations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := analysis.LoadTree(root, analysis.LoadOptions{})
+	pkgs, err := analysis.LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,9 @@ site SX
 site SY
 item X @ SX
 item Y @ SY
+private Vx @ SX
 private Lx @ SX
+private Vy @ SY
 private Ly @ SY
 `)
 	check(err)
@@ -52,8 +54,8 @@ private Ly @ SY
 	defer sy.Stop()
 
 	// X starts at 0 with ceiling 50; Y at 100 with floor 50.
-	xa := demarcation.NewAgent(sx, "SX", "sy", data.Item("X"), data.Item("Lx"), true, demarcation.Generous)
-	ya := demarcation.NewAgent(sy, "SY", "sx", data.Item("Y"), data.Item("Ly"), false, demarcation.Generous)
+	xa := demarcation.NewAgent(sx, "SX", "sy", data.Item("X"), data.Item("Vx"), data.Item("Lx"), true, demarcation.Generous)
+	ya := demarcation.NewAgent(sy, "SY", "sx", data.Item("Y"), data.Item("Vy"), data.Item("Ly"), false, demarcation.Generous)
 	xa.Init(0, 50)
 	ya.Init(100, 50)
 	clk.Advance(time.Second)

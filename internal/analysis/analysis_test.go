@@ -27,7 +27,7 @@ func TestLoadDirSkipsTestsAndParsesComments(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "a.go", "package a\n\n//cmlint:allow demo(justified)\nvar X = 1\n")
 	writeFixture(t, dir, "a_test.go", "package a\n\nvar Y = 2\n")
-	pkg, err := analysis.LoadDir(dir, "", "", analysis.LoadOptions{})
+	pkg, err := analysis.LoadDir(dir, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLoadDirSkipsTestsAndParsesComments(t *testing.T) {
 func TestMalformedAllowIsReported(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "a.go", "package a\n\n//cmlint:allow demo\nvar X = 1\n\n//cmlint:allow demo()\nvar Y = 2\n")
-	pkg, err := analysis.LoadDir(dir, "", "", analysis.LoadOptions{})
+	pkg, err := analysis.LoadDir(dir, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAllowSuppressesSameLineAndLineAbove(t *testing.T) {
 		"var C = 3",
 		"",
 	}, "\n"))
-	pkg, err := analysis.LoadDir(dir, "", "", analysis.LoadOptions{})
+	pkg, err := analysis.LoadDir(dir, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestProseMentionOfAllowIsNotADirective(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "a.go",
 		"package a\n\n// This package documents cmlint:allow demo in prose.\nvar X = 1\n")
-	pkg, err := analysis.LoadDir(dir, "", "", analysis.LoadOptions{})
+	pkg, err := analysis.LoadDir(dir, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestLoadTreeCoversRepoPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := analysis.LoadTree(root, analysis.LoadOptions{})
+	pkgs, err := analysis.LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgNames ...string) {
 	var wants []*expectation
 	for _, name := range pkgNames {
 		fixDir := filepath.Join(dir, "testdata", "src", name)
-		pkg, err := analysis.LoadDir(fixDir, "", "", analysis.LoadOptions{})
+		pkg, err := analysis.LoadDir(fixDir, "", "")
 		if err != nil {
 			t.Fatalf("load fixture %s: %v", name, err)
 		}

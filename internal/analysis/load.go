@@ -35,18 +35,13 @@ type Package struct {
 	malformed []Diagnostic
 }
 
-// LoadOptions controls package loading.
-type LoadOptions struct {
-	// IncludeTests loads _test.go files too.  cmlint leaves them out:
-	// tests measure wall time and spawn scoped goroutines legitimately,
-	// and the invariants under enforcement are production-path ones.
-	IncludeTests bool
-}
-
-// LoadDir parses one directory into a Package.  modRoot and modPath
-// anchor the import path; pass "" for both to fall back to the
-// directory path.  Directories with no Go files return (nil, nil).
-func LoadDir(dir string, modRoot, modPath string, opts LoadOptions) (*Package, error) {
+// LoadDir parses one directory's non-test Go files into a Package.
+// Test files are left out: tests measure wall time and spawn scoped
+// goroutines legitimately, and the invariants under enforcement are
+// production-path ones.  modRoot and modPath anchor the import path;
+// pass "" for both to fall back to the directory path.  Directories with
+// no Go files return (nil, nil).
+func LoadDir(dir string, modRoot, modPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -57,7 +52,7 @@ func LoadDir(dir string, modRoot, modPath string, opts LoadOptions) (*Package, e
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") {
 			continue
 		}
-		if !opts.IncludeTests && strings.HasSuffix(n, "_test.go") {
+		if strings.HasSuffix(n, "_test.go") {
 			continue
 		}
 		names = append(names, n)
@@ -101,7 +96,7 @@ func LoadDir(dir string, modRoot, modPath string, opts LoadOptions) (*Package, e
 
 // LoadTree loads every package under root, skipping testdata, hidden
 // directories, and vendor.
-func LoadTree(root string, opts LoadOptions) ([]*Package, error) {
+func LoadTree(root string) ([]*Package, error) {
 	modRoot, modPath, err := FindModule(root)
 	if err != nil {
 		return nil, err
@@ -119,7 +114,7 @@ func LoadTree(root string, opts LoadOptions) ([]*Package, error) {
 			name == "testdata" || name == "vendor") {
 			return fs.SkipDir
 		}
-		pkg, err := LoadDir(path, modRoot, modPath, opts)
+		pkg, err := LoadDir(path, modRoot, modPath)
 		if err != nil {
 			return err
 		}

@@ -61,11 +61,11 @@ type Config struct {
 	// history across the crash.
 	Trace *trace.Trace
 	// Durable, when set, makes the deployment crash-recoverable: every
-	// shell journals its CM-private items and every demarcation agent its
-	// limits into the store.  The caller keeps ownership (Stop does not
-	// close it).  To journal the transport outbox too, point
-	// ReliableOptions.Durable at the same store when building the Network;
-	// harnesses simulate crashes with store.Crash.
+	// shell journals its CM-private items, demarcation agents' values and
+	// limits among them, into the store.  The caller keeps ownership
+	// (Stop does not close it).  To journal the transport outbox too,
+	// point ReliableOptions.Durable at the same store when building the
+	// Network; harnesses simulate crashes with store.Crash.
 	Durable *durable.Store
 	// ShellOptions, when non-nil, rewrites each shell's options just
 	// before construction: per-shell clock skew (vclock.Skewed) or a
@@ -586,7 +586,7 @@ type Inequality struct {
 // AddInequality wires demarcation agents for c onto the shells hosting
 // the two items' sites and registers the X ≤ Y invariant guarantee.
 //
-//cmlint:allow deadsurface(the only caller of the demarcation journal, safety code that TestToolkitStateDirSurvivesRestart holds)
+//cmlint:allow deadsurface(the §6.1 declarative demarcation path, whose limits surviving a restart TestToolkitStateDirSurvivesRestart holds)
 func (tk *Toolkit) AddInequality(c Inequality) (xAgent, yAgent *demarcation.Agent, err error) {
 	if !tk.deployed {
 		return nil, nil, fmt.Errorf("core: AddInequality requires a deployed toolkit")
@@ -614,27 +614,18 @@ func (tk *Toolkit) AddInequality(c Inequality) (xAgent, yAgent *demarcation.Agen
 	if xShell.ID() == yShell.ID() {
 		return nil, nil, fmt.Errorf("core: demarcation needs the two items on different shells")
 	}
-	// The limits live as CM-private items beside the constrained items.
-	lx, ly := "L_"+c.X, "L_"+c.Y
-	if _, dup := tk.spec.Private[lx]; !dup {
-		tk.spec.Private[lx] = xSite
-	}
-	if _, dup := tk.spec.Private[ly]; !dup {
-		tk.spec.Private[ly] = ySite
-	}
-	xAgent = demarcation.NewAgent(xShell, xSite, yShell.ID(), data.Item(c.X), data.Item(lx), true, c.Policy)
-	yAgent = demarcation.NewAgent(yShell, ySite, xShell.ID(), data.Item(c.Y), data.Item(ly), false, c.Policy)
-	if tk.cfg.Durable != nil {
-		// Recovered agents keep their persisted position through the Init
-		// below — re-running the deployment's initialization after a crash
-		// must not resurrect slack a side already granted away.
-		if _, err := xAgent.EnableDurable(tk.cfg.Durable); err != nil {
-			return nil, nil, fmt.Errorf("core: durable limits for %s: %w", xSite, err)
-		}
-		if _, err := yAgent.EnableDurable(tk.cfg.Durable); err != nil {
-			return nil, nil, fmt.Errorf("core: durable limits for %s: %w", ySite, err)
+	// The values and limits live as CM-private items beside the
+	// constrained items, so a durable shell journals them; agents whose
+	// shell restored them keep that position through the Init below —
+	// re-running the deployment's initialization after a crash must not
+	// resurrect slack a side already granted away.
+	for base, site := range map[string]string{"V_" + c.X: xSite, "L_" + c.X: xSite, "V_" + c.Y: ySite, "L_" + c.Y: ySite} {
+		if _, dup := tk.spec.Private[base]; !dup {
+			tk.spec.Private[base] = site
 		}
 	}
+	xAgent = demarcation.NewAgent(xShell, xSite, yShell.ID(), data.Item(c.X), data.Item("V_"+c.X), data.Item("L_"+c.X), true, c.Policy)
+	yAgent = demarcation.NewAgent(yShell, ySite, xShell.ID(), data.Item(c.Y), data.Item("V_"+c.Y), data.Item("L_"+c.Y), false, c.Policy)
 	xAgent.Init(c.InitX, c.LimX)
 	yAgent.Init(c.InitY, c.LimY)
 	tk.AddGuarantee(demarcation.Guarantee(c.X, c.Y), xSite, ySite)

@@ -18,6 +18,19 @@
 // safe direction *before* replying to a request, so Lx ≤ Ly is never
 // violated in between messages even though there is no distributed
 // transaction anywhere.
+//
+// The invariant is only as strong as the limits' storage: if a crash
+// forgets that this side gave slack away, the restarted agent resurrects
+// its old limit and the ordering silently breaks.  So an agent keeps its
+// value and its limit in two CM-private items of its shell (Section 3.2
+// and 6.1 make the limits such items), written before it replies to a
+// request or reports an update done.  A shell with durable state
+// (shell.EnableDurable) journals both, and Init resumes from them after a
+// restart.  In-flight limit-change requests are not kept there: they
+// live in the transport journal and are replayed by the reliability
+// layer, and a grant that arrives for a request id the new incarnation
+// does not recognise still moves the limit (the safe direction) — only
+// the waiting application callback is lost.
 package demarcation
 
 import (
@@ -26,7 +39,6 @@ import (
 	"sync"
 
 	"cmtk/internal/data"
-	"cmtk/internal/durable"
 	"cmtk/internal/guarantee"
 	"cmtk/internal/rule"
 	"cmtk/internal/shell"
@@ -73,7 +85,8 @@ type Agent struct {
 	site      string
 	peerShell string
 	item      data.ItemName // X (lower side) or Y (upper side)
-	limit     data.ItemName // Lx or Ly, a CM-private item
+	valItem   data.ItemName // the CM-private item holding value
+	limit     data.ItemName // Lx or Ly, the CM-private item holding lim
 	lower     bool          // true for the X side
 	policy    Policy
 
@@ -83,13 +96,6 @@ type Agent struct {
 	nextReq int64
 	pending map[int64]*pendingOp
 	stats   Stats
-
-	// durable state (see durable.go): dur journals every (value, limit)
-	// transition, recovered marks that prior state was restored so Init
-	// keeps it, durErr latches the first journaling failure
-	dur       *durable.Log
-	recovered bool
-	durErr    error
 }
 
 type pendingOp struct {
@@ -98,16 +104,17 @@ type pendingOp struct {
 }
 
 // NewAgent builds one side of the protocol.  item is the constrained
-// local data item; limit is the CM-private limit item; lower selects the
-// X (true) or Y (false) role; peerShell is the shell ID hosting the other
-// side.  The agent registers its message handler on the shell.
-func NewAgent(sh *shell.Shell, site, peerShell string, item, limit data.ItemName, lower bool, policy Policy) *Agent {
+// local data item; value and limit are the CM-private items that keep
+// this side's value and limit; lower selects the X (true) or Y (false)
+// role; peerShell is the shell ID hosting the other side.  The agent
+// registers its message handler on the shell.
+func NewAgent(sh *shell.Shell, site, peerShell string, item, value, limit data.ItemName, lower bool, policy Policy) *Agent {
 	if policy == nil {
 		policy = Exact
 	}
 	a := &Agent{
 		sh: sh, site: site, peerShell: peerShell,
-		item: item, limit: limit, lower: lower, policy: policy,
+		item: item, valItem: value, limit: limit, lower: lower, policy: policy,
 		pending: map[int64]*pendingOp{},
 	}
 	sh.HandleKind(MessageKind, a.onMessage)
@@ -115,22 +122,24 @@ func NewAgent(sh *shell.Shell, site, peerShell string, item, limit data.ItemName
 }
 
 // Init sets the initial value and limit.  The deployment must choose
-// initial values satisfying X ≤ Lx ≤ Ly ≤ Y globally.  When durable state
-// was recovered (EnableDurable), the recovered position wins over the
-// arguments: re-running the deployment's initialization after a crash
-// must not reset slack this side already gave away.
+// initial values satisfying X ≤ Lx ≤ Ly ≤ Y globally.  When the shell
+// already holds both private items — restored from its journal after a
+// restart — they win over the arguments: re-running the deployment's
+// initialization after a crash must not reset slack this side already
+// gave away.
 func (a *Agent) Init(value, limit int64) {
 	a.mu.Lock()
-	if a.recovered {
-		value, limit = a.value, a.lim
+	v, haveV := a.sh.ReadAux(a.valItem)
+	l, haveL := a.sh.ReadAux(a.limit)
+	if haveV && haveL {
+		value, limit = v.Int(), l.Int()
 	} else {
-		a.value = value
-		a.lim = limit
-		a.persistLocked()
+		a.sh.WriteAux(a.valItem, data.NewInt(value))
+		a.sh.WriteAux(a.limit, data.NewInt(limit))
 	}
+	a.value, a.lim = value, limit
 	a.mu.Unlock()
 	a.sh.RequestWrite(a.item, data.NewInt(value))
-	a.sh.WriteAux(a.limit, data.NewInt(limit))
 }
 
 // Value returns the current local value.
@@ -177,7 +186,7 @@ func (a *Agent) Update(delta int64, onDone func(ok bool)) {
 	if a.safeLocally(nv) {
 		a.value = nv
 		a.stats.LocalOps++
-		a.persistLocked()
+		a.sh.WriteAux(a.valItem, data.NewInt(nv))
 		a.mu.Unlock()
 		a.sh.RequestWrite(a.item, data.NewInt(nv))
 		onDone(true)
@@ -269,18 +278,14 @@ func (a *Agent) grant(requested int64) int64 {
 	} else {
 		a.lim += g
 	}
-	newLim := a.lim
 	if g > 0 {
 		a.stats.GrantsGiven++
-		// Persist before replying: once the grant is on the wire the peer
+		// Write before replying: once the grant is on the wire the peer
 		// will widen its limit, so this side's narrowing must survive a
 		// crash or the global ordering breaks.
-		a.persistLocked()
+		a.sh.WriteAux(a.limit, data.NewInt(a.lim))
 	}
 	a.mu.Unlock()
-	if g > 0 {
-		a.sh.WriteAux(a.limit, data.NewInt(newLim))
-	}
 	return g
 }
 
@@ -297,18 +302,15 @@ func (a *Agent) onGrant(id, amount int64) {
 	} else {
 		a.lim -= amount
 	}
-	newLim := a.lim
-	a.persistLocked()
-	a.mu.Unlock()
-	a.sh.WriteAux(a.limit, data.NewInt(newLim))
+	a.sh.WriteAux(a.limit, data.NewInt(a.lim))
 	if !ok {
+		a.mu.Unlock()
 		return
 	}
-	a.mu.Lock()
 	nv := a.value + op.delta
 	if a.safeLocally(nv) {
 		a.value = nv
-		a.persistLocked()
+		a.sh.WriteAux(a.valItem, data.NewInt(nv))
 		a.mu.Unlock()
 		a.sh.RequestWrite(a.item, data.NewInt(nv))
 		op.onDone(true)

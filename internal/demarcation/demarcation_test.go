@@ -30,7 +30,9 @@ site SX
 site SY
 item X @ SX
 item Y @ SY
+private Vx @ SX
 private Lx @ SX
+private Vy @ SY
 private Ly @ SY
 `)
 	if err != nil {
@@ -58,8 +60,8 @@ private Ly @ SY
 	}
 	t.Cleanup(func() { sx.Stop(); sy.Stop() })
 
-	xa := NewAgent(sx, "SX", "sy", data.Item("X"), data.Item("Lx"), true, policy)
-	ya := NewAgent(sy, "SY", "sx", data.Item("Y"), data.Item("Ly"), false, policy)
+	xa := NewAgent(sx, "SX", "sy", data.Item("X"), data.Item("Vx"), data.Item("Lx"), true, policy)
+	ya := NewAgent(sy, "SY", "sx", data.Item("Y"), data.Item("Vy"), data.Item("Ly"), false, policy)
 	xa.Init(x, lx)
 	ya.Init(y, ly)
 	clk.Advance(time.Second)

@@ -35,7 +35,9 @@ site SX
 site SY
 item X @ SX
 item Y @ SY
+private Vx @ SX
 private Lx @ SX
+private Vy @ SY
 private Ly @ SY
 `)
 	if err != nil {
@@ -71,14 +73,11 @@ private Ly @ SY
 			t.Fatal(err)
 		}
 	}
-	p.xa = NewAgent(sx, "SX", "sy", data.Item("X"), data.Item("Lx"), true, Exact)
-	p.ya = NewAgent(sy, "SY", "sx", data.Item("Y"), data.Item("Ly"), false, Exact)
-	if p.xRec, err = p.xa.EnableDurable(stX); err != nil {
-		t.Fatal(err)
-	}
-	if p.yRec, err = p.ya.EnableDurable(stY); err != nil {
-		t.Fatal(err)
-	}
+	p.xa = NewAgent(sx, "SX", "sy", data.Item("X"), data.Item("Vx"), data.Item("Lx"), true, Exact)
+	p.ya = NewAgent(sy, "SY", "sx", data.Item("Y"), data.Item("Vy"), data.Item("Ly"), false, Exact)
+	// An agent resumes when its shell restored both of its items.
+	p.xRec = restoredBoth(sx, "Vx", "Lx")
+	p.yRec = restoredBoth(sy, "Vy", "Ly")
 	for _, s := range []*shell.Shell{sx, sy} {
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
@@ -91,6 +90,12 @@ private Ly @ SY
 	p.ya.Init(y, ly)
 	p.clk.Advance(time.Second)
 	return p
+}
+
+func restoredBoth(s *shell.Shell, value, limit string) bool {
+	_, v := s.ReadAux(data.Item(value))
+	_, l := s.ReadAux(data.Item(limit))
+	return v && l
 }
 
 func (p *durPair) shutdown(t *testing.T) {

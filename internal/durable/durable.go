@@ -6,18 +6,22 @@
 // Section 5 of the paper only lets a site crash degrade to a *metric*
 // failure "if the database ... can remember messages that need to be sent
 // out upon recovery".  The components that must remember — the reliable
-// transport's outbox and dedup state, a shell's CM-private items, a
-// demarcation agent's value and limit — each journal their mutations into
-// a named Log and snapshot their full state into its checkpoint, so a
-// killed process replays its way back to the pre-crash state instead of
-// silently losing fires.
+// transport's outbox and dedup state, a shell's CM-private items (a
+// demarcation agent's value and limit among them) — each journal their
+// mutations into a named Log and snapshot their full state into its
+// checkpoint, so a killed process replays its way back to the pre-crash
+// state instead of silently losing fires.  A Log is fail-stop: after one
+// failed write it refuses every later one, so a component need not keep
+// its own failure latch.
 //
 // Records are framed as [4-byte length][4-byte CRC32(payload)][payload],
 // where payload is [1-byte type][data]; the type byte is the component's
 // own codec tag.  On open the log scans its segments in order and stops
 // at the first damage — a torn tail is truncated, a CRC mismatch cuts the
 // log there, and later segments are never replayed past the failure — so
-// recovery never panics and never applies a corrupt record.  The fsync
+// recovery never panics and never applies a corrupt record.  The
+// read-only Inspect and ReadLog run the same scan and leave the files as
+// they are.  The fsync
 // policy is configurable (always / interval / never) and its cost is
 // visible through the cmtk_wal_* metrics (see OBSERVABILITY.md).
 package durable

@@ -45,12 +45,10 @@ func Inspect(dir string) (infos []LogInfo, clean bool, err error) {
 	}
 	sort.Strings(sorted)
 	for _, name := range sorted {
-		rec, info, err := readLogDir(dir, name)
+		_, info, err := readLogDir(dir, name)
 		if err != nil {
 			return nil, clean, err
 		}
-		info.Records = len(rec.Records)
-		info.Damage = rec.Damage
 		infos = append(infos, info)
 	}
 	return infos, clean, nil
@@ -72,51 +70,26 @@ func ReadLog(dir, name string) (*Recovery, error) {
 	return rec, err
 }
 
+// readLogDir runs openLog's scan and reports it, repairing nothing.
 func readLogDir(dir, name string) (*Recovery, LogInfo, error) {
 	info := LogInfo{Name: name}
-	rec := &Recovery{}
+	sc, err := scanLog(dir, name)
+	if err != nil {
+		return nil, info, err
+	}
 	if _, err := os.Stat(filepath.Join(dir, cleanMarkerFile)); err == nil {
-		rec.Clean = true
+		sc.rec.Clean = true
 	}
-	ckptPath := filepath.Join(dir, name+".ckpt")
-	snapshot, minSeg, dmg, err := readCheckpoint(name, ckptPath)
-	if err != nil {
-		return nil, info, err
-	}
-	if dmg != nil {
-		rec.Damage = append(rec.Damage, *dmg)
-	} else if fi, err := os.Stat(ckptPath); err == nil {
-		rec.Snapshot = snapshot
+	if !sc.ckptBad && !sc.ckptAt.IsZero() {
 		info.HasCheckpoint = true
-		info.CheckpointAt = fi.ModTime()
-		info.CheckpointLen = int64(len(snapshot))
+		info.CheckpointAt = sc.ckptAt
+		info.CheckpointLen = int64(len(sc.rec.Snapshot))
 	}
-	idxs, err := segments(dir, name)
-	if err != nil {
-		return nil, info, err
-	}
-	cut := false
-	for _, idx := range idxs {
-		if idx < minSeg {
-			continue // stale pre-checkpoint segment
-		}
-		path := filepath.Join(dir, segName(name, idx))
-		if cut {
-			rec.Damage = append(rec.Damage, Damage{Log: name, Segment: segName(name, idx),
-				Kind: "orphaned-segment", Detail: "follows a damaged segment"})
-			continue
-		}
-		recs, valid, dmg, err := scanSegment(name, path)
-		if err != nil {
-			return nil, info, err
-		}
-		rec.Records = append(rec.Records, recs...)
+	for _, s := range sc.live {
 		info.Segments++
-		info.WALBytes += valid
-		if dmg != nil {
-			rec.Damage = append(rec.Damage, *dmg)
-			cut = true
-		}
+		info.WALBytes += s.valid
 	}
-	return rec, info, nil
+	info.Records = len(sc.rec.Records)
+	info.Damage = sc.rec.Damage
+	return &sc.rec, info, nil
 }

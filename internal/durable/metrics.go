@@ -9,6 +9,7 @@ type walMetrics struct {
 	checkpoints, replayed   *obs.CounterVec
 	damage                  *obs.CounterVec // log, kind
 	size, segments, ckptAge *obs.GaugeVec
+	failed                  *obs.GaugeVec
 }
 
 func newWALMetrics(reg *obs.Registry) walMetrics {
@@ -34,6 +35,8 @@ func newWALMetrics(reg *obs.Registry) walMetrics {
 			"Live segment files of a log.", "log"),
 		ckptAge: reg.Gauge("cmtk_wal_last_checkpoint_unix_seconds",
 			"Unix time of a log's last checkpoint (0: none yet); age = now - value.", "log"),
+		failed: reg.Gauge("cmtk_wal_failed",
+			"1 once a log has stopped accepting writes after a failed append, fsync or checkpoint; 0 while healthy.", "log"),
 	}
 }
 
@@ -42,6 +45,7 @@ type logMetrics struct {
 	appends, fsyncs, bytes *obs.Counter
 	checkpoints, replayed  *obs.Counter
 	size, segments, ckpt   *obs.Gauge
+	failed                 *obs.Gauge
 	damage                 func(kind string) *obs.Counter
 }
 
@@ -55,6 +59,7 @@ func (m walMetrics) forLog(name string) logMetrics {
 		size:        m.size.With(name),
 		segments:    m.segments.With(name),
 		ckpt:        m.ckptAge.With(name),
+		failed:      m.failed.With(name),
 		damage:      func(kind string) *obs.Counter { return m.damage.With(name, kind) },
 	}
 }

@@ -76,8 +76,9 @@ func (s *Store) WasClean() bool {
 	return s.wasClean
 }
 
-// Log opens (once; later calls return the same Log with a nil Recovery)
-// a named log, recovering its checkpoint and records.
+// Log opens a named log, recovering its checkpoint and records.  A log
+// opens once per store: a second call for the same name fails, so every
+// Recovery reaches exactly one owner.
 func (s *Store) Log(name string) (*Log, *Recovery, error) {
 	if !logNameRe.MatchString(name) || name == cleanMarkerFile {
 		return nil, nil, fmt.Errorf("durable: bad log name %q", name)
@@ -87,8 +88,8 @@ func (s *Store) Log(name string) (*Log, *Recovery, error) {
 	if s.closed {
 		return nil, nil, fmt.Errorf("durable: store is closed")
 	}
-	if l, ok := s.logs[name]; ok {
-		return l, nil, nil
+	if _, ok := s.logs[name]; ok {
+		return nil, nil, fmt.Errorf("durable: log %s is already open", name)
 	}
 	l, rec, err := openLog(s.dir, name, s.opts, s.met, s.wasClean, &s.crashed)
 	if err != nil {
@@ -118,8 +119,9 @@ func (s *Store) Crashed() bool { return s.crashed.Load() }
 
 // Close shuts the store down.  On the clean path it runs the registered
 // final-checkpoint hooks, flushes and closes every log, and — only when
-// every hook and flush succeeded — writes the clean-shutdown marker;
-// after Crash it only releases file handles.
+// every hook and flush succeeded and no log kept a write failure —
+// writes the clean-shutdown marker; after Crash it only releases file
+// handles.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -157,8 +159,8 @@ func (s *Store) Close() error {
 		}
 	}
 	if err != nil {
-		// A failed hook or flush leaves the log tails authoritative: no
-		// marker, so the next Open replays them.
+		// A failed hook, flush or earlier write leaves the log tails
+		// authoritative: no marker, so the next Open replays them.
 		return err
 	}
 	marker := filepath.Join(s.dir, cleanMarkerFile)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cmtk/internal/obs"
 )
 
 func TestCheckpointTruncatesAndRecovers(t *testing.T) {
@@ -152,9 +154,8 @@ func TestLogOpenIsOnceAndNamesValidated(t *testing.T) {
 	if rec1 == nil {
 		t.Fatal("first open returned nil recovery")
 	}
-	l2, rec2, err := s.Log("once")
-	if err != nil || l2 != l1 || rec2 != nil {
-		t.Fatalf("second open = %v/%v/%v, want same log, nil recovery", l2, rec2, err)
+	if l2, rec2, err := s.Log("once"); err == nil {
+		t.Fatalf("second open = %v/%v, want an error", l2, rec2)
 	}
 	for _, bad := range []string{"", "a/b", "..", ".hidden", "CLEAN"} {
 		if _, _, err := s.Log(bad); err == nil {
@@ -256,5 +257,60 @@ func TestInspectIsReadOnly(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, cleanMarkerFile)); err != nil {
 		t.Fatal("Inspect consumed the clean marker")
+	}
+}
+
+// TestFailedWriteStopsTheLog: once an append fails, the log refuses every
+// later write with that error, even after the file handle works again,
+// flags cmtk_wal_failed, and Store.Close returns the error and writes no
+// clean marker — so the next open recovers exactly the records before
+// the failure, with no gap behind a later write.
+func TestFailedWriteStopsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s := openStore(t, dir, Options{Metrics: reg})
+	lg, _ := mustLog(t, s, "fs")
+	if err := lg.Append(1, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	good := lg.f
+	ro, err := os.Open(good.Name()) // read-only: the next write fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	lg.mu.Lock()
+	lg.f = ro
+	lg.mu.Unlock()
+	failed := lg.Append(1, []byte("lost"))
+	if failed == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	lg.mu.Lock()
+	lg.f = good
+	lg.mu.Unlock()
+	if err := lg.Append(1, []byte("after the gap")); err != failed {
+		t.Fatalf("append after a failure = %v, want the kept %v", err, failed)
+	}
+	if err := lg.Checkpoint([]byte("snap")); err != failed {
+		t.Fatalf("checkpoint after a failure = %v, want the kept %v", err, failed)
+	}
+	if err := lg.Sync(); err != failed {
+		t.Fatalf("sync after a failure = %v, want the kept %v", err, failed)
+	}
+	if got := reg.Gauge("cmtk_wal_failed", "", "log").With("fs").Value(); got != 1 {
+		t.Fatalf("cmtk_wal_failed = %d, want 1", got)
+	}
+	if err := s.Close(); err != failed {
+		t.Fatalf("Close = %v, want the kept %v", err, failed)
+	}
+	s2 := openStore(t, dir, Options{})
+	defer s2.Close()
+	if s2.WasClean() {
+		t.Fatal("WasClean = true after a log failed")
+	}
+	_, rec := mustLog(t, s2, "fs")
+	if len(rec.Records) != 1 || string(rec.Records[0].Data) != "kept" || len(rec.Damage) != 0 {
+		t.Fatalf("recovered %v (damage %v), want only the record before the failure", rec.Records, rec.Damage)
 	}
 }

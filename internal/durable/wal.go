@@ -55,8 +55,14 @@ func appendFrame(buf []byte, typ byte, data []byte) []byte {
 	return append(buf, payload...)
 }
 
-// segRe parses segment file names: <log>.<6-digit index>.wal.
-var segRe = regexp.MustCompile(`^(.+)\.(\d{6})\.wal$`)
+// segRe parses segment file names: <log>.<index>.wal, the index
+// zero-padded to at least six digits (segName's %06d widens past 999999,
+// and every checkpoint moves to the next index).
+var segRe = regexp.MustCompile(`^(.+)\.(\d{6,})\.wal$`)
+
+// maxSegment bounds a segment index read from disk, far past any a log
+// reaches, so a checkpoint naming a larger one is damage.
+const maxSegment = 1 << 62
 
 func segName(log string, idx int) string { return fmt.Sprintf("%s.%06d.wal", log, idx) }
 
@@ -73,7 +79,7 @@ func segments(dir, log string) ([]int, error) {
 			continue
 		}
 		n, err := strconv.Atoi(m[2])
-		if err != nil {
+		if err != nil || n > maxSegment {
 			continue
 		}
 		idxs = append(idxs, n)

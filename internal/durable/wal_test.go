@@ -2,8 +2,11 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -107,11 +110,11 @@ func corruptSetup(t *testing.T, recs []Record) (dir, seg string) {
 	return dir, filepath.Join(dir, "j.000001.wal")
 }
 
-func reopen(t *testing.T, dir string) (*Store, *Recovery) {
+func reopen(t *testing.T, dir string) (*Store, *Log, *Recovery) {
 	t.Helper()
 	s := openStore(t, dir, Options{})
-	_, rec := mustLog(t, s, "j")
-	return s, rec
+	lg, rec := mustLog(t, s, "j")
+	return s, lg, rec
 }
 
 func threeRecords() []Record {
@@ -133,7 +136,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	s, rec := reopen(t, dir)
+	s, lg, rec := reopen(t, dir)
 	defer s.Close()
 	if len(rec.Records) != 3 {
 		t.Fatalf("records = %d, want the 3 intact ones", len(rec.Records))
@@ -142,14 +145,13 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("damage = %v, want one torn-tail", rec.Damage)
 	}
 	// The repair truncated the tail: appending and re-recovering works.
-	lg, _ := mustLog(t, s, "j")
 	if err := lg.Append(4, []byte("after repair")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, rec2 := reopen(t, dir)
+	s2, _, rec2 := reopen(t, dir)
 	defer s2.Close()
 	if len(rec2.Records) != 4 || len(rec2.Damage) != 0 {
 		t.Fatalf("after repair: %d records, damage %v", len(rec2.Records), rec2.Damage)
@@ -167,7 +169,7 @@ func TestTruncatedSegment(t *testing.T) {
 	if err := os.Truncate(seg, first+(fi.Size()-first)/2); err != nil {
 		t.Fatal(err)
 	}
-	s, rec := reopen(t, dir)
+	s, _, rec := reopen(t, dir)
 	defer s.Close()
 	if len(rec.Records) != 1 || string(rec.Records[0].Data) != "first record" {
 		t.Fatalf("records = %v, want only the first", rec.Records)
@@ -191,7 +193,7 @@ func TestBitFlipStopsReplay(t *testing.T) {
 	if err := os.WriteFile(seg, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, rec := reopen(t, dir)
+	s, _, rec := reopen(t, dir)
 	defer s.Close()
 	if len(rec.Records) != 1 || rec.Records[0].Type != 1 {
 		t.Fatalf("records = %v, want replay to stop before the flipped record", rec.Records)
@@ -228,7 +230,7 @@ func TestOrphanedSegmentsDropped(t *testing.T) {
 	if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, rec := reopen(t, dir)
+	s2, _, rec := reopen(t, dir)
 	defer s2.Close()
 	if len(rec.Records) != 0 {
 		t.Fatalf("records = %d, want none (damage in the first segment)", len(rec.Records))
@@ -295,4 +297,124 @@ func TestSyncPolicyFsyncCounts(t *testing.T) {
 	if counts[SyncNever] != 0 {
 		t.Errorf("never policy fsynced %d times before close", counts[SyncNever])
 	}
+}
+
+// TestReadLogEqualsColdOpen: the read-only ReadLog reports exactly the
+// Recovery a cold open returns, on the orphaned-segment case where the
+// two once built their Damage differently.
+func TestReadLogEqualsColdOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{SegmentBytes: 32})
+	lg, _ := mustLog(t, s, "j")
+	for i := 0; i < 4; i++ {
+		if err := lg.Append(1, bytes.Repeat([]byte{byte('a' + i)}, 24)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segName("j", 2))
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[frameHeader+2] ^= 0x01
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadLog(dir, "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, _, opened := reopen(t, dir)
+	defer s2.Close()
+	if len(opened.Damage) != 3 {
+		t.Fatalf("damage = %v, want a crc and two orphaned segments", opened.Damage)
+	}
+	if !reflect.DeepEqual(read, opened) {
+		t.Fatalf("ReadLog = %+v\ncold open = %+v", read, opened)
+	}
+}
+
+// TestSegmentIndexPastSixDigits: segment names widen to seven digits at
+// index 1000000, and recovery still finds the active segment there.
+func TestSegmentIndexPastSixDigits(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	lg, _ := mustLog(t, s, "j")
+	lg.mu.Lock()
+	lg.seg = 999_998
+	lg.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		if err := lg.Checkpoint([]byte("snap")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Append(1, []byte("past 999999")); err != nil {
+		t.Fatal(err)
+	}
+	s.Crash()
+	s.Close()
+	s2, _, rec := reopen(t, dir)
+	defer s2.Close()
+	if len(rec.Records) != 1 || string(rec.Records[0].Data) != "past 999999" || string(rec.Snapshot) != "snap" {
+		t.Fatalf("recovered snapshot %q and %d of 1 records", rec.Snapshot, len(rec.Records))
+	}
+}
+
+// FuzzLogRecovery writes arbitrary bytes as the first segment and as the
+// checkpoint file (a well-formed second segment follows the first), then
+// holds recovery to three properties: opening never panics, ReadLog
+// reports the Recovery the cold open returns, and a second open after the
+// repair finds no damage and the same snapshot and records.
+func FuzzLogRecovery(f *testing.F) {
+	rec := appendFrame(nil, 1, []byte("first record"))
+	f.Add(rec, []byte(nil))
+	f.Add(append(rec, 0x21, 0, 0), []byte(nil))
+	f.Add(rec[:len(rec)-3], checkpointFile(2, []byte("snapshot")))
+	f.Add(rec, checkpointFile(5, nil))
+	f.Add([]byte{}, []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, seg, ckpt []byte) {
+		dir := t.TempDir()
+		write := func(name string, b []byte) {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(segName("j", 1), seg)
+		write(segName("j", 2), appendFrame(nil, 2, []byte("second segment")))
+		if len(ckpt) > 0 {
+			write("j.ckpt", ckpt)
+		}
+		read, err := ReadLog(dir, "j")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _, opened := reopen(t, dir)
+		s.Crash()
+		s.Close()
+		if !reflect.DeepEqual(read, opened) {
+			t.Fatalf("ReadLog = %+v\ncold open = %+v", read, opened)
+		}
+		s2, _, again := reopen(t, dir)
+		s2.Crash()
+		s2.Close()
+		if len(again.Damage) != 0 {
+			t.Fatalf("second open found damage %v after the repair", again.Damage)
+		}
+		if !bytes.Equal(again.Snapshot, opened.Snapshot) || !reflect.DeepEqual(again.Records, opened.Records) {
+			t.Fatalf("second open = %q / %v, first = %q / %v", again.Snapshot, again.Records, opened.Snapshot, opened.Records)
+		}
+	})
+}
+
+// checkpointFile frames a checkpoint naming first as the first
+// post-checkpoint segment, as Checkpoint writes it.
+func checkpointFile(first uint64, snapshot []byte) []byte {
+	data := binary.LittleEndian.AppendUint64([]byte{ckptType}, first)
+	data = append(data, snapshot...)
+	hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(data))
+	return append(hdr, data...)
 }

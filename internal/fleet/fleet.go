@@ -20,11 +20,8 @@ import (
 
 // Options configures a fleet.
 type Options struct {
-	// Members are the shell IDs; empty derives shard-1..shard-N from
-	// Shells (default 2).
+	// Members are the shell IDs (at least one).
 	Members []string
-	// Shells is the member count when Members is empty.
-	Shells int
 	// Clock drives the shells and the default bus.  Nil means real time —
 	// which is also what an in-process fleet needs: bus deliveries ride
 	// timer callbacks, and a virtual clock only fires those inside
@@ -125,15 +122,6 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: spec has %d translator-backed item(s); the in-process fleet shards CM-private state only (pin database sites with a route file and cmshell -route-table)", len(spec.Items))
 	}
 	members := dedupSorted(o.Members)
-	if len(members) == 0 {
-		n := o.Shells
-		if n <= 0 {
-			n = 2
-		}
-		for i := 1; i <= n; i++ {
-			members = append(members, fmt.Sprintf("shard-%d", i))
-		}
-	}
 	clock := o.Clock
 	if clock == nil {
 		clock = vclock.Real{}
@@ -175,9 +163,6 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 		lg, rec, err := f.store.Log(TableLogName)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: opening table log: %w", err)
-		}
-		if rec == nil {
-			return nil, fmt.Errorf("fleet: table log already open")
 		}
 		f.tlog = lg
 		if rec.Snapshot != nil {

@@ -54,7 +54,7 @@ func TestFleetRejectsTranslatorSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(sp, Options{Shells: 2}); err == nil {
+	if _, err := New(sp, Options{Members: []string{"s1", "s2"}}); err == nil {
 		t.Fatal("a spec with translator-backed items must be rejected by the in-process fleet")
 	}
 }

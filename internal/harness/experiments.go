@@ -280,7 +280,9 @@ site SX
 site SY
 item X @ SX
 item Y @ SY
+private Vx @ SX
 private Lx @ SX
+private Vy @ SY
 private Ly @ SY
 `)
 	must(err)
@@ -296,8 +298,8 @@ private Ly @ SY
 	must(sy.Attach(bus))
 	must(sx.Start())
 	must(sy.Start())
-	xa := demarcation.NewAgent(sx, "SX", "sy", data.Item("X"), data.Item("Lx"), true, policy)
-	ya := demarcation.NewAgent(sy, "SY", "sx", data.Item("Y"), data.Item("Ly"), false, policy)
+	xa := demarcation.NewAgent(sx, "SX", "sy", data.Item("X"), data.Item("Vx"), data.Item("Lx"), true, policy)
+	ya := demarcation.NewAgent(sy, "SY", "sx", data.Item("Y"), data.Item("Vy"), data.Item("Ly"), false, policy)
 	xa.Init(x, lx)
 	ya.Init(y, ly)
 	clk.Advance(time.Second)

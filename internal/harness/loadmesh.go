@@ -14,17 +14,14 @@ import (
 	"cmtk/internal/vclock"
 )
 
-// LoadMeshOptions tunes a load-test deployment.  The zero value is a
-// real-time in-process bus; set Clock for a deterministic soak (the E15
-// chaos experiment).
+// LoadMeshOptions tunes a load-test deployment (the E15 chaos
+// experiment); every field is required.
 type LoadMeshOptions struct {
-	// Clock drives the deployment; nil means real time.
+	// Clock drives the deployment.
 	Clock vclock.Clock
-	// Metrics is the registry everything instrumented lands in; nil means
-	// obs.Default.
+	// Metrics is the registry everything instrumented lands in.
 	Metrics *obs.Registry
-	// Keys are the employee keys pre-seeded into both databases (default
-	// workload.Keys-style e1..e8).
+	// Keys are the employee keys pre-seeded into both databases.
 	Keys []string
 }
 
@@ -50,16 +47,7 @@ type LoadMesh struct {
 // 100ms bus latency, fault layer and retry jitter seeded with 15, and
 // reliable retries every 1s backing off to 4s.
 func NewLoadMesh(o LoadMeshOptions) (*LoadMesh, error) {
-	if o.Metrics == nil {
-		o.Metrics = obs.Default
-	}
-	if len(o.Keys) == 0 {
-		o.Keys = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"}
-	}
 	clk := o.Clock
-	if clk == nil {
-		clk = vclock.Real{}
-	}
 
 	dbA := newEmployeesDB("branch")
 	dbB := newEmployeesDB("hq")

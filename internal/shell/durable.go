@@ -39,9 +39,6 @@ func (s *Shell) EnableDurable(store *durable.Store) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if rec == nil {
-		return 0, fmt.Errorf("shell %s: durable log already in use", s.id)
-	}
 	restored, err := decodePrivate(rec)
 	if err != nil {
 		return 0, err
@@ -60,8 +57,7 @@ func (s *Shell) EnableDurable(store *durable.Store) (int, error) {
 	store.OnClose(func() error {
 		s.privMu.Lock()
 		defer s.privMu.Unlock()
-		s.checkpointPrivateLocked()
-		return s.durErr
+		return s.checkpointPrivateLocked()
 	})
 	return len(restored), nil
 }
@@ -112,48 +108,25 @@ func (s *Shell) setPrivate(item data.ItemName, v data.Value) {
 }
 
 func (s *Shell) journalPrivateLocked(item data.ItemName, v data.Value) {
-	if s.dur == nil || s.durErr != nil {
+	if s.dur == nil {
 		return
 	}
-	b, err := json.Marshal(pSet{K: item.Key(), V: v.String()})
-	if err == nil {
-		err = s.dur.Append(pSetRec, b)
-	}
-	if err != nil {
-		// Latch, like a dead disk: whatever reached the log is what the
-		// next incarnation recovers.
-		s.durErr = err
-		return
-	}
-	if s.dur.WALSize() >= durCheckpointBytes {
+	b, _ := json.Marshal(pSet{K: item.Key(), V: v.String()}) // two strings: cannot fail
+	// A failed append's error is dropped here: the log keeps it, refuses
+	// every later write and returns it from Store.Close, so whatever
+	// reached the log is what the next incarnation recovers.
+	if s.dur.Append(pSetRec, b) == nil && s.dur.WALSize() >= durCheckpointBytes {
 		s.checkpointPrivateLocked()
 	}
 }
 
 // checkpointPrivateLocked snapshots the whole interpretation and
 // truncates the journal.
-func (s *Shell) checkpointPrivateLocked() {
-	if s.dur == nil || s.durErr != nil {
-		return
-	}
+func (s *Shell) checkpointPrivateLocked() error {
 	snap := make(map[string]string, len(s.private))
 	for k, v := range s.private {
 		snap[k] = v.String()
 	}
-	b, err := json.Marshal(snap)
-	if err == nil {
-		err = s.dur.Checkpoint(b)
-	}
-	if err != nil {
-		s.durErr = err
-	}
-}
-
-// DurableError reports the first private-state journaling failure, if any.
-//
-//cmlint:allow deadsurface(production reads this latch through its OnClose hook; tests read it here)
-func (s *Shell) DurableError() error {
-	s.privMu.RLock()
-	defer s.privMu.RUnlock()
-	return s.durErr
+	b, _ := json.Marshal(snap) // string to string: cannot fail
+	return s.dur.Checkpoint(b)
 }

@@ -1,6 +1,7 @@
 package shell
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -88,8 +89,8 @@ func TestPrivateStateCrashKeepsFlushedWrites(t *testing.T) {
 	s.WriteAux(data.Item("cx"), data.NewInt(1))
 	st.Crash()
 	s.WriteAux(data.Item("cx"), data.NewInt(2)) // post-crash: not persisted
-	if s.DurableError() == nil {
-		t.Fatal("journaling survived the crash")
+	if err := s.dur.Sync(); !errors.Is(err, durable.ErrCrashed) {
+		t.Fatalf("journal after the crash = %v, want ErrCrashed", err)
 	}
 	s.Stop()
 	st.Close()

@@ -68,8 +68,7 @@ type retention struct {
 	log       *durable.Log
 	timer     vclock.Timer
 	ckptEvery int
-	rounds    int   // pruning rounds since the last checkpoint
-	err       error // first checkpoint-write failure, latched
+	rounds    int // pruning rounds since the last checkpoint
 	m         retainMetrics
 }
 
@@ -150,9 +149,6 @@ func (s *Shell) EnableRetention(r Retention) (RetentionRestore, error) {
 		if err != nil {
 			return res, err
 		}
-		if rec == nil {
-			return res, fmt.Errorf("shell %s: trace log already in use", s.id)
-		}
 		rt.log = lg
 		if rec.Snapshot != nil {
 			restored, err := s.importTraceSnapshot(rt, r.Monitor, rec.Snapshot, &res)
@@ -168,8 +164,7 @@ func (s *Shell) EnableRetention(r Retention) (RetentionRestore, error) {
 		r.Store.OnClose(func() error {
 			s.retainMu.Lock()
 			defer s.retainMu.Unlock()
-			s.checkpointTraceLocked(rt)
-			return rt.err
+			return s.checkpointTraceLocked(rt)
 		})
 	}
 	if r.Every > 0 {
@@ -248,6 +243,11 @@ func (s *Shell) CompactNow() trace.CompactStats {
 		rt.m.prunedBytes.Add(stats.PrunedBytes)
 		rt.m.compactions.Inc()
 		if rt.rounds++; rt.rounds >= rt.ckptEvery {
+			// A failed checkpoint's error is dropped here: a write failure
+			// stays with the log, which refuses every later write and
+			// returns it from Store.Close, and an encoding failure recurs
+			// in the close hook's checkpoint.  The last checkpoint that
+			// reached disk is what the next incarnation recovers.
 			s.checkpointTraceLocked(rt)
 			rt.rounds = 0
 		}
@@ -255,45 +255,28 @@ func (s *Shell) CompactNow() trace.CompactStats {
 	return stats
 }
 
-// RetentionError reports the first durable checkpoint failure, if any
-// (latched, like the private-state journal: the last checkpoint that
-// reached disk is what the next incarnation recovers).
-//
-//cmlint:allow deadsurface(production reads this latch through its OnClose hook; tests read it here)
-func (s *Shell) RetentionError() error {
-	s.retainMu.Lock()
-	defer s.retainMu.Unlock()
-	if s.retain == nil {
-		return nil
-	}
-	return s.retain.err
-}
-
 // checkpointTraceLocked writes the current fold as a sectioned snapshot:
 // "meta" carries the sequence/accounting frame, "base" the folded
 // interpretation, "monitor" the guarantee monitor's pending obligations.
 // Caller holds retainMu.
-func (s *Shell) checkpointTraceLocked(rt *retention) {
-	if rt.log == nil || rt.err != nil {
-		return
+func (s *Shell) checkpointTraceLocked(rt *retention) error {
+	if rt.log == nil {
+		return nil
 	}
 	cs := s.tr.Checkpoint()
 	meta := cs
 	meta.Base = nil
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
-		rt.err = err
-		return
+		return err
 	}
 	baseJSON, err := json.Marshal(cs.Base)
 	if err != nil {
-		rt.err = err
-		return
+		return err
 	}
 	monBlob, err := rt.mon.Handoff()
 	if err != nil {
-		rt.err = err
-		return
+		return err
 	}
 	snap := durable.EncodeSections([]durable.Section{
 		{Name: "meta", Data: metaJSON},
@@ -301,10 +284,10 @@ func (s *Shell) checkpointTraceLocked(rt *retention) {
 		{Name: "monitor", Data: monBlob},
 	})
 	if err := rt.log.Checkpoint(snap); err != nil {
-		rt.err = err
-		return
+		return err
 	}
 	rt.m.ckptBytes.Set(int64(len(snap)))
+	return nil
 }
 
 // DecodeTraceCheckpoint verifies a persisted trace checkpoint the way a

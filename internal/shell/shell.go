@@ -89,12 +89,11 @@ type Shell struct {
 	one      [1]*event.Event
 
 	// private CM data (Section 3.2: "Each CM-Shell can have private data");
-	// dur journals every write when durable state is enabled, durErr
-	// latches the first journaling failure (both guarded by privMu)
+	// dur journals every write when durable state is enabled (both
+	// guarded by privMu)
 	privMu  sync.RWMutex
 	private data.Interpretation
 	dur     *durable.Log
-	durErr  error
 
 	// CM-initiated writes pending confirmation, to tell W from Ws when the
 	// underlying source's trigger fires for our own write; keyed by

@@ -243,7 +243,9 @@ rule w: Ws(X, b) ->5s W(W, b)
 	if _, ok := sb.ReadAux(data.Item("T")); !ok {
 		t.Fatal("T was never written with the firing time")
 	}
-	if err := sa.ep.(*transport.ReliableEndpoint).JournalError(); err != nil {
+	sa.Stop()
+	sb.Stop()
+	if err := st.Close(); err != nil { // every journal write reached the log
 		t.Fatal(err)
 	}
 }

@@ -264,14 +264,3 @@ func mentionsBase(r rule.Rule, base string) bool {
 	}
 	return false
 }
-
-// statementsFor filters interface statements to those mentioning base.
-func statementsFor(stmts []rule.Rule, base string) []rule.Rule {
-	var out []rule.Rule
-	for _, st := range stmts {
-		if mentionsBase(st, base) {
-			out = append(out, st)
-		}
-	}
-	return out
-}

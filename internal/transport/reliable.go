@@ -336,11 +336,9 @@ type ReliableEndpoint struct {
 	handlers []func(LinkEvent)
 	closed   bool
 
-	// durable journal (nil until EnableJournal); jErr latches the first
-	// journaling failure, after which the journal is treated as dead.
-	// jEnc and jBuf are reused to encode each record and snapshot.
+	// durable journal (nil until EnableJournal); jEnc and jBuf are reused
+	// to encode each record and snapshot.
 	j    *durable.Log
-	jErr error
 	jEnc batchEncoder
 	jBuf []byte
 }
@@ -513,20 +511,25 @@ func (r *ReliableEndpoint) Send(to string, m Message) error {
 	seq := o.nextSeq
 	o.nextSeq++
 	m.Link = LinkStamp{Epoch: r.epoch, Seq: seq}
+	journaled := false
 	if r.j != nil {
 		if m.Trigger.Desc == "" && m.TriggerEvent != nil {
 			// Render the descriptor once, for the journal and for a codec
 			// on the inner transport alike.
 			m.Trigger.Desc = m.TriggerEvent.Desc.String()
 		}
-		r.journalLocked(jSend, appendSendRec(r.recordLocked(), &r.jEnc, to, seq, m))
+		journaled = r.journalLocked(jSend, appendSendRec(r.recordLocked(), &r.jEnc, to, seq, m))
 	}
 	// The outbox and the receiver share BindingsVal: a sent map is
 	// read-only, so checkpoints may encode it while the receiver runs.
 	o.push(m)
 	o.mSends.Inc()
 	o.mDepth.Set(int64(len(o.unacked())))
-	r.maybeCheckpointLocked()
+	if journaled {
+		// After the push: the snapshot must hold m, whose record it
+		// truncates.
+		r.maybeCheckpointLocked()
+	}
 	m.Link.Base = o.q[o.head].Link.Seq
 	r.scheduleLocked(o)
 	r.mu.Unlock()
@@ -711,8 +714,9 @@ func (r *ReliableEndpoint) Deliver(m Message) {
 		// The dedup cursor moved (or the link is new): journal it so a
 		// restarted receiver keeps discarding retransmits it already
 		// processed instead of re-executing them.
-		r.journalLocked(jIn, appendInRec(r.recordLocked(), from, in.epoch, in.next))
-		r.maybeCheckpointLocked()
+		if r.journalLocked(jIn, appendInRec(r.recordLocked(), from, in.epoch, in.next)) {
+			r.maybeCheckpointLocked()
+		}
 	}
 	ack := in.next
 	inner := r.inner
@@ -750,8 +754,7 @@ func (r *ReliableEndpoint) handleAck(m Message) {
 		o.retire(n)
 		o.mAcked.Add(uint64(n))
 		o.mDepth.Set(int64(len(o.unacked())))
-		if r.j != nil {
-			r.journalLocked(jAck, appendAckRec(r.recordLocked(), peer, ack))
+		if r.j != nil && r.journalLocked(jAck, appendAckRec(r.recordLocked(), peer, ack)) {
 			r.maybeCheckpointLocked()
 		}
 		o.attempts = 0
@@ -809,7 +812,8 @@ func (r *ReliableEndpoint) Close() error {
 	}
 	// A clean detach checkpoints the journal so the next incarnation
 	// recovers from a snapshot instead of replaying the whole log; after a
-	// crash hook this is a no-op (the journal is already dead).
+	// crash hook or a failed write the log refuses it, and Store.Close
+	// reports a kept failure.
 	r.checkpointLocked()
 	inner := r.inner
 	r.mu.Unlock()

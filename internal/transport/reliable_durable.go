@@ -277,9 +277,6 @@ func (r *ReliableEndpoint) EnableJournal(store *durable.Store, name string) (int
 	if err != nil {
 		return 0, err
 	}
-	if rec == nil {
-		return 0, fmt.Errorf("transport: journal %s already in use", name)
-	}
 	st, err := applyJournal(rec)
 	if err != nil {
 		return 0, err
@@ -297,8 +294,7 @@ func (r *ReliableEndpoint) EnableJournal(store *durable.Store, name string) (int
 	store.OnClose(func() error {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		r.checkpointLocked()
-		return r.jErr
+		return r.checkpointLocked()
 	})
 	return replayed, nil
 }
@@ -356,34 +352,30 @@ func (r *ReliableEndpoint) recordLocked() []byte {
 	return append(r.jBuf[:0], journalFormat)
 }
 
-// journalLocked appends one record, built on recordLocked, under r.mu.  A
-// failed append (most likely ErrCrashed from the harness's crash hook)
-// latches: journaling stops, exactly as if the process had died —
-// whatever reached the log is what the next incarnation recovers.
-func (r *ReliableEndpoint) journalLocked(typ byte, rec []byte) {
+// journalLocked appends one record, built on recordLocked, under r.mu,
+// and reports whether the log took it.  A failed append's error is
+// dropped here: the log refuses every later write (ErrCrashed after the
+// harness's crash hook; otherwise the failure it keeps and Store.Close
+// returns), exactly as if the process had died — whatever reached the
+// log is what the next incarnation recovers.
+func (r *ReliableEndpoint) journalLocked(typ byte, rec []byte) bool {
 	r.jBuf = rec[:0]
-	if r.jErr != nil {
-		return
-	}
-	if err := r.j.Append(typ, rec); err != nil {
-		r.jErr = err
-	}
+	return r.j.Append(typ, rec) == nil
 }
 
 // maybeCheckpointLocked compacts the journal once it outgrows the
 // configured threshold.
 func (r *ReliableEndpoint) maybeCheckpointLocked() {
-	if r.j == nil || r.jErr != nil || r.j.WALSize() < r.opts.CheckpointBytes {
-		return
+	if r.j.WALSize() >= r.opts.CheckpointBytes {
+		r.checkpointLocked()
 	}
-	r.checkpointLocked()
 }
 
 // checkpointLocked snapshots the full link state and truncates the
-// journal.
-func (r *ReliableEndpoint) checkpointLocked() {
-	if r.j == nil || r.jErr != nil {
-		return
+// journal; it does nothing when the endpoint has no journal.
+func (r *ReliableEndpoint) checkpointLocked() error {
+	if r.j == nil {
+		return nil
 	}
 	st := newRelSnapshot()
 	st.Epoch = r.epoch
@@ -399,19 +391,7 @@ func (r *ReliableEndpoint) checkpointLocked() {
 	}
 	data := appendSnapshot(r.recordLocked(), &r.jEnc, &st)
 	r.jBuf = data[:0]
-	if err := r.j.Checkpoint(data); err != nil {
-		r.jErr = err
-	}
-}
-
-// JournalError reports the first journaling failure, if any (nil while
-// the journal is healthy or disabled).
-//
-//cmlint:allow deadsurface(production reads this latch through its OnClose hook; tests read it here)
-func (r *ReliableEndpoint) JournalError() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.jErr
+	return r.j.Checkpoint(data)
 }
 
 // OutSummary describes one journaled send link.

@@ -102,20 +102,16 @@ func oracleApplyJournal(rec *durable.Recovery) (relSnapshot, error) {
 }
 
 func oracleJournalLocked(r *ReliableEndpoint, typ byte, v any) {
-	if r.j == nil || r.jErr != nil {
+	if r.j == nil {
 		return
 	}
-	data, err := json.Marshal(v)
-	if err == nil {
-		err = r.j.Append(typ, data)
-	}
-	if err != nil {
-		r.jErr = err
+	if data, err := json.Marshal(v); err == nil {
+		r.j.Append(typ, data) // a failure stays with the log
 	}
 }
 
 func oracleCheckpointLocked(r *ReliableEndpoint) {
-	if r.j == nil || r.jErr != nil {
+	if r.j == nil {
 		return
 	}
 	st := newRelSnapshot()
@@ -130,11 +126,7 @@ func oracleCheckpointLocked(r *ReliableEndpoint) {
 	for peer, in := range r.in {
 		st.In[peer] = relInSnap{Epoch: in.epoch, Next: in.next}
 	}
-	data, err := json.Marshal(st)
-	if err == nil {
-		err = r.j.Checkpoint(data)
-	}
-	if err != nil {
-		r.jErr = err
+	if data, err := json.Marshal(st); err == nil {
+		r.j.Checkpoint(data) // a failure stays with the log
 	}
 }

@@ -1,5 +1,5 @@
 // Package workload generates deterministic update streams for the
-// benchmark harness: keyed updates with uniform or Zipf key popularity,
+// benchmark harness: keyed updates with uniform key popularity,
 // regular or Poisson arrivals, and tunable duplicate-value fractions (for
 // the cached-propagation ablation).
 package workload
@@ -37,8 +37,6 @@ type Config struct {
 	MeanGap time.Duration
 	// Poisson selects exponential interarrivals; false means regular.
 	Poisson bool
-	// Zipf skews key popularity (s=1.2); false means uniform.
-	Zipf bool
 	// DupFraction in [0,1] is the probability an update repeats the key's
 	// current value instead of changing it.
 	DupFraction float64
@@ -50,14 +48,7 @@ func Stream(cfg Config) []Update {
 	if cfg.N <= 0 || len(cfg.Keys) == 0 {
 		return nil
 	}
-	if cfg.MeanGap <= 0 {
-		cfg.MeanGap = time.Second
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var zipf *rand.Zipf
-	if cfg.Zipf && len(cfg.Keys) > 1 {
-		zipf = rand.NewZipf(rng, 1.2, 1, uint64(len(cfg.Keys)-1))
-	}
 	current := map[string]int64{}
 	next := int64(1000)
 	at := time.Duration(0)
@@ -68,12 +59,7 @@ func Stream(cfg Config) []Update {
 		} else {
 			at += cfg.MeanGap
 		}
-		var key string
-		if zipf != nil {
-			key = cfg.Keys[zipf.Uint64()]
-		} else {
-			key = cfg.Keys[rng.Intn(len(cfg.Keys))]
-		}
+		key := cfg.Keys[rng.Intn(len(cfg.Keys))]
 		var val int64
 		if cur, ok := current[key]; ok && rng.Float64() < cfg.DupFraction {
 			val = cur

@@ -17,7 +17,7 @@ func TestKeys(t *testing.T) {
 }
 
 func TestStreamDeterministic(t *testing.T) {
-	cfg := Config{Seed: 7, Keys: Keys(5), N: 50, MeanGap: time.Second, Poisson: true, Zipf: true, DupFraction: 0.3}
+	cfg := Config{Seed: 7, Keys: Keys(5), N: 50, MeanGap: time.Second, Poisson: true, DupFraction: 0.3}
 	a := Stream(cfg)
 	b := Stream(cfg)
 	if len(a) != 50 || len(b) != 50 {

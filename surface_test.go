@@ -1,8 +1,9 @@
-// Dead-surface check: every exported func, method or type declared in a
-// non-test file under internal/ must be read by some non-test file, or
-// carry //cmlint:allow deadsurface(reason) naming the test, experiment
-// or doc that needs it.  A name only tests reach is surface nothing
-// ships; it goes rather than waits for a caller.
+// Dead-surface check: every func, method or type declared at top level
+// in a non-test file under internal/ must be read by some non-test file
+// (an unexported one by a file of its own package), or carry
+// //cmlint:allow deadsurface(reason) naming the test, experiment or doc
+// that needs it.  A name only tests reach is surface nothing ships; it
+// goes rather than waits for a caller.
 //
 // This is a whole-tree test rather than a cmlint analyzer: cmlint can
 // run on a package subset, and from a subset a reader in another
@@ -26,31 +27,24 @@ type surfaceFacts map[string]bool
 
 var deadSurface = &analysis.Analyzer{
 	Name: "deadsurface",
-	Doc:  "exported funcs, methods and types under internal/ need a non-test reader",
+	Doc:  "top-level funcs, methods and types under internal/ need a non-test reader",
 	Collect: func(p *analysis.Pass) any {
-		reads := surfaceFacts{}
-		for _, f := range p.Pkg.Files {
-			decls := map[*ast.Ident]bool{}
-			for _, d := range surfaceDecls(f) {
-				decls[d.name] = true
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !decls[id] {
-					reads[id.Name] = true
-				}
-				return true
-			})
-		}
-		return reads
+		return surfaceReads(p.Pkg.Files)
 	},
 	Run: func(p *analysis.Pass) error {
 		rel, err := filepath.Rel(p.ModRoot, p.Pkg.Dir)
 		if err != nil || !strings.HasPrefix(filepath.ToSlash(rel)+"/", "internal/") {
 			return err
 		}
+		own := surfaceReads(p.Pkg.Files)
 		for _, f := range p.Pkg.Files {
 			for _, d := range surfaceDecls(f) {
-				if !d.name.IsExported() || readAnywhere(p.Facts, d.name.Name) {
+				switch name := d.name.Name; {
+				case name == "_" || name == "init" || name == "main":
+					continue
+				case d.name.IsExported() && readAnywhere(p.Facts, name):
+					continue
+				case !d.name.IsExported() && own[name]:
 					continue
 				}
 				p.Reportf(d.name.Pos(), "%s.%s%s has no non-test reader; delete it or annotate //cmlint:allow deadsurface(who needs it)",
@@ -59,6 +53,25 @@ var deadSurface = &analysis.Analyzer{
 		}
 		return nil
 	},
+}
+
+// surfaceReads is every identifier the files read, by name, with
+// declaration names left out.
+func surfaceReads(files []*ast.File) surfaceFacts {
+	reads := surfaceFacts{}
+	for _, f := range files {
+		decls := map[*ast.Ident]bool{}
+		for _, d := range surfaceDecls(f) {
+			decls[d.name] = true
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !decls[id] {
+				reads[id.Name] = true
+			}
+			return true
+		})
+	}
+	return reads
 }
 
 // surfaceDecl is one top-level func, method or type declaration.
@@ -103,7 +116,7 @@ func readAnywhere(facts []any, name string) bool {
 // root, nested modules included.
 func deadSurfaceFindings(t *testing.T, root string) []analysis.Diagnostic {
 	t.Helper()
-	pkgs, err := analysis.LoadTree(root, analysis.LoadOptions{})
+	pkgs, err := analysis.LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +138,11 @@ func TestDeadSurface(t *testing.T) {
 	}
 }
 
-// TestDeadSurfaceSynthetic checks the check itself on a small tree: one
-// unread name is flagged, and a read name and a suppressed one are not.
+// TestDeadSurfaceSynthetic checks the check itself on a small tree: an
+// unread exported name and an unexported one that only a test and
+// another package's same-named declaration read are flagged; a read name,
+// a suppressed one, init and an unexported one its own package reads are
+// not.
 func TestDeadSurfaceSynthetic(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -143,9 +159,15 @@ func (Clean) Suppressed() {}
 func (Clean) unexported() {}
 
 func (*Clean) Unread() {}
+
+func used() {}
+
+var _ = used
+
+func init() {}
 `,
-		"internal/p/p_test.go": "package p\n\nfunc init() { Flagged(); new(Clean).Unread() }\n",
-		"cmd/main.go":          "package main\n\nimport \"synth/internal/p\"\n\nvar _ p.Clean\n",
+		"internal/p/p_test.go": "package p\n\nfunc init() { Flagged(); new(Clean).Unread(); Clean{}.unexported() }\n",
+		"cmd/main.go":          "package main\n\nimport \"synth/internal/p\"\n\nvar _ p.Clean\n\nfunc unexported() {}\n\nfunc main() { unexported() }\n",
 	}
 	for name, body := range files {
 		path := filepath.Join(root, name)
@@ -157,9 +179,15 @@ func (*Clean) Unread() {}
 		}
 	}
 	diags := deadSurfaceFindings(t, root)
-	if len(diags) != 2 ||
-		diags[0].Pos.Line != 5 || !strings.HasPrefix(diags[0].Message, "p.Flagged has no non-test reader") ||
-		diags[1].Pos.Line != 12 || !strings.HasPrefix(diags[1].Message, "p.Clean.Unread has no non-test reader") {
-		t.Fatalf("findings = %v, want p.Flagged at p.go:5 and p.Clean.Unread at p.go:12", diags)
+	want := []struct {
+		line int
+		name string
+	}{{5, "p.Flagged"}, {10, "p.Clean.unexported"}, {12, "p.Clean.Unread"}}
+	ok := len(diags) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		ok = diags[i].Pos.Line == want[i].line && strings.HasPrefix(diags[i].Message, want[i].name+" has no non-test reader")
+	}
+	if !ok {
+		t.Fatalf("findings = %v, want %v (line, name)", diags, want)
 	}
 }
