@@ -16,10 +16,10 @@
 // their mesh addresses, and -route maps remote sites to the peer shells
 // hosting them.
 //
-// Mesh links are reliable by default (sequencing, ack-driven retry,
-// outage buffering with ordered replay); acks flow back over the mesh,
-// so every pair of communicating shells should list each other in -peer.
-// -unreliable reverts to raw fire-and-forget TCP sends.
+// Mesh links are reliable (sequencing, ack-driven retry, outage
+// buffering with ordered replay), and acks flow back over the mesh: a
+// shell needs a -peer entry for every shell that sends to it, or its
+// acks cannot route back and the sender's outbox never drains.
 //
 // -metrics-addr starts the observability surface: /metrics serves the
 // process-wide registry in Prometheus text format (shell, translator,
@@ -53,6 +53,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -78,7 +79,6 @@ func main() {
 	id := flag.String("id", "", "shell ID (required)")
 	specPath := flag.String("spec", "", "strategy specification file (required)")
 	listen := flag.String("listen", "127.0.0.1:0", "mesh listen address")
-	unreliable := flag.Bool("unreliable", false, "raw mesh sends: no retry, no outage buffering")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/traces on this address (empty: off)")
 	stateDir := flag.String("state-dir", "", "durable state directory: journal outbox and private items for crash recovery (empty: in-memory only)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always|interval|never")
@@ -155,14 +155,24 @@ func main() {
 		fmt.Printf("cmshell: fleet member %s of %d, route table epoch %d, owning %d base(s)\n",
 			*id, len(tab.Members), tab.Epoch, tab.Counts()[*id])
 	}
+	addrs := map[string]string{}
+	var linked []string // every shell this one exchanges messages with
+	for _, p := range peers {
+		name, addr, ok := strings.Cut(p, "=")
+		if !ok {
+			log.Fatalf("cmshell: bad -peer %q (want id=addr)", p)
+		}
+		addrs[name] = addr
+		if name != *id {
+			linked = append(linked, name)
+		}
+	}
 	sh := shell.New(*id, spec, shellOpts)
 	if router != nil {
 		// Fleet members address each other through the ownership table, so
 		// every mesh peer is a propagation peer even when it hosts no site.
-		for _, p := range peers {
-			if name, _, ok := strings.Cut(p, "="); ok && name != *id {
-				sh.AddPeer(name)
-			}
+		for _, name := range linked {
+			sh.AddPeer(name)
 		}
 	}
 	if store != nil {
@@ -189,58 +199,34 @@ func main() {
 		sh.AddSite(cfg.Site, iface)
 		fmt.Printf("cmshell: hosting site %s via %s source at %s\n", cfg.Site, cfg.Kind, cfg.Addr)
 	}
-
-	addrs := map[string]string{}
-	for _, p := range peers {
-		name, addr, ok := strings.Cut(p, "=")
-		if !ok {
-			log.Fatalf("cmshell: bad -peer %q (want id=addr)", p)
-		}
-		addrs[name] = addr
-	}
 	for _, r := range routes {
 		site, shellID, ok := strings.Cut(r, "=")
 		if !ok {
 			log.Fatalf("cmshell: bad -route %q (want site=shellID)", r)
 		}
 		sh.Route(site, shellID)
-	}
-	dialOpts := []wire.DialOption{
-		wire.WithDialTimeout(*dialTimeout),
-		wire.WithRequestTimeout(*reqTimeout),
-	}
-	var ep transport.Endpoint
-	var rel *transport.ReliableEndpoint
-	if *unreliable {
-		mesh, err := transport.NewTCP(*id, *listen, addrs, sh.Receive, dialOpts...)
-		if err != nil {
-			log.Fatal(err)
+		if !slices.Contains(linked, shellID) && shellID != *id {
+			linked = append(linked, shellID)
 		}
-		ep = mesh
-		fmt.Printf("cmshell: %s (raw links) listening on %s\n", *id, mesh.Addr())
-	} else {
-		rel = transport.NewReliableEndpoint(sh.Receive, transport.ReliableOptions{RetryInterval: *retry, Name: *id})
-		if store != nil {
-			replayed, err := rel.EnableJournal(store, "rel-"+*id)
-			if err != nil {
-				log.Fatalf("cmshell: durable transport state: %v", err)
-			}
-			if replayed > 0 {
-				fmt.Printf("cmshell: replaying %d unacked message(s) from the journal\n", replayed)
-			}
-		}
-		mesh, err := transport.NewTCP(*id, *listen, addrs, rel.Deliver, dialOpts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rel.Bind(mesh)
-		rel.OnLinkEvent(func(ev transport.LinkEvent) {
-			log.Printf("cmshell: link %s %s (attempts=%d messages=%d)", ev.Peer, ev.Kind, ev.Attempts, ev.Messages)
-		})
-		ep = rel
-		fmt.Printf("cmshell: %s (reliable links) listening on %s\n", *id, mesh.Addr())
 	}
-	sh.AttachEndpoint(ep)
+
+	tcp := transport.NewTCPNetworkAt(*listen, addrs,
+		wire.WithDialTimeout(*dialTimeout), wire.WithRequestTimeout(*reqTimeout))
+	mesh := &reliableMesh{Network: transport.NewReliable(tcp, transport.ReliableOptions{RetryInterval: *retry, Durable: store})}
+	if err := sh.Attach(mesh); err != nil {
+		log.Fatalf("cmshell: joining the mesh: %v", err)
+	}
+	// Nothing has been sent yet: every unacked message is one the journal
+	// recovered.
+	replayed := 0
+	for _, name := range linked {
+		replayed += mesh.ep.Pending(name)
+	}
+	if replayed > 0 {
+		fmt.Printf("cmshell: replaying %d unacked message(s) from the journal\n", replayed)
+	}
+	listenAddr, _ := tcp.Addr(*id)
+	fmt.Printf("cmshell: %s listening on %s\n", *id, listenAddr)
 
 	sh.OnFailure(func(f cmi.Failure) { log.Printf("cmshell: %s", f) })
 	if err := sh.Start(); err != nil {
@@ -253,11 +239,9 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	fmt.Printf("cmshell: %s, shutting down\n", got)
-	if rel != nil {
-		for _, p := range peers {
-			if name, _, ok := strings.Cut(p, "="); ok && rel.Pending(name) > 0 {
-				log.Printf("cmshell: %d message(s) to %s still unacked", rel.Pending(name), name)
-			}
+	for _, name := range linked {
+		if n := mesh.ep.Pending(name); n > 0 {
+			log.Printf("cmshell: %d message(s) to %s still unacked", n, name)
 		}
 	}
 	sh.Stop()
@@ -270,4 +254,25 @@ func main() {
 			fmt.Println("cmshell: durable state closed cleanly")
 		}
 	}
+}
+
+// reliableMesh is the reliable network cmshell attaches its shell to.  It
+// keeps the endpoint the shell joins through, to log its link events and
+// count its unacked messages.
+type reliableMesh struct {
+	transport.Network
+	ep *transport.ReliableEndpoint
+}
+
+// Join implements transport.Network.
+func (m *reliableMesh) Join(shellID string, recv func(transport.Message)) (transport.Endpoint, error) {
+	ep, err := m.Network.Join(shellID, recv)
+	if err != nil {
+		return nil, err
+	}
+	m.ep = ep.(*transport.ReliableEndpoint)
+	m.ep.OnLinkEvent(func(ev transport.LinkEvent) {
+		log.Printf("cmshell: link %s %s (attempts=%d messages=%d)", ev.Peer, ev.Kind, ev.Attempts, ev.Messages)
+	})
+	return ep, nil
 }

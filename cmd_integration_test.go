@@ -135,15 +135,18 @@ item salary2
 interface WR(salary2(n), b) ->3s W(salary2(n), b)
 `, addrB))
 
-	// Shell B first (it only receives), then shell A with B as a peer.
+	// Shell B first (it only receives), then shell A with B as a peer.  B
+	// acks every fire back to A, so it needs A's address, reserved ahead.
+	shAAddr := reserveAddr(t)
 	scShB, stopShB := startProc(t, filepath.Join(bin, "cmshell"),
-		"-id", "shellB", "-spec", specPath, "-rid", ridBPath)
+		"-id", "shellB", "-spec", specPath, "-rid", ridBPath,
+		"-peer", "shellA="+shAAddr)
 	defer stopShB()
 	shBAddr := lastField(expectLine(t, scShB, "listening"))
 	expectLine(t, scShB, "running")
 
 	scShA, stopShA := startProc(t, filepath.Join(bin, "cmshell"),
-		"-id", "shellA", "-spec", specPath, "-rid", ridAPath,
+		"-id", "shellA", "-spec", specPath, "-rid", ridAPath, "-listen", shAAddr,
 		"-peer", "shellB="+shBAddr, "-route", "B=shellB",
 		"-metrics-addr", "127.0.0.1:0")
 	defer stopShA()
@@ -179,6 +182,7 @@ interface WR(salary2(n), b) ->3s W(salary2(n), b)
 	if !propagated {
 		t.Fatal("update never propagated across processes")
 	}
+	waitOutboxDrained(t, obsURL, "shellB")
 
 	// Shell A's -metrics-addr surface must expose valid Prometheus text
 	// covering the shell, translator, and transport layers.
@@ -217,6 +221,37 @@ interface WR(salary2(n), b) ->3s W(salary2(n), b)
 	}
 	if !strings.Contains(string(traces), `"outcome": "sent"`) || !strings.Contains(string(traces), `"rule": "prop"`) {
 		t.Errorf("/debug/traces missing sent hop for rule prop:\n%s", traces)
+	}
+}
+
+// reserveAddr returns a free loopback address for a process started
+// later to listen on.
+func reserveAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// waitOutboxDrained waits for a shell's reliable outbox to a peer to
+// empty: the peer acked every message, which it can only do when it has
+// the shell's address.
+func waitOutboxDrained(t *testing.T, obsURL, peer string) {
+	t.Helper()
+	series := `cmtk_transport_outbox_depth{peer="` + peer + `"}`
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		depth := scrapeCounterLine(t, obsURL, series)
+		if depth == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want 0: the acks never came back", series, depth)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 
@@ -312,13 +347,19 @@ func TestFleetRingCLI(t *testing.T) {
 		t.Fatalf("grow plan moved nothing to the new member:\n%s", planOut)
 	}
 
+	// Every member is started with the same -peer list, naming itself too.
+	s1Addr := reserveAddr(t)
 	sc, stop := startProc(t, filepath.Join(bin, "cmshell"),
 		"-id", "s1", "-spec", specPath, "-route-table", tablePath,
-		"-listen", "127.0.0.1:0")
+		"-listen", s1Addr, "-peer", "s1="+s1Addr,
+		"-peer", "s2="+reserveAddr(t), "-peer", "s3="+reserveAddr(t))
 	defer stop()
 	line := expectLine(t, sc, "fleet member s1 of 3")
 	if !strings.Contains(line, "route table epoch 1") {
 		t.Fatalf("unexpected fleet banner: %s", line)
+	}
+	if got := lastField(expectLine(t, sc, "listening on")); got != s1Addr {
+		t.Fatalf("s1 listens on %s, want %s", got, s1Addr)
 	}
 	expectLine(t, sc, "running")
 }
@@ -388,16 +429,13 @@ interface WR(salary2(n), b) ->3s W(salary2(n), b)
 
 	// Reserve a fixed mesh address for shell B, which starts only AFTER
 	// shell A has crashed: everything A sends before then must buffer.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shBAddr := ln.Addr().String()
-	ln.Close()
+	// Shell A keeps one address across its restart, for B's acks.
+	shBAddr := reserveAddr(t)
+	shAAddr := reserveAddr(t)
 
 	stateDir := filepath.Join(dir, "state-a")
 	shellAArgs := []string{
-		"-id", "shellA", "-spec", specPath, "-rid", ridAPath,
+		"-id", "shellA", "-spec", specPath, "-rid", ridAPath, "-listen", shAAddr,
 		"-peer", "shellB=" + shBAddr, "-route", "B=shellB",
 		"-state-dir", stateDir, "-retry", "100ms",
 		"-metrics-addr", "127.0.0.1:0",
@@ -434,6 +472,7 @@ interface WR(salary2(n), b) ->3s W(salary2(n), b)
 	// buffered fires.
 	scShA2, stopShA2 := startProc(t, filepath.Join(bin, "cmshell"), shellAArgs...)
 	defer stopShA2()
+	obsURL2 := strings.Fields(expectLine(t, scShA2, "observability on"))[3]
 	expectLine(t, scShA2, "cold (recovering journals)")
 	replayLine := expectLine(t, scShA2, "replaying")
 	expectLine(t, scShA2, "running")
@@ -444,7 +483,7 @@ interface WR(salary2(n), b) ->3s W(salary2(n), b)
 	// Only now does shell B come up, at the address A has been retrying.
 	scShB, stopShB := startProc(t, filepath.Join(bin, "cmshell"),
 		"-id", "shellB", "-spec", specPath, "-rid", ridBPath,
-		"-listen", shBAddr, "-peer", "shellA=ignored")
+		"-listen", shBAddr, "-peer", "shellA="+shAAddr)
 	defer stopShB()
 	expectLine(t, scShB, "running")
 
@@ -472,6 +511,7 @@ interface WR(salary2(n), b) ->3s W(salary2(n), b)
 	if !converged {
 		t.Fatalf("replica = %v, want the last pre-crash value 103", got)
 	}
+	waitOutboxDrained(t, obsURL2, "shellB")
 
 	// A state directory inspection while the shell is live must be safe
 	// and see the journals.

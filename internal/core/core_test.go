@@ -221,9 +221,7 @@ func TestStatusAfterFailures(t *testing.T) {
 
 func TestMetricFailureSparesNonMetricGuarantees(t *testing.T) {
 	tk, clk, _, _ := buildPayroll(t, "auto")
-	shA, _ := tk.Shell("shell-A")
 	// Deliver a metric failure as the translator hub would.
-	shA.Do(func() {})
 	shAFail(tk, clk)
 	metInvalid, nonMetInvalid := 0, 0
 	for _, st := range tk.Status() {

@@ -81,20 +81,21 @@ type Options struct {
 	// SyncEvery is the lazy-fsync interval under SyncInterval (default
 	// 100ms).
 	SyncEvery time.Duration
-	// SegmentBytes rotates the active segment when it would exceed this
-	// size (default 4MB).
-	SegmentBytes int64
 	// Metrics is the registry the cmtk_wal_* families land in; nil means
 	// obs.Default.
 	Metrics *obs.Registry
+
+	// segmentBytes rotates the active segment when it would exceed this
+	// size (default 4MB); rotation tests shrink it.
+	segmentBytes int64
 }
 
 func (o Options) withDefaults() Options {
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 100 * time.Millisecond
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 4 << 20
 	}
 	return o
 }

@@ -267,7 +267,7 @@ func (l *Log) fail(err error) error {
 }
 
 func (l *Log) appendLocked(frame []byte) error {
-	if l.segSize > 0 && l.segSize+int64(len(frame)) > l.opts.SegmentBytes {
+	if l.segSize > 0 && l.segSize+int64(len(frame)) > l.opts.segmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}

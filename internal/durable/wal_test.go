@@ -49,7 +49,7 @@ func TestRecordRoundTripQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{Metrics: reg, SegmentBytes: 256}) // force rotation too
+		s, err := Open(dir, Options{Metrics: reg, segmentBytes: 256}) // force rotation too
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestBitFlipStopsReplay(t *testing.T) {
 // reports each as damage instead of panicking or replaying them.
 func TestOrphanedSegmentsDropped(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, Options{SegmentBytes: 32}) // rotate nearly every record
+	s := openStore(t, dir, Options{segmentBytes: 32}) // rotate nearly every record
 	lg, _ := mustLog(t, s, "j")
 	for i := 0; i < 6; i++ {
 		if err := lg.Append(1, bytes.Repeat([]byte{byte('a' + i)}, 24)); err != nil {
@@ -251,7 +251,7 @@ func TestOrphanedSegmentsDropped(t *testing.T) {
 
 func TestSegmentRotationRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, Options{SegmentBytes: 64})
+	s := openStore(t, dir, Options{segmentBytes: 64})
 	lg, _ := mustLog(t, s, "rot")
 	for i := 0; i < 20; i++ {
 		if err := lg.Append(byte(i%7), bytes.Repeat([]byte{byte(i)}, i)); err != nil {
@@ -304,7 +304,7 @@ func TestSyncPolicyFsyncCounts(t *testing.T) {
 // two once built their Damage differently.
 func TestReadLogEqualsColdOpen(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, Options{SegmentBytes: 32})
+	s := openStore(t, dir, Options{segmentBytes: 32})
 	lg, _ := mustLog(t, s, "j")
 	for i := 0; i < 4; i++ {
 		if err := lg.Append(1, bytes.Repeat([]byte{byte('a' + i)}, 24)); err != nil {

@@ -37,7 +37,7 @@ func TestExternalWorkFromDrainerRunsAfterIt(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.Do(func() {
+		s.do(func() {
 			for i := 0; i < n; i++ {
 				s.Spontaneous(data.Item("X"), data.NewInt(int64(i)), data.NewInt(int64(100+i)))
 			}

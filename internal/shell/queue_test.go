@@ -318,6 +318,10 @@ rule narrow: Ws(U, b) ->5s W(V, b)
 	}
 }
 
+// do posts f to the shell's event queue as a thunk, the task kind that
+// custom message handlers and periodic ticks run as.
+func (s *Shell) do(f func()) { s.post(task{f: f}) }
+
 // TestEveryTaskKindFromDrainerRunsInPostingOrder posts one task of each
 // kind — a thunk, a spontaneous write, an inbound firing, a notification
 // and a write request — from inside a running task.  None runs inside
@@ -343,17 +347,17 @@ rule f: N(Q, b) ->1s W(F, b)
 	defer s.Stop()
 	events := func() int { return s.Trace().Len() }
 	first, last, inside := -1, -1, -1
-	s.Do(func() {
-		s.Do(func() { first = events() })
+	s.do(func() {
+		s.do(func() { first = events() })
 		s.Spontaneous(data.Item("X"), data.NullValue, data.NewInt(1))
-		s.Receive(transport.Message{
+		s.receive(transport.Message{
 			Kind: "fire", Rule: "f", From: "peer",
 			BindingsVal: event.Bindings{"b": data.NewInt(2)},
 			Trigger:     transport.EventRef{Site: "S", Seq: 99, Time: clk.Now(), Desc: "N(Q, 2)"},
 		})
 		s.external(taskNotify, "S", data.Item("M"), data.NullValue, data.NewInt(3))
 		s.RequestWrite(data.Item("P"), data.NewInt(4))
-		s.Do(func() { last = events() })
+		s.do(func() { last = events() })
 		inside = events()
 	})
 	s.Drain()

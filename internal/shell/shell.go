@@ -266,15 +266,10 @@ func (s *Shell) Attach(n transport.Network) error {
 		return err
 	}
 	s.ep = ep
-	s.watchLinks(ep)
+	if lw, ok := ep.(linkWatcher); ok {
+		lw.OnLinkEvent(s.onLinkEvent)
+	}
 	return nil
-}
-
-// AttachEndpoint installs a pre-built endpoint (used by the TCP mesh,
-// whose endpoint is constructed with the receive callback up front).
-func (s *Shell) AttachEndpoint(ep transport.Endpoint) {
-	s.ep = ep
-	s.watchLinks(ep)
 }
 
 // linkWatcher is satisfied by transport.ReliableEndpoint; when the
@@ -282,12 +277,6 @@ func (s *Shell) AttachEndpoint(ep transport.Endpoint) {
 // into the Section 5 failure taxonomy.
 type linkWatcher interface {
 	OnLinkEvent(func(transport.LinkEvent))
-}
-
-func (s *Shell) watchLinks(ep transport.Endpoint) {
-	if lw, ok := ep.(linkWatcher); ok {
-		lw.OnLinkEvent(s.onLinkEvent)
-	}
 }
 
 // sitesRoutedTo lists the sites this shell reaches through a peer shell.
@@ -384,10 +373,6 @@ func (s *Shell) Delivery() DeliveryCounts {
 		ReplayedSends: s.m.replayed.Value() - s.m.base.ReplayedSends,
 	}
 }
-
-// Receive is the inbound message callback to wire into transports that
-// are constructed before the shell (e.g. transport.NewTCP).
-func (s *Shell) Receive(m transport.Message) { s.receive(m) }
 
 // ruleSite computes the site owning a rule: the site of its LHS item, or
 // for periodic rules the site of the first RHS effect.
@@ -541,7 +526,7 @@ func (s *Shell) Stop() {
 type taskKind uint8
 
 const (
-	// taskThunk runs f: Do, custom message handlers and periodic ticks,
+	// taskThunk runs f: custom message handlers and periodic ticks,
 	// none of which is on the per-update path.
 	taskThunk taskKind = iota
 	// taskSpontaneous records Ws(item, old, new) at site and matches it.
@@ -1045,9 +1030,6 @@ func (s *Shell) RequestWrite(item data.ItemName, v data.Value) {
 // Interface returns the translator for a hosted site (nil when the site
 // is private-only or not hosted here).
 func (s *Shell) Interface(site string) cmi.Interface { return s.sites[site] }
-
-// Do runs f on the shell's event queue, serialized with event handling.
-func (s *Shell) Do(f func()) { s.post(task{f: f}) }
 
 // HandleKind registers a handler for a custom inter-shell message kind
 // (programmatic strategy components such as the Demarcation Protocol use

@@ -54,16 +54,12 @@ func TestDistributedShellsOverTCP(t *testing.T) {
 	sb.AddSite("B", trB)
 	sb.Route("A", "shellA")
 
-	meshB, err := transport.NewTCP("shellB", "127.0.0.1:0", nil, sb.Receive)
-	if err != nil {
-		t.Fatal(err)
+	mesh := transport.NewTCPNetwork()
+	for _, s := range []*Shell{sb, sa} {
+		if err := s.Attach(mesh); err != nil {
+			t.Fatal(err)
+		}
 	}
-	meshA, err := transport.NewTCP("shellA", "127.0.0.1:0", map[string]string{"shellB": meshB.Addr()}, sa.Receive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa.AttachEndpoint(meshA)
-	sb.AttachEndpoint(meshB)
 	if err := sa.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +85,7 @@ func TestReceiveUnknownRuleRecordsFailure(t *testing.T) {
 	spec, _ := rule.ParseSpecString("site S\nprivate X @ S\n")
 	s := New("s", spec, Options{Clock: vclock.NewVirtual(vclock.Epoch)})
 	s.AddSite("S", nil)
-	s.Receive(transport.Message{Kind: "fire", Rule: "ghost", From: "peer"})
+	s.receive(transport.Message{Kind: "fire", Rule: "ghost", From: "peer"})
 	fs := s.Failures()
 	if len(fs) != 1 || fs[0].Kind != cmi.FailLogical {
 		t.Fatalf("failures = %v", fs)
@@ -98,7 +94,7 @@ func TestReceiveUnknownRuleRecordsFailure(t *testing.T) {
 	spec2, _ := rule.ParseSpecString("site S\nprivate X @ S\nrule r: Ws(X, b) ->1s W(X, b)\n")
 	s2 := New("s", spec2, Options{Clock: vclock.NewVirtual(vclock.Epoch)})
 	s2.AddSite("S", nil)
-	s2.Receive(transport.Message{Kind: "fire", Rule: "r", Bindings: map[string]string{"b": "not a literal"}})
+	s2.receive(transport.Message{Kind: "fire", Rule: "r", Bindings: map[string]string{"b": "not a literal"}})
 	if len(s2.Failures()) != 1 {
 		t.Fatalf("failures = %v", s2.Failures())
 	}
@@ -115,7 +111,7 @@ func TestReceiveFireWithStubTrigger(t *testing.T) {
 	defer s.Stop()
 	// A fire message arriving from a remote peer carries only the trigger
 	// reference, not the event object.
-	s.Receive(transport.Message{
+	s.receive(transport.Message{
 		Kind:     "fire",
 		Rule:     "r",
 		Bindings: map[string]string{"b": "42"},

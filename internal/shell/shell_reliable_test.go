@@ -2,6 +2,7 @@ package shell
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func TestSendFailureReportEnrichedAndCounted(t *testing.T) {
 	s := New("s", spec, Options{Clock: clk})
 	s.AddSite("S", nil)
 	s.Route("R", "remote")
-	s.AttachEndpoint(brokenEndpoint{})
+	s.ep = brokenEndpoint{}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +74,12 @@ func TestRecoveredMessageClearsLinkFailures(t *testing.T) {
 	spec, _ := rule.ParseSpecString("site S\nprivate X @ S\n")
 	s := New("s", spec, Options{Clock: clk})
 	s.AddSite("S", nil)
-	s.Receive(transport.Message{Kind: "failure", FailSite: "R", FailKind: "metric", FailOp: "link", FailErr: "down"})
-	s.Receive(transport.Message{Kind: "failure", FailSite: "R", FailKind: "metric", FailOp: "send", FailErr: "other"})
+	s.receive(transport.Message{Kind: "failure", FailSite: "R", FailKind: "metric", FailOp: "link", FailErr: "down"})
+	s.receive(transport.Message{Kind: "failure", FailSite: "R", FailKind: "metric", FailOp: "send", FailErr: "other"})
 	if len(s.Failures()) != 2 {
 		t.Fatalf("failures = %v", s.Failures())
 	}
-	s.Receive(transport.Message{Kind: "recovered", FailSite: "R", FailOp: "link"})
+	s.receive(transport.Message{Kind: "recovered", FailSite: "R", FailOp: "link"})
 	fs := s.Failures()
 	// Only the link failure is cleared; unrelated failures stay.
 	if len(fs) != 1 || fs[0].Op != "send" {
@@ -182,10 +183,12 @@ func TestShellsSurvivePartitionWithReliableLinks(t *testing.T) {
 
 // TestJournaledRemoteFiresReadBindingsOnly: over a journaled Reliable
 // link the receiver is handed the very bindings map the sender's outbox
-// keeps, and with CheckpointBytes 1 every send checkpoints, encoding that
-// outbox.  The remote firing binds "now" as it runs W(T, now); it must
-// bind it in the shell's own execB, never in the map it was handed, or the
-// race detector sees the checkpoint race the receiver.
+// keeps, and a checkpoint encodes that outbox.  Every update's value is
+// 64 KiB, so the journal crosses its 256 KiB checkpoint threshold every
+// two updates while the receiver runs.  The remote firing binds "now" as
+// it runs W(T, now); it must bind it in the shell's own execB, never in
+// the map it was handed, or the race detector sees the checkpoint race
+// the receiver.
 func TestJournaledRemoteFiresReadBindingsOnly(t *testing.T) {
 	sp, err := rule.ParseSpecString(`site S
 site B
@@ -198,13 +201,14 @@ rule w: Ws(X, b) ->5s W(W, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := durable.Open(t.TempDir(), durable.Options{Sync: durable.SyncNever, Metrics: obs.NewRegistry()})
+	walReg := obs.NewRegistry()
+	st, err := durable.Open(t.TempDir(), durable.Options{Sync: durable.SyncNever, Metrics: walReg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	net := transport.NewReliable(transport.NewBus(vclock.Real{}, 0), transport.ReliableOptions{
-		Durable: st, CheckpointBytes: 1, RetryInterval: 20 * time.Millisecond, Metrics: obs.NewRegistry(),
+		Durable: st, RetryInterval: 20 * time.Millisecond, Metrics: obs.NewRegistry(),
 	})
 	tr := trace.New(nil)
 	sa := New("sa", sp, Options{Trace: tr, Metrics: obs.NewRegistry()})
@@ -224,15 +228,16 @@ rule w: Ws(X, b) ->5s W(W, b)
 	defer sb.Stop()
 	defer sa.Stop()
 	const n = 100
+	val := func(i int) data.Value { return data.NewString(strconv.Itoa(i) + strings.Repeat("x", 64<<10)) }
 	for i := 1; i <= n; i++ {
-		sa.Spontaneous(data.Item("X"), data.NewInt(int64(i-1)), data.NewInt(int64(i)))
+		sa.Spontaneous(data.Item("X"), val(i-1), val(i))
 	}
 	// Rule t fires before rule w on each update and the link is FIFO, so
 	// once W holds the last value every W(T, now) has run.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		sb.Drain()
-		if v, _ := sb.ReadAux(data.Item("W")); v.Equal(data.NewInt(n)) {
+		if v, _ := sb.ReadAux(data.Item("W")); v.Equal(val(n)) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -242,6 +247,11 @@ rule w: Ws(X, b) ->5s W(W, b)
 	}
 	if _, ok := sb.ReadAux(data.Item("T")); !ok {
 		t.Fatal("T was never written with the firing time")
+	}
+	// Precondition: the sender's journal checkpointed while it sent (one
+	// at start, then one per ~256 KiB journaled), not only at close.
+	if c := walReg.Snapshot()[`cmtk_wal_checkpoints_total{log="rel-sa"}`]; c < n/4 {
+		t.Fatalf("rel-sa took %v checkpoints during the run, want at least %d", c, n/4)
 	}
 	sa.Stop()
 	sb.Stop()

@@ -1,18 +1,22 @@
 // Package transport carries messages between CM-Shells.  Two base
-// implementations are provided: an in-process Bus whose delivery is
-// driven by the toolkit clock (deterministic under a virtual clock, with
-// configurable per-link latency), and a TCP mesh of one-way wire frames.
+// Networks are provided: an in-process Bus whose delivery is driven by
+// the toolkit clock (deterministic under a virtual clock, with
+// configurable per-link latency), and a TCPNetwork of one-way wire
+// frames, whose address registry is filled by the shells that join it
+// and, for shells in other processes, by static addresses.  A shell
+// joins a Network through Shell.Attach, in process and across processes
+// alike.
 // Both preserve FIFO order per (sender, receiver) pair — the in-order
 // delivery assumption that Appendix A.2 property 7 formalizes and that
 // the Section 4.2.3 guarantee proofs were found to require.
 //
 // Two wrappers compose over any Network.  Reliable adds per-link
-// sequencing, a bounded outbox with ack-driven retransmission and
-// exponential backoff, receiver-side dedup, and in-order replay after an
-// outage, earning the paper's metric-failure classification for link
-// outages (Section 5).  Flaky is the fault injector: seeded message
-// drop, duplication, extra delay, and directed partitions, so failure
-// scenarios replay deterministically.
+// sequencing, an outbox bounded at 4096 unacked messages with ack-driven
+// retransmission and exponential backoff, receiver-side dedup, and
+// in-order replay after an outage, earning the paper's metric-failure
+// classification for link outages (Section 5).  Flaky is the fault
+// injector: seeded message drop, extra delay (SetDelay), and directed
+// partitions, so failure scenarios replay deterministically.
 //
 // # Observability
 //

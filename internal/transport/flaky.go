@@ -28,18 +28,18 @@ type FlakyOptions struct {
 	Seed int64
 	// Drop is the probability a message is silently discarded.
 	Drop float64
-	// Duplicate is the probability a message is delivered twice.
-	Duplicate float64
-	// Delay is the probability a message's duplicate copy (or the message
-	// itself, if not dropped) is deferred by DelayBy before entering the
-	// underlying network.
-	Delay float64
-	// DelayBy is the extra latency applied to delayed messages (default
-	// 50ms).
-	DelayBy time.Duration
 	// Metrics is the registry the injected-fault counters land in; nil
 	// means obs.Default.
 	Metrics *obs.Registry
+
+	// duplicate is the probability a message is delivered twice; only
+	// tests set it.
+	duplicate float64
+	// delay is the probability a message's duplicate copy (or the message
+	// itself, if not dropped) is deferred by delayBy (default 50ms) before
+	// entering the underlying network; SetDelay sets both.
+	delay   float64
+	delayBy time.Duration
 }
 
 // Flaky injects message loss, duplication, extra delay, and directed
@@ -62,8 +62,8 @@ func NewFlaky(inner Network, opts FlakyOptions) *Flaky {
 	if opts.Clock == nil {
 		opts.Clock = vclock.Real{}
 	}
-	if opts.DelayBy <= 0 {
-		opts.DelayBy = 50 * time.Millisecond
+	if opts.delayBy <= 0 {
+		opts.delayBy = 50 * time.Millisecond
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -110,12 +110,12 @@ func (f *Flaky) SetDrop(p float64) {
 }
 
 // SetDelay replaces the delay probability and the added latency for
-// subsequent sends (a by of 0 keeps the current DelayBy).
+// subsequent sends (a by of 0 keeps the current latency).
 func (f *Flaky) SetDelay(p float64, by time.Duration) {
 	f.mu.Lock()
-	f.opts.Delay = p
+	f.opts.delay = p
 	if by > 0 {
-		f.opts.DelayBy = by
+		f.opts.delayBy = by
 	}
 	f.mu.Unlock()
 }
@@ -161,9 +161,9 @@ func (e *flakyEndpoint) Send(to string, m Message) error {
 		return nil // black hole: silently lost
 	}
 	drop := f.rng.Float64() < f.opts.Drop
-	dup := f.rng.Float64() < f.opts.Duplicate
-	delay := f.rng.Float64() < f.opts.Delay
-	delayBy := f.opts.DelayBy
+	dup := f.rng.Float64() < f.opts.duplicate
+	delay := f.rng.Float64() < f.opts.delay
+	delayBy := f.opts.delayBy
 	f.mu.Unlock()
 	if drop {
 		f.mDrop.Inc()

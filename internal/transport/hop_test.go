@@ -63,7 +63,7 @@ func hopCost(t *testing.T, window int, journaled bool) (allocs, bytes float64) {
 	// its ack processing.  A roomy outbox keeps that a delay rather than
 	// an overflow, which would lose firings and stall the loop.
 	reg := obs.NewRegistry()
-	opts := ReliableOptions{Metrics: reg, OutboxLimit: 1 << 16}
+	opts := ReliableOptions{Metrics: reg, outboxLimit: 1 << 16}
 	if journaled {
 		st, err := durable.Open(t.TempDir(), durable.Options{Sync: durable.SyncNever, Metrics: reg})
 		if err != nil {

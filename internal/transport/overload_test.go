@@ -53,11 +53,8 @@ func stallListener(t *testing.T) string {
 // that never reads, so the write cannot complete.
 func TestTCPStalledPeerQueuesWithoutLoss(t *testing.T) {
 	addr := stallListener(t)
-	ep, err := NewTCP("stalled-A", "127.0.0.1:0", map[string]string{"B": addr},
-		func(Message) {}, wire.WithRequestTimeout(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ep := joinTCP(t, NewTCPNetworkAt("127.0.0.1:0", map[string]string{"B": addr}, wire.WithRequestTimeout(time.Hour)),
+		"stalled-A", func(Message) {})
 	defer ep.Close()
 	var evMu sync.Mutex
 	var evs []LinkEvent
@@ -143,12 +140,12 @@ func TestReorderHoldEvictionExactCounts(t *testing.T) {
 	clk := vclock.NewVirtual(vclock.Epoch)
 	var mu sync.Mutex
 	var got []Message
-	re := NewReliableEndpoint(func(m Message) {
+	re := newReliableEndpoint("B", func(m Message) {
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
-	}, ReliableOptions{Clock: clk, OutboxLimit: 4, Metrics: reg, Name: "B"})
-	re.Bind(&ackSink{})
+	}, ReliableOptions{Clock: clk, Metrics: reg, outboxLimit: 4})
+	re.bind(&ackSink{})
 	mk := func(seq int) Message {
 		return Message{
 			Kind: "fire", From: "A", Rule: "r" + strconv.Itoa(seq),
@@ -157,7 +154,7 @@ func TestReorderHoldEvictionExactCounts(t *testing.T) {
 	}
 	// Seqs 1..9 arrive first: 0 is the gap.  1..4 are held, 5..9 evicted.
 	for seq := 1; seq <= 9; seq++ {
-		re.Deliver(mk(seq))
+		re.deliver(mk(seq))
 	}
 	mu.Lock()
 	early := len(got)
@@ -174,7 +171,7 @@ func TestReorderHoldEvictionExactCounts(t *testing.T) {
 	}
 	// The gap arrives: 0 plus held 1..4 release in order; evicted 5..9
 	// stay lost until the sender's go-back-N pass (not simulated here).
-	re.Deliver(mk(0))
+	re.deliver(mk(0))
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 5 {

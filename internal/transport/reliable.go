@@ -4,11 +4,13 @@
 // recovery"; a raw link that drops a fire message instead breaks the
 // guarantees outright.  Reliable is a Network/Endpoint wrapper that earns
 // the metric-failure classification: every (sender, receiver) link gets
-// per-link sequence numbers, a bounded outbox with ack-driven retry and
-// exponential backoff, receiver-side dedup, and a reorder buffer, so
-// messages survive transient outages with at-least-once delivery and
-// exactly-once effect — and FIFO order per link (the Appendix A.2
-// property-7 assumption) holds even across retransmits.
+// per-link sequence numbers, an outbox bounded at 4096 unacked messages
+// with ack-driven retry and exponential backoff, receiver-side dedup, and
+// a reorder buffer sharing that bound, so messages survive transient
+// outages with at-least-once delivery and exactly-once effect — and FIFO
+// order per link (the Appendix A.2 property-7 assumption) holds even
+// across retransmits.  Reliable.Join is the one way to build a reliable
+// endpoint, in process and in cmd/cmshell alike.
 //
 // Peer health maps onto the Section 5 failure taxonomy through LinkEvents:
 // FailThreshold consecutive failed delivery attempts degrade the link
@@ -69,8 +71,8 @@ const (
 	// LinkRecovered: a degraded link's outbox fully drained again — the
 	// buffered messages were replayed in order and acknowledged.
 	LinkRecovered
-	// LinkOverflow: the outbox hit OutboxLimit and a message was dropped —
-	// a logical failure.
+	// LinkOverflow: the outbox held its bound of unacked messages and a
+	// message was dropped — a logical failure.
 	LinkOverflow
 	// LinkGaveUp: a raw TCP endpoint (no Reliable above it) failed to
 	// deliver a frame, and its messages are lost for good — a logical
@@ -124,13 +126,6 @@ type ReliableOptions struct {
 	// FailThreshold is the number of consecutive unacked delivery attempts
 	// after which the link is reported degraded (default 3).
 	FailThreshold int
-	// OutboxLimit bounds the unacked messages buffered per link (default
-	// 4096); the receive-side reorder buffer shares the bound.  A healthy
-	// link at saturation also holds every message whose ack is still on
-	// its way back: over loopback TCP on two cores acks trail the data by
-	// 11–15 ms, up to 1 083 messages at 75K messages/s, and the default
-	// is the smallest power of two that holds twice that.
-	OutboxLimit int
 	// Seed makes the backoff jitter deterministic (per-link streams are
 	// derived from Seed and the peer name).
 	Seed int64
@@ -141,18 +136,19 @@ type ReliableOptions struct {
 	// outbox, acks, dedup cursors) to the store so a restarted process
 	// replays its unacked messages in order — the Section 5 condition for
 	// a crash to stay a metric failure.  Reliable.Join names each shell's
-	// journal "rel-"+shellID; direct NewReliableEndpoint constructions
-	// call EnableJournal themselves.
+	// journal "rel-"+shellID.
 	Durable *durable.Store
-	// CheckpointBytes is the journal size that triggers compaction into a
-	// checkpoint snapshot (default 256 KiB).
-	CheckpointBytes int64
-	// Name is the owning shell's ID, used as the label on the reorder-hold
-	// drop counter (cmtk_transport_buffer_dropped_total).
-	// Reliable.Join fills it with the joining shell's ID; direct
-	// NewReliableEndpoint constructions should set it themselves (empty
-	// falls back to "local").
-	Name string
+
+	// outboxLimit bounds the unacked messages buffered per link (4096;
+	// tests shrink it); the receive-side reorder buffer shares the bound.
+	// A healthy link at saturation also holds every message whose ack is
+	// still on its way back: over loopback TCP on two cores acks trail the
+	// data by 11–15 ms, up to 1 083 messages at 75K messages/s, and 4096
+	// is the smallest power of two that holds twice that.
+	outboxLimit int
+	// checkpointBytes is the journal size that triggers compaction into a
+	// checkpoint snapshot (256 KiB; tests shrink it).
+	checkpointBytes int64
 }
 
 func (o ReliableOptions) withDefaults() ReliableOptions {
@@ -168,14 +164,11 @@ func (o ReliableOptions) withDefaults() ReliableOptions {
 	if o.FailThreshold <= 0 {
 		o.FailThreshold = 3
 	}
-	if o.OutboxLimit <= 0 {
-		o.OutboxLimit = 4096
+	if o.outboxLimit <= 0 {
+		o.outboxLimit = 4096
 	}
-	if o.CheckpointBytes <= 0 {
-		o.CheckpointBytes = 256 << 10
-	}
-	if o.Name == "" {
-		o.Name = "local"
+	if o.checkpointBytes <= 0 {
+		o.checkpointBytes = 256 << 10
 	}
 	return o
 }
@@ -195,23 +188,21 @@ func NewReliable(inner Network, opts ReliableOptions) *Reliable {
 	return &Reliable{inner: inner, opts: opts}
 }
 
-// Join implements Network.
+// Join implements Network.  The endpoint it returns is a
+// *ReliableEndpoint; with Durable set it starts from the shell's
+// recovered journal, its unacked outbox already queued for replay.
 func (r *Reliable) Join(shellID string, recv func(Message)) (Endpoint, error) {
-	opts := r.opts
-	if opts.Name == "" {
-		opts.Name = shellID
-	}
-	re := NewReliableEndpoint(recv, opts)
+	re := newReliableEndpoint(shellID, recv, r.opts)
 	if r.opts.Durable != nil {
-		if _, err := re.EnableJournal(r.opts.Durable, "rel-"+shellID); err != nil {
+		if err := re.enableJournal(r.opts.Durable, "rel-"+shellID); err != nil {
 			return nil, err
 		}
 	}
-	inner, err := r.inner.Join(shellID, re.Deliver)
+	inner, err := r.inner.Join(shellID, re.deliver)
 	if err != nil {
 		return nil, err
 	}
-	re.Bind(inner)
+	re.bind(inner)
 	return re, nil
 }
 
@@ -274,18 +265,18 @@ type relMetrics struct {
 	dups, held                      *obs.CounterVec
 	depth                           *obs.GaugeVec
 	// holdDropped counts reorder-buffer evictions; one cell per endpoint,
-	// resolved by Name.
+	// labelled with the owning shell.
 	holdDropped *obs.Counter
 }
 
-func newRelMetrics(reg *obs.Registry, name string) relMetrics {
+func newRelMetrics(reg *obs.Registry, shellID string) relMetrics {
 	if reg == nil {
 		reg = obs.Default
 	}
 	return relMetrics{
 		holdDropped: reg.Counter("cmtk_transport_buffer_dropped_total",
 			"Messages dropped because a bounded transport buffer was at its cap, by buffer.",
-			"shell", "buffer").With(name, "reorder-hold"),
+			"shell", "buffer").With(shellID, "reorder-hold"),
 		sends: reg.Counter("cmtk_transport_sends_total",
 			"Messages sequenced and buffered for transmission, per link.", "peer"),
 		retries: reg.Counter("cmtk_transport_retries_total",
@@ -305,14 +296,11 @@ func newRelMetrics(reg *obs.Registry, name string) relMetrics {
 	}
 }
 
-// ReliableEndpoint is one shell's reliable attachment.  It is normally
-// created through Reliable.Join; deployments that build raw endpoints
-// directly (transport.NewTCP) construct one with NewReliableEndpoint,
-// route the raw endpoint's inbound callback to Deliver, and Bind the raw
-// endpoint for sends.  Bind may be called again after the underlying
-// endpoint crashes — sequencing and dedup state survive, so the outbox is
-// replayed in order and retransmits are deduplicated (exactly-once
-// effect across the outage).
+// ReliableEndpoint is one shell's reliable attachment, created by
+// Reliable.Join.  Its sequencing and dedup state outlive the raw endpoint
+// beneath it, so after that endpoint crashes and a new one is bound the
+// outbox is replayed in order and retransmits are deduplicated
+// (exactly-once effect across the outage).
 //
 // A full process restart on either side is tolerated too: data messages
 // carry the sender incarnation epoch and the outbox base, so a restarted
@@ -336,16 +324,16 @@ type ReliableEndpoint struct {
 	handlers []func(LinkEvent)
 	closed   bool
 
-	// durable journal (nil until EnableJournal); jEnc and jBuf are reused
+	// durable journal (nil until enableJournal); jEnc and jBuf are reused
 	// to encode each record and snapshot.
 	j    *durable.Log
 	jEnc batchEncoder
 	jBuf []byte
 }
 
-// NewReliableEndpoint creates an unbound reliable endpoint delivering
-// inbound messages to recv.
-func NewReliableEndpoint(recv func(Message), opts ReliableOptions) *ReliableEndpoint {
+// newReliableEndpoint creates shellID's unbound reliable endpoint,
+// delivering inbound messages to recv.
+func newReliableEndpoint(shellID string, recv func(Message), opts ReliableOptions) *ReliableEndpoint {
 	o := opts.withDefaults()
 	return &ReliableEndpoint{
 		opts: o,
@@ -356,15 +344,15 @@ func NewReliableEndpoint(recv func(Message), opts ReliableOptions) *ReliableEndp
 		epoch: max(1, uint64(o.Clock.Now().UnixNano())),
 		clock: o.Clock,
 		recv:  recv,
-		met:   newRelMetrics(o.Metrics, o.Name),
+		met:   newRelMetrics(o.Metrics, shellID),
 		out:   map[string]*relOut{},
 		in:    map[string]*relIn{},
 	}
 }
 
-// Bind installs (or replaces, after a crash) the raw endpoint used for
+// bind installs (or replaces, after a crash) the raw endpoint used for
 // transmission.
-func (r *ReliableEndpoint) Bind(inner Endpoint) {
+func (r *ReliableEndpoint) bind(inner Endpoint) {
 	r.mu.Lock()
 	r.inner = inner
 	r.mu.Unlock()
@@ -495,7 +483,7 @@ func (r *ReliableEndpoint) Send(to string, m Message) error {
 		return fmt.Errorf("transport: reliable endpoint not bound")
 	}
 	o := r.outLink(to)
-	if len(o.unacked()) >= r.opts.OutboxLimit {
+	if len(o.unacked()) >= r.opts.outboxLimit {
 		ev := LinkEvent{
 			Kind: LinkOverflow, Peer: to, Err: o.lastErr,
 			Attempts: o.attempts, Messages: 1,
@@ -617,12 +605,12 @@ func (r *ReliableEndpoint) resend(inner Endpoint, to string, o *relOut, batch []
 	}
 }
 
-// Deliver is the inbound path: raw endpoints route their receive callback
-// here.  Data messages are deduplicated and released in sequence order;
-// acks retire outbox entries.  Transports invoke receive callbacks
-// serially per sender (the Network contract), which Deliver relies on to
-// keep per-link delivery FIFO.
-func (r *ReliableEndpoint) Deliver(m Message) {
+// deliver is the inbound path: the raw endpoint's receive callback.
+// Data messages are deduplicated and released in sequence order; acks
+// retire outbox entries.  Transports invoke receive callbacks serially
+// per sender (the Network contract), which deliver relies on to keep
+// per-link delivery FIFO.
+func (r *ReliableEndpoint) deliver(m Message) {
 	if m.Kind == relAckKind {
 		r.handleAck(m)
 		return
@@ -699,7 +687,7 @@ func (r *ReliableEndpoint) Deliver(m Message) {
 	default:
 		// A gap: buffer for in-order release; the sender's retransmit
 		// from the ack point fills the hole even if this copy is evicted.
-		if len(in.hold) < r.opts.OutboxLimit {
+		if len(in.hold) < r.opts.outboxLimit {
 			in.hold[seq] = m
 			in.mHeld.Inc()
 		} else {

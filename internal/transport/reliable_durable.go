@@ -2,7 +2,7 @@
 // classifies a crash as a mere *metric* failure only when the site "can
 // remember messages that need to be sent out upon recovery"; an in-memory
 // outbox forfeits that — a restart loses every buffered fire and the
-// constraint guarantees break logically.  EnableJournal earns the metric
+// constraint guarantees break logically.  enableJournal earns the metric
 // classification for real: the sender incarnation epoch, every sequenced
 // outbound message, cumulative acks, and the receiver's dedup cursor are
 // written to a durable.Log before they matter, so a restarted endpoint
@@ -262,32 +262,27 @@ func applyJournal(rec *durable.Recovery) (relSnapshot, error) {
 	return st, nil
 }
 
-// EnableJournal makes the endpoint durable: link state recovered from the
+// enableJournal makes the endpoint durable: link state recovered from the
 // named log in the store is installed (incarnation epoch, unacked outbox
 // per peer with retry timers armed, receiver dedup cursors), a fresh
 // checkpoint compacts the recovered journal, and every subsequent
-// Send/ack/delivery is journaled before it takes effect.  It must be
-// called once, before the endpoint carries traffic, and registers a
-// final-checkpoint hook with the store so a clean shutdown leaves only a
-// snapshot to recover.  It returns the number of outbox messages that
-// were recovered and will be replayed by the retry schedule.  A journal
-// that does not decode installs nothing.
-func (r *ReliableEndpoint) EnableJournal(store *durable.Store, name string) (int, error) {
+// Send/ack/delivery is journaled before it takes effect.  It is called
+// once, before the endpoint carries traffic (the store opens each log
+// once), and registers a final-checkpoint hook with the store so a clean
+// shutdown leaves only a snapshot to recover.  A journal that does not
+// decode installs nothing.
+func (r *ReliableEndpoint) enableJournal(store *durable.Store, name string) error {
 	lg, rec, err := store.Log(name)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	st, err := applyJournal(rec)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	r.mu.Lock()
-	if r.j != nil {
-		r.mu.Unlock()
-		return 0, fmt.Errorf("transport: journal already enabled")
-	}
 	r.j = lg
-	replayed := r.installLocked(st)
+	r.installLocked(st)
 	r.journalLocked(jMeta, binary.AppendUvarint(r.recordLocked(), r.epoch))
 	r.checkpointLocked()
 	r.mu.Unlock()
@@ -296,18 +291,17 @@ func (r *ReliableEndpoint) EnableJournal(store *durable.Store, name string) (int
 		defer r.mu.Unlock()
 		return r.checkpointLocked()
 	})
-	return replayed, nil
+	return nil
 }
 
-// installLocked installs recovered link state under r.mu and returns the
-// number of outbox messages the retry schedule will replay.
-func (r *ReliableEndpoint) installLocked(st relSnapshot) int {
+// installLocked installs recovered link state under r.mu, arming the
+// retry schedule that replays each recovered outbox.
+func (r *ReliableEndpoint) installLocked(st relSnapshot) {
 	if st.Epoch != 0 {
 		// Resume the previous incarnation: peers keep their dedup state, so
 		// the replayed outbox deduplicates down to exactly-once effect.
 		r.epoch = st.Epoch
 	}
-	replayed := 0
 	for peer, s := range st.Out {
 		o := r.outLink(peer)
 		o.nextSeq = s.NextSeq
@@ -320,7 +314,6 @@ func (r *ReliableEndpoint) installLocked(st relSnapshot) int {
 		}
 		o.mDepth.Set(int64(len(o.q)))
 		if len(o.q) > 0 {
-			replayed += len(o.q)
 			r.scheduleLocked(o)
 		}
 	}
@@ -328,7 +321,6 @@ func (r *ReliableEndpoint) installLocked(st relSnapshot) int {
 		in := r.inLink(peer)
 		in.epoch, in.next = s.Epoch, s.Next
 	}
-	return replayed
 }
 
 // inLink returns (creating if needed) the receiver half of a link.
@@ -366,7 +358,7 @@ func (r *ReliableEndpoint) journalLocked(typ byte, rec []byte) bool {
 // maybeCheckpointLocked compacts the journal once it outgrows the
 // configured threshold.
 func (r *ReliableEndpoint) maybeCheckpointLocked() {
-	if r.j.WALSize() >= r.opts.CheckpointBytes {
+	if r.j.WALSize() >= r.opts.checkpointBytes {
 		r.checkpointLocked()
 	}
 }

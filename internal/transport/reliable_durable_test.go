@@ -49,26 +49,24 @@ func newDurPair(t *testing.T, dir string) *durPair {
 // startA boots (or reboots) A's incarnation: a fresh store over the same
 // state directory, a fresh endpoint, journal recovery, then a bind to the
 // fabric.
-func (p *durPair) startA(t *testing.T) int {
+func (p *durPair) startA(t *testing.T) {
 	t.Helper()
 	st, err := durable.Open(p.dir, durable.Options{Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.store = st
-	p.a = NewReliableEndpoint(nil, ReliableOptions{
+	p.a = newReliableEndpoint("A", nil, ReliableOptions{
 		Clock: p.clk, RetryInterval: 100 * time.Millisecond, Metrics: obs.NewRegistry(),
 	})
-	replayed, err := p.a.EnableJournal(st, "rel-A")
+	if err := p.a.enableJournal(st, "rel-A"); err != nil {
+		t.Fatal(err)
+	}
+	inner, err := p.flaky.Join("A", p.a.deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := p.flaky.Join("A", p.a.Deliver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.a.Bind(inner)
-	return replayed
+	p.a.bind(inner)
 }
 
 // crashA kills A's incarnation: journaling dies first (nothing after the
@@ -135,8 +133,8 @@ func TestJournalReplaysOutboxAcrossRestart(t *testing.T) {
 	}
 	p.crashA(t)
 
-	replayed := p.startA(t)
-	if replayed != 3 {
+	p.startA(t)
+	if replayed := p.a.Pending("B"); replayed != 3 {
 		t.Fatalf("recovery replayed %d messages, want the 3 unacked", replayed)
 	}
 	p.flaky.HealAll()
@@ -179,7 +177,8 @@ func TestJournalExactlyOnceWhenAckLost(t *testing.T) {
 	}
 	p.crashA(t)
 
-	if replayed := p.startA(t); replayed != 2 {
+	p.startA(t)
+	if replayed := p.a.Pending("B"); replayed != 2 {
 		t.Fatalf("recovery replayed %d, want 2", replayed)
 	}
 	p.flaky.HealAll()
@@ -196,8 +195,8 @@ func TestJournalExactlyOnceWhenAckLost(t *testing.T) {
 func TestJournalCheckpointCompacts(t *testing.T) {
 	p := newDurPair(t, t.TempDir())
 	ropts := p.a.opts
-	if ropts.CheckpointBytes != 256<<10 {
-		t.Fatalf("default CheckpointBytes = %d", ropts.CheckpointBytes)
+	if ropts.checkpointBytes != 256<<10 {
+		t.Fatalf("default checkpointBytes = %d", ropts.checkpointBytes)
 	}
 	for i := 0; i < 200; i++ {
 		if err := p.a.Send("B", fireMsg(i)); err != nil {
@@ -262,20 +261,5 @@ func TestJournalSummaryCountsFires(t *testing.T) {
 	b := sum.Out["B"]
 	if b.Pending != 4 || b.Fires != 3 {
 		t.Fatalf("summary = %+v, want 4 pending of which 3 fires", b)
-	}
-}
-
-func TestJournalDoubleEnableRejected(t *testing.T) {
-	st, err := durable.Open(t.TempDir(), durable.Options{Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	a := NewReliableEndpoint(nil, ReliableOptions{Metrics: obs.NewRegistry()})
-	if _, err := a.EnableJournal(st, "rel-A"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.EnableJournal(st, "rel-A"); err == nil {
-		t.Fatal("second EnableJournal accepted")
 	}
 }

@@ -26,7 +26,7 @@ type jStep struct {
 type journalPath struct {
 	// write journals one record through e.
 	write func(e *ReliableEndpoint, typ byte, rec any)
-	// restart starts an endpoint over the store the way EnableJournal
+	// restart starts an endpoint over the store the way enableJournal
 	// does: recover, install, journal the epoch, checkpoint.
 	restart func(t *testing.T, st *durable.Store, e *ReliableEndpoint)
 	apply   func(*durable.Recovery) (relSnapshot, error)
@@ -54,7 +54,7 @@ var binaryJournal = journalPath{
 		e.journalLocked(typ, appendRecord(e.recordLocked(), &e.jEnc, rec))
 	},
 	restart: func(t *testing.T, st *durable.Store, e *ReliableEndpoint) {
-		if _, err := e.EnableJournal(st, "rel-A"); err != nil {
+		if err := e.enableJournal(st, "rel-A"); err != nil {
 			t.Fatal(err)
 		}
 	},
@@ -108,7 +108,7 @@ func runJournal(t *testing.T, p journalPath, steps []jStep) *durable.Recovery {
 		if st, err = durable.Open(dir, durable.Options{Sync: durable.SyncNever, Metrics: obs.NewRegistry()}); err != nil {
 			t.Fatal(err)
 		}
-		e = NewReliableEndpoint(nil, ReliableOptions{Clock: clk, Metrics: obs.NewRegistry()})
+		e = newReliableEndpoint("A", nil, ReliableOptions{Clock: clk, Metrics: obs.NewRegistry()})
 		p.restart(t, st, e)
 	}
 	restart()
@@ -233,7 +233,7 @@ func TestJournalReplaysBindingsAsValues(t *testing.T) {
 
 // TestJournalRejectsParentFormat: a state directory whose journal is
 // JSON, as builds before the binary encoding wrote it, is refused with
-// wire.ErrFormat — by EnableJournal, which then installs nothing, and by
+// wire.ErrFormat — by enableJournal, which then installs nothing, and by
 // SummarizeJournal — whether recovery starts at its checkpoint or at its
 // records.
 func TestJournalRejectsParentFormat(t *testing.T) {
@@ -247,7 +247,7 @@ func TestJournalRejectsParentFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := NewReliableEndpoint(nil, ReliableOptions{Metrics: obs.NewRegistry()})
+			e := newReliableEndpoint("A", nil, ReliableOptions{Metrics: obs.NewRegistry()})
 			jsonJournal.restart(t, st, e)
 			for _, s := range records {
 				jsonJournal.write(e, s.typ, s.rec)
@@ -263,7 +263,7 @@ func TestJournalRejectsParentFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := NewReliableEndpoint(nil, ReliableOptions{Metrics: obs.NewRegistry()})
+			e := newReliableEndpoint("A", nil, ReliableOptions{Metrics: obs.NewRegistry()})
 			e.j = lg
 			for _, s := range records {
 				jsonJournal.write(e, s.typ, s.rec)
@@ -287,9 +287,9 @@ func TestJournalRejectsParentFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewReliableEndpoint(nil, ReliableOptions{Metrics: obs.NewRegistry()})
-		if _, err := e.EnableJournal(st, "rel-A"); !errors.Is(err, wire.ErrFormat) {
-			t.Errorf("%s: EnableJournal err = %v, want wire.ErrFormat", tc.name, err)
+		e := newReliableEndpoint("A", nil, ReliableOptions{Metrics: obs.NewRegistry()})
+		if err := e.enableJournal(st, "rel-A"); !errors.Is(err, wire.ErrFormat) {
+			t.Errorf("%s: enableJournal err = %v, want wire.ErrFormat", tc.name, err)
 		}
 		if e.j != nil || len(e.out) != 0 || len(e.in) != 0 {
 			t.Errorf("%s: a refused journal installed %d send and %d receive links", tc.name, len(e.out), len(e.in))

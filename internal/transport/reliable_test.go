@@ -258,7 +258,7 @@ func TestReliablePartitionDrainIsWindowed(t *testing.T) {
 func TestReliableDedupsDuplicates(t *testing.T) {
 	clk := vclock.NewVirtual(vclock.Epoch)
 	flaky := NewFlaky(NewBus(clk, 10*time.Millisecond),
-		FlakyOptions{Clock: clk, Seed: 3, Duplicate: 1.0})
+		FlakyOptions{Clock: clk, Seed: 3, duplicate: 1.0})
 	rel := NewReliable(flaky, ReliableOptions{Clock: clk, RetryInterval: 100 * time.Millisecond})
 	p := joinPair(t, rel)
 	const n = 20
@@ -275,8 +275,8 @@ func TestReliableReordersDelayedCopies(t *testing.T) {
 	// Half the messages take an extra 200ms — far more than the 10ms base
 	// latency — so raw arrival order is scrambled; the reorder buffer must
 	// restore send order.
-	flaky := NewFlaky(NewBus(clk, 10*time.Millisecond),
-		FlakyOptions{Clock: clk, Seed: 11, Delay: 0.5, DelayBy: 200 * time.Millisecond})
+	flaky := NewFlaky(NewBus(clk, 10*time.Millisecond), FlakyOptions{Clock: clk, Seed: 11})
+	flaky.SetDelay(0.5, 200*time.Millisecond)
 	rel := NewReliable(flaky, ReliableOptions{Clock: clk, RetryInterval: 5 * time.Second})
 	p := joinPair(t, rel)
 	const n = 30
@@ -335,7 +335,7 @@ func TestReliableOutboxOverflow(t *testing.T) {
 	clk := vclock.NewVirtual(vclock.Epoch)
 	flaky := NewFlaky(NewBus(clk, 10*time.Millisecond), FlakyOptions{Clock: clk})
 	rel := NewReliable(flaky, ReliableOptions{
-		Clock: clk, RetryInterval: 100 * time.Millisecond, OutboxLimit: 3,
+		Clock: clk, RetryInterval: 100 * time.Millisecond, outboxLimit: 3,
 	})
 	p := joinPair(t, rel)
 	flaky.PartitionBoth("A", "B")
@@ -418,16 +418,16 @@ func TestReliablePassThroughForUnsequencedPeers(t *testing.T) {
 	bus := NewBus(clk, 10*time.Millisecond)
 	var mu sync.Mutex
 	var got []Message
-	re := NewReliableEndpoint(func(m Message) {
+	re := newReliableEndpoint("B", func(m Message) {
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
 	}, ReliableOptions{Clock: clk})
-	inner, err := bus.Join("B", re.Deliver)
+	inner, err := bus.Join("B", re.deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re.Bind(inner)
+	re.bind(inner)
 	rawA, err := bus.Join("A", func(Message) {})
 	if err != nil {
 		t.Fatal(err)
@@ -470,28 +470,21 @@ func TestFlakyPartitionWithoutReliabilityLosesMessages(t *testing.T) {
 func TestReliableTCPCrashRecovery(t *testing.T) {
 	var mu sync.Mutex
 	var got []Message
-	relB := NewReliableEndpoint(func(m Message) {
+	relB := newReliableEndpoint("B", func(m Message) {
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
 	}, ReliableOptions{RetryInterval: 20 * time.Millisecond})
 	defer relB.Close()
-	tcpB, err := NewTCP("B", "127.0.0.1:0", nil, relB.Deliver)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := NewTCPNetwork()
+	tcpB := joinTCP(t, net, "B", relB.deliver)
 	bAddr := tcpB.Addr()
 
-	relA := NewReliableEndpoint(func(Message) {}, ReliableOptions{RetryInterval: 20 * time.Millisecond})
+	relA := newReliableEndpoint("A", func(Message) {}, ReliableOptions{RetryInterval: 20 * time.Millisecond})
 	defer relA.Close()
-	tcpA, err := NewTCP("A", "127.0.0.1:0", map[string]string{"B": bAddr}, relA.Deliver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relA.Bind(tcpA)
-	relB.Bind(tcpB)
-	// B needs A's address for acks.
-	tcpB.addrs = map[string]string{"A": tcpA.Addr()}
+	tcpA := joinTCP(t, net, "A", relA.deliver)
+	relA.bind(tcpA)
+	relB.bind(tcpB)
 
 	waitFor := func(n int) {
 		t.Helper()
@@ -527,12 +520,9 @@ func TestReliableTCPCrashRecovery(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let retries fail against the dead port
 
 	// B restarts on the same address with the same reliable endpoint.
-	tcpB2, err := NewTCP("B", bAddr, map[string]string{"A": tcpA.Addr()}, relB.Deliver)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tcpB2 := joinTCP(t, NewTCPNetworkAt(bAddr, map[string]string{"A": tcpA.Addr()}), "B", relB.deliver)
 	defer tcpB2.Close()
-	relB.Bind(tcpB2)
+	relB.bind(tcpB2)
 
 	waitFor(10)
 	// Exactly once, in order — retransmitted copies were deduplicated.
@@ -566,18 +556,18 @@ func TestReliableTCPCrashRecovery(t *testing.T) {
 func TestReliableReceiverProcessRestartResumesStream(t *testing.T) {
 	clk := vclock.NewVirtual(vclock.Epoch)
 	bus := NewBus(clk, 10*time.Millisecond)
-	relB := NewReliableEndpoint(func(Message) {}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
-	epB, err := bus.Join("B", relB.Deliver)
+	relB := newReliableEndpoint("B", func(Message) {}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
+	epB, err := bus.Join("B", relB.deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relB.Bind(epB)
-	relA := NewReliableEndpoint(func(Message) {}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
-	epA, err := bus.Join("A", relA.Deliver)
+	relB.bind(epB)
+	relA := newReliableEndpoint("A", func(Message) {}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
+	epA, err := bus.Join("A", relA.deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relA.Bind(epA)
+	relA.bind(epA)
 
 	// Three messages delivered and acked to B's first incarnation.
 	for i := 0; i < 3; i++ {
@@ -602,16 +592,16 @@ func TestReliableReceiverProcessRestartResumesStream(t *testing.T) {
 	// B restarts from scratch with empty link state.
 	var mu sync.Mutex
 	var got []Message
-	relB2 := NewReliableEndpoint(func(m Message) {
+	relB2 := newReliableEndpoint("B", func(m Message) {
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
 	}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
-	epB2, err := bus.Join("B", relB2.Deliver)
+	epB2, err := bus.Join("B", relB2.deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relB2.Bind(epB2)
+	relB2.bind(epB2)
 	clk.Advance(time.Minute)
 
 	mu.Lock()
@@ -637,23 +627,23 @@ func TestReliableSenderProcessRestartResetsReceiver(t *testing.T) {
 	bus := NewBus(clk, 10*time.Millisecond)
 	var mu sync.Mutex
 	var got []Message
-	relB := NewReliableEndpoint(func(m Message) {
+	relB := newReliableEndpoint("B", func(m Message) {
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
 	}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
-	epB, err := bus.Join("B", relB.Deliver)
+	epB, err := bus.Join("B", relB.deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relB.Bind(epB)
+	relB.bind(epB)
 
-	relA := NewReliableEndpoint(func(Message) {}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
-	epA, err := bus.Join("A", relA.Deliver)
+	relA := newReliableEndpoint("A", func(Message) {}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
+	epA, err := bus.Join("A", relA.deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relA.Bind(epA)
+	relA.bind(epA)
 	for i := 0; i < 3; i++ {
 		if err := relA.Send("B", fireMsg(i)); err != nil {
 			t.Fatal(err)
@@ -664,12 +654,12 @@ func TestReliableSenderProcessRestartResetsReceiver(t *testing.T) {
 	// A dies and restarts strictly later: a higher incarnation epoch.
 	epA.Close()
 	clk.Advance(time.Second)
-	relA2 := NewReliableEndpoint(func(Message) {}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
-	epA2, err := bus.Join("A", relA2.Deliver)
+	relA2 := newReliableEndpoint("A", func(Message) {}, ReliableOptions{Clock: clk, RetryInterval: time.Second})
+	epA2, err := bus.Join("A", relA2.deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relA2.Bind(epA2)
+	relA2.bind(epA2)
 	for i := 0; i < 2; i++ {
 		if err := relA2.Send("B", fireMsg(10+i)); err != nil {
 			t.Fatal(err)

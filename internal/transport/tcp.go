@@ -31,15 +31,13 @@ import (
 // written means its messages are lost for good — LinkGaveUp — while
 // reliable.go layered on top retransmits until acked).
 type TCP struct {
-	shellID  string
-	addrs    map[string]string           // shellID -> address
-	resolve  func(string) (string, bool) // dynamic lookup when addrs is nil
-	recv     func(Message)
-	dialOpts []wire.DialOption
-	srv      *wire.Server
-	mu       sync.Mutex
-	peers    map[string]*tcpPeer
-	closed   bool
+	shellID string
+	net     *TCPNetwork // resolves peer addresses and holds the dial options
+	recv    func(Message)
+	srv     *wire.Server
+	mu      sync.Mutex
+	peers   map[string]*tcpPeer
+	closed  bool
 
 	// recvMu is held across each inbound frame's delivery: recv runs
 	// serially, as Network.Join promises, even while an old connection's
@@ -78,24 +76,21 @@ type tcpPeer struct {
 // sizes are small integers, not durations.
 var tcpBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// NewTCP starts a TCP endpoint for shellID listening on listenAddr.
-// addrs maps every peer shell ID to its address (the routing table
-// established "during initialization", Section 4.1).  recv is invoked for
-// each inbound message.  dialOpts tune the peer connections (timeouts).
-func NewTCP(shellID, listenAddr string, addrs map[string]string, recv func(Message), dialOpts ...wire.DialOption) (*TCP, error) {
+// newTCP starts shellID's endpoint on n, listening on n's listen
+// address; recv is invoked for each inbound message.
+func newTCP(n *TCPNetwork, shellID string, recv func(Message)) (*TCP, error) {
 	t := &TCP{
-		shellID:  shellID,
-		addrs:    addrs,
-		recv:     recv,
-		dialOpts: dialOpts,
-		peers:    map[string]*tcpPeer{},
-		outbox:   map[string]*tcpOut{},
+		shellID: shellID,
+		net:     n,
+		recv:    recv,
+		peers:   map[string]*tcpPeer{},
+		outbox:  map[string]*tcpOut{},
 		mBatch: obs.Default.Histogram("cmtk_transport_batch_size",
 			"Messages coalesced into one wire frame by the TCP send-side batcher.",
 			tcpBatchBuckets, "shell").With(shellID),
 	}
 	t.outCond = sync.NewCond(&t.outMu)
-	srv, err := wire.Serve(listenAddr, tcpHandler{t})
+	srv, err := wire.Serve(n.listen, tcpHandler{t})
 	if err != nil {
 		return nil, err
 	}
@@ -173,10 +168,7 @@ func (t *TCP) emitLink(ev LinkEvent) {
 // synchronous routing problems (unknown peer, closed endpoint) are
 // errors; delivery failures surface through OnLinkEvent.
 func (t *TCP) Send(to string, m Message) error {
-	addr, ok := t.addrs[to]
-	if !ok && t.resolve != nil {
-		addr, ok = t.resolve(to)
-	}
+	addr, ok := t.net.Addr(to)
 	if !ok {
 		return fmt.Errorf("transport: no address for shell %s", to)
 	}
@@ -259,7 +251,7 @@ func (t *TCP) sendFrame(to, addr string, batch []Message) error {
 	p, ok := t.peers[to]
 	t.mu.Unlock()
 	if !ok {
-		nc, err := wire.Dial(addr, nil, t.dialOpts...)
+		nc, err := wire.Dial(addr, nil, t.net.dialOpts...)
 		if err != nil {
 			return err
 		}
@@ -345,40 +337,61 @@ var (
 	_ Flusher  = (*TCP)(nil)
 )
 
-// TCPNetwork is a Network whose members listen on ephemeral local ports
-// and discover each other through a shared registry — the initialization
-// step that a production deployment would do with static configuration.
+// TCPNetwork is a Network of TCP endpoints and the address registry they
+// route by: the routing table established "during initialization"
+// (Section 4.1).  Each member that joins listens on the network's listen
+// address and registers where it listens; shells in other processes are
+// registered up front as static peers.
 type TCPNetwork struct {
-	mu    sync.Mutex
-	addrs map[string]string
+	listen   string
+	dialOpts []wire.DialOption
+
+	mu     sync.Mutex
+	addrs  map[string]string // shellID -> address: static peers and members
+	joined map[string]bool
 }
 
-// NewTCPNetwork creates an empty registry.
+// NewTCPNetwork creates an empty network whose members listen on
+// ephemeral loopback ports, for deployments that run every shell in one
+// process.
 func NewTCPNetwork() *TCPNetwork {
-	return &TCPNetwork{addrs: map[string]string{}}
+	return NewTCPNetworkAt("127.0.0.1:0", nil)
+}
+
+// NewTCPNetworkAt creates a network whose members listen on listen and
+// reach the shells of other processes at the static peers addresses,
+// dialing them with dialOpts (timeouts).  A shell that joins replaces
+// its own static entry, so every member of a fleet may list all members.
+func NewTCPNetworkAt(listen string, peers map[string]string, dialOpts ...wire.DialOption) *TCPNetwork {
+	n := &TCPNetwork{listen: listen, dialOpts: dialOpts, addrs: map[string]string{}, joined: map[string]bool{}}
+	for id, addr := range peers {
+		n.addrs[id] = addr
+	}
+	return n
+}
+
+// Addr returns the address a shell is reached at.
+func (n *TCPNetwork) Addr(shellID string) (string, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	addr, ok := n.addrs[shellID]
+	return addr, ok
 }
 
 // Join implements Network: it starts a listener for the shell and
 // registers its address.
 func (n *TCPNetwork) Join(shellID string, recv func(Message)) (Endpoint, error) {
-	t, err := NewTCP(shellID, "127.0.0.1:0", nil, recv)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.joined[shellID] {
+		return nil, fmt.Errorf("transport: shell %s already joined", shellID)
+	}
+	t, err := newTCP(n, shellID, recv)
 	if err != nil {
 		return nil, err
 	}
-	t.resolve = func(id string) (string, bool) {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		addr, ok := n.addrs[id]
-		return addr, ok
-	}
-	n.mu.Lock()
-	if _, dup := n.addrs[shellID]; dup {
-		n.mu.Unlock()
-		t.Close()
-		return nil, fmt.Errorf("transport: shell %s already joined", shellID)
-	}
+	n.joined[shellID] = true
 	n.addrs[shellID] = t.Addr()
-	n.mu.Unlock()
 	return t, nil
 }
 

@@ -75,16 +75,10 @@ func TestTCPMesh(t *testing.T) {
 		got = append(got, m)
 		mu.Unlock()
 	}
-	b, err := NewTCP("B", "127.0.0.1:0", nil, recvB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := NewTCPNetwork()
+	b := joinTCP(t, net, "B", recvB)
 	defer b.Close()
-	addrs := map[string]string{"B": b.Addr()}
-	a, err := NewTCP("A", "127.0.0.1:0", addrs, func(Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := joinTCP(t, net, "A", func(Message) {})
 	defer a.Close()
 	for i := 0; i < 10; i++ {
 		m := Message{Kind: "fire", Rule: "r", Bindings: map[string]string{"n": "1"},
@@ -132,15 +126,10 @@ func TestTCPBatchingFIFO(t *testing.T) {
 		got = append(got, m)
 		mu.Unlock()
 	}
-	b, err := NewTCP("B", "127.0.0.1:0", nil, recvB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := NewTCPNetwork()
+	b := joinTCP(t, net, "B", recvB)
 	defer b.Close()
-	a, err := NewTCP("A", "127.0.0.1:0", map[string]string{"B": b.Addr()}, func(Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := joinTCP(t, net, "A", func(Message) {})
 	defer a.Close()
 	before := a.mBatch.Count()
 	for i := 0; i < n; i++ {
@@ -179,10 +168,7 @@ func TestTCPBatchingFIFO(t *testing.T) {
 }
 
 func TestTCPSendErrors(t *testing.T) {
-	a, err := NewTCP("A", "127.0.0.1:0", map[string]string{"B": "127.0.0.1:1"}, func(Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := joinTCP(t, NewTCPNetworkAt("127.0.0.1:0", map[string]string{"B": "127.0.0.1:1"}), "A", func(Message) {})
 	defer a.Close()
 	var mu sync.Mutex
 	var events []LinkEvent
@@ -212,6 +198,16 @@ func TestTCPSendErrors(t *testing.T) {
 	if err := a.Send("B", Message{}); err == nil {
 		t.Fatal("send after close succeeded")
 	}
+}
+
+// joinTCP joins shellID to n and returns its raw endpoint.
+func joinTCP(t *testing.T, n *TCPNetwork, shellID string, recv func(Message)) *TCP {
+	t.Helper()
+	ep, err := n.Join(shellID, recv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep.(*TCP)
 }
 
 func TestTCPNetwork(t *testing.T) {
@@ -258,6 +254,36 @@ func TestTCPNetwork(t *testing.T) {
 	}
 }
 
+// TestTCPNetworkStaticPeers: a network built for one process of a
+// deployment reaches the other processes' shells at their static
+// addresses, and a joining shell the static table also names (a fleet
+// member listing every member) replaces its entry with where it listens.
+func TestTCPNetworkStaticPeers(t *testing.T) {
+	got := make(chan Message, 1)
+	b := joinTCP(t, NewTCPNetwork(), "B", func(m Message) { got <- m })
+	defer b.Close()
+	n := NewTCPNetworkAt("127.0.0.1:0", map[string]string{"A": "127.0.0.1:1", "B": b.Addr()})
+	a := joinTCP(t, n, "A", func(Message) {})
+	defer a.Close()
+	if addr, _ := n.Addr("A"); addr != a.Addr() {
+		t.Fatalf("A registered at %s, want its listen address %s", addr, a.Addr())
+	}
+	if err := a.Send("B", Message{Kind: "fire", Rule: "r"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got:
+		if m.From != "A" || m.Rule != "r" {
+			t.Fatalf("B got %+v", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("message to the static peer never arrived")
+	}
+	if _, err := n.Join("A", func(Message) {}); err == nil {
+		t.Fatal("duplicate join succeeded")
+	}
+}
+
 // TestTCPSerialDeliveryAcrossReconnect blocks B's callback on A's first
 // message, then cuts A's connection so that A's next send redials.  The
 // old connection's reader is still inside the callback when the frame on
@@ -292,16 +318,11 @@ func TestTCPSerialDeliveryAcrossReconnect(t *testing.T) {
 		}
 		mu.Unlock()
 	}
-	b, err := NewTCP("B", "127.0.0.1:0", nil, recvB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := NewTCPNetwork()
+	b := joinTCP(t, net, "B", recvB)
 	defer b.Close()
 	defer release() // before b.Close, which waits for B's readers
-	a, err := NewTCP("A", "127.0.0.1:0", map[string]string{"B": b.Addr()}, func(Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := joinTCP(t, net, "A", func(Message) {})
 	defer a.Close()
 	var evMu sync.Mutex
 	var evs []LinkEvent
