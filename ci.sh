@@ -67,7 +67,7 @@ run() {
 		fuzz FuzzSpecParse ./internal/rule ;;
 	e18-smoke) go test -race -count=1 -short -run 'TestE18RetentionShape' ./internal/harness ;;
 	compaction-recovery) go test -race -count=1 -run 'TestCompactionCorruptedCheckpointRecovery|TestRetentionColdStartFromCheckpoint|TestPrivateSnapHandoffVerifies' ./internal/shell ;;
-	docs) go test -count=1 -run 'TestDocs|TestObservabilityCatalogues|TestDeadSurface|TestDeadOptions' . ;;
+	docs) go test -count=1 -run 'TestDocs|TestObservabilityCatalogues|TestDeadSurface|TestDeadOptions|TestDeadFlags' . ;;
 	race-all) go test -race ./... ;;
 	bench-smoke) go test -bench=. -benchtime=1x -benchmem -short -run '^$' ./... ;;
 	e17-f2-golden) go test -race -count=1 -run 'TestGoldenExperiments/(E17|F2)' ./internal/harness ;;

@@ -13,7 +13,6 @@
 //	cmctl state -state-dir /var/lib/cmshell-a
 //	cmctl ring -route table.json [-plan a,b,c,d]
 //	cmctl ring -spec strategy.spec -members a,b,c [-write table.json]
-//	cmctl ring -state-dir /var/lib/cmshell-a
 //	cmctl ckpt -state-dir /var/lib/cmshell-a [-log trace-a] [-verify]
 //
 // The ckpt subcommand decodes the sectioned trace checkpoints a
@@ -32,12 +31,11 @@
 // The ring subcommand shows a fleet route table (DESIGN.md §10): epoch,
 // membership, per-shell base counts against the bounded-load cap, the
 // placement checksum, and the base→owner map.  The table comes from a
-// route file (-route), from computing a fresh epoch-1 assignment for a
+// route file (-route) or from computing a fresh epoch-1 assignment for a
 // spec and membership (-spec -members, the same pure function every
-// fleet member evaluates), or from the fleet-table log of a durable
-// state directory (-state-dir, read-only).  -plan diffs the loaded
-// table against a proposed membership and prints the moves a rebalance
-// to it would make; -write dumps the table as a route file for cmshell.
+// fleet member evaluates).  -plan diffs the loaded table against a
+// proposed membership and prints the moves a rebalance to it would make;
+// -write dumps the table as a route file for cmshell.
 package main
 
 import (
@@ -84,7 +82,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: cmctl check [-spec FILE] [-rid FILE]")
 	fmt.Fprintln(os.Stderr, "       cmctl suggest -x BASE -xrid FILE -y BASE -yrid FILE [-arity N]")
 	fmt.Fprintln(os.Stderr, "       cmctl state -state-dir DIR")
-	fmt.Fprintln(os.Stderr, "       cmctl ring {-route FILE | -spec FILE -members A,B,C | -state-dir DIR} [-rid FILE] [-plan A,B,C,D] [-write FILE]")
+	fmt.Fprintln(os.Stderr, "       cmctl ring {-route FILE | -spec FILE -members A,B,C} [-rid FILE] [-plan A,B,C,D] [-write FILE]")
 	fmt.Fprintln(os.Stderr, "       cmctl ckpt -state-dir DIR [-log NAME] [-verify]  (-verify checks CRCs and decodes meta/base; monitor needs the guarantees)")
 	os.Exit(2)
 }
@@ -278,7 +276,6 @@ func ringCmd(args []string) {
 	routePath := fs.String("route", "", "route-table JSON file to inspect")
 	specPath := fs.String("spec", "", "strategy specification to assign (with -members)")
 	members := fs.String("members", "", "comma-separated shell ids for a fresh epoch-1 assignment")
-	stateDir := fs.String("state-dir", "", "durable state directory holding a persisted fleet-table log")
 	plan := fs.String("plan", "", "comma-separated proposed membership: print the moves a rebalance would make")
 	writePath := fs.String("write", "", "dump the table to this route file")
 	ridPath := fs.String("rid", "", "CM-RID file: show which shell each of its notify-capable bases routes to")
@@ -333,18 +330,6 @@ func ringCmd(args []string) {
 			log.Fatalf("cmctl: %v", err)
 		}
 		source = fmt.Sprintf("%s (fresh assignment)", *specPath)
-	case *stateDir != "":
-		rec, err := durable.ReadLog(*stateDir, fleet.TableLogName)
-		if err != nil {
-			log.Fatalf("cmctl: %v", err)
-		}
-		if len(rec.Snapshot) == 0 {
-			log.Fatalf("cmctl: %s: no %s checkpoint (not a fleet member's state dir?)", *stateDir, fleet.TableLogName)
-		}
-		if tab, err = fleet.DecodeTable(rec.Snapshot); err != nil {
-			log.Fatalf("cmctl: %s: %s log: %v", *stateDir, fleet.TableLogName, err)
-		}
-		source = fmt.Sprintf("%s (%s log)", *stateDir, fleet.TableLogName)
 	default:
 		usage()
 	}

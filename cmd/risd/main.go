@@ -81,7 +81,7 @@ func main() {
 		}
 		srv, err = server.ServeFile(*addr, s)
 	case "bibstore":
-		s := bibstore.New(*name)
+		s := bibstore.New()
 		if *demo {
 			s.Load(
 				bibstore.Record{Key: "cgw96", Author: "Chawathe", Title: "A Toolkit for Constraint Management", Year: 1996, Venue: "ICDE"},

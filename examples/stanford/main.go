@@ -44,7 +44,7 @@ func main() {
 	groupdb := relstore.New("groupdb")
 	mustExec(groupdb, "CREATE TABLE people (uname TEXT, phone TEXT, PRIMARY KEY (uname))")
 	mustExec(groupdb, "CREATE TABLE papers (citekey TEXT, title TEXT, PRIMARY KEY (citekey))")
-	bib := bibstore.New("bib")
+	bib := bibstore.New()
 	check(bib.Load(
 		bibstore.Record{Key: "cgw96", Author: "Widom", Title: "A Toolkit for Constraint Management", Year: 1996, Venue: "ICDE"},
 		bibstore.Record{Key: "w94", Author: "Widom", Title: "Proof Rules for Weak Consistency", Year: 1994, Venue: "TR"},

@@ -39,6 +39,8 @@ type expectation struct {
 // reports mismatches on t.  The fixture root doubles as Pass.ModRoot so
 // fixtures can carry their own OBSERVABILITY.md or go.mod-relative
 // resources.
+//
+//cmlint:allow deadsurface(test-support package: every analyzer's fixture test calls it)
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgNames ...string) {
 	t.Helper()
 	var pkgs []*analysis.Package

@@ -44,7 +44,7 @@ const pollEvery = 20 * time.Millisecond
 // its own failure and the leak check is skipped (leaks are expected
 // when tests abort mid-flight).
 //
-//cmlint:allow deadsurface(every TestMain calls it; a leak check has no production caller)
+//cmlint:allow deadsurface(test-support package: every TestMain calls it; a leak check has no production caller)
 func Main(m *testing.M) {
 	baseline := snapshot()
 	code := m.Run()
@@ -62,6 +62,8 @@ func Main(m *testing.M) {
 // Check fails t if goroutines not alive at call time remain after fn
 // returns and the grace period drains.  It is the per-test variant of
 // Main for pinpointing which test leaks.
+//
+//cmlint:allow deadsurface(test-support package: the tests that pinpoint a leak call it)
 func Check(t *testing.T, fn func()) {
 	t.Helper()
 	baseline := snapshot()

@@ -61,8 +61,7 @@ func (e Entry) String() string {
 // Runner executes a campaign on a clock.  Faults are armed at Start;
 // actions record into the timeline as they run.
 type Runner struct {
-	clock    vclock.Clock
-	campaign Campaign
+	clock vclock.Clock
 
 	mu       sync.Mutex
 	timeline []Entry
@@ -78,7 +77,7 @@ func Start(clock vclock.Clock, c Campaign) *Runner {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	r := &Runner{clock: clock, campaign: c}
+	r := &Runner{clock: clock}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range c.Faults {
@@ -122,30 +121,6 @@ func (r *Runner) Stop() {
 	for _, t := range timers {
 		t.Stop()
 	}
-}
-
-// Campaign returns the campaign this runner executes.
-func (r *Runner) Campaign() Campaign { return r.campaign }
-
-// Timeline returns a copy of the recorded actions in execution order.
-func (r *Runner) Timeline() []Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Entry(nil), r.timeline...)
-}
-
-// Counts aggregates the timeline: per fault name, how many inject and
-// recover actions ran.  Exact-assertion helpers for experiments.
-func (r *Runner) Counts() (inject, recover map[string]int) {
-	inject, recover = map[string]int{}, map[string]int{}
-	for _, e := range r.Timeline() {
-		if e.Action == ActInject {
-			inject[e.Fault]++
-		} else {
-			recover[e.Fault]++
-		}
-	}
-	return inject, recover
 }
 
 // ---- fault constructors binding to the toolkit's injection points ----

@@ -64,7 +64,10 @@ func Classify(err error) FailureKind {
 // old is null for creations; new is null for deletions.
 type NotifyFunc func(item data.ItemName, old, new data.Value)
 
-// Interface is the uniform CM-Interface for one site's items.
+// Interface is the uniform CM-Interface for one site's items.  What a
+// site can do is what its CM-RID's interface statements say
+// (Statements); translator.CapsFromStatements derives the capability set
+// from them, so there is no second, runtime answer to diverge from it.
 type Interface interface {
 	// Site names the site this translator serves.
 	Site() string
@@ -72,8 +75,6 @@ type Interface interface {
 	// translator is configured to honor, in the rule language.  The
 	// toolkit's strategy suggestion consults these.
 	Statements() []rule.Rule
-	// Capabilities reports the native capability set behind an item base.
-	Capabilities(base string) ris.Capability
 	// Read returns the current value of an item; exists is false when the
 	// item is absent (the E(X) predicate).
 	Read(item data.ItemName) (v data.Value, exists bool, err error)

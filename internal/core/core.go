@@ -149,12 +149,6 @@ func New(cfg Config) *Toolkit {
 // Trace returns the deployment's shared event trace.
 func (tk *Toolkit) Trace() *trace.Trace { return tk.tr }
 
-// Clock returns the deployment clock.
-func (tk *Toolkit) Clock() vclock.Clock { return tk.clock }
-
-// Spec returns the (merged) strategy specification.
-func (tk *Toolkit) Spec() *rule.Spec { return tk.spec }
-
 // AddSite declares a source.  Must be called before Deploy.
 func (tk *Toolkit) AddSite(s Site) error {
 	if tk.deployed {
@@ -408,11 +402,6 @@ func (tk *Toolkit) Stop() {
 	}
 	tk.started = false
 }
-
-// Durable returns the deployment's durable store, if any — the one
-// supplied through Config.Durable.  Callers use it to share the store with
-// a Reliable network, inspect WasClean, or inject a crash in tests.
-func (tk *Toolkit) Durable() *durable.Store { return tk.cfg.Durable }
 
 func (tk *Toolkit) shellNames() []string {
 	names := make([]string, 0, len(tk.shells))
@@ -743,6 +732,8 @@ func (tk *Toolkit) AddReferential(c Referential) (*strategy.Sweeper, error) {
 // Reset clears all recorded failures — the Section 5 "system reset" after
 // which guarantees involving a logically failed site become valid again.
 // The caller is responsible for having actually repaired the sources.
+//
+//cmlint:allow deadsurface(the §5 system reset, held by TestResetRestoresGuaranteeValidity)
 func (tk *Toolkit) Reset() {
 	for _, name := range tk.shellNames() {
 		tk.shells[name].ClearFailures()

@@ -125,8 +125,8 @@ func TestExplicitStrategySelection(t *testing.T) {
 		t.Fatalf("B rows = %v", res.Rows)
 	}
 	// The cache private item ended up in the spec.
-	if tk.Spec().Private["cache_salary2"] != "B" {
-		t.Fatalf("private items = %v", tk.Spec().Private)
+	if tk.spec.Private["cache_salary2"] != "B" {
+		t.Fatalf("private items = %v", tk.spec.Private)
 	}
 }
 
@@ -330,13 +330,13 @@ interface RR(salary1(n)) && salary1(n) = b ->1s R(salary1(n), b)
 	t.Cleanup(tk.Stop)
 	// Sanity: auto selection picked polling (the only applicable one).
 	picked := false
-	for _, r := range tk.Spec().Rules {
+	for _, r := range tk.spec.Rules {
 		if r.LHS.Op.String() == "P" {
 			picked = true
 		}
 	}
 	if !picked {
-		t.Fatalf("polling not selected; rules: %v", tk.Spec().Rules)
+		t.Fatalf("polling not selected; rules: %v", tk.spec.Rules)
 	}
 	return tk, clk, dbA, dbB
 }

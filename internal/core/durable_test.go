@@ -110,9 +110,6 @@ func TestToolkitStateDirSurvivesRestart(t *testing.T) {
 	clk := vclock.NewVirtual(vclock.Epoch)
 	st := openStore(t, dir)
 	tk, ag := buildDurableToolkit(t, st, clk, data.NullValue, data.NullValue)
-	if tk.Durable() != st {
-		t.Fatal("Durable() is not the store in Config.Durable")
-	}
 	// Force a limit-change round trip: X wants 60, Lx is 50.
 	okCh := make(chan bool, 1)
 	ag.xa.Update(50, func(ok bool) { okCh <- ok })
@@ -140,7 +137,7 @@ func TestToolkitStateDirSurvivesRestart(t *testing.T) {
 	defer st2.Close()
 	tk2, ag2 := buildDurableToolkit(t, st2, clk2, data.NewInt(xl), data.NewInt(yl))
 	defer tk2.Stop()
-	if !tk2.Durable().WasClean() {
+	if !st2.WasClean() {
 		t.Fatal("clean Stop left no clean-shutdown marker")
 	}
 	if got, gotL := ag2.xa.Value(), ag2.xa.Limit(); got != xv || gotL != xl {

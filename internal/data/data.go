@@ -383,19 +383,6 @@ func (n ItemName) String() string {
 // Key returns the canonical map key for the item.
 func (n ItemName) Key() string { return n.String() }
 
-// Equal reports whether two names denote the same item.
-func (n ItemName) Equal(m ItemName) bool {
-	if n.Base != m.Base || len(n.Args) != len(m.Args) {
-		return false
-	}
-	for i := range n.Args {
-		if !n.Args[i].Equal(m.Args[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // ParseItemName parses the String form of an item name.
 func ParseItemName(s string) (ItemName, error) {
 	s = strings.TrimSpace(s)

@@ -186,17 +186,22 @@ func TestItemNameString(t *testing.T) {
 }
 
 func TestItemNameEqual(t *testing.T) {
-	a := Item("x", NewInt(1))
-	b := Item("x", NewInt(1))
-	c := Item("x", NewInt(2))
-	d := Item("y", NewInt(1))
-	e := Item("x")
-	if !a.Equal(b) || a.Equal(c) || a.Equal(d) || a.Equal(e) {
-		t.Error("ItemName.Equal broken")
-	}
-	// Numeric coercion applies inside arguments too.
-	if !Item("x", NewInt(1)).Equal(Item("x", NewFloat(1))) {
-		t.Error("numeric arg coercion broken")
+	// Two names denote the same item exactly when their keys are equal.
+	for _, c := range []struct {
+		n    ItemName
+		want string
+	}{
+		{Item("x", NewInt(1)), "x(1)"},
+		{Item("x", NewInt(2)), "x(2)"},
+		{Item("y", NewInt(1)), "y(1)"},
+		{Item("x"), "x"},
+		{Item("x", NewString("1")), `x("1")`},
+		// Numeric coercion applies inside arguments too.
+		{Item("x", NewFloat(1)), "x(1)"},
+	} {
+		if got := c.n.Key(); got != c.want {
+			t.Errorf("%v.Key() = %s, want %s", c.n, got, c.want)
+		}
 	}
 }
 
@@ -213,7 +218,7 @@ func TestParseItemNameRoundTrip(t *testing.T) {
 			t.Errorf("ParseItemName(%s): %v", n, err)
 			continue
 		}
-		if !got.Equal(n) {
+		if got.Key() != n.Key() {
 			t.Errorf("round trip %s -> %s", n, got)
 		}
 	}

@@ -227,9 +227,6 @@ func openLog(dir, name string, opts Options, met walMetrics, clean bool, crashed
 	return l, rec, nil
 }
 
-// Name returns the log's name within its store.
-func (l *Log) Name() string { return l.name }
-
 // Append journals one record under the store's fsync policy.
 func (l *Log) Append(typ byte, data []byte) error {
 	if typ >= ckptType {
@@ -323,22 +320,6 @@ func (l *Log) syncLocked() error {
 	l.met.fsyncs.Inc()
 	l.lastSync = time.Now()
 	return nil
-}
-
-// Sync flushes the active segment regardless of policy.
-func (l *Log) Sync() error {
-	if l.crashed.Load() {
-		return ErrCrashed
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	if l.err != nil {
-		return l.err
-	}
-	return l.fail(l.syncLocked())
 }
 
 // WALSize reports the current byte size of the live segments — the replay

@@ -65,9 +65,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // WasClean reports whether the previous shutdown was clean (the marker
 // was present at Open).
 func (s *Store) WasClean() bool {
@@ -113,9 +110,6 @@ func (s *Store) OnClose(fn func() error) {
 // the flush, and the clean marker — whatever reached the OS is exactly
 // what the next Open recovers.
 func (s *Store) Crash() { s.crashed.Store(true) }
-
-// Crashed reports whether Crash was called.
-func (s *Store) Crashed() bool { return s.crashed.Load() }
 
 // Close shuts the store down.  On the clean path it runs the registered
 // final-checkpoint hooks, flushes and closes every log, and — only when

@@ -149,15 +149,6 @@ func (d Desc) String() string {
 	return string(d.AppendTo(buf[:0]))
 }
 
-// Equal reports descriptor equality.
-func (d Desc) Equal(e Desc) bool {
-	return d.Op == e.Op &&
-		d.Item.Equal(e.Item) &&
-		d.OldVal.Equal(e.OldVal) &&
-		d.Val.Equal(e.Val) &&
-		d.Period == e.Period
-}
-
 // Event is the six-tuple of Appendix A.1: (time, desc, old, new, rule,
 // trigger), extended with the site at which the event occurs ("each event
 // has a unique site") and a global sequence number used for deterministic
@@ -258,10 +249,6 @@ func (e *Event) SetStateSource(src StateSource) { e.src = src }
 // replay state incrementally for source-backed events and pay the full
 // materialization only for overridden ones.
 func (e *Event) HasEagerStates() bool { return e.old != nil || e.new != nil }
-
-// Spontaneous reports whether the event occurred independently of the
-// constraint manager (Appendix A.2 property 4).
-func (e *Event) Spontaneous() bool { return e.Rule == "" && e.Trigger == nil }
 
 // String renders a compact single-line form for logs and test failures.
 func (e *Event) String() string {

@@ -353,3 +353,16 @@ func TestMatchRejectsBeforeAllocating(t *testing.T) {
 		}
 	}
 }
+
+// Equal reports descriptor equality.
+func (d Desc) Equal(e Desc) bool {
+	return d.Op == e.Op &&
+		d.Item.Key() == e.Item.Key() &&
+		d.OldVal.Equal(e.OldVal) &&
+		d.Val.Equal(e.Val) &&
+		d.Period == e.Period
+}
+
+// Spontaneous reports whether the event occurred independently of the
+// constraint manager (Appendix A.2 property 4).
+func (e *Event) Spontaneous() bool { return e.Rule == "" && e.Trigger == nil }

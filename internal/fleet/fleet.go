@@ -22,25 +22,18 @@ import (
 type Options struct {
 	// Members are the shell IDs (at least one).
 	Members []string
-	// Clock drives the shells and the default bus.  Nil means real time —
-	// which is also what an in-process fleet needs: bus deliveries ride
-	// timer callbacks, and a virtual clock only fires those inside
-	// Advance/Run.
-	Clock vclock.Clock
-	// Network is the mesh; nil builds a zero-latency in-process bus on
-	// Clock.  The fleet wraps whatever network it gets with send/delivery
-	// accounting so Drain and Rebalance can prove the mesh is quiescent.
-	Network transport.Network
 	// Trace is the shared event trace; nil allocates an empty one.  All
 	// members share one trace so the Appendix A.2 checker sees the whole
 	// execution.
 	Trace *trace.Trace
-	// Store enables durable state: every member journals its CM-private
-	// items (handoffs land in the new owner's WAL before cutover) and the
-	// fleet persists its route table under the "fleet-table" log.
-	Store *durable.Store
 	// Metrics is the registry (nil = obs.Default).
 	Metrics *obs.Registry
+
+	// store enables durable state: every member journals its CM-private
+	// items (handoffs land in the new owner's WAL before cutover) and the
+	// fleet persists its route table under the "fleet-table" log.  Only
+	// in-package tests set it.
+	store *durable.Store
 }
 
 // Fleet is an in-process sharded deployment: N shells sharing one spec,
@@ -49,7 +42,7 @@ type Options struct {
 // (Post, RequestWrite, WriteAux) routes by the current table the way a
 // table-holding translator would; Rebalance moves ownership — and the
 // moving bases' private state, through the durable subsystem when a
-// Store is configured — at an atomic epoch boundary.
+// store is configured — at an atomic epoch boundary.
 type Fleet struct {
 	spec   *rule.Spec
 	params Params
@@ -122,10 +115,11 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: spec has %d translator-backed item(s); the in-process fleet shards CM-private state only (pin database sites with a route file and cmshell -route-table)", len(spec.Items))
 	}
 	members := dedupSorted(o.Members)
-	clock := o.Clock
-	if clock == nil {
-		clock = vclock.Real{}
-	}
+	// Real time is what an in-process fleet needs: bus deliveries ride
+	// timer callbacks, and a virtual clock fires those only inside
+	// Advance/Run.  The fleet wraps the bus with send/delivery accounting
+	// so Drain and Rebalance can prove the mesh is quiescent.
+	clock := vclock.Real{}
 	reg := o.Metrics
 	if reg == nil {
 		reg = obs.Default
@@ -134,18 +128,14 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 	if tr == nil {
 		tr = trace.New(nil)
 	}
-	inner := o.Network
-	if inner == nil {
-		inner = transport.NewBus(clock, 0)
-	}
 	f := &Fleet{
 		spec:    spec,
 		params:  Params{Affinity: Affinity(spec)}.withDefaults(),
 		bases:   SpecBases(spec),
 		clock:   clock,
 		tr:      tr,
-		net:     &countingNet{inner: inner},
-		store:   o.Store,
+		net:     &countingNet{inner: transport.NewBus(clock, 0)},
+		store:   o.store,
 		reg:     reg,
 		shells:  map[string]*shell.Shell{},
 		routers: map[string]*Router{},
@@ -160,13 +150,13 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 	epoch := uint64(1)
 	var persisted *Table
 	if f.store != nil {
-		lg, rec, err := f.store.Log(TableLogName)
+		lg, rec, err := f.store.Log(tableLogName)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: opening table log: %w", err)
 		}
 		f.tlog = lg
 		if rec.Snapshot != nil {
-			t, err := DecodeTable(rec.Snapshot)
+			t, err := decodeTable(rec.Snapshot)
 			if err != nil {
 				return nil, err
 			}
@@ -288,18 +278,6 @@ func (f *Fleet) Post(item data.ItemName, old, new data.Value) error {
 	return nil
 }
 
-// RequestWrite routes a CM-originated write request to the owner.
-func (f *Fleet) RequestWrite(item data.ItemName, v data.Value) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	sh, err := f.ownerLocked(item.Base)
-	if err != nil {
-		return err
-	}
-	sh.RequestWrite(item, v)
-	return nil
-}
-
 // WriteAux initializes a CM-private item at its owner (setup only).
 func (f *Fleet) WriteAux(item data.ItemName, v data.Value) error {
 	f.mu.RLock()
@@ -310,18 +288,6 @@ func (f *Fleet) WriteAux(item data.ItemName, v data.Value) error {
 	}
 	sh.WriteAux(item, v)
 	return nil
-}
-
-// ReadAux reads a CM-private item from its owner.
-func (f *Fleet) ReadAux(item data.ItemName) (data.Value, bool, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	sh, err := f.ownerLocked(item.Base)
-	if err != nil {
-		return data.NullValue, false, err
-	}
-	v, ok := sh.ReadAux(item)
-	return v, ok, nil
 }
 
 func (f *Fleet) ownerLocked(base string) (*shell.Shell, error) {
@@ -463,36 +429,8 @@ func (f *Fleet) persistTableLocked() error {
 	return f.tlog.Checkpoint(buf)
 }
 
-// Table returns the current route table.
-func (f *Fleet) Table() Table {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.table
-}
-
 // Trace returns the shared event trace.
 func (f *Fleet) Trace() *trace.Trace { return f.tr }
-
-// Shell returns a member by ID (nil if absent).
-func (f *Fleet) Shell(id string) *shell.Shell {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.shells[id]
-}
-
-// Router returns a member's route-table view (nil if absent).
-func (f *Fleet) Router(id string) *Router {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.routers[id]
-}
-
-// Members returns the live shells' IDs in creation order.
-func (f *Fleet) Members() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return append([]string{}, f.order...)
-}
 
 // CheckTrace validates the shared trace against the Appendix A.2
 // checker, using the spec rules plus every member's implicit interface

@@ -9,6 +9,7 @@ import (
 	"cmtk/internal/durable"
 	"cmtk/internal/obs"
 	"cmtk/internal/rule"
+	"cmtk/internal/shell"
 	"cmtk/internal/trace"
 )
 
@@ -180,7 +181,7 @@ func TestFleetRebalanceHandsOffDurableState(t *testing.T) {
 		f, err := New(sp, Options{
 			Members: members,
 			Trace:   trace.New(initial),
-			Store:   st,
+			store:   st,
 			Metrics: obs.NewRegistry(),
 		})
 		if err != nil {
@@ -275,4 +276,44 @@ func TestFleetRebalanceRequiresRunningMembers(t *testing.T) {
 	if _, err := f.Rebalance([]string{"s1", "ghost"}); err == nil {
 		t.Fatal("rebalance onto a member that was never started must fail")
 	}
+}
+
+// ReadAux reads a CM-private item from its owner.
+func (f *Fleet) ReadAux(item data.ItemName) (data.Value, bool, error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	sh, err := f.ownerLocked(item.Base)
+	if err != nil {
+		return data.NullValue, false, err
+	}
+	v, ok := sh.ReadAux(item)
+	return v, ok, nil
+}
+
+// Table returns the current route table.
+func (f *Fleet) Table() Table {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.table
+}
+
+// Shell returns a member by ID (nil if absent).
+func (f *Fleet) Shell(id string) *shell.Shell {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.shells[id]
+}
+
+// Router returns a member's route-table view (nil if absent).
+func (f *Fleet) Router(id string) *Router {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.routers[id]
+}
+
+// Members returns the live shells' IDs in creation order.
+func (f *Fleet) Members() []string {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return append([]string{}, f.order...)
 }

@@ -48,9 +48,6 @@ func NewRouter(id string, reg *obs.Registry) *Router {
 	}
 }
 
-// ID returns the identity the router was built for.
-func (r *Router) ID() string { return r.id }
-
 // Install adopts a table if it is newer than the current one; it reports
 // whether the table was installed.  Equal-epoch reinstallation is a
 // no-op (idempotent redelivery), older epochs are rejected.
@@ -71,13 +68,6 @@ func (r *Router) Install(t Table) bool {
 	}
 	r.owned.Set(int64(n))
 	return true
-}
-
-// Table returns the installed table (zero Table before first Install).
-func (r *Router) Table() Table {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.t
 }
 
 // Epoch returns the installed table's epoch (0 before first Install).

@@ -57,9 +57,9 @@ type Table struct {
 	Owners     map[string]string `json:"owners"` // item base → member
 }
 
-// TableLogName is the durable log a fleet persists its current route
-// table under; `cmctl ring -state-dir` reads it back.
-const TableLogName = "fleet-table"
+// tableLogName is the durable log a fleet persists its current route
+// table under.
+const tableLogName = "fleet-table"
 
 // Assign computes the epoch's ownership table: affinity groups are
 // placed on the first ring successor of their anchor base with room
@@ -272,12 +272,12 @@ func ReadFile(path string) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	return DecodeTable(buf)
+	return decodeTable(buf)
 }
 
-// DecodeTable decodes a route table as WriteFile and a fleet's
+// decodeTable decodes a route table as WriteFile and a fleet's
 // fleet-table log write it, and rejects one without an owners map.
-func DecodeTable(buf []byte) (Table, error) {
+func decodeTable(buf []byte) (Table, error) {
 	var t Table
 	if err := json.Unmarshal(buf, &t); err != nil {
 		return Table{}, fmt.Errorf("fleet: decoding route table: %w", err)

@@ -83,10 +83,6 @@ func (r Report) String() string {
 	return fmt.Sprintf("%s: %s over %d obligations", r.Guarantee, status, r.Checked)
 }
 
-// TimeValue encodes an instant as a data.Value (integer seconds since the
-// simulation epoch) so CM-private items such as Tb can store times.
-func TimeValue(t time.Time) data.Value { return vclock.TimeValue(t) }
-
 // ValueTime decodes a TimeValue.
 func ValueTime(v data.Value) (time.Time, bool) { return vclock.ValueTime(v) }
 

@@ -252,7 +252,7 @@ func TestMonitorFlag(t *testing.T) {
 	g := MonitorFlag{Flag: flag, Tb: tb, X: itemX, Y: itemY, Kappa: 2 * time.Second}
 	tr := trace.New(data.Interpretation{"X": data.NewInt(1), "Y": data.NewInt(1)})
 	// CM observes equality from t=0, sets Tb=0 and Flag=true at t=5.
-	write(tr, 5, tb, TimeValue(at(0)))
+	write(tr, 5, tb, vclock.TimeValue(at(0)))
 	write(tr, 5, flag, data.NewBool(true))
 	if rep := g.Check(tr); !rep.Holds {
 		t.Fatalf("monitor: %+v", rep)
@@ -260,7 +260,7 @@ func TestMonitorFlag(t *testing.T) {
 	// Now X diverges at t=10 while Flag stays true; a Flag=true state at
 	// t=20 claims equality over [0, 18] — false.
 	write(tr, 10, itemX, data.NewInt(2))
-	write(tr, 20, tb, TimeValue(at(0)))
+	write(tr, 20, tb, vclock.TimeValue(at(0)))
 	if rep := g.Check(tr); rep.Holds {
 		t.Fatalf("monitor held despite divergence: %+v", rep)
 	}
@@ -270,7 +270,7 @@ func TestMonitorFlagKappaExcusesRecentDivergence(t *testing.T) {
 	flag, tb := data.Item("Flag"), data.Item("Tb")
 	g := MonitorFlag{Flag: flag, Tb: tb, X: itemX, Y: itemY, Kappa: 30 * time.Second}
 	tr := trace.New(data.Interpretation{"X": data.NewInt(1), "Y": data.NewInt(1)})
-	write(tr, 5, tb, TimeValue(at(0)))
+	write(tr, 5, tb, vclock.TimeValue(at(0)))
 	write(tr, 5, flag, data.NewBool(true))
 	// X diverges at t=10; Flag still true at t=10..  The claim at t=10 is
 	// equality over [0, -20] — an empty interval, so it holds.
@@ -351,7 +351,7 @@ func TestCheckAllAndReportString(t *testing.T) {
 
 func TestTimeValueRoundTrip(t *testing.T) {
 	for _, d := range []time.Duration{0, time.Second, time.Hour, 26 * time.Hour} {
-		v := TimeValue(vclock.Epoch.Add(d))
+		v := vclock.TimeValue(vclock.Epoch.Add(d))
 		got, ok := ValueTime(v)
 		if !ok || !got.Equal(vclock.Epoch.Add(d)) {
 			t.Fatalf("round trip %v -> %v, %v", d, got, ok)

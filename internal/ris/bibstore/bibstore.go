@@ -1,16 +1,15 @@
 // Package bibstore implements a read-only bibliographic information
 // system, the WAIS-like source of Sections 4.1 and 4.3.  Its native
-// interface is query-only: submit an author query, get records back.  The
-// constraint manager can neither write it nor subscribe to it, so the only
-// strategies available over it are polling ones, and constraints that
-// would require writing it can only be monitored — exactly the situation
-// Section 6.3 motivates.
+// interface is query-only: look a record up by citation key, or list the
+// keys.  The constraint manager can neither write it nor subscribe to
+// it, so the only strategies available over it are polling ones, and
+// constraints that would require writing it can only be monitored —
+// exactly the situation Section 6.3 motivates.
 package bibstore
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"cmtk/internal/ris"
@@ -27,22 +26,14 @@ type Record struct {
 
 // Store is the bibliography.
 type Store struct {
-	mu      sync.RWMutex
-	name    string
-	byKey   map[string]Record
-	byAuthr map[string][]string // author -> keys
+	mu    sync.RWMutex
+	byKey map[string]Record
 }
 
 // New creates an empty bibliography.
-func New(name string) *Store {
-	return &Store{name: name, byKey: map[string]Record{}, byAuthr: map[string][]string{}}
+func New() *Store {
+	return &Store{byKey: map[string]Record{}}
 }
-
-// Name returns the store name.
-func (s *Store) Name() string { return s.name }
-
-// Capabilities: read and query only.
-func (s *Store) Capabilities() ris.Capability { return ris.CapRead | ris.CapQuery }
 
 // Load adds records during setup.  This is administrative population (the
 // bibliography is maintained elsewhere), not a CM-visible write path.
@@ -57,47 +48,8 @@ func (s *Store) Load(recs ...Record) error {
 			return fmt.Errorf("bibstore: duplicate key %q", r.Key)
 		}
 		s.byKey[r.Key] = r
-		a := normAuthor(r.Author)
-		s.byAuthr[a] = append(s.byAuthr[a], r.Key)
 	}
 	return nil
-}
-
-// Remove deletes a record during administrative maintenance.
-func (s *Store) Remove(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.byKey[key]
-	if !ok {
-		return fmt.Errorf("bibstore: key %q: %w", key, ris.ErrNotFound)
-	}
-	delete(s.byKey, key)
-	a := normAuthor(r.Author)
-	keys := s.byAuthr[a]
-	for i, k := range keys {
-		if k == key {
-			s.byAuthr[a] = append(keys[:i], keys[i+1:]...)
-			break
-		}
-	}
-	if len(s.byAuthr[a]) == 0 {
-		delete(s.byAuthr, a)
-	}
-	return nil
-}
-
-// ByAuthor is the native query: records whose primary author matches,
-// case-insensitively, sorted by key.
-func (s *Store) ByAuthor(author string) []Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := append([]string(nil), s.byAuthr[normAuthor(author)]...)
-	sort.Strings(keys)
-	out := make([]Record, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, s.byKey[k])
-	}
-	return out
 }
 
 // Get returns one record by key.
@@ -122,5 +74,3 @@ func (s *Store) Keys() []string {
 	sort.Strings(out)
 	return out
 }
-
-func normAuthor(a string) string { return strings.ToLower(strings.TrimSpace(a)) }

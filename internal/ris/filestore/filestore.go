@@ -37,19 +37,6 @@ func Open(dir string, readOnly bool) (*Store, error) {
 	return &Store{dir: dir, readOnly: readOnly}, nil
 }
 
-// Dir returns the root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Capabilities reports read(+write/delete when not read-only); no native
-// notify.
-func (s *Store) Capabilities() ris.Capability {
-	c := ris.CapRead | ris.CapQuery
-	if !s.readOnly {
-		c |= ris.CapWrite | ris.CapDelete
-	}
-	return c
-}
-
 func (s *Store) path(file string) (string, error) {
 	if file == "" || strings.ContainsAny(file, "/\\") || strings.HasPrefix(file, ".") {
 		return "", fmt.Errorf("filestore: bad file name %q", file)
@@ -163,22 +150,6 @@ func (s *Store) mutate(file string, f func(map[string]string)) error {
 		d.Close()
 	}
 	return nil
-}
-
-// Files lists the record files present, without extension.
-func (s *Store) Files() ([]string, error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("filestore: %w", ris.Transient(err))
-	}
-	var out []string
-	for _, e := range ents {
-		if n, ok := strings.CutSuffix(e.Name(), ".rec"); ok {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 func escape(s string) string {

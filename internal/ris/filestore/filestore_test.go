@@ -71,12 +71,6 @@ func TestReadOnly(t *testing.T) {
 	if err := s.Delete("f", "k"); !errors.Is(err, ris.ErrReadOnly) {
 		t.Fatalf("err = %v", err)
 	}
-	if s.Capabilities().Has(ris.CapWrite) {
-		t.Error("read-only store claims write")
-	}
-	if !s.Capabilities().Has(ris.CapRead) {
-		t.Error("read-only store missing read")
-	}
 }
 
 func TestBadFileNames(t *testing.T) {
@@ -106,16 +100,6 @@ func TestEscaping(t *testing.T) {
 		if err != nil || v != c.v {
 			t.Fatalf("Read(%q) = %q, %v; want %q", c.k, v, err, c.v)
 		}
-	}
-}
-
-func TestFiles(t *testing.T) {
-	s := open(t, false)
-	s.Write("b", "k", "v")
-	s.Write("a", "k", "v")
-	fs, err := s.Files()
-	if err != nil || len(fs) != 2 || fs[0] != "a" || fs[1] != "b" {
-		t.Fatalf("Files = %v, %v", fs, err)
 	}
 }
 

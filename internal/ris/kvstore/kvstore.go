@@ -50,36 +50,6 @@ func New(name string, readOnly, notify bool) *Store {
 	}
 }
 
-// Name returns the store name.
-func (s *Store) Name() string { return s.name }
-
-// Capabilities reports the configured capability set.
-func (s *Store) Capabilities() ris.Capability {
-	c := ris.CapRead | ris.CapQuery
-	if !s.readOnly {
-		c |= ris.CapWrite | ris.CapDelete
-	}
-	if s.notify {
-		c |= ris.CapNotify
-	}
-	return c
-}
-
-// Lookup returns a copy of an entity's attributes.
-func (s *Store) Lookup(entity string) (map[string]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	attrs, ok := s.entities[entity]
-	if !ok {
-		return nil, fmt.Errorf("kvstore: entity %q: %w", entity, ris.ErrNotFound)
-	}
-	out := make(map[string]string, len(attrs))
-	for k, v := range attrs {
-		out[k] = v
-	}
-	return out, nil
-}
-
 // Get returns one attribute of an entity.
 func (s *Store) Get(entity, attr string) (string, error) {
 	s.mu.RLock()

@@ -35,7 +35,6 @@ package relstore
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -84,13 +83,6 @@ type Schema struct {
 
 // Row is one tuple, positionally matching the schema's columns.
 type Row []data.Value
-
-// Clone returns a copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
 
 // rowPair returns a row of n columns to store and one for its trigger
 // copy, cut from one allocation.  The stored row's capacity ends where
@@ -160,7 +152,6 @@ type table struct {
 // DB is the engine.  The zero value is not usable; use New.
 type DB struct {
 	mu     sync.RWMutex
-	name   string
 	tables map[string]*table
 	stmt   stmtBuf // the UPDATE being run; guarded by mu
 	trigMu sync.Mutex
@@ -171,34 +162,13 @@ type DB struct {
 	nextTrig int64
 }
 
-// New creates an empty database with the given name.
+// New creates an empty database.  The name is its callers' label for it
+// (risd's -name, a harness site's database); the database needs none.
 func New(name string) *DB {
 	return &DB{
-		name:     name,
 		tables:   map[string]*table{},
 		triggers: map[string][]regTrigger{},
 	}
-}
-
-// Name returns the database name.
-func (db *DB) Name() string { return db.name }
-
-// Capabilities reports the native capability set: full read/write/delete,
-// content queries, and trigger-based notification.
-func (db *DB) Capabilities() ris.Capability {
-	return ris.CapRead | ris.CapWrite | ris.CapDelete | ris.CapQuery | ris.CapNotify
-}
-
-// Tables lists the table names in sorted order.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RegisterTrigger installs a trigger on a table (the moral equivalent of

@@ -635,16 +635,6 @@ func TestStringEscaping(t *testing.T) {
 	}
 }
 
-func TestTablesAndCapabilities(t *testing.T) {
-	db := newEmployees(t)
-	if got := db.Tables(); len(got) != 1 || got[0] != "employees" {
-		t.Fatalf("tables = %v", got)
-	}
-	if !db.Capabilities().Has(ris.CapNotify | ris.CapWrite) {
-		t.Fatal("capabilities missing")
-	}
-}
-
 // quoteSQL renders v as AppendSQL does, as a string.
 func quoteSQL(v data.Value) string { return string(AppendSQL(nil, v)) }
 
@@ -855,4 +845,11 @@ func TestPKLookupMultiColumn(t *testing.T) {
 	if r := mustExec(t, db, "DELETE FROM grid WHERE x = 2 AND y = 'a'"); r.Affected != 1 {
 		t.Fatalf("delete affected = %d", r.Affected)
 	}
+}
+
+// Clone returns a copy of the row.
+func (r Row) Clone() Row {
+	out := make(Row, len(r))
+	copy(out, r)
+	return out
 }

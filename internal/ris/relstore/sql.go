@@ -9,6 +9,8 @@ import (
 )
 
 // Stmt is a parsed SQL statement.
+//
+//cmlint:allow deadsurface(sealed interface: stmt only marks the statement types)
 type Stmt interface{ stmt() }
 
 // CreateStmt is CREATE TABLE.
@@ -263,9 +265,6 @@ func (p *sqlParser) atEnd() bool {
 	}
 	return t.kind == sEOF
 }
-
-// Parse parses one SQL statement.
-func Parse(src string) (Stmt, error) { return parse(src, nil) }
 
 // stmtBuf is the storage an UPDATE parses into when the engine runs it:
 // the statement and room for four SET and four WHERE items, past which

@@ -22,3 +22,6 @@ func FuzzSQLParse(f *testing.F) {
 		}
 	})
 }
+
+// Parse parses one SQL statement.
+func Parse(src string) (Stmt, error) { return parse(src, nil) }

@@ -80,8 +80,6 @@ type TransientError struct{ Err error }
 func (e *TransientError) Error() string { return fmt.Sprintf("ris: transient: %v", e.Err) }
 
 // Unwrap exposes the wrapped error.
-//
-//cmlint:allow deadsurface(errors.Is and errors.As call it)
 func (e *TransientError) Unwrap() error { return e.Err }
 
 // Transient wraps err as transient.

@@ -120,15 +120,6 @@ func (rc *RelClient) RegisterTrigger(table string, fn relstore.Trigger) (func(),
 	}, nil
 }
 
-// Tables lists remote tables.
-func (rc *RelClient) Tables() ([]string, error) {
-	reply, err := rc.c.Do(wire.Message{Type: "tables"})
-	if err != nil {
-		return nil, err
-	}
-	return reply.Cols, nil
-}
-
 // Close closes the connection.
 func (rc *RelClient) Close() error { return rc.c.Close() }
 
@@ -188,15 +179,6 @@ func (kc *KVClient) Set(entity, attr, value string) error {
 func (kc *KVClient) Del(entity, attr string) error {
 	_, err := kc.c.Do(wire.Message{Type: "del", F: map[string]string{"entity": entity, "attr": attr}})
 	return err
-}
-
-// Lookup fetches all attributes of an entity.
-func (kc *KVClient) Lookup(entity string) (map[string]string, error) {
-	reply, err := kc.c.Do(wire.Message{Type: "lookup", F: map[string]string{"entity": entity}})
-	if err != nil {
-		return nil, err
-	}
-	return reply.F, nil
 }
 
 // Entities lists entity names.
@@ -280,15 +262,6 @@ func (fc *FileClient) Snapshot(file string) (map[string]string, error) {
 	return reply.F, nil
 }
 
-// Files lists record files.
-func (fc *FileClient) Files() ([]string, error) {
-	reply, err := fc.c.Do(wire.Message{Type: "files"})
-	if err != nil {
-		return nil, err
-	}
-	return reply.Cols, nil
-}
-
 // Close closes the connection.
 func (fc *FileClient) Close() error { return fc.c.Close() }
 
@@ -302,23 +275,6 @@ func DialBib(addr string, opts ...wire.DialOption) (*BibClient, error) {
 		return nil, err
 	}
 	return &BibClient{c: c}, nil
-}
-
-// ByAuthor queries records by author.
-func (bc *BibClient) ByAuthor(author string) ([]bibstore.Record, error) {
-	reply, err := bc.c.Do(wire.Message{Type: "byauthor", F: map[string]string{"author": author}})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bibstore.Record, 0, len(reply.Rows))
-	for _, row := range reply.Rows {
-		r, err := decodeRecord(row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // Get fetches one record by key.

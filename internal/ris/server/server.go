@@ -95,10 +95,6 @@ func (s *relSession) Handle(m wire.Message) wire.Message {
 		cancel()
 		delete(s.watches, table)
 		return wire.Reply(m)
-	case "tables":
-		reply := wire.Reply(m)
-		reply.Cols = s.db.Tables()
-		return reply
 	default:
 		return wire.ErrorReply(m, fmt.Errorf("relstore: unknown request %q: %w", m.Type, ris.ErrUnsupported))
 	}
@@ -171,14 +167,6 @@ func (s *kvSession) Handle(m wire.Message) wire.Message {
 			return wire.ErrorReply(m, err)
 		}
 		return wire.Reply(m)
-	case "lookup":
-		attrs, err := s.s.Lookup(m.Field("entity"))
-		if err != nil {
-			return wire.ErrorReply(m, err)
-		}
-		reply := wire.Reply(m)
-		reply.F = attrs
-		return reply
 	case "entities":
 		reply := wire.Reply(m)
 		reply.Cols = s.s.Entities()
@@ -263,14 +251,6 @@ func (s fileSession) Handle(m wire.Message) wire.Message {
 		reply := wire.Reply(m)
 		reply.F = recs
 		return reply
-	case "files":
-		fs, err := s.s.Files()
-		if err != nil {
-			return wire.ErrorReply(m, err)
-		}
-		reply := wire.Reply(m)
-		reply.Cols = fs
-		return reply
 	default:
 		return wire.ErrorReply(m, fmt.Errorf("filestore: unknown request %q: %w", m.Type, ris.ErrUnsupported))
 	}
@@ -310,12 +290,6 @@ func decodeRecord(row []string) (bibstore.Record, error) {
 
 func (s bibSession) Handle(m wire.Message) wire.Message {
 	switch m.Type {
-	case "byauthor":
-		reply := wire.Reply(m)
-		for _, r := range s.s.ByAuthor(m.Field("author")) {
-			reply.Rows = append(reply.Rows, encodeRecord(r))
-		}
-		return reply
 	case "get":
 		r, err := s.s.Get(m.Field("key"))
 		if err != nil {

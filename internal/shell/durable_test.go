@@ -89,7 +89,7 @@ func TestPrivateStateCrashKeepsFlushedWrites(t *testing.T) {
 	s.WriteAux(data.Item("cx"), data.NewInt(1))
 	st.Crash()
 	s.WriteAux(data.Item("cx"), data.NewInt(2)) // post-crash: not persisted
-	if err := s.dur.Sync(); !errors.Is(err, durable.ErrCrashed) {
+	if err := s.dur.Append(1, nil); !errors.Is(err, durable.ErrCrashed) {
 		t.Fatalf("journal after the crash = %v, want ErrCrashed", err)
 	}
 	s.Stop()

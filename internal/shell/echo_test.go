@@ -8,7 +8,6 @@ import (
 	"cmtk/internal/cmi"
 	"cmtk/internal/data"
 	"cmtk/internal/event"
-	"cmtk/internal/ris"
 	"cmtk/internal/rule"
 	"cmtk/internal/trace"
 	"cmtk/internal/vclock"
@@ -26,11 +25,8 @@ type echoSource struct {
 	fail data.Value
 }
 
-func (s *echoSource) Site() string            { return "S" }
-func (s *echoSource) Statements() []rule.Rule { return nil }
-func (s *echoSource) Capabilities(string) ris.Capability {
-	return ris.CapRead | ris.CapWrite | ris.CapNotify
-}
+func (s *echoSource) Site() string                         { return "S" }
+func (s *echoSource) Statements() []rule.Rule              { return nil }
 func (s *echoSource) List(string) ([]data.ItemName, error) { return nil, nil }
 func (s *echoSource) OnFailure(func(cmi.Failure))          {}
 func (s *echoSource) Close() error                         { return nil }
@@ -96,7 +92,7 @@ rule r: N(a(n), v) ->1s W(seen(n), v)
 	count := func(op event.Op, item data.ItemName) int {
 		n := 0
 		for _, e := range tr.Events() {
-			if e.Desc.Op == op && e.Desc.Item.Equal(item) {
+			if e.Desc.Op == op && e.Desc.Item.Key() == item.Key() {
 				n++
 			}
 		}

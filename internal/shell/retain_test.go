@@ -112,9 +112,8 @@ func TestRetentionBoundsTraceAndPreservesVerdicts(t *testing.T) {
 			t.Fatalf("guarantee %s: %+v", r.Guarantee, r)
 		}
 	}
-	g := reg.Gauge("cmtk_trace_retained_events", "", "shell").With("ret")
-	if int(g.Value()) != tr.Len() {
-		t.Fatalf("retained gauge %d, trace holds %d", g.Value(), tr.Len())
+	if g := reg.Snapshot()[`cmtk_trace_retained_events{shell="ret"}`]; int(g) != tr.Len() {
+		t.Fatalf("retained gauge %v, trace holds %d", g, tr.Len())
 	}
 	if c := reg.Counter("cmtk_trace_pruned_total", "", "shell").With("ret"); c.Value() == 0 {
 		t.Fatal("pruned counter never moved")

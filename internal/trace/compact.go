@@ -153,14 +153,6 @@ func (t *Trace) BaseSeq() uint64 {
 	return t.baseSeq
 }
 
-// BaseTime returns the timestamp of the last folded event, or the zero
-// time when nothing has been folded.
-func (t *Trace) BaseTime() time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.baseTimeLocked()
-}
-
 func (t *Trace) baseTimeLocked() time.Time {
 	if t.baseNanos == 0 {
 		return time.Time{}

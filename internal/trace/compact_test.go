@@ -248,3 +248,11 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal("Restore into non-empty trace succeeded")
 	}
 }
+
+// BaseTime returns the timestamp of the last folded event, or the zero
+// time when nothing has been folded.
+func (t *Trace) BaseTime() time.Time {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.baseTimeLocked()
+}

@@ -81,11 +81,6 @@ func (t *Bib) Site() string { return t.cfg.Site }
 // Statements implements cmi.Interface.
 func (t *Bib) Statements() []rule.Rule { return t.cfg.Statements }
 
-// Capabilities implements cmi.Interface.
-func (t *Bib) Capabilities(base string) ris.Capability {
-	return CapsFromStatements(t.cfg.Statements, base)
-}
-
 // Read implements cmi.Interface.
 func (t *Bib) Read(item data.ItemName) (data.Value, bool, error) {
 	t.countOp("read")

@@ -119,9 +119,6 @@ func (f *Faulty) Site() string { return f.inner.Site() }
 // Statements implements cmi.Interface.
 func (f *Faulty) Statements() []rule.Rule { return f.inner.Statements() }
 
-// Capabilities implements cmi.Interface.
-func (f *Faulty) Capabilities(base string) ris.Capability { return f.inner.Capabilities(base) }
-
 // Read implements cmi.Interface.
 func (f *Faulty) Read(item data.ItemName) (data.Value, bool, error) {
 	if err := f.inject("read"); err != nil {

@@ -46,11 +46,6 @@ func (t *File) Site() string { return t.cfg.Site }
 // Statements implements cmi.Interface.
 func (t *File) Statements() []rule.Rule { return t.cfg.Statements }
 
-// Capabilities implements cmi.Interface.
-func (t *File) Capabilities(base string) ris.Capability {
-	return CapsFromStatements(t.cfg.Statements, base)
-}
-
 func (t *File) binding(base string) (*rid.ItemBinding, error) {
 	b, ok := t.cfg.Binding(base)
 	if !ok {

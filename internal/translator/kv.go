@@ -66,11 +66,6 @@ func (t *KV) Site() string { return t.cfg.Site }
 // Statements implements cmi.Interface.
 func (t *KV) Statements() []rule.Rule { return t.cfg.Statements }
 
-// Capabilities implements cmi.Interface.
-func (t *KV) Capabilities(base string) ris.Capability {
-	return CapsFromStatements(t.cfg.Statements, base)
-}
-
 func (t *KV) binding(base string) (*rid.ItemBinding, error) {
 	b, ok := t.cfg.Binding(base)
 	if !ok {

@@ -46,11 +46,6 @@ func (t *Rel) Site() string { return t.cfg.Site }
 // Statements implements cmi.Interface.
 func (t *Rel) Statements() []rule.Rule { return t.cfg.Statements }
 
-// Capabilities implements cmi.Interface.
-func (t *Rel) Capabilities(base string) ris.Capability {
-	return CapsFromStatements(t.cfg.Statements, base)
-}
-
 // substSQL expands $n and $b in a SQL command template (Section 4.2.1:
 // "Our CM-Translator performs the necessary substitution given a
 // particular instance of n").  It makes one left-to-right pass over the

@@ -121,7 +121,7 @@ func TestRelNotifyViaTrigger(t *testing.T) {
 	if len(notes) != 1 {
 		t.Fatalf("notes = %v", notes)
 	}
-	if !notes[0].item.Equal(item("salary2", "e1")) || !notes[0].new.Equal(data.NewInt(175)) || !notes[0].old.Equal(data.NewInt(100)) {
+	if notes[0].item.Key() != item("salary2", "e1").Key() || !notes[0].new.Equal(data.NewInt(175)) || !notes[0].old.Equal(data.NewInt(100)) {
 		t.Fatalf("note = %+v", notes[0])
 	}
 	// Insert notifies with null old value.
@@ -176,14 +176,11 @@ func TestRelList(t *testing.T) {
 
 func TestRelCapabilitiesFromStatements(t *testing.T) {
 	_, tr := newRelTranslator(t)
-	caps := tr.Capabilities("salary2")
-	if !caps.Has(ris.CapWrite) || !caps.Has(ris.CapNotify) {
+	// WR -> W and Ws -> N were declared; no RR -> R was.
+	if caps := CapsFromStatements(tr.Statements(), "salary2"); caps != ris.CapWrite|ris.CapDelete|ris.CapNotify {
 		t.Fatalf("caps = %v", caps)
 	}
-	if caps.Has(ris.CapRead) {
-		t.Fatalf("caps = %v: no RR->R statement was declared", caps)
-	}
-	if got := tr.Capabilities("other"); got != 0 {
+	if got := CapsFromStatements(tr.Statements(), "other"); got != 0 {
 		t.Fatalf("caps for unknown base = %v", got)
 	}
 }
@@ -280,7 +277,7 @@ func TestKVTranslator(t *testing.T) {
 	// List finds entities carrying the attribute.
 	s.Set("bob", "office", "445") // no phone
 	items, err := tr.List("phone1")
-	if err != nil || len(items) != 1 || !items[0].Equal(item("phone1", "ann")) {
+	if err != nil || len(items) != 1 || items[0].Key() != item("phone1", "ann").Key() {
 		t.Fatalf("List = %v, %v", items, err)
 	}
 	// Null write deletes.
@@ -290,7 +287,7 @@ func TestKVTranslator(t *testing.T) {
 	if _, ok, _ := tr.Read(item("phone1", "ann")); ok {
 		t.Fatal("attr survived delete")
 	}
-	if caps := tr.Capabilities("phone1"); !caps.Has(ris.CapNotify) || !caps.Has(ris.CapRead) {
+	if caps := CapsFromStatements(tr.Statements(), "phone1"); caps != ris.CapNotify|ris.CapRead {
 		t.Fatalf("caps = %v", caps)
 	}
 }
@@ -394,7 +391,7 @@ func TestBibTranslator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := bibstore.New("bib")
+	s := bibstore.New()
 	s.Load(
 		bibstore.Record{Key: "w96", Author: "Widom", Title: "Toolkit", Year: 1996, Venue: "ICDE"},
 		bibstore.Record{Key: "g92", Author: "Garcia-Molina", Title: "Demarcation", Year: 1992, Venue: "EDBT"},
@@ -813,7 +810,7 @@ func TestOpenFactoryRemoteAllKinds(t *testing.T) {
 	}
 
 	// bibstore.
-	bs := bibstore.New("bib")
+	bs := bibstore.New()
 	bs.Load(bibstore.Record{Key: "w96", Author: "Widom", Title: "Toolkit", Year: 1996, Venue: "ICDE"})
 	bsSrv, err := server.ServeBib("127.0.0.1:0", bs)
 	if err != nil {

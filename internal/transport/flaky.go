@@ -205,15 +205,4 @@ func (e *flakyEndpoint) Send(to string, m Message) error {
 
 func (e *flakyEndpoint) Close() error { return e.inner.Close() }
 
-// Flush drains the wrapped endpoint when it supports it.
-func (e *flakyEndpoint) Flush() error {
-	if fl, ok := e.inner.(Flusher); ok {
-		return fl.Flush()
-	}
-	return nil
-}
-
-var (
-	_ Endpoint = (*flakyEndpoint)(nil)
-	_ Flusher  = (*flakyEndpoint)(nil)
-)
+var _ Endpoint = (*flakyEndpoint)(nil)

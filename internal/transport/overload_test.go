@@ -63,7 +63,7 @@ func TestTCPStalledPeerQueuesWithoutLoss(t *testing.T) {
 		evs = append(evs, ev)
 		evMu.Unlock()
 	})
-	frames := ep.mBatch.Count()
+	frames := batches(ep)
 	big := Message{Kind: "fire", Rule: strings.Repeat("r", wire.MaxFrame-4096)}
 	if err := ep.Send("B", big); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestTCPStalledPeerQueuesWithoutLoss(t *testing.T) {
 		order = append(order, m.Rule)
 	}
 	ep.outMu.Unlock()
-	if shipped := ep.mBatch.Count() - frames; shipped != 1 {
+	if shipped := batches(ep) - frames; shipped != 1 {
 		t.Fatalf("precondition: the flusher shipped %d batches, want 1 parked mid-write", shipped)
 	}
 	if depth != queued {

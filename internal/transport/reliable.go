@@ -253,8 +253,9 @@ type relIn struct {
 	next  uint64             // next expected seq
 	hold  map[uint64]Message // reorder buffer for out-of-order arrivals
 
-	mDups *obs.Counter
-	mHeld *obs.Counter
+	mDups       *obs.Counter
+	mHeld       *obs.Counter
+	mAcksUnsent *obs.Counter
 }
 
 // relMetrics holds the reliability layer's metric families; per-peer
@@ -262,7 +263,7 @@ type relIn struct {
 type relMetrics struct {
 	sends, retries, acked, replayed *obs.CounterVec
 	dropped                         *obs.CounterVec // peer, reason
-	dups, held                      *obs.CounterVec
+	dups, held, acksUnsent          *obs.CounterVec
 	depth                           *obs.GaugeVec
 	// holdDropped counts reorder-buffer evictions; one cell per endpoint,
 	// labelled with the owning shell.
@@ -291,6 +292,8 @@ func newRelMetrics(reg *obs.Registry, shellID string) relMetrics {
 			"Receiver-side duplicates discarded by sequence-number dedup, per link.", "peer"),
 		held: reg.Counter("cmtk_transport_reorder_held_total",
 			"Out-of-order arrivals parked in the reorder buffer, per link.", "peer"),
+		acksUnsent: reg.Counter("cmtk_transport_acks_unsent_total",
+			"Acks the receiver could not hand to its transport, per link.", "peer"),
 		depth: reg.Gauge("cmtk_transport_outbox_depth",
 			"Unacked messages currently buffered, per link.", "peer"),
 	}
@@ -713,7 +716,11 @@ func (r *ReliableEndpoint) deliver(m Message) {
 		r.recv(deliver[i])
 	}
 	if inner != nil {
-		inner.Send(from, Message{Kind: relAckKind, Link: LinkStamp{Seq: ack}})
+		if err := inner.Send(from, Message{Kind: relAckKind, Link: LinkStamp{Seq: ack}}); err != nil {
+			// The sender retransmits until an ack gets through; counting
+			// the failure tells an undeliverable ack from a lost message.
+			in.mAcksUnsent.Inc()
+		}
 	}
 }
 

@@ -328,9 +328,10 @@ func (r *ReliableEndpoint) inLink(from string) *relIn {
 	in := r.in[from]
 	if in == nil {
 		in = &relIn{
-			hold:  map[uint64]Message{},
-			mDups: r.met.dups.With(from),
-			mHeld: r.met.held.With(from),
+			hold:        map[uint64]Message{},
+			mDups:       r.met.dups.With(from),
+			mHeld:       r.met.held.With(from),
+			mAcksUnsent: r.met.acksUnsent.With(from),
 		}
 		r.in[from] = in
 	}

@@ -686,3 +686,51 @@ func TestReliableSenderProcessRestartResetsReceiver(t *testing.T) {
 		t.Fatalf("restarted sender outbox never drained: %d pending", n)
 	}
 }
+
+// TestReliableUnsentAckCounted holds that an ack the receiver cannot hand
+// to its transport is counted, per link: B's TCP network has no address
+// for A, so each of A's three fires arrives at B and each ack fails in
+// TCP.Send, and A's outbox keeps all three.  The retry clock is virtual
+// and never advanced, so nothing is resent.
+func TestReliableUnsentAckCounted(t *testing.T) {
+	clk := vclock.NewVirtual(vclock.Epoch)
+	regB := obs.NewRegistry()
+	var mu sync.Mutex
+	got := 0
+	tcpB := NewTCPNetworkAt("127.0.0.1:0", nil)
+	b, err := NewReliable(tcpB, ReliableOptions{Clock: clk, Metrics: regB}).Join("B", func(Message) {
+		mu.Lock()
+		got++
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	addr, _ := tcpB.Addr("B")
+	a, err := NewReliable(NewTCPNetworkAt("127.0.0.1:0", map[string]string{"B": addr}),
+		ReliableOptions{Clock: clk, Metrics: obs.NewRegistry()}).Join("A", func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for i := 0; i < 3; i++ {
+		if err := a.Send("B", Message{Kind: "fire", Rule: "r"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unsent := func() float64 { return regB.Snapshot()[`cmtk_transport_acks_unsent_total{peer="A"}`] }
+	for deadline := time.Now().Add(5 * time.Second); unsent() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("unsent acks = %v, want 3", unsent())
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got != 3 || unsent() != 3 {
+		t.Fatalf("B received %d fires and failed %v acks, want 3 and 3", got, unsent())
+	}
+	if n := a.(*ReliableEndpoint).Pending("B"); n != 3 {
+		t.Fatalf("A's outbox holds %d, want 3", n)
+	}
+}

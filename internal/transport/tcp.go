@@ -45,7 +45,6 @@ type TCP struct {
 	recvMu sync.Mutex
 
 	outMu   sync.Mutex
-	outCond *sync.Cond // signalled when an outbox drains (Flush waits on it)
 	outbox  map[string]*tcpOut
 	linkFns []func(LinkEvent)
 	mBatch  *obs.Histogram
@@ -89,7 +88,6 @@ func newTCP(n *TCPNetwork, shellID string, recv func(Message)) (*TCP, error) {
 			"Messages coalesced into one wire frame by the TCP send-side batcher.",
 			tcpBatchBuckets, "shell").With(shellID),
 	}
-	t.outCond = sync.NewCond(&t.outMu)
 	srv, err := wire.Serve(n.listen, tcpHandler{t})
 	if err != nil {
 		return nil, err
@@ -219,7 +217,6 @@ func (t *TCP) flushPeer(to string, o *tcpOut) {
 		batch := o.pending
 		if len(batch) == 0 {
 			o.running = false
-			t.outCond.Broadcast()
 			t.outMu.Unlock()
 			return
 		}
@@ -295,27 +292,6 @@ func (t *TCP) dropBatch(to string, batch []Message, err error) {
 	})
 }
 
-// Flush blocks until every queued outbound message has been either
-// written or reported lost, implementing Flusher for scenario teardowns
-// and tests that need send-completion.
-func (t *TCP) Flush() error {
-	t.outMu.Lock()
-	defer t.outMu.Unlock()
-	for {
-		busy := false
-		for _, o := range t.outbox {
-			if o.running || len(o.pending) > 0 {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			return nil
-		}
-		t.outCond.Wait()
-	}
-}
-
 // Close implements Endpoint.
 func (t *TCP) Close() error {
 	t.mu.Lock()
@@ -326,16 +302,10 @@ func (t *TCP) Close() error {
 	for _, p := range peers {
 		p.c.Close()
 	}
-	t.outMu.Lock()
-	t.outCond.Broadcast()
-	t.outMu.Unlock()
 	return t.srv.Close()
 }
 
-var (
-	_ Endpoint = (*TCP)(nil)
-	_ Flusher  = (*TCP)(nil)
-)
+var _ Endpoint = (*TCP)(nil)
 
 // TCPNetwork is a Network of TCP endpoints and the address registry they
 // route by: the routing table established "during initialization"

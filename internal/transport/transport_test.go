@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cmtk/internal/obs"
 	"cmtk/internal/vclock"
 )
 
@@ -131,14 +132,11 @@ func TestTCPBatchingFIFO(t *testing.T) {
 	defer b.Close()
 	a := joinTCP(t, net, "A", func(Message) {})
 	defer a.Close()
-	before := a.mBatch.Count()
+	before := batches(a)
 	for i := 0; i < n; i++ {
 		if err := a.Send("B", Message{Kind: "fire", Trigger: EventRef{Seq: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -160,11 +158,37 @@ func TestTCPBatchingFIFO(t *testing.T) {
 			t.Fatalf("FIFO violated at %d: seq %d", i, m.Trigger.Seq)
 		}
 	}
-	frames := a.mBatch.Count() - before
+	frames := batches(a) - before
 	if frames == 0 || frames >= n {
 		t.Fatalf("expected coalescing: %d messages went out in %d frames", n, frames)
 	}
 	t.Logf("%d messages coalesced into %d frames", n, frames)
+}
+
+// batches is how many frames tc's batcher has shipped, read off the
+// cmtk_transport_batch_size histogram's count.
+func batches(tc *TCP) uint64 {
+	return uint64(obs.Default.Snapshot()[`cmtk_transport_batch_size_count{shell="`+tc.shellID+`"}`])
+}
+
+// waitSent polls until tc has no queued frame and no running flusher:
+// every message sent so far was written or reported lost.
+func waitSent(t *testing.T, tc *TCP) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		tc.outMu.Lock()
+		busy := false
+		for _, o := range tc.outbox {
+			busy = busy || o.running || len(o.pending) > 0
+		}
+		tc.outMu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the outbox never drained")
+		}
+	}
 }
 
 func TestTCPSendErrors(t *testing.T) {
@@ -185,9 +209,7 @@ func TestTCPSendErrors(t *testing.T) {
 	if err := a.Send("B", Message{Kind: "fire"}); err != nil {
 		t.Fatalf("send to dead address should enqueue: %v", err)
 	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	waitSent(t, a)
 	mu.Lock()
 	if len(events) != 1 || events[0].Kind != LinkGaveUp || events[0].Peer != "B" ||
 		events[0].Messages != 1 || events[0].Fires != 1 || events[0].Err == nil {
@@ -349,9 +371,7 @@ func TestTCPSerialDeliveryAcrossReconnect(t *testing.T) {
 	if err := a.Send("B", Message{Kind: "fire", Rule: "second"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	waitSent(t, a)
 	evMu.Lock()
 	if len(evs) != 0 {
 		t.Fatalf("link events = %+v, want none: the second frame was not written", evs)

@@ -54,13 +54,6 @@ func (s *Skewed) SetOffset(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Offset reports the current skew.
-func (s *Skewed) Offset() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.off
-}
-
 // Resync zeroes the offset, modelling an NTP step back to true time.
 func (s *Skewed) Resync() { s.SetOffset(0) }
 

@@ -94,34 +94,6 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	return t
 }
 
-// Pending reports the number of callbacks still scheduled.
-func (v *Virtual) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.hp.Len()
-}
-
-// Step delivers the single earliest pending callback, moving the clock to
-// its due time.  It reports whether a callback ran.
-func (v *Virtual) Step() bool {
-	v.mu.Lock()
-	if v.hp.Len() == 0 {
-		v.mu.Unlock()
-		return false
-	}
-	t := heap.Pop(&v.hp).(*vtimer)
-	t.popped = true
-	if t.when.After(v.now) {
-		v.now = t.when
-	}
-	f := t.f
-	v.mu.Unlock()
-	if f != nil && !t.stopped() {
-		f()
-	}
-	return true
-}
-
 // Advance moves the clock forward by d, delivering every callback that
 // falls due, in order.  Callbacks may schedule further callbacks; those are
 // delivered too if they fall within the window.
@@ -152,21 +124,6 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 			f()
 		}
 	}
-}
-
-// Run delivers callbacks until none are pending or the limit is reached.
-// A limit of 0 means no limit.  It returns the number of callbacks run.
-// Periodic schedules reschedule themselves forever, so scenarios that use
-// Every should prefer Advance/AdvanceTo with an explicit horizon.
-func (v *Virtual) Run(limit int) int {
-	n := 0
-	for limit == 0 || n < limit {
-		if !v.Step() {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 type vtimer struct {
@@ -207,7 +164,6 @@ type timerHeap []*vtimer
 
 func (h timerHeap) Len() int { return len(h) }
 
-//cmlint:allow deadsurface(container/heap calls it through heap.Interface)
 func (h timerHeap) Less(i, j int) bool {
 	if !h[i].when.Equal(h[j].when) {
 		return h[i].when.Before(h[j].when)
@@ -215,7 +171,6 @@ func (h timerHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-//cmlint:allow deadsurface(container/heap calls it through heap.Interface)
 func (h timerHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx, h[j].idx = i, j

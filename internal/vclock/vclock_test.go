@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"sync"
@@ -303,4 +304,47 @@ func TestQuickStopSubset(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Pending reports the number of callbacks still scheduled.
+func (v *Virtual) Pending() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.hp.Len()
+}
+
+// Step delivers the single earliest pending callback, moving the clock to
+// its due time.  It reports whether a callback ran.
+func (v *Virtual) Step() bool {
+	v.mu.Lock()
+	if v.hp.Len() == 0 {
+		v.mu.Unlock()
+		return false
+	}
+	t := heap.Pop(&v.hp).(*vtimer)
+	t.popped = true
+	if t.when.After(v.now) {
+		v.now = t.when
+	}
+	f := t.f
+	v.mu.Unlock()
+	if f != nil && !t.stopped() {
+		f()
+	}
+	return true
+}
+
+// Run delivers callbacks until none are pending or the limit is reached.
+// A limit of 0 means no limit.  It returns the number of callbacks run.
+// Periodic schedules reschedule themselves forever, so scenarios that use
+// Every should prefer Advance/AdvanceTo with an explicit horizon.
+func (v *Virtual) Run(limit int) int {
+	n := 0
+	for limit == 0 || n < limit {
+		if !v.Step() {
+			break
+		}
+		n++
+	}
+	return n
 }
