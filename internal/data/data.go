@@ -50,29 +50,38 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is an immutable tagged scalar.  The zero Value is Null.
+// Value is an immutable tagged scalar.  The zero Value is Null.  It is
+// four words: the kind, one word of payload that holds an Int's bits, a
+// Float's math.Float64bits or a Bool as 0 or 1, and a String's header.
+// Because a Float is held as bits, == would call -0 and +0 different and
+// a NaN equal to itself; the zero-length func field makes == a compile
+// error, so every comparison goes through Equal.
 type Value struct {
+	_    [0]func()
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
 }
 
 // NullValue is the null Value.
 var NullValue = Value{}
 
 // NewInt returns an Int value.
-func NewInt(i int64) Value { return Value{kind: Int, i: i} }
+func NewInt(i int64) Value { return Value{kind: Int, n: uint64(i)} }
 
 // NewFloat returns a Float value.
-func NewFloat(f float64) Value { return Value{kind: Float, f: f} }
+func NewFloat(f float64) Value { return Value{kind: Float, n: math.Float64bits(f)} }
 
 // NewString returns a String value.
 func NewString(s string) Value { return Value{kind: String, s: s} }
 
 // NewBool returns a Bool value.
-func NewBool(b bool) Value { return Value{kind: Bool, b: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{kind: Bool, n: 1}
+	}
+	return Value{kind: Bool}
+}
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -81,25 +90,25 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == Null }
 
 // Int returns the integer payload; valid only when Kind()==Int.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 { return int64(v.n) }
 
 // Float returns the float payload; valid only when Kind()==Float.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 { return math.Float64frombits(v.n) }
 
 // Str returns the string payload; valid only when Kind()==String.
 func (v Value) Str() string { return v.s }
 
 // Bool returns the bool payload; valid only when Kind()==Bool.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.n != 0 }
 
 // AsFloat converts numeric values to float64.  The second result is false
 // for non-numeric values.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case Int:
-		return float64(v.i), true
+		return float64(v.Int()), true
 	case Float:
-		return v.f, true
+		return v.Float(), true
 	default:
 		return 0, false
 	}
@@ -109,12 +118,10 @@ func (v Value) AsFloat() (float64, bool) {
 // boolean true, nonzero number, or nonempty string.
 func (v Value) Truthy() bool {
 	switch v.kind {
-	case Bool:
-		return v.b
-	case Int:
-		return v.i != 0
+	case Bool, Int:
+		return v.n != 0
 	case Float:
-		return v.f != 0
+		return v.Float() != 0
 	case String:
 		return v.s != ""
 	default:
@@ -146,7 +153,7 @@ func (v Value) Equal(w Value) bool {
 	}
 	switch v.kind {
 	case Bool:
-		return v.b == w.b
+		return v.n == w.n
 	case String:
 		return v.s == w.s
 	}
@@ -182,14 +189,7 @@ func (v Value) Compare(w Value) (int, bool) {
 	case String:
 		return strings.Compare(v.s, w.s), true
 	case Bool:
-		vi, wi := 0, 0
-		if v.b {
-			vi = 1
-		}
-		if w.b {
-			wi = 1
-		}
-		return vi - wi, true
+		return cmp.Compare(v.n, w.n), true
 	default:
 		return 0, false
 	}
@@ -201,11 +201,11 @@ func (v Value) Compare(w Value) (int, bool) {
 func (v Value) compareExact(w Value) (int, bool) {
 	switch {
 	case v.kind == Int && w.kind == Int:
-		return cmp.Compare(v.i, w.i), true
-	case v.kind == Int && w.kind == Float && !math.IsNaN(w.f):
-		return compareIntFloat(v.i, w.f), true
-	case v.kind == Float && w.kind == Int && !math.IsNaN(v.f):
-		return -compareIntFloat(w.i, v.f), true
+		return cmp.Compare(v.Int(), w.Int()), true
+	case v.kind == Int && w.kind == Float && !math.IsNaN(w.Float()):
+		return compareIntFloat(v.Int(), w.Float()), true
+	case v.kind == Float && w.kind == Int && !math.IsNaN(v.Float()):
+		return -compareIntFloat(w.Int(), v.Float()), true
 	}
 	return 0, false
 }
@@ -244,28 +244,29 @@ func Arith(op byte, a, b Value) (Value, error) {
 		return NullValue, fmt.Errorf("data: arithmetic %c on non-numeric values %s, %s", op, a, b)
 	}
 	bothInt := a.kind == Int && b.kind == Int
+	ai, bi := a.Int(), b.Int()
 	switch op {
 	case '+':
 		if bothInt {
-			return NewInt(a.i + b.i), nil
+			return NewInt(ai + bi), nil
 		}
 		return NewFloat(af + bf), nil
 	case '-':
 		if bothInt {
-			return NewInt(a.i - b.i), nil
+			return NewInt(ai - bi), nil
 		}
 		return NewFloat(af - bf), nil
 	case '*':
 		if bothInt {
-			return NewInt(a.i * b.i), nil
+			return NewInt(ai * bi), nil
 		}
 		return NewFloat(af * bf), nil
 	case '/':
 		if bf == 0 {
 			return NullValue, fmt.Errorf("data: division by zero")
 		}
-		if bothInt && a.i%b.i == 0 {
-			return NewInt(a.i / b.i), nil
+		if bothInt && ai%bi == 0 {
+			return NewInt(ai / bi), nil
 		}
 		return NewFloat(af / bf), nil
 	default:
@@ -277,12 +278,12 @@ func Arith(op byte, a, b Value) (Value, error) {
 func Abs(v Value) (Value, error) {
 	switch v.kind {
 	case Int:
-		if v.i < 0 {
-			return NewInt(-v.i), nil
+		if i := v.Int(); i < 0 {
+			return NewInt(-i), nil
 		}
 		return v, nil
 	case Float:
-		return NewFloat(math.Abs(v.f)), nil
+		return NewFloat(math.Abs(v.Float())), nil
 	default:
 		return NullValue, fmt.Errorf("data: abs of non-numeric value %s", v)
 	}
@@ -295,11 +296,11 @@ func (v Value) AppendLiteral(dst []byte) []byte {
 	case Null:
 		return append(dst, "null"...)
 	case Bool:
-		return strconv.AppendBool(dst, v.b)
+		return strconv.AppendBool(dst, v.Bool())
 	case Int:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, v.Int(), 10)
 	case Float:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case String:
 		return strconv.AppendQuote(dst, v.s)
 	default:

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -25,6 +26,42 @@ func TestValueKinds(t *testing.T) {
 	}
 	if !NullValue.IsNull() || NewInt(0).IsNull() {
 		t.Error("IsNull misbehaves")
+	}
+}
+
+// nanPayload is a quiet NaN with a nonzero payload, which a round trip
+// through the Value's one payload word must keep bit for bit.
+var nanPayload = math.Float64frombits(0x7ff8_0000_0000_0abc)
+
+// TestValueLayout pins the four-word Value: 32 bytes, and every Float and
+// Int payload back bit for bit, including the ones == on a float64 would
+// confuse.  Equal, not ==, decides equality: -0 equals +0 and a NaN equals
+// nothing, whatever their bits.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+	for _, f := range []float64{
+		math.Copysign(0, -1), nanPayload, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64,
+	} {
+		if got := NewFloat(f).Float(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("NewFloat(%#x).Float() = %#x", math.Float64bits(f), math.Float64bits(got))
+		}
+	}
+	for _, i := range []int64{math.MinInt64, math.MaxInt64, -1} {
+		if got := NewInt(i).Int(); got != i {
+			t.Errorf("NewInt(%d).Int() = %d", i, got)
+		}
+	}
+	if !NewBool(true).Bool() || NewBool(false).Bool() {
+		t.Error("Bool does not round-trip")
+	}
+	if !NewFloat(math.Copysign(0, -1)).Equal(NewFloat(0)) {
+		t.Error("-0 does not equal +0")
+	}
+	if v := NewFloat(nanPayload); v.Equal(v) {
+		t.Error("a NaN equals itself")
 	}
 }
 
@@ -366,6 +403,13 @@ func FuzzValueOrder(f *testing.F) {
 		{0, 1, 0.5, 0, 2},
 		{0, 0, math.NaN(), 1, 2},
 		{3, 3, 0, 0, 3},
+		{math.MinInt64, math.MaxInt64, 0, 0, 3},
+		{0, 0, math.Copysign(0, -1), 0, 0},
+		{0, 0, nanPayload, nanPayload, 0},
+		{0, 0, math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0},
+		{0, 0, 0, -math.SmallestNonzeroFloat64, 1},
+		{math.MaxInt64, 0, 0, math.Inf(1), 1},
+		{math.MinInt64, 0, 0, math.Inf(-1), 1},
 	} {
 		f.Add(c.i, c.j, c.x, c.y, c.kinds)
 	}

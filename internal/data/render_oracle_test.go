@@ -8,9 +8,10 @@ import (
 )
 
 // Value.String and ItemName.String as they were before both became one
-// conversion of AppendLiteral and AppendKey, kept verbatim (bar the names)
-// as the oracles TestRenderMatchesOracle and FuzzItemKey hold the append
-// forms to.  The key was built with a strings.Builder and each argument
+// conversion of AppendLiteral and AppendKey, kept verbatim (bar the names,
+// and the payload read through its accessors now that a Value holds it in
+// one word) as the oracles TestRenderMatchesOracle and FuzzItemKey hold
+// the append forms to.  The key was built with a strings.Builder and each argument
 // literal was a string of its own.
 
 func oracleValueString(v Value) string {
@@ -18,11 +19,11 @@ func oracleValueString(v Value) string {
 	case Null:
 		return "null"
 	case Bool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.Bool())
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case String:
 		return strconv.Quote(v.s)
 	default:

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"cmtk/internal/data"
 )
@@ -366,3 +367,12 @@ func (d Desc) Equal(e Desc) bool {
 // Spontaneous reports whether the event occurred independently of the
 // constraint manager (Appendix A.2 property 4).
 func (e *Event) Spontaneous() bool { return e.Rule == "" && e.Trigger == nil }
+
+// TestEventSize pins the recorded event at 240 bytes or less: its
+// descriptor holds two four-word Values, and every write the trace keeps
+// is one of these.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 240 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want <= 240", got)
+	}
+}

@@ -98,8 +98,8 @@ func TestEngineAllocsPerUpdate(t *testing.T) {
 			t.Fatalf("%d updates recorded %d events, want exactly %d", 2*n, got, 3*2*n)
 		}
 		t.Logf("local: %.2f allocs, %.0f B per update", allocs, bytes)
-		if allocs > 3.1 || bytes > 1100 {
-			t.Errorf("local update costs %.2f allocs and %.0f B, budget 3.1 and 1100", allocs, bytes)
+		if allocs > 3.1 || bytes > 1010 {
+			t.Errorf("local update costs %.2f allocs and %.0f B, budget 3.1 and 1010", allocs, bytes)
 		}
 	})
 	t.Run("bus", func(t *testing.T) {
@@ -135,8 +135,8 @@ func TestEngineAllocsPerUpdate(t *testing.T) {
 		// Over the local cost: the bindings map the receiver owns, the
 		// message's delivery timer and its slot in the link queue.
 		t.Logf("bus: %.2f allocs, %.0f B per update", allocs, bytes)
-		if allocs > 6.1 || bytes > 1900 {
-			t.Errorf("bus update costs %.2f allocs and %.0f B, budget 6.1 and 1900", allocs, bytes)
+		if allocs > 6.1 || bytes > 1560 {
+			t.Errorf("bus update costs %.2f allocs and %.0f B, budget 6.1 and 1560", allocs, bytes)
 		}
 	})
 }

@@ -111,11 +111,12 @@ func (t *Trace) CompactBefore(horizon time.Time, hold time.Duration) CompactStat
 	t.events = append(make([]*event.Event, 0, len(t.events)-p), t.events[p:]...)
 	for key := range touched {
 		tl := t.timelines[key]
-		q := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= cut })
-		if q == len(tl) {
+		q := sort.Search(len(tl.writes), func(j int) bool { return tl.writes[j].Seq >= cut })
+		if q == len(tl.writes) {
 			delete(t.timelines, key)
 		} else if q > 0 {
-			t.timelines[key] = append(make([]*event.Event, 0, len(tl)-q), tl[q:]...)
+			tl.writes = append(make([]*event.Event, 0, len(tl.writes)-q), tl.writes[q:]...)
+			t.timelines[key] = tl
 		}
 	}
 	t.baseSeq = cut
@@ -200,14 +201,15 @@ type CheckpointState struct {
 func (t *Trace) Checkpoint() CheckpointState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	state := t.currentLocked()
 	cs := CheckpointState{
 		NextSeq:      t.seq,
 		BaseTime:     t.baseTimeLocked(),
 		PrunedEvents: t.prunedEvents + uint64(len(t.events)),
 		PrunedBytes:  t.prunedBytes,
-		Base:         make(map[string]string, len(t.state)),
+		Base:         make(map[string]string, len(state)),
 	}
-	for k, v := range t.state {
+	for k, v := range state {
 		cs.Base[k] = v.String()
 	}
 	if n := len(t.events); n > 0 && !t.events[n-1].Time.IsZero() {
@@ -216,10 +218,10 @@ func (t *Trace) Checkpoint() CheckpointState {
 	return cs
 }
 
-// Restore seeds an empty trace from a checkpoint: the base and current
-// state become the checkpointed interpretation, sequence numbering
-// resumes at NextSeq, and the fold accounting carries over.  Only a
-// trace that has recorded nothing can be restored.
+// Restore seeds an empty trace from a checkpoint: the base becomes the
+// checkpointed interpretation, sequence numbering resumes at NextSeq, and
+// the fold accounting carries over.  Only a trace that has recorded
+// nothing can be restored.
 //
 //cmlint:acquires 20
 func (t *Trace) Restore(cs CheckpointState) error {
@@ -238,7 +240,6 @@ func (t *Trace) Restore(cs CheckpointState) error {
 			return fmt.Errorf("trace: checkpoint value %q for %q: %w", lit, key, err)
 		}
 		t.base.Set(item, v)
-		t.state.Set(item, v)
 	}
 	t.seq = cs.NextSeq
 	t.baseSeq = cs.NextSeq

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -50,5 +51,37 @@ func TestKeyReadsDoNotAllocate(t *testing.T) {
 	}
 	if !sink.Equal(data.NewInt(2)) || !ok || s != `N(salary1("e7"), 100)` {
 		t.Fatalf("reads returned %v, %v, %q", sink, ok, s)
+	}
+}
+
+// TestWriteToKnownItemRendersNoKey: a write to an item that already has a
+// timeline finds it through a key rendered on the stack, so 1 000 appends
+// of prebuilt write events to salary1("e7") allocate only the amortized
+// growth of the event log and the item's timeline, well under 0.05 per
+// append.  Rendering the key to a string on every write costs 1.
+func TestWriteToKnownItemRendersNoKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	item := data.Item("salary1", data.NewString("e7"))
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	tr := New(nil)
+	tr.Append(&event.Event{Time: at, Site: "A", Desc: event.Ws(item, data.NullValue, data.NewInt(0))})
+	const n = 1000
+	evs := make([]event.Event, n)
+	for i := range evs {
+		evs[i] = event.Event{Time: at, Site: "A", Desc: event.Ws(item, data.NewInt(int64(i)), data.NewInt(int64(i+1)))}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range evs {
+		tr.Append(&evs[i])
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 0.05 {
+		t.Errorf("%.3f allocations per append to a known item, want <= 0.05", per)
+	}
+	if got := tr.ValueAfter(evs[n-1].Seq, item); !got.Equal(data.NewInt(n)) {
+		t.Fatalf("last write reads %s, want %d", got, n)
 	}
 }

@@ -4,9 +4,12 @@
 // and the benchmark harness records a trace and re-validates it, replacing
 // the paper's manual proofs with a machine check on every run.
 //
-// State is stored as a versioned store: one timeline of write events per
-// data item plus the current interpretation, mutated in place.  Appending
-// an event is O(1) in the number of items and events; the per-event old
+// State is stored as a versioned store: the folded base interpretation
+// plus one timeline of write events per data item, whose key is rendered
+// once, at the item's first write.  Appending an event is O(1) in the
+// number of items and events, and a write to an item that already has a
+// timeline renders its key into a stack buffer and finds the timeline
+// with m[string(buf)], which allocates nothing.  The per-event old
 // and new interpretations of the formal model are lazy views (Event.Old /
 // Event.New) reconstructed from the timelines on demand.  A reader that
 // wants a few items of a state does not build one: the point read
@@ -16,18 +19,19 @@
 // way, so a pass costs what the rules read, not what the store holds.
 // What still materializes a full interpretation: the checker's properties
 // 2–3, which compare whole states, around events carrying eager overrides
-// (plus one Initial per pass), and StateAt / WalkNewStates for the
-// guarantee walkers.
+// (plus one Initial per pass), StateAt / WalkNewStates for the guarantee
+// walkers, and Final / Checkpoint, which overlay the base with each
+// timeline's last write.
 //
 // # Concurrency
 //
 // One mutex guards the whole store: the event log, the per-item
-// timelines, the current state and the folded base.  Every sequence
-// number is drawn under it, so the event log is always seq-ascending and
-// gap-free (event i of a snapshot has Seq BaseSeq()+i), seq order is a
-// linearization of the execution (if Append(A) returns before Append(B)
-// is called, A.Seq < B.Seq), and every read — Events, Find, the
-// checker's point reads — sees a seq prefix of the execution.
+// timelines and the folded base.  Every sequence number is drawn under
+// it, so the event log is always seq-ascending and gap-free (event i of a
+// snapshot has Seq BaseSeq()+i), seq order is a linearization of the
+// execution (if Append(A) returns before Append(B) is called, A.Seq <
+// B.Seq), and every read — Events, Find, the checker's point reads —
+// sees a seq prefix of the execution.
 //
 // AppendUnit is the commit point every shell uses: it assigns one
 // contiguous block of sequence numbers to a unit of events (a shell
@@ -49,10 +53,10 @@ import (
 	"cmtk/internal/event"
 )
 
-// Trace is an append-only record of an execution.  It maintains the
-// running interpretation and per-item write timelines so that appended
-// events can answer for their old/new components per Appendix A.2
-// properties 2 and 3.  Trace is safe for concurrent use.
+// Trace is an append-only record of an execution.  It maintains per-item
+// write timelines so that appended events can answer for their old/new
+// components per Appendix A.2 properties 2 and 3.  Trace is safe for
+// concurrent use.
 type Trace struct {
 	// mu guards every field below.  AppendUnit holds it across sequence
 	// assignment, commit-time stamping, publication and the caller's
@@ -73,8 +77,7 @@ type Trace struct {
 	// state, so the timelines are a complete versioned store: the state
 	// after any event is base overlaid with each item's last write at or
 	// before that sequence number.
-	timelines map[string][]*event.Event
-	state     data.Interpretation // current values
+	timelines map[string]timeline
 	// Retention accounting (see compact.go).  baseSeq is the first
 	// retained sequence number: every event below it has been folded into
 	// base by CompactBefore or Restore.
@@ -89,9 +92,16 @@ type Trace struct {
 func New(initial data.Interpretation) *Trace {
 	return &Trace{
 		base:      initial.Clone(),
-		timelines: map[string][]*event.Event{},
-		state:     initial.Clone(),
+		timelines: map[string]timeline{},
 	}
+}
+
+// timeline is one item's performed writes in sequence order, never empty,
+// with the item's key as rendered at its first write.  The map holds it by
+// value and is reassigned under key, so a later write allocates no key.
+type timeline struct {
+	key    string
+	writes []*event.Event
 }
 
 // Append records the event, assigning its sequence number and wiring up
@@ -119,15 +129,16 @@ func (t *Trace) appendLocked(e *event.Event) {
 	t.seq++
 	e.SetStateSource(t)
 	if e.Desc.Op.IsWrite() {
-		// One rendered key serves both maps: Interpretation.Set would
-		// render it a second time.
-		key := e.Desc.Item.Key()
-		t.timelines[key] = append(t.timelines[key], e)
-		if v := e.Desc.Val; v.IsNull() {
-			delete(t.state, key)
-		} else {
-			t.state[key] = v
+		var buf [64]byte
+		key := e.Desc.Item.AppendKey(buf[:0])
+		tl, ok := t.timelines[string(key)]
+		if !ok {
+			// Key, not string(key): an argument-free item's key is its
+			// base name, which costs nothing to keep.
+			tl.key = e.Desc.Item.Key()
 		}
+		tl.writes = append(tl.writes, e)
+		t.timelines[tl.key] = tl
 	}
 	t.events = append(t.events, e)
 }
@@ -192,12 +203,30 @@ func (t *Trace) stateAtSeq(seq uint64, inclusive bool) data.Interpretation {
 	out := t.base.Clone()
 	for key, tl := range t.timelines {
 		// First write with w.Seq >= bound; the one before it is in force.
-		j := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= bound })
+		j := sort.Search(len(tl.writes), func(j int) bool { return tl.writes[j].Seq >= bound })
 		if j == 0 {
 			continue
 		}
-		v := tl[j-1].Desc.Val
+		v := tl.writes[j-1].Desc.Val
 		if v.IsNull() {
+			delete(out, key)
+		} else {
+			out[key] = v
+		}
+	}
+	return out
+}
+
+// currentLocked is the interpretation after the last recorded event: the
+// base overlaid with each timeline's last write, in a map sized for both
+// up front.  The caller holds the trace mutex.
+func (t *Trace) currentLocked() data.Interpretation {
+	out := make(data.Interpretation, len(t.base)+len(t.timelines))
+	for key, v := range t.base {
+		out[key] = v
+	}
+	for key, tl := range t.timelines {
+		if v := tl.writes[len(tl.writes)-1].Desc.Val; v.IsNull() {
 			delete(out, key)
 		} else {
 			out[key] = v
@@ -226,7 +255,7 @@ func (t *Trace) valueAtSeq(bound uint64, item data.ItemName) data.Value {
 	key := item.AppendKey(buf[:0])
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tl := t.timelines[string(key)]
+	tl := t.timelines[string(key)].writes
 	j := sort.Search(len(tl), func(j int) bool { return tl[j].Seq >= bound })
 	if j == 0 {
 		return t.base[string(key)]
@@ -281,7 +310,7 @@ func (t *Trace) Initial() data.Interpretation {
 func (t *Trace) Final() data.Interpretation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.state.Clone()
+	return t.currentLocked()
 }
 
 // StateAt returns the interpretation in force at instant at: the new
@@ -349,7 +378,7 @@ func (t *Trace) Timeline(item data.ItemName) []Sample {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := []Sample{{V: t.base[string(key)]}}
-	for _, e := range t.timelines[string(key)] {
+	for _, e := range t.timelines[string(key)].writes {
 		v := e.Desc.Val
 		if !v.Equal(out[len(out)-1].V) {
 			out = append(out, Sample{At: e.Time, Seq: e.Seq, V: v})

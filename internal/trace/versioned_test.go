@@ -109,6 +109,51 @@ func TestVersionedMatchesCloning(t *testing.T) {
 	}
 }
 
+// TestCurrentStateMatchesCloning holds Final and Checkpoint, which overlay
+// the base with each timeline's last write, to the oracle's last state:
+// after a random execution, after a fold of half of it, after a restore
+// into a fresh trace, and after writes appended to the restored one.
+func TestCurrentStateMatchesCloning(t *testing.T) {
+	tr, initial := buildRandom(7, 300)
+	states := naiveStates(initial, tr.Events())
+	check := func(stage string, tr *Trace, want data.Interpretation) {
+		t.Helper()
+		if got := tr.Final(); !got.Equal(want) {
+			t.Fatalf("%s: Final %s != %s", stage, got, want)
+		}
+		base := tr.Checkpoint().Base
+		if len(base) != len(want) {
+			t.Fatalf("%s: Checkpoint().Base %v != %s", stage, base, want)
+		}
+		for k, v := range want {
+			if base[k] != v.String() {
+				t.Fatalf("%s: Checkpoint().Base %v != %s", stage, base, want)
+			}
+		}
+	}
+	want := states[len(states)-1]
+	check("recorded", tr, want)
+	if st := tr.CompactBefore(at(150), 0); st.PrunedEvents != 150 {
+		t.Fatalf("CompactBefore pruned %d events, want 150", st.PrunedEvents)
+	}
+	check("compacted", tr, want)
+	r := New(data.Interpretation{"W": data.NewInt(5)})
+	if err := r.Restore(tr.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", r, want.With(data.Item("W"), data.NewInt(5)))
+	tail := []*event.Event{
+		{Time: at(300), Site: "A", Desc: event.Ws(data.Item("X"), data.NullValue, data.NullValue)},
+		{Time: at(301), Site: "A", Desc: event.W(data.Item("W"), data.NewInt(6))},
+		{Time: at(302), Site: "A", Desc: event.N(data.Item("Y"), data.NewInt(7))},
+	}
+	for _, e := range tail {
+		r.Append(e)
+	}
+	after := naiveStates(want.With(data.Item("W"), data.NewInt(5)), tail)
+	check("appended after restore", r, after[len(after)-1])
+}
+
 // TestVersionedCheckerEquivalence runs the Appendix A.2 checker over a
 // valid execution and over the same one with an event's states corrupted:
 // the lazy views must give the checker exactly what the oracle's eager

@@ -226,7 +226,7 @@ func TestJournalReplaysBindingsAsValues(t *testing.T) {
 	// C's outbox holds codecCorpus()[0], carried through the restart's
 	// checkpoint.
 	c := st.Out["C"].Msgs
-	if len(c) != 1 || c[0].Msg.Bindings != nil || c[0].Msg.BindingsVal["b"] != data.NewInt(-100) {
+	if len(c) != 1 || c[0].Msg.Bindings != nil || !c[0].Msg.BindingsVal["b"].Equal(data.NewInt(-100)) {
 		t.Fatalf("C's replayed outbox is %+v, want one fire with value bindings", c)
 	}
 }
