@@ -66,7 +66,7 @@ run() {
 		fuzz FuzzValueOrder ./internal/data
 		fuzz FuzzSpecParse ./internal/rule ;;
 	e18-smoke) go test -race -count=1 -short -run 'TestE18RetentionShape' ./internal/harness ;;
-	compaction-recovery) go test -race -count=1 -run 'TestCompactionCorruptedCheckpointRecovery|TestRetentionColdStartFromCheckpoint|TestPrivateSnapHandoffVerifies' ./internal/shell ;;
+	compaction-recovery) go test -race -count=1 -run 'TestCompactionCorruptedCheckpointRecovery|TestRetentionColdStartFromCheckpoint|TestPrivateHandoffKeepsValues' ./internal/shell ;;
 	docs) go test -count=1 -run 'TestDocs|TestObservabilityCatalogues|TestDeadSurface|TestDeadOptions|TestDeadFlags' . ;;
 	race-all) go test -race ./... ;;
 	bench-smoke) go test -bench=. -benchtime=1x -benchmem -short -run '^$' ./... ;;

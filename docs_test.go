@@ -1,13 +1,15 @@
 // Documentation checks: the operator-facing docs must not drift from
 // the code.  Backticked file paths must exist, documented command flags
-// must be defined by the named binary, and every metric family a live
-// process exposes must be catalogued in OBSERVABILITY.md.
+// must be defined by the named binary, every metric family a live
+// process exposes must be catalogued in OBSERVABILITY.md, and every test
+// name ci.sh selects must name a test.
 package cmtk_test
 
 import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,4 +233,122 @@ func TestCatalogueCoversStaticRegistrations(t *testing.T) {
 	if seen < 20 {
 		t.Errorf("only %d registration sites extracted; the extractor lost coverage", seen)
 	}
+}
+
+// ciRunRe matches a go test -run pattern in ci.sh, quoted or bare.
+var ciRunRe = regexp.MustCompile(`-run (?:'([^']*)'|"([^"]*)"|(\S+))`)
+
+// ciFuzzRe matches a call of ci.sh's fuzz helper: fuzz <target> <package>.
+var ciFuzzRe = regexp.MustCompile(`^\s*fuzz (\w+) (\S+)`)
+
+// testFuncRe matches a top-level test or fuzz function declaration.
+var testFuncRe = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+
+// TestDocsCINamesExistingTests fails when a -run alternative or a fuzz
+// target in ci.sh matches no Test or Fuzz function in the packages its
+// line names: after a rename, that alternative silently runs nothing.
+// Only the part of a -run pattern before its first top-level "/" is
+// checked (subtest names are not declarations), and "^$" is skipped.
+func TestDocsCINamesExistingTests(t *testing.T) {
+	body, err := os.ReadFile("ci.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for n, line := range strings.Split(string(body), "\n") {
+		if m := ciFuzzRe.FindStringSubmatch(line); m != nil {
+			checked++
+			if !slices.Contains(testFuncs(t, []string{m[2]}), m[1]) {
+				t.Errorf("ci.sh:%d: fuzz target %s is not declared in %s", n+1, m[1], m[2])
+			}
+			continue
+		}
+		m := ciRunRe.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		pattern := m[1] + m[2] + m[3]
+		var pkgs []string
+		for _, f := range strings.Fields(line) {
+			if f = strings.TrimSuffix(f, ";"); f == "." || strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
+			}
+		}
+		names := testFuncs(t, pkgs)
+		for _, alt := range splitTopLevel(splitTopLevel(pattern, '/')[0], '|') {
+			if alt == "^$" {
+				continue
+			}
+			checked++
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.sh:%d: -run alternative %q: %v", n+1, alt, err)
+				continue
+			}
+			if len(pkgs) == 0 {
+				t.Errorf("ci.sh:%d: -run alternative %q names no package", n+1, alt)
+				continue
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("ci.sh:%d: -run alternative %q matches no test in %v", n+1, alt, pkgs)
+			}
+		}
+	}
+	if checked < 20 {
+		t.Errorf("only %d ci.sh test names checked; the parser lost coverage", checked)
+	}
+}
+
+// splitTopLevel splits s at each sep outside parentheses and brackets,
+// the way go test splits a -run pattern into its levels.
+func splitTopLevel(s string, sep byte) []string {
+	var out []string
+	depth, start := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case sep:
+			if depth == 0 {
+				out = append(out, s[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(out, s[start:])
+}
+
+// testFuncs lists the Test and Fuzz functions declared in the test files
+// of go test package patterns: ".", "./dir" or "./dir/...".
+func testFuncs(t *testing.T, pkgs []string) []string {
+	t.Helper()
+	var names []string
+	for _, p := range pkgs {
+		dir, recursive := strings.CutSuffix(p, "/...")
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path != dir && !recursive {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			src, err := os.ReadFile(path)
+			for _, m := range testFuncRe.FindAllSubmatch(src, -1) {
+				names = append(names, string(m[1]))
+			}
+			return err
+		})
+		if err != nil {
+			t.Errorf("package %s: %v", p, err)
+		}
+	}
+	return names
 }

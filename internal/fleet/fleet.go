@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"cmtk/internal/data"
-	"cmtk/internal/durable"
 	"cmtk/internal/obs"
 	"cmtk/internal/rule"
 	"cmtk/internal/shell"
@@ -28,21 +26,14 @@ type Options struct {
 	Trace *trace.Trace
 	// Metrics is the registry (nil = obs.Default).
 	Metrics *obs.Registry
-
-	// store enables durable state: every member journals its CM-private
-	// items (handoffs land in the new owner's WAL before cutover) and the
-	// fleet persists its route table under the "fleet-table" log.  Only
-	// in-package tests set it.
-	store *durable.Store
 }
 
 // Fleet is an in-process sharded deployment: N shells sharing one spec,
 // one trace, and one mesh, with item-base ownership assigned by a
 // consistent-hash route table instead of static site hosting.  Ingress
 // (Post, RequestWrite, WriteAux) routes by the current table the way a
-// table-holding translator would; Rebalance moves ownership — and the
-// moving bases' private state, through the durable subsystem when a
-// store is configured — at an atomic epoch boundary.
+// table-holding translator would; Rebalance moves ownership, and the
+// moving bases' private items as values, at an atomic epoch boundary.
 type Fleet struct {
 	spec   *rule.Spec
 	params Params
@@ -50,8 +41,6 @@ type Fleet struct {
 	clock  vclock.Clock
 	tr     *trace.Trace
 	net    *countingNet
-	store  *durable.Store
-	tlog   *durable.Log
 	reg    *obs.Registry
 
 	// mu is the ingress gate: Post and friends hold it shared, Rebalance
@@ -135,7 +124,6 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 		clock:   clock,
 		tr:      tr,
 		net:     &countingNet{inner: transport.NewBus(clock, 0)},
-		store:   o.store,
 		reg:     reg,
 		shells:  map[string]*shell.Shell{},
 		routers: map[string]*Router{},
@@ -144,43 +132,14 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 		moved: reg.Counter("cmtk_fleet_moved_bases_total",
 			"Item bases whose owner changed across all rebalances.").With(),
 		handoff: reg.Counter("cmtk_fleet_handoff_items_total",
-			"CM-private items exported from an old owner and imported (journaled) at the new one during rebalances.").With(),
+			"CM-private items exported from an old owner and imported at the new one during rebalances.").With(),
 	}
 
-	epoch := uint64(1)
-	var persisted *Table
-	if f.store != nil {
-		lg, rec, err := f.store.Log(tableLogName)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: opening table log: %w", err)
-		}
-		f.tlog = lg
-		if rec.Snapshot != nil {
-			t, err := decodeTable(rec.Snapshot)
-			if err != nil {
-				return nil, err
-			}
-			persisted = &t
-		}
+	t, err := Assign(1, members, f.bases, f.params)
+	if err != nil {
+		return nil, err
 	}
-	if persisted != nil && sameMembers(persisted.Members, members) {
-		// Restart with unchanged membership: adopt the persisted table so
-		// ownership (and the journaled private state each member restored)
-		// lines up with where the last incarnation left it.
-		f.table = *persisted
-	} else {
-		if persisted != nil {
-			// Membership changed while down: compute fresh, never reuse an
-			// epoch number the old fleet already stamped onto messages.
-			epoch = persisted.Epoch + 1
-		}
-		t, err := Assign(epoch, members, f.bases, f.params)
-		if err != nil {
-			return nil, err
-		}
-		f.table = t
-	}
-
+	f.table = t
 	for _, id := range members {
 		if err := f.addShellLocked(id); err != nil {
 			return nil, err
@@ -189,21 +148,9 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 	return f, nil
 }
 
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // addShellLocked builds one member: router with the current table, shell
 // with the shared clock/trace/spec, every site added as private-hosted,
-// full peer wiring, durable journal when configured, mesh join.
+// full peer wiring, mesh join.
 func (f *Fleet) addShellLocked(id string) error {
 	if _, dup := f.shells[id]; dup {
 		return fmt.Errorf("fleet: duplicate member %s", id)
@@ -222,11 +169,6 @@ func (f *Fleet) addShellLocked(id string) error {
 		sh.AddPeer(peer)
 		f.shells[peer].AddPeer(id)
 	}
-	if f.store != nil {
-		if _, err := sh.EnableDurable(f.store); err != nil {
-			return fmt.Errorf("fleet: durable state for %s: %w", id, err)
-		}
-	}
 	if err := sh.Attach(f.net); err != nil {
 		return fmt.Errorf("fleet: joining %s to the mesh: %w", id, err)
 	}
@@ -241,7 +183,7 @@ func (f *Fleet) addShellLocked(id string) error {
 	return nil
 }
 
-// Start starts every member and persists the initial table.
+// Start starts every member.
 func (f *Fleet) Start() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -254,7 +196,7 @@ func (f *Fleet) Start() error {
 		}
 	}
 	f.started = true
-	return f.persistTableLocked()
+	return nil
 }
 
 // AddShell joins a new member to the mesh without giving it ownership;
@@ -331,9 +273,9 @@ func (f *Fleet) drainLocked() {
 
 // RebalanceReport describes one completed rebalance.
 type RebalanceReport struct {
-	Epoch uint64 `json:"epoch"` // the new table's epoch
-	Moves []Move `json:"moves"` // bases that changed owner
-	Items int    `json:"items"` // private items handed off
+	Epoch uint64 // the new table's epoch
+	Moves []Move // bases that changed owner
+	Items int    // private items handed off
 }
 
 // Rebalance recomputes ownership over a new membership set and cuts
@@ -341,9 +283,9 @@ type RebalanceReport struct {
 //
 //  1. the ingress gate closes (no new external triggers),
 //  2. the mesh and every shell drain (the moving shards' outboxes empty),
-//  3. each moving base's CM-private state is exported from its old owner
-//     and imported — journaled into the WAL when durable — at the new one,
-//  4. the next-epoch table installs on every router and persists,
+//  3. each moving base's CM-private items are removed from its old owner
+//     and installed, as values, at the new one,
+//  4. the next-epoch table installs on every router,
 //  5. the gate reopens.
 //
 // In-flight messages stamped with the old epoch that surface later (a
@@ -386,15 +328,9 @@ func (f *Fleet) Rebalance(members []string) (RebalanceReport, error) {
 			continue // pair already handed off
 		}
 		delete(byHop, h)
-		// The handoff travels as a sectioned, CRC-verified snapshot: the
-		// importer refuses a payload that rotted rather than installing
-		// damaged constraint state under the new epoch.
-		snap := f.shells[h.from].ExportPrivate(func(b string) bool { return bases[b] })
-		n, _, err := f.shells[h.to].ImportPrivate(snap)
-		if err != nil {
-			return RebalanceReport{}, err
-		}
-		items += n
+		moving := f.shells[h.from].ExportPrivate(func(b string) bool { return bases[b] })
+		f.shells[h.to].ImportPrivate(moving)
+		items += len(moving)
 	}
 
 	// Cutover: one epoch boundary for the whole fleet.  Ownership refresh
@@ -407,26 +343,10 @@ func (f *Fleet) Rebalance(members []string) (RebalanceReport, error) {
 			return RebalanceReport{}, err
 		}
 	}
-	if err := f.persistTableLocked(); err != nil {
-		return RebalanceReport{}, err
-	}
 	f.rebalances.Inc()
 	f.moved.Add(uint64(len(moves)))
 	f.handoff.Add(uint64(items))
 	return RebalanceReport{Epoch: next.Epoch, Moves: moves, Items: items}, nil
-}
-
-// persistTableLocked checkpoints the current table into the durable
-// store's "fleet-table" log (no-op without a store).
-func (f *Fleet) persistTableLocked() error {
-	if f.tlog == nil {
-		return nil
-	}
-	buf, err := json.Marshal(f.table)
-	if err != nil {
-		return err
-	}
-	return f.tlog.Checkpoint(buf)
 }
 
 // Trace returns the shared event trace.

@@ -46,9 +46,9 @@ func (p Params) withDefaults() Params {
 
 // Table is one epoch's complete ownership map: which member owns every
 // item base.  It is the unit of distribution (installed into each
-// shell's Router, dumped to route files, persisted in the durable
-// store's "fleet-table" log) and of change — a rebalance produces a new
-// Table with Epoch+1 and installs it everywhere at the cutover point.
+// shell's Router, dumped to route files) and of change — a rebalance
+// produces a new Table with Epoch+1 and installs it everywhere at the
+// cutover point.
 type Table struct {
 	Epoch      uint64            `json:"epoch"`
 	Members    []string          `json:"members"`
@@ -56,10 +56,6 @@ type Table struct {
 	LoadFactor float64           `json:"load_factor"`
 	Owners     map[string]string `json:"owners"` // item base → member
 }
-
-// tableLogName is the durable log a fleet persists its current route
-// table under.
-const tableLogName = "fleet-table"
 
 // Assign computes the epoch's ownership table: affinity groups are
 // placed on the first ring successor of their anchor base with room
@@ -275,8 +271,8 @@ func ReadFile(path string) (Table, error) {
 	return decodeTable(buf)
 }
 
-// decodeTable decodes a route table as WriteFile and a fleet's
-// fleet-table log write it, and rejects one without an owners map.
+// decodeTable decodes a route table as WriteFile writes it (or an
+// operator edits it), and rejects one without an owners map.
 func decodeTable(buf []byte) (Table, error) {
 	var t Table
 	if err := json.Unmarshal(buf, &t); err != nil {

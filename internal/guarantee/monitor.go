@@ -47,31 +47,6 @@ import (
 	"cmtk/internal/trace"
 )
 
-// Windowed is a guarantee whose obligations only ever examine a bounded
-// interval of history: Window() is the guarantee's own time bound (κ).
-// The retention lookback can exceed Window() — metric-leads obligations
-// stay pending for κ and then look back κ — so compaction consumes
-// Monitor.Horizon(), not Window(), to decide what is safe to fold.
-type Windowed interface {
-	Guarantee
-	//cmlint:allow deadsurface(marker: the Monitor accepts only guarantees that declare a window)
-	Window() time.Duration
-}
-
-// Window implements Windowed: obligations look back at most Kappa.
-func (g MetricFollows) Window() time.Duration { return g.Kappa }
-
-// Window implements Windowed: an anchor stays pending for Kappa.
-func (g MetricLeads) Window() time.Duration { return g.Kappa }
-
-// Window implements Windowed: a violation window longer than Kappa is
-// decided the moment it exceeds Kappa; the open-window start is carried
-// as state, not re-read from history.
-func (g ExistsWithin) Window() time.Duration { return g.Kappa }
-
-// Window implements Windowed: an invariant is decided at each state.
-func (g Invariant) Window() time.Duration { return 0 }
-
 // Monitor incrementally checks a set of windowed guarantees against a
 // growing trace.  Advance processes newly decidable obligations;
 // Horizon reports the oldest instant still needed; Reports renders the
@@ -86,7 +61,7 @@ type Monitor struct {
 }
 
 type monEntry struct {
-	g   Windowed
+	g   Guarantee
 	inc incremental
 	rep Report
 }
@@ -178,23 +153,22 @@ func NewMonitor(gs ...Guarantee) (*Monitor, error) {
 	return m, nil
 }
 
-// Register adds a guarantee to the monitor.  Guarantees without a
-// bounded window are rejected: their verdicts can depend on arbitrarily
-// old history, which is exactly what compaction folds away.
+// Register adds a guarantee to the monitor.  Only the four forms with
+// a bounded window are accepted: MetricFollows and MetricLeads (κ),
+// ExistsWithin (κ) and Invariant (decided at each state).  The rest are
+// rejected, because their verdicts can depend on arbitrarily old
+// history, which is exactly what compaction folds away.
 func (m *Monitor) Register(g Guarantee) error {
-	w, ok := g.(Windowed)
-	if !ok {
+	switch g.(type) {
+	case MetricFollows, MetricLeads, ExistsWithin, Invariant:
+	default:
 		return fmt.Errorf("guarantee: %s has no bounded window; it cannot be monitored incrementally (use CheckAll on an uncompacted trace)", g.Name())
-	}
-	inc := newIncremental(w)
-	if inc == nil {
-		return fmt.Errorf("guarantee: no incremental checker for %s", g.Name())
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.entries = append(m.entries, &monEntry{
-		g:   w,
-		inc: inc,
+		g:   g,
+		inc: newIncremental(g),
 		rep: Report{Guarantee: g.Name(), Formula: g.Formula(), Holds: true},
 	})
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,17 +203,32 @@ func TestResumePreViolatedBlob(t *testing.T) {
 }
 
 // TestMonitorRejectsUnbounded the unbounded forms cannot be monitored
-// incrementally and must be rejected at registration.
+// incrementally and must be rejected at registration, naming the
+// missing window; the four windowed forms are accepted.
 func TestMonitorRejectsUnbounded(t *testing.T) {
+	pred, err := rule.ParseExpr("X >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, g := range []Guarantee{
 		Follows{X: "X", Y: "Y"},
-		Leads{X: "X", Y: "Y"},
+		Leads{X: "X", Y: "Y", Settle: time.Second},
 		StrictlyFollows{X: "X", Y: "Y"},
 		MonitorFlag{X: itemX, Y: itemY, Flag: data.Item("F"), Tb: data.Item("Tb"), Kappa: time.Second},
+		Periodic{Label: "open", Pred: pred, From: 9 * time.Hour, To: 17 * time.Hour},
 	} {
-		if _, err := NewMonitor(g); err == nil {
-			t.Errorf("%s: registration succeeded, want rejection", g.Name())
+		if err := (&Monitor{}).Register(g); err == nil || !strings.Contains(err.Error(), g.Name()+" has no bounded window") {
+			t.Errorf("%s: registration returned %v, want a no-bounded-window rejection", g.Name(), err)
 		}
+	}
+	m := &Monitor{}
+	for _, g := range monitoredSet() {
+		if err := m.Register(g); err != nil {
+			t.Errorf("%s: registration refused: %v", g.Name(), err)
+		}
+	}
+	if len(m.entries) != 4 {
+		t.Fatalf("monitor holds %d guarantees, want the 4 windowed forms", len(m.entries))
 	}
 }
 

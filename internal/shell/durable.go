@@ -103,15 +103,15 @@ func decodePrivate(rec *durable.Recovery) (data.Interpretation, error) {
 func (s *Shell) setPrivate(item data.ItemName, v data.Value) {
 	s.privMu.Lock()
 	s.private.Set(item, v)
-	s.journalPrivateLocked(item, v)
+	if s.dur != nil {
+		s.journalPrivateLocked(item.Key(), v)
+	}
 	s.privMu.Unlock()
 }
 
-func (s *Shell) journalPrivateLocked(item data.ItemName, v data.Value) {
-	if s.dur == nil {
-		return
-	}
-	b, _ := json.Marshal(pSet{K: item.Key(), V: v.String()}) // two strings: cannot fail
+// journalPrivateLocked appends one private write to the enabled journal.
+func (s *Shell) journalPrivateLocked(key string, v data.Value) {
+	b, _ := json.Marshal(pSet{K: key, V: v.String()}) // two strings: cannot fail
 	// A failed append's error is dropped here: the log keeps it, refuses
 	// every later write and returns it from Store.Close, so whatever
 	// reached the log is what the next incarnation recovers.

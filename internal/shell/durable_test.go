@@ -1,7 +1,10 @@
 package shell
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -136,5 +139,76 @@ func TestEnableDurableTwiceRejected(t *testing.T) {
 	defer s.Stop()
 	if _, err := s.EnableDurable(st); err == nil {
 		t.Fatal("second EnableDurable accepted")
+	}
+}
+
+// TestPrivateHandoffKeepsValues: a rebalance handoff moves the selected
+// CM-private items as values, with kind and bits intact (a literal
+// round trip turns Float 2 and -0.0 into Ints), removes them from the
+// exporter, leaves the unselected items there, and journals the installs
+// at a durable importer.
+func TestPrivateHandoffKeepsValues(t *testing.T) {
+	a, _ := retainShell(t, "a", vclock.Epoch, obs.NewRegistry())
+	b, _ := retainShell(t, "b", vclock.Epoch, obs.NewRegistry())
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	defer st.Close()
+	if _, err := b.EnableDurable(st); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]data.Value{
+		"X0": data.NewFloat(2),
+		"X1": data.NewFloat(math.Copysign(0, -1)),
+		"X2": data.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef)),
+		"X3": data.NewString(`say "hi")`),
+	}
+	for k, v := range want {
+		a.WriteAux(data.Item(k), v)
+	}
+	a.WriteAux(data.Item("Y0"), data.NewInt(7))
+
+	moved := a.ExportPrivate(func(base string) bool { return base[0] == 'X' })
+	if len(moved) != len(want) {
+		t.Fatalf("exported %d items, want %d: %v", len(moved), len(want), moved)
+	}
+	b.ImportPrivate(moved)
+
+	// reflect.DeepEqual compares the kind and the payload bits, which
+	// Equal does not: Int 2 equals Float 2 and a NaN equals nothing.
+	for k, v := range want {
+		if got, ok := a.ReadAux(data.Item(k)); ok {
+			t.Errorf("exporter kept %s = %v", k, got)
+		}
+		if got, ok := b.ReadAux(data.Item(k)); !ok || !reflect.DeepEqual(got, v) {
+			t.Errorf("importer holds %s = %v (%s, %#x), want %v (%s, %#x)",
+				k, got, got.Kind(), math.Float64bits(got.Float()), v, v.Kind(), math.Float64bits(v.Float()))
+		}
+	}
+	if v, ok := a.ReadAux(data.Item("Y0")); !ok || v.Kind() != data.Int || v.Int() != 7 {
+		t.Errorf("unselected Y0 at the exporter = %v/%v, want 7", v, ok)
+	}
+	if v, ok := b.ReadAux(data.Item("Y0")); ok {
+		t.Errorf("unselected Y0 reached the importer: %v", v)
+	}
+
+	rec, err := durable.ReadLog(dir, "shell-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := map[string]string{}
+	for _, r := range rec.Records {
+		var p pSet
+		if err := json.Unmarshal(r.Data, &p); r.Type != pSetRec || err != nil {
+			t.Fatalf("journal record %d %q: %v", r.Type, r.Data, err)
+		}
+		journaled[p.K] = p.V
+	}
+	if len(journaled) != len(want) {
+		t.Fatalf("importer journaled %v, want the %d imported items", journaled, len(want))
+	}
+	for k, v := range want {
+		if journaled[k] != v.String() {
+			t.Errorf("importer journaled %s = %q, want %q", k, journaled[k], v.String())
+		}
 	}
 }

@@ -2,7 +2,6 @@ package shell
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -306,61 +305,5 @@ func TestCompactionCorruptedCheckpointRecovery(t *testing.T) {
 		if !r.Holds {
 			t.Fatalf("post-recovery guarantee: %+v", r)
 		}
-	}
-}
-
-// TestPrivateSnapHandoffVerifies the sectioned private-state handoff
-// must round-trip intact payloads and refuse corrupted ones without
-// installing anything.
-func TestPrivateSnapHandoffVerifies(t *testing.T) {
-	a, _ := retainShell(t, "a", vclock.Epoch, obs.NewRegistry())
-	b, _ := retainShell(t, "b", vclock.Epoch, obs.NewRegistry())
-	st := retainStore(t, t.TempDir())
-	defer st.Close()
-	if _, err := b.EnableDurable(st); err != nil {
-		t.Fatal(err)
-	}
-	a.WriteAux(data.Item("X0"), data.NewInt(11))
-	a.WriteAux(data.Item("X1"), data.NewInt(22))
-
-	snap := a.ExportPrivate(func(base string) bool { return base == "X0" || base == "X1" })
-	if v, ok := a.ReadAux(data.Item("X0")); ok {
-		t.Fatalf("export with remove left X0 = %v", v)
-	}
-
-	// Corrupt one payload byte: the import must reject all-or-nothing.
-	damaged := append([]byte(nil), snap...)
-	damaged[len(damaged)-2] ^= 0x01
-	if n, rep, err := b.ImportPrivate(damaged); err == nil || n != 0 || rep.Rejected == 0 {
-		t.Fatalf("damaged handoff imported: n=%d rep=%+v err=%v", n, rep, err)
-	}
-	if _, ok := b.ReadAux(data.Item("X0")); ok {
-		t.Fatal("rejected handoff installed items")
-	}
-
-	// Every CRC valid, one literal unparsable: X0 sorts first, and must
-	// not be installed or journaled ahead of the item that fails.
-	meta, _ := json.Marshal(handoffMeta{From: "a", Items: 2})
-	unparsable := durable.EncodeSections([]durable.Section{
-		{Name: "meta", Data: meta},
-		{Name: "private", Data: []byte(`{"X0":"11","X1":"2 2"}`)},
-	})
-	journaled := b.dur.WALSize()
-	if n, rep, err := b.ImportPrivate(unparsable); err == nil || n != 0 || rep.Rejected != 0 {
-		t.Fatalf("unparsable handoff imported: n=%d rep=%+v err=%v", n, rep, err)
-	}
-	if _, ok := b.ReadAux(data.Item("X0")); ok {
-		t.Fatal("unparsable handoff installed a prefix")
-	}
-	if got := b.dur.WALSize(); got != journaled {
-		t.Fatalf("unparsable handoff journaled %d bytes", got-journaled)
-	}
-
-	n, rep, err := b.ImportPrivate(snap)
-	if err != nil || n != 2 || rep.Rejected != 0 {
-		t.Fatalf("clean handoff: n=%d rep=%+v err=%v", n, rep, err)
-	}
-	if v, ok := b.ReadAux(data.Item("X1")); !ok || v.String() != "22" {
-		t.Fatalf("handed-off X1 = %v/%v", v, ok)
 	}
 }

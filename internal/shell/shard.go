@@ -14,14 +14,11 @@
 package shell
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"cmtk/internal/cmi"
 	"cmtk/internal/data"
-	"cmtk/internal/durable"
 	"cmtk/internal/event"
 	"cmtk/internal/rule"
 	"cmtk/internal/transport"
@@ -290,91 +287,41 @@ func (s *Shell) peerSet() map[string]bool {
 	return peers
 }
 
-// handoffMeta is the verifiable frame around a private-state handoff:
-// who exported it and how many items, so an importer can cross-check
-// the payload against the exporter's intent.
-type handoffMeta struct {
-	From  string `json:"from"`
-	Items int    `json:"items"`
-}
-
-// ExportPrivate snapshots the CM-private items whose base satisfies sel
-// — literal encodings keyed by item key, in a sectioned, CRC-framed
-// snapshot — the handoff payload of a fleet rebalance.  The items are
-// also cleared here and the removals journaled, so a crash-recovered
-// shell cannot resurrect state it handed off.  The receiving
-// ImportPrivate refuses a payload that rotted in flight or on a relay's
-// disk, instead of silently installing damaged constraint state under a
-// new epoch.
-func (s *Shell) ExportPrivate(sel func(base string) bool) []byte {
-	items := map[string]string{}
+// ExportPrivate removes the CM-private items whose base satisfies sel
+// and returns them: the handoff of a fleet rebalance.  When durable
+// state is enabled the removals are journaled, so a crash-recovered
+// shell cannot resurrect state it handed off.
+func (s *Shell) ExportPrivate(sel func(base string) bool) data.Interpretation {
+	out := data.NewInterpretation()
 	s.privMu.Lock()
+	defer s.privMu.Unlock()
 	for k, v := range s.private {
 		name, err := data.ParseItemName(k)
 		if err != nil || !sel(name.Base) {
 			continue
 		}
 		if !v.IsNull() {
-			items[k] = v.String()
+			out[k] = v
 		}
 		delete(s.private, k)
-		s.journalPrivateLocked(name, data.NullValue)
+		if s.dur != nil {
+			s.journalPrivateLocked(k, data.NullValue)
+		}
 	}
-	s.privMu.Unlock()
-	meta, _ := json.Marshal(handoffMeta{From: s.id, Items: len(items)})
-	payload, _ := json.Marshal(items)
-	return durable.EncodeSections([]durable.Section{
-		{Name: "meta", Data: meta},
-		{Name: "private", Data: payload},
-	})
+	return out
 }
 
-// ImportPrivate verifies a sectioned handoff and installs its items
-// all-or-nothing: a section failing its CRC, a payload that does not
-// match the exporter's declared item count, or a single item whose key
-// or literal does not parse rejects the whole snapshot and installs
-// nothing.  Each installed write is journaled when durable state is
-// enabled, so the moving shard's state lands in the new owner's WAL
-// before the epoch cutover makes it authoritative.  It returns the
-// number of items imported plus the granular section report.
-func (s *Shell) ImportPrivate(snap []byte) (int, durable.ImportReport, error) {
-	secs, rep := durable.DecodeSections(snap)
-	if err := rep.Err(); err != nil {
-		return 0, rep, fmt.Errorf("shell %s: handoff rejected: %w", s.id, err)
-	}
-	var meta handoffMeta
-	if raw, ok := secs["meta"]; ok {
-		if err := json.Unmarshal(raw, &meta); err != nil {
-			return 0, rep, fmt.Errorf("shell %s: handoff meta: %w", s.id, err)
-		}
-	} else {
-		return 0, rep, fmt.Errorf("shell %s: handoff missing meta section", s.id)
-	}
-	var items map[string]string
-	if err := json.Unmarshal(secs["private"], &items); err != nil {
-		return 0, rep, fmt.Errorf("shell %s: handoff payload: %w", s.id, err)
-	}
-	if len(items) != meta.Items {
-		return 0, rep, fmt.Errorf("shell %s: handoff declared %d items, carries %d", s.id, meta.Items, len(items))
-	}
-	keys := make([]string, 0, len(items))
-	for k := range items {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	names := make([]data.ItemName, len(keys))
-	vals := make([]data.Value, len(keys))
-	for i, k := range keys {
-		var err error
-		if names[i], err = data.ParseItemName(k); err == nil {
-			vals[i], err = data.ParseLiteral(items[k])
-		}
-		if err != nil {
-			return 0, rep, fmt.Errorf("shell %s: importing %q: %w", s.id, k, err)
+// ImportPrivate installs items another member's ExportPrivate handed
+// off.  When durable state is enabled each is journaled, so the moving
+// shard's state is in the new owner's log before the epoch cutover makes
+// it authoritative.
+func (s *Shell) ImportPrivate(items data.Interpretation) {
+	s.privMu.Lock()
+	defer s.privMu.Unlock()
+	for k, v := range items {
+		s.private[k] = v
+		if s.dur != nil {
+			s.journalPrivateLocked(k, v)
 		}
 	}
-	for i := range keys {
-		s.setPrivate(names[i], vals[i])
-	}
-	return len(keys), rep, nil
 }
