@@ -306,7 +306,11 @@ func ringCmd(args []string) {
 		if err != nil {
 			log.Fatalf("cmctl: %s: %v", *specPath, err)
 		}
-		affinity = fleet.Affinity(spec)
+		plan, err := spec.Plan()
+		if err != nil {
+			log.Fatalf("cmctl: %s: %v", *specPath, err)
+		}
+		affinity = fleet.Affinity(plan)
 		specBases = fleet.SpecBases(spec)
 	}
 

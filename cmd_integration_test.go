@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,8 +25,11 @@ import (
 )
 
 // startProc launches a binary and returns a channel of its stdout lines
-// plus a stop function.  One goroutine drains the pipe for the process's
-// whole lifetime, so successive expectLine calls never compete.
+// plus a stop function, which also runs when the test ends.  One
+// goroutine drains each pipe for the process's whole lifetime, so
+// successive expectLine calls never compete.  Stderr is copied to the
+// test's stderr; a line of it saying the process could not bind its
+// address also goes to the channel, for bound.
 func startProc(t *testing.T, name string, args ...string) (<-chan string, func()) {
 	t.Helper()
 	cmd := exec.Command(name, args...)
@@ -33,7 +37,10 @@ func startProc(t *testing.T, name string, args ...string) (<-chan string, func()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = os.Stderr
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +48,31 @@ func startProc(t *testing.T, name string, args ...string) (<-chan string, func()
 		cmd.Process.Kill()
 		cmd.Wait()
 	}
+	// Stopping twice is harmless, so a test that fails before it stops
+	// the process still does not leave it running.
+	t.Cleanup(stop)
 	lines := make(chan string, 64)
+	var readers sync.WaitGroup
+	readers.Add(2)
 	go func() {
+		defer readers.Done()
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			lines <- sc.Text()
 		}
+	}()
+	go func() {
+		defer readers.Done()
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			fmt.Fprintln(os.Stderr, sc.Text())
+			if strings.Contains(sc.Text(), addrInUse) {
+				lines <- sc.Text()
+			}
+		}
+	}()
+	go func() {
+		readers.Wait()
 		close(lines)
 	}()
 	return lines, stop
@@ -68,6 +94,56 @@ func expectLine(t *testing.T, lines <-chan string, marker string) string {
 		case <-deadline:
 			t.Fatalf("timed out waiting for %q", marker)
 		}
+	}
+}
+
+// addrInUse is what a process prints when it cannot bind its listen
+// address.
+const addrInUse = "address already in use"
+
+// bound reads lines until one contains marker and returns it with true,
+// or returns false when the process could not bind its listen address.
+func bound(t *testing.T, lines <-chan string, marker string) (string, bool) {
+	t.Helper()
+	deadline := time.After(15 * time.Second)
+	for {
+		select {
+		case line, ok := <-lines:
+			if !ok {
+				t.Fatalf("process exited before printing %q", marker)
+			}
+			if strings.Contains(line, addrInUse) {
+				return line, false
+			}
+			if strings.Contains(line, marker) {
+				return line, true
+			}
+		case <-deadline:
+			t.Fatalf("timed out waiting for %q", marker)
+		}
+	}
+}
+
+// retryOnAddrInUse starts processes of which some listen on an address
+// that reserveAddr found free and a peer must know before they bind it.
+// reserveAddr frees the port first, so another process can take it in
+// between.  start is told which retry it is (0 the first run) and
+// returns a stop function and whether every process bound its address;
+// when one did not, its processes are stopped and start runs again, and
+// a retry must reserve fresh addresses.  It returns start's stop
+// function after at most three retries.
+func retryOnAddrInUse(t *testing.T, start func(retry int) (stop func(), ok bool)) func() {
+	t.Helper()
+	for retry := 0; ; retry++ {
+		stop, ok := start(retry)
+		if ok {
+			return stop
+		}
+		stop()
+		if retry == 3 {
+			t.Fatal("a reserved address was taken before its process bound it, four times in a row")
+		}
+		t.Logf("a reserved address was taken before its process bound it; restarting on fresh addresses (retry %d of 3)", retry+1)
 	}
 }
 
@@ -135,23 +211,27 @@ item salary2
 interface WR(salary2(n), b) ->3s W(salary2(n), b)
 `, addrB))
 
-	// Shell B first (it only receives), then shell A with B as a peer.  B
-	// acks every fire back to A, so it needs A's address, reserved ahead.
-	shAAddr := reserveAddr(t)
-	scShB, stopShB := startProc(t, filepath.Join(bin, "cmshell"),
-		"-id", "shellB", "-spec", specPath, "-rid", ridBPath,
-		"-peer", "shellA="+shAAddr)
-	defer stopShB()
-	shBAddr := lastField(expectLine(t, scShB, "listening"))
-	expectLine(t, scShB, "running")
+	// Shell B first (it only receives), on a port of its own choosing,
+	// then shell A with B as a peer.  B acks every fire back to A, so it
+	// needs A's address, reserved ahead.
+	var obsURL string
+	stopShells := retryOnAddrInUse(t, func(int) (func(), bool) {
+		shAAddr := reserveAddr(t)
+		scShB, stopShB := startProc(t, filepath.Join(bin, "cmshell"),
+			"-id", "shellB", "-spec", specPath, "-rid", ridBPath,
+			"-peer", "shellA="+shAAddr)
+		shBAddr := lastField(expectLine(t, scShB, "listening"))
+		expectLine(t, scShB, "running")
 
-	scShA, stopShA := startProc(t, filepath.Join(bin, "cmshell"),
-		"-id", "shellA", "-spec", specPath, "-rid", ridAPath, "-listen", shAAddr,
-		"-peer", "shellB="+shBAddr, "-route", "B=shellB",
-		"-metrics-addr", "127.0.0.1:0")
-	defer stopShA()
-	obsURL := strings.Fields(expectLine(t, scShA, "observability on"))[3]
-	expectLine(t, scShA, "running")
+		scShA, stopShA := startProc(t, filepath.Join(bin, "cmshell"),
+			"-id", "shellA", "-spec", specPath, "-rid", ridAPath, "-listen", shAAddr,
+			"-peer", "shellB="+shBAddr, "-route", "B=shellB",
+			"-metrics-addr", "127.0.0.1:0")
+		obsURL = strings.Fields(expectLine(t, scShA, "observability on"))[3]
+		_, ok := bound(t, scShA, "running")
+		return func() { stopShA(); stopShB() }, ok
+	})
+	defer stopShells()
 
 	// An application updates the branch database directly over SQL.
 	appA, err := server.DialRel(addrA)
@@ -348,20 +428,27 @@ func TestFleetRingCLI(t *testing.T) {
 	}
 
 	// Every member is started with the same -peer list, naming itself too.
-	s1Addr := reserveAddr(t)
-	sc, stop := startProc(t, filepath.Join(bin, "cmshell"),
-		"-id", "s1", "-spec", specPath, "-route-table", tablePath,
-		"-listen", s1Addr, "-peer", "s1="+s1Addr,
-		"-peer", "s2="+reserveAddr(t), "-peer", "s3="+reserveAddr(t))
+	stop := retryOnAddrInUse(t, func(int) (func(), bool) {
+		s1Addr := reserveAddr(t)
+		sc, stop := startProc(t, filepath.Join(bin, "cmshell"),
+			"-id", "s1", "-spec", specPath, "-route-table", tablePath,
+			"-listen", s1Addr, "-peer", "s1="+s1Addr,
+			"-peer", "s2="+reserveAddr(t), "-peer", "s3="+reserveAddr(t))
+		line := expectLine(t, sc, "fleet member s1 of 3")
+		if !strings.Contains(line, "route table epoch 1") {
+			t.Fatalf("unexpected fleet banner: %s", line)
+		}
+		line, ok := bound(t, sc, "listening on")
+		if !ok {
+			return stop, false
+		}
+		if got := lastField(line); got != s1Addr {
+			t.Fatalf("s1 listens on %s, want %s", got, s1Addr)
+		}
+		expectLine(t, sc, "running")
+		return stop, true
+	})
 	defer stop()
-	line := expectLine(t, sc, "fleet member s1 of 3")
-	if !strings.Contains(line, "route table epoch 1") {
-		t.Fatalf("unexpected fleet banner: %s", line)
-	}
-	if got := lastField(expectLine(t, sc, "listening on")); got != s1Addr {
-		t.Fatalf("s1 listens on %s, want %s", got, s1Addr)
-	}
-	expectLine(t, sc, "running")
 }
 
 // TestCrashRecoveryAcrossProcesses kills a cmshell with SIGKILL while its
@@ -427,23 +514,33 @@ item salary2
 interface WR(salary2(n), b) ->3s W(salary2(n), b)
 `, addrB))
 
-	// Reserve a fixed mesh address for shell B, which starts only AFTER
-	// shell A has crashed: everything A sends before then must buffer.
-	// Shell A keeps one address across its restart, for B's acks.
-	shBAddr := reserveAddr(t)
-	shAAddr := reserveAddr(t)
-
+	// Shell B starts only AFTER shell A has crashed, at an address A was
+	// given at its first start: everything A sends before then must
+	// buffer.  Shell A keeps one address across its restart, for B's acks.
+	// Both are reserved ahead.
+	shAAddr, shBAddr := reserveAddr(t), reserveAddr(t)
 	stateDir := filepath.Join(dir, "state-a")
-	shellAArgs := []string{
-		"-id", "shellA", "-spec", specPath, "-rid", ridAPath, "-listen", shAAddr,
-		"-peer", "shellB=" + shBAddr, "-route", "B=shellB",
-		"-state-dir", stateDir, "-retry", "100ms",
-		"-metrics-addr", "127.0.0.1:0",
+	startShellA := func() (<-chan string, func(), string) {
+		sc, stop := startProc(t, filepath.Join(bin, "cmshell"),
+			"-id", "shellA", "-spec", specPath, "-rid", ridAPath, "-listen", shAAddr,
+			"-peer", "shellB="+shBAddr, "-route", "B=shellB",
+			"-state-dir", stateDir, "-retry", "100ms",
+			"-metrics-addr", "127.0.0.1:0")
+		obsURL := strings.Fields(expectLine(t, sc, "observability on"))[3]
+		expectLine(t, sc, "cold (recovering journals)")
+		return sc, stop, obsURL
 	}
-	scShA, crashShA := startProc(t, filepath.Join(bin, "cmshell"), shellAArgs...)
-	obsURL := strings.Fields(expectLine(t, scShA, "observability on"))[3]
-	expectLine(t, scShA, "cold (recovering journals)")
-	expectLine(t, scShA, "running")
+	var obsURL string
+	crashShA := retryOnAddrInUse(t, func(retry int) (func(), bool) {
+		if retry > 0 {
+			shAAddr = reserveAddr(t)
+		}
+		var sc <-chan string
+		var stop func()
+		sc, stop, obsURL = startShellA()
+		_, ok := bound(t, sc, "running")
+		return stop, ok
+	})
 
 	// Three ordered updates at the branch database; shell A fires for each
 	// and the sends buffer against the unreachable peer.
@@ -469,23 +566,47 @@ interface WR(salary2(n), b) ->3s W(salary2(n), b)
 	crashShA()
 
 	// Restart over the same state directory: the journal must replay the
-	// buffered fires.
-	scShA2, stopShA2 := startProc(t, filepath.Join(bin, "cmshell"), shellAArgs...)
-	defer stopShA2()
-	obsURL2 := strings.Fields(expectLine(t, scShA2, "observability on"))[3]
-	expectLine(t, scShA2, "cold (recovering journals)")
-	replayLine := expectLine(t, scShA2, "replaying")
-	expectLine(t, scShA2, "running")
-	if !strings.Contains(replayLine, "replaying 3 unacked") {
-		t.Fatalf("restart replayed the wrong outbox: %q", replayLine)
+	// buffered fires.  Until B starts, no peer has A's address, so a
+	// retry may move A to a fresh one.
+	var obsURL2 string
+	restartShellA := func() func() {
+		return retryOnAddrInUse(t, func(retry int) (func(), bool) {
+			if retry > 0 {
+				shAAddr = reserveAddr(t)
+			}
+			var sc <-chan string
+			var stop func()
+			sc, stop, obsURL2 = startShellA()
+			replayLine, ok := bound(t, sc, "replaying")
+			if !ok {
+				return stop, false
+			}
+			expectLine(t, sc, "running")
+			if !strings.Contains(replayLine, "replaying 3 unacked") {
+				t.Fatalf("restart replayed the wrong outbox: %q", replayLine)
+			}
+			return stop, true
+		})
 	}
+	stopShA2 := restartShellA()
+	defer func() { stopShA2() }()
 
 	// Only now does shell B come up, at the address A has been retrying.
-	scShB, stopShB := startProc(t, filepath.Join(bin, "cmshell"),
-		"-id", "shellB", "-spec", specPath, "-rid", ridBPath,
-		"-listen", shBAddr, "-peer", "shellA="+shAAddr)
+	// If that address was taken meanwhile, A restarts toward a fresh one;
+	// its outbox is still in the journal.
+	stopShB := retryOnAddrInUse(t, func(retry int) (func(), bool) {
+		if retry > 0 {
+			stopShA2()
+			shBAddr = reserveAddr(t)
+			stopShA2 = restartShellA()
+		}
+		sc, stop := startProc(t, filepath.Join(bin, "cmshell"),
+			"-id", "shellB", "-spec", specPath, "-rid", ridBPath,
+			"-listen", shBAddr, "-peer", "shellA="+shAAddr)
+		_, ok := bound(t, sc, "running")
+		return stop, ok
+	})
 	defer stopShB()
-	expectLine(t, scShB, "running")
 
 	// The replayed fires arrive in order, so the replica converges to the
 	// LAST pre-crash value.

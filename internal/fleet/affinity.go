@@ -6,16 +6,16 @@ import (
 	"cmtk/internal/rule"
 )
 
-// Affinity derives the co-location map for a spec from its rule graph,
-// in the form Params.Affinity consumes (base → group anchor).
+// Affinity derives the co-location map for a spec's rule plan, in the
+// form Params.Affinity consumes (base → group anchor).
 //
 // Two placement facts drive the grouping.  A rule's condition (C0) is
 // evaluated at match time on the shell that owns the rule — the owner of
-// the LHS anchor base — so every base the condition reads must live with
-// the LHS base.  A rule's RHS executes as one unit on the shell owning
-// its effect bases, evaluating step guards and computed values there, so
+// its anchor base — so every base the condition reads must live with the
+// anchor.  A rule's RHS executes as one unit on the shell owning its
+// effect bases, evaluating step guards and computed values there, so
 // all effect, guard, and value-expression bases of one rule must live
-// together.  The LHS base and the effect bases are deliberately NOT
+// together.  The anchor and the effect bases are deliberately NOT
 // co-located: that hop is the cross-shard rule fire the mesh carries,
 // and splitting it is exactly what makes sharding shed load.
 //
@@ -23,7 +23,7 @@ import (
 // rules pulls both rules' groups together.  A spec whose rules all read
 // one global base therefore collapses to a single group — which is the
 // honest answer: such a strategy cannot shard.
-func Affinity(spec *rule.Spec) map[string]string {
+func Affinity(plan *rule.Plan) map[string]string {
 	parent := map[string]string{}
 	var find func(string) string
 	find = func(b string) string {
@@ -48,35 +48,15 @@ func Affinity(spec *rule.Spec) map[string]string {
 		parent[rb] = ra
 	}
 
-	for i := range spec.Rules {
-		r := &spec.Rules[i]
-		if r.LHS.Op.HasItem() {
-			lhs := r.LHS.Item.Base
-			for _, b := range rule.ExprItems(r.Cond) {
-				union(lhs, b)
-			}
+	for _, p := range plan.Rules {
+		for _, b := range p.CondReads {
+			union(p.Anchor, b)
 		}
-		// All of one rule's effects (plus what their guards and value
-		// expressions read) execute on one shell.
-		var effAnchor string
-		for _, st := range r.Steps {
-			if st.Eff.Op.HasItem() {
-				if effAnchor == "" {
-					effAnchor = st.Eff.Item.Base
-				}
-				union(effAnchor, st.Eff.Item.Base)
-			}
-		}
-		if effAnchor == "" {
+		if p.Effect == "" {
 			continue
 		}
-		for _, st := range r.Steps {
-			for _, b := range rule.ExprItems(st.Cond) {
-				union(effAnchor, b)
-			}
-			for _, b := range rule.ExprItems(st.ValExpr) {
-				union(effAnchor, b)
-			}
+		for _, b := range p.RHSBases {
+			union(p.Effect, b)
 		}
 	}
 

@@ -103,6 +103,10 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 	if len(spec.Items) > 0 {
 		return nil, fmt.Errorf("fleet: spec has %d translator-backed item(s); the in-process fleet shards CM-private state only (pin database sites with a route file and cmshell -route-table)", len(spec.Items))
 	}
+	plan, err := spec.Plan()
+	if err != nil {
+		return nil, err
+	}
 	members := dedupSorted(o.Members)
 	// Real time is what an in-process fleet needs: bus deliveries ride
 	// timer callbacks, and a virtual clock fires those only inside
@@ -119,7 +123,7 @@ func New(spec *rule.Spec, o Options) (*Fleet, error) {
 	}
 	f := &Fleet{
 		spec:    spec,
-		params:  Params{Affinity: Affinity(spec)}.withDefaults(),
+		params:  Params{Affinity: Affinity(plan)}.withDefaults(),
 		bases:   SpecBases(spec),
 		clock:   clock,
 		tr:      tr,
@@ -339,9 +343,7 @@ func (f *Fleet) Rebalance(members []string) (RebalanceReport, error) {
 	f.table = next
 	for _, id := range f.order {
 		f.routers[id].Install(next)
-		if err := f.shells[id].RefreshOwnership(); err != nil {
-			return RebalanceReport{}, err
-		}
+		f.shells[id].RefreshOwnership()
 	}
 	f.rebalances.Inc()
 	f.moved.Add(uint64(len(moves)))

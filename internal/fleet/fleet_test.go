@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cmtk/internal/data"
+	"cmtk/internal/event"
 	"cmtk/internal/obs"
 	"cmtk/internal/rule"
 	"cmtk/internal/shell"
@@ -162,6 +165,78 @@ func TestFleetForwardsMisroutedTriggers(t *testing.T) {
 	}
 	if v := f.CheckTrace(); len(v) != 0 {
 		t.Fatalf("checker found %d violations", len(v))
+	}
+}
+
+// TestFleetForwardedTriggersKeepValues: a trigger forwarded to the
+// owning member carries its old and new values with kind and bits
+// intact (a literal round trip turns Float 2 and -0.0 into Ints and
+// drops a NaN's payload), so the owner's Ws event, its private copy and
+// the cascade all see the values the non-owner was given.
+func TestFleetForwardedTriggersKeepValues(t *testing.T) {
+	vals := []data.Value{
+		data.NewFloat(2),
+		data.NewFloat(math.Copysign(0, -1)),
+		data.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef)),
+	}
+	sp, initial := chainSpec(t, len(vals))
+	f, err := New(sp, Options{
+		Members: []string{"s1", "s2"},
+		Trace:   trace.New(initial),
+		Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	seedConds(t, f, len(vals))
+
+	tab := f.Table()
+	old := func(i int) data.Value { return vals[(i+1)%len(vals)] }
+	for i, v := range vals {
+		base := fmt.Sprintf("X%d", i)
+		wrong := "s1"
+		if tab.Owners[base] == "s1" {
+			wrong = "s2"
+		}
+		f.Shell(wrong).Spontaneous(data.Item(base), old(i), v)
+	}
+	f.Drain()
+
+	// reflect.DeepEqual compares the kind and the payload bits, which
+	// Equal does not: Int 2 equals Float 2 and a NaN equals nothing.
+	describe := func(v data.Value) string {
+		return fmt.Sprintf("%v (%s, %#x)", v, v.Kind(), math.Float64bits(v.Float()))
+	}
+	for i, v := range vals {
+		for _, fam := range []string{"X", "Z"} {
+			item := data.Item(fmt.Sprintf("%s%d", fam, i))
+			got, ok, err := f.ReadAux(item)
+			if err != nil || !ok || !reflect.DeepEqual(got, v) {
+				t.Errorf("%s = %s (ok=%v err=%v), want %s", item, describe(got), ok, err, describe(v))
+			}
+		}
+	}
+	ws := 0
+	for _, e := range f.Trace().Events() {
+		if e.Desc.Op != event.OpWs {
+			continue
+		}
+		ws++
+		var i int
+		if _, err := fmt.Sscanf(e.Desc.Item.Base, "X%d", &i); err != nil {
+			t.Fatalf("unexpected Ws event %s", e.Desc)
+		}
+		if !reflect.DeepEqual(e.Desc.OldVal, old(i)) || !reflect.DeepEqual(e.Desc.Val, vals[i]) {
+			t.Errorf("owner recorded Ws(X%d, %s, %s), want Ws(X%d, %s, %s)", i,
+				describe(e.Desc.OldVal), describe(e.Desc.Val), i, describe(old(i)), describe(vals[i]))
+		}
+	}
+	if ws != len(vals) {
+		t.Fatalf("recorded %d Ws events, want %d", ws, len(vals))
 	}
 }
 

@@ -164,12 +164,7 @@ func TestTableRoundTripFile(t *testing.T) {
 	}
 }
 
-// Affinity derivation from the rule graph: condition reads co-locate
-// with the trigger base, all effects of one rule co-locate with each
-// other, and the LHS→effect edge stays cross-shard (that hop is the
-// mesh message).
-func TestAffinityFromSpec(t *testing.T) {
-	sp, err := rule.ParseSpecString(`site S
+const affinitySpec = `site S
 private A @ S
 private B @ S
 private C @ S
@@ -177,11 +172,22 @@ private D @ S
 private E @ S
 rule r1: Ws(A, b) && C = 0 ->5s W(B, b)
 rule r2: W(B, b) ->5s W(D, b), W(E, b)
-`)
+`
+
+// Affinity derivation from the rule graph: condition reads co-locate
+// with the trigger base, all effects of one rule co-locate with each
+// other, and the LHS→effect edge stays cross-shard (that hop is the
+// mesh message).
+func TestAffinityFromSpec(t *testing.T) {
+	sp, err := rule.ParseSpecString(affinitySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aff := Affinity(sp)
+	plan, err := sp.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aff := Affinity(plan)
 	root := func(b string) string {
 		for {
 			next, ok := aff[b]

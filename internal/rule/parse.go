@@ -644,7 +644,6 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	spec.Index()
 	return spec, nil
 }
 

@@ -195,24 +195,6 @@ type Spec struct {
 	// verbatim; package guarantee parses and checks them — deployments
 	// and cmctl consume the declarations from here.
 	Guarantees []string
-
-	// byID indexes Rules by ID for O(1) RuleRefByID on the per-message
-	// receive path.  Built by Index (the parser calls it); every hit is
-	// validated against Rules so a spec whose Rules were appended to after
-	// indexing still answers correctly via the scan fallback.
-	byID map[string]int
-}
-
-// Index (re)builds the rule-ID lookup index.  ParseSpec calls it after
-// validation; hand-assembled specs may call it once Rules are final.  Not
-// safe to call concurrently with RuleRefByID.
-func (s *Spec) Index() {
-	s.byID = make(map[string]int, len(s.Rules))
-	for i, r := range s.Rules {
-		if r.ID != "" {
-			s.byID[r.ID] = i
-		}
-	}
 }
 
 // NewSpec returns an empty spec.
@@ -240,66 +222,10 @@ func (s *Spec) HasSite(site string) bool {
 	return false
 }
 
-// Validate checks the spec: every item maps to a declared site, every rule
-// validates, every rule's LHS item is cataloged, and all RHS effects of a
-// rule resolve to one site (Appendix A.1 requires this).
+// Validate checks the spec as Plan does.
 func (s *Spec) Validate() error {
-	for base, site := range s.Items {
-		if !s.HasSite(site) {
-			return fmt.Errorf("spec: item %s placed at undeclared site %s", base, site)
-		}
-	}
-	for base, site := range s.Private {
-		if !s.HasSite(site) {
-			return fmt.Errorf("spec: private item %s placed at undeclared site %s", base, site)
-		}
-		if _, dup := s.Items[base]; dup {
-			return fmt.Errorf("spec: item %s declared both database and private", base)
-		}
-	}
-	ids := map[string]bool{}
-	for _, r := range s.Rules {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-		if r.ID != "" {
-			if ids[r.ID] {
-				return fmt.Errorf("spec: duplicate rule id %q", r.ID)
-			}
-			ids[r.ID] = true
-		}
-		if r.LHS.Op.HasItem() {
-			if _, ok := s.SiteOf(r.LHS.Item.Base); !ok {
-				return fmt.Errorf("spec: rule %s: LHS item %s has no site", r.ID, r.LHS.Item.Base)
-			}
-		}
-		effSite := ""
-		for _, step := range r.Steps {
-			if step.Eff.Op == event.OpF || !step.Eff.Op.HasItem() {
-				continue
-			}
-			site, ok := s.SiteOf(step.Eff.Item.Base)
-			if !ok {
-				return fmt.Errorf("spec: rule %s: effect item %s has no site", r.ID, step.Eff.Item.Base)
-			}
-			if effSite == "" {
-				effSite = site
-			} else if effSite != site {
-				return fmt.Errorf("spec: rule %s: effects span sites %s and %s; all RHS events of a rule must share one site", r.ID, effSite, site)
-			}
-			condItems := append(ExprItems(step.Cond), ExprItems(step.ValExpr)...)
-			for _, ib := range condItems {
-				condSite, ok := s.SiteOf(ib)
-				if !ok {
-					return fmt.Errorf("spec: rule %s: condition item %s has no site", r.ID, ib)
-				}
-				if condSite != site {
-					return fmt.Errorf("spec: rule %s: condition reads %s at site %s but effect runs at site %s; conditions may only read data local to the effect site", r.ID, ib, condSite, site)
-				}
-			}
-		}
-	}
-	return nil
+	_, err := s.Plan()
+	return err
 }
 
 // String renders the spec in the concrete syntax accepted by ParseSpec.
@@ -335,22 +261,4 @@ func sortedKeys(m map[string]string) []string {
 		}
 	}
 	return ks
-}
-
-// RuleRefByID finds a rule by id and returns a pointer into Rules, valid
-// as long as the spec is not mutated; the shell's receive path uses it
-// so each inbound firing does not copy a Rule.  Indexed specs (anything
-// from ParseSpec) answer in O(1); the index is verified against Rules on
-// every hit, so mutation after indexing degrades to the linear scan
-// instead of returning stale rules.
-func (s *Spec) RuleRefByID(id string) (*Rule, bool) {
-	if i, ok := s.byID[id]; ok && i < len(s.Rules) && s.Rules[i].ID == id {
-		return &s.Rules[i], true
-	}
-	for i := range s.Rules {
-		if s.Rules[i].ID == id {
-			return &s.Rules[i], true
-		}
-	}
-	return nil, false
 }

@@ -359,8 +359,12 @@ rule N(X, b) ->5s WR(X, b)
 	if spec.Rules[0].ID != "r1" || spec.Rules[1].ID != "r2" {
 		t.Fatalf("auto ids = %s, %s", spec.Rules[0].ID, spec.Rules[1].ID)
 	}
-	if r, ok := spec.RuleRefByID("r2"); !ok || r != &spec.Rules[1] {
-		t.Fatal("RuleRefByID failed")
+	p, err := spec.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl := p.Rule("r2"); pl == nil || pl.Rule != &spec.Rules[1] {
+		t.Fatal("Plan.Rule(r2) does not find the second rule")
 	}
 }
 
@@ -382,6 +386,10 @@ func TestParseSpecErrors(t *testing.T) {
 		"site A\nsite B\nitem X @ A\nitem Y @ B\nprivate Cx @ A\nrule N(X, b) ->5s (Cx != b)? WR(Y, b)",
 		// Duplicate rule ids.
 		"site A\nitem X @ A\nrule p: N(X, b) ->5s WR(X, b)\nrule p: N(X, b) ->5s WR(X, b)",
+		// No site to place the rule at: an F LHS, a P rule whose only
+		// effect is F.
+		"site A\nitem X @ A\nrule F ->1s W(X, 1)",
+		"site A\nitem X @ A\nrule P(5s) ->1s F",
 	}
 	for _, src := range cases {
 		if _, err := ParseSpecString(src); err == nil {
@@ -627,13 +635,18 @@ guarantee metric-leads(salary1, salary2, 15s)
 // FuzzSpecParse: the spec parser reads operator-written files.  A
 // malformed spec is an error, never a panic, and a spec it accepts
 // renders (Spec.String) to text that parses back and renders to the same
-// text again: parse → print → parse is a fixpoint.
+// text again: parse → print → parse is a fixpoint.  The spec's plan places
+// every rule where the placement walkers the plan replaced did.
 func FuzzSpecParse(f *testing.F) {
+	f.Add("site A\nsite B\nitem X @ A\nprivate Y @ B\nprivate Z @ B\n" +
+		"rule p: P(5s) ->1s F, RR(Y), (Z = 1)? W(Y, eval(Z + 1))\n" +
+		"rule q: Ws(X, b) && X = b ->2s F\nrule r: N(X, b) ->3s WR(Y, b), W(Z, b)\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		sp, err := ParseSpecString(src)
 		if err != nil {
 			return
 		}
+		checkPlanAgainstOracles(t, sp)
 		printed := sp.String()
 		again, err := ParseSpecString(printed)
 		if err != nil {

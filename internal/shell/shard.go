@@ -41,46 +41,16 @@ type ShardRouter interface {
 // whose members hold mutually stale tables.
 const maxShardHops = 8
 
-// ruleAnchor is the base whose owner owns the rule: the LHS item base,
-// or the first sited effect base for item-less periodic rules.
-func ruleAnchor(r *rule.Rule) (string, bool) {
-	if r.LHS.Op.HasItem() {
-		return r.LHS.Item.Base, true
+// ownsRule reports whether this shell owns rule p: the fleet route
+// table decides when it holds the rule's anchor base, and otherwise the
+// static Fig. 1 assignment does — the shell hosting the rule's site owns
+// the rule.
+func (s *Shell) ownsRule(p *rule.Placed) bool {
+	if owner, ok := s.shardOwner(p.Anchor); ok {
+		return owner == s.id
 	}
-	if r.LHS.Op == event.OpP {
-		for _, st := range r.Steps {
-			if st.Eff.Op.HasItem() {
-				return st.Eff.Item.Base, true
-			}
-		}
-	}
-	return "", false
-}
-
-// ownsRule reports whether this shell owns rule r, whose LHS site is
-// site: the fleet route table decides when it holds the rule's anchor
-// base, and otherwise the static Fig. 1 assignment does — the shell
-// hosting site owns the rule.
-func (s *Shell) ownsRule(r *rule.Rule, site string) bool {
-	if base, ok := ruleAnchor(r); ok {
-		if owner, ok := s.shardOwner(base); ok {
-			return owner == s.id
-		}
-	}
-	_, hosted := s.sites[site]
+	_, hosted := s.sites[p.Site]
 	return hosted
-}
-
-// effectBase is the base whose owner executes the rule's RHS (all of a
-// rule's effects resolve to one owner — the fleet assignment co-locates
-// them by affinity, mirroring Appendix A.1's one-site RHS restriction).
-func effectBase(r *rule.Rule) (string, bool) {
-	for _, st := range r.Steps {
-		if st.Eff.Op.HasItem() {
-			return st.Eff.Item.Base, true
-		}
-	}
-	return "", false
 }
 
 // shardOwner resolves a base through the route table; ok is false in
@@ -141,19 +111,19 @@ func (s *Shell) forwardShard(m transport.Message, owner, kind string) {
 }
 
 // forwardTrigger ships an external trigger of the given task kind to the
-// base's owner as a "fleet-trigger" message.  Values travel as literal
-// encodings; the owner replays the trigger through external, the path the
-// original shell would have used.
+// base's owner as a "fleet-trigger" message.  The old and new values ride
+// in BindingsVal, which the codec writes as tagged values, so they keep
+// their kind and bits; the owner replays the trigger through external,
+// the path the original shell would have used.
 func (s *Shell) forwardTrigger(kind taskKind, site string, item data.ItemName, old, new data.Value, owner string) {
 	m := transport.Message{
 		Kind: "fleet-trigger",
 		Payload: map[string]string{
 			"op":   triggerOps[kind],
 			"item": item.String(),
-			"old":  old.String(),
-			"new":  new.String(),
 		},
-		Epoch: s.opts.Router.Epoch(),
+		BindingsVal: event.Bindings{"old": old, "new": new},
+		Epoch:       s.opts.Router.Epoch(),
 	}
 	if site != "" {
 		m.Payload["site"] = site
@@ -192,26 +162,10 @@ func (s *Shell) receiveTrigger(m transport.Message) {
 		s.forwardShard(m, owner, "trigger")
 		return
 	}
-	parse := func(key string) (data.Value, error) {
-		lit, ok := m.Payload[key]
-		if !ok {
-			return data.NullValue, nil
-		}
-		return data.ParseLiteral(lit)
-	}
-	old, err1 := parse("old")
-	newV, err2 := parse("new")
-	if err1 != nil || err2 != nil {
-		s.reportFailure(cmi.Failure{
-			Kind: cmi.FailLogical, Site: s.id, When: s.clock.Now(),
-			Op: "receive", Err: fmt.Errorf("fleet-trigger for %s from %s: bad value encoding", item, m.From),
-		}, false)
-		return
-	}
 	op := m.Payload["op"]
 	for kind, name := range triggerOps {
 		if name != "" && name == op {
-			s.external(taskKind(kind), m.Payload["site"], item, old, newV)
+			s.external(taskKind(kind), m.Payload["site"], item, m.BindingsVal["old"], m.BindingsVal["new"])
 			return
 		}
 	}
@@ -228,31 +182,23 @@ func (s *Shell) receiveTrigger(m transport.Message) {
 // observe a half-updated rule set.  Periodic (P-LHS) rules keep their
 // Start-time owner: their timers were created there and do not migrate
 // (a documented v1 limitation — DESIGN.md §10).
-func (s *Shell) RefreshOwnership() error {
+func (s *Shell) RefreshOwnership() {
 	if s.opts.Router == nil || !s.started {
-		return nil
+		return
 	}
-	var owned []rule.Rule
-	for _, r := range s.spec.Rules {
-		if r.LHS.Op == event.OpP {
-			continue
-		}
-		site, err := ruleSite(s.spec, r)
-		if err != nil {
-			return err
-		}
-		if s.ownsRule(&r, site) {
-			owned = append(owned, r)
+	var owned []*rule.Placed
+	for i := range s.plan.Rules {
+		if p := &s.plan.Rules[i]; p.Key.Op != event.OpP && s.ownsRule(p) {
+			owned = append(owned, p)
 		}
 	}
-	for i := range s.owned {
-		if s.owned[i].LHS.Op == event.OpP {
-			owned = append(owned, s.owned[i])
+	for _, p := range s.owned {
+		if p.Key.Op == event.OpP {
+			owned = append(owned, p)
 		}
 	}
 	s.owned = owned
 	s.buildDispatchIndex()
-	return nil
 }
 
 // AddPeer declares a fleet member this shell can reach that hosts no

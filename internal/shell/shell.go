@@ -48,6 +48,12 @@ type Shell struct {
 	tr    *trace.Trace
 	opts  Options
 
+	// plan places the spec's rules.  New builds it, because a peer's fire
+	// can arrive between Attach and Start; planErr is the spec's error,
+	// which Start returns, and a nil plan finds no rule.
+	plan    *rule.Plan
+	planErr error
+
 	// run-to-completion event queue
 	qmu        sync.Mutex
 	queue      taskRing
@@ -63,18 +69,18 @@ type Shell struct {
 	sites     map[string]cmi.Interface // hosted site -> translator (nil for private-only sites)
 	routing   map[string]string        // site -> shell ID
 	ep        transport.Endpoint
-	owned     []rule.Rule
+	owned     []*rule.Placed
 	periodics []vclock.Timer
 	cancels   []func()
 	started   bool
 
-	// dispatchIdx maps (op, LHS item base) to the owned rules that can
-	// possibly match an event with that descriptor shape — item bases in
-	// templates are always literal, so the index is exact and handleEvent
-	// touches only candidate rules instead of scanning all of s.owned.
-	// Periodic rules live under {OpP, ""}.  Built by Start, with the owned
-	// rules; before that both are empty.
-	dispatchIdx map[dispatchKey][]*rule.Rule
+	// dispatchIdx maps a plan's dispatch key (LHS op, LHS item base) to
+	// the owned rules that can possibly match an event with that
+	// descriptor shape — the index is exact, so handleEvent touches only
+	// candidate rules instead of scanning all of s.owned.  Periodic rules
+	// live under {OpP, ""}.  Built by Start, with the owned rules; before
+	// that both are empty.
+	dispatchIdx map[rule.Key][]*rule.Placed
 
 	// Scratch state the match loop, the RHS and the expression evaluator
 	// reuse; the post queue serializes all use of it.  scratchB is the
@@ -234,6 +240,7 @@ func New(id string, spec *rule.Spec, opts Options) *Shell {
 		subscribed: map[string]bool{},
 		m:          newShellMetrics(opts.Metrics, id),
 	}
+	s.plan, s.planErr = spec.Plan()
 	s.qcond = sync.NewCond(&s.qmu)
 	s.evalEnv.s = s
 	return s
@@ -374,46 +381,6 @@ func (s *Shell) Delivery() DeliveryCounts {
 	}
 }
 
-// ruleSite computes the site owning a rule: the site of its LHS item, or
-// for periodic rules the site of the first RHS effect.
-func ruleSite(spec *rule.Spec, r rule.Rule) (string, error) {
-	if r.LHS.Op.HasItem() {
-		site, ok := spec.SiteOf(r.LHS.Item.Base)
-		if !ok {
-			return "", fmt.Errorf("shell: rule %s: no site for item %s", r.ID, r.LHS.Item.Base)
-		}
-		return site, nil
-	}
-	if r.LHS.Op == event.OpP {
-		for _, st := range r.Steps {
-			if st.Eff.Op.HasItem() {
-				site, ok := spec.SiteOf(st.Eff.Item.Base)
-				if !ok {
-					return "", fmt.Errorf("shell: rule %s: no site for item %s", r.ID, st.Eff.Item.Base)
-				}
-				return site, nil
-			}
-		}
-		return "", fmt.Errorf("shell: periodic rule %s has no sited effect", r.ID)
-	}
-	return "", fmt.Errorf("shell: rule %s has unplaceable LHS %s", r.ID, r.LHS)
-}
-
-// effectSite computes the single site at which a rule's RHS executes.
-func effectSite(spec *rule.Spec, r rule.Rule) (string, error) {
-	for _, st := range r.Steps {
-		if st.Eff.Op.HasItem() {
-			site, ok := spec.SiteOf(st.Eff.Item.Base)
-			if !ok {
-				return "", fmt.Errorf("shell: rule %s: no site for effect item %s", r.ID, st.Eff.Item.Base)
-			}
-			return site, nil
-		}
-	}
-	// All effects are F: the rule never executes anything.
-	return "", nil
-}
-
 // Start computes rule ownership, subscribes to notification interfaces,
 // and starts periodic event generation.  The toolkit calls this after all
 // sites, routes and the transport are in place (the initialization phase
@@ -422,26 +389,26 @@ func (s *Shell) Start() error {
 	if s.started {
 		return fmt.Errorf("shell %s: already started", s.id)
 	}
+	if s.planErr != nil {
+		return fmt.Errorf("shell %s: %w", s.id, s.planErr)
+	}
 	needNotify := map[string]string{} // item base -> site, for N/Ws LHS rules
 	periods := map[time.Duration]string{}
-	for _, r := range s.spec.Rules {
-		site, err := ruleSite(s.spec, r)
-		if err != nil {
-			return err
-		}
-		owns := s.ownsRule(&r, site)
+	for i := range s.plan.Rules {
+		p := &s.plan.Rules[i]
+		owns := s.ownsRule(p)
 		// A translator here delivers the base's callbacks even when the
 		// fleet moved the rule to another shell: keep the subscription and
 		// let onSourceChange forward each trigger to the owner.
-		if (owns || s.sites[site] != nil) && (r.LHS.Op == event.OpN || r.LHS.Op == event.OpWs) {
-			needNotify[r.LHS.Item.Base] = site
+		if (owns || s.sites[p.Site] != nil) && (p.Key.Op == event.OpN || p.Key.Op == event.OpWs) {
+			needNotify[p.Key.Base] = p.Site
 		}
 		if !owns {
 			continue
 		}
-		s.owned = append(s.owned, r)
-		if r.LHS.Op == event.OpP {
-			periods[r.LHS.Period] = site
+		s.owned = append(s.owned, p)
+		if p.Key.Op == event.OpP {
+			periods[p.Rule.LHS.Period] = p.Site
 		}
 	}
 	// Subscribe to spontaneous-change notification for bases the strategy
@@ -479,29 +446,11 @@ func (s *Shell) Start() error {
 	return nil
 }
 
-// dispatchKey addresses one bucket of the rule dispatch index: the LHS
-// operation plus the literal item base (empty for item-less P rules).
-type dispatchKey struct {
-	op   event.Op
-	base string
-}
-
-// buildDispatchIndex groups s.owned by (LHS op, item base).  Template
-// item bases are always literal (only argument slots may be parameters or
-// wildcards) so an event can only match rules in its own bucket; F rules
-// match nothing and are left out entirely.
+// buildDispatchIndex groups s.owned by their dispatch keys.
 func (s *Shell) buildDispatchIndex() {
-	s.dispatchIdx = make(map[dispatchKey][]*rule.Rule, len(s.owned))
-	for i := range s.owned {
-		r := &s.owned[i]
-		k := dispatchKey{op: r.LHS.Op}
-		switch {
-		case r.LHS.Op == event.OpF:
-			continue
-		case r.LHS.Op.HasItem():
-			k.base = r.LHS.Item.Base
-		}
-		s.dispatchIdx[k] = append(s.dispatchIdx[k], r)
+	s.dispatchIdx = make(map[rule.Key][]*rule.Placed, len(s.owned))
+	for _, p := range s.owned {
+		s.dispatchIdx[p.Key] = append(s.dispatchIdx[p.Key], p)
 	}
 }
 
@@ -535,7 +484,7 @@ const (
 	taskNotify
 	// taskWriteRequest runs a CM write request WR(item, new) at site.
 	taskWriteRequest
-	// taskFire runs rule r's RHS for trigger under the task's bindings.
+	// taskFire runs rule p's RHS for trigger under the task's bindings.
 	taskFire
 )
 
@@ -569,7 +518,7 @@ type task struct {
 	// taskFire.  The bindings are the first nb entries of inline, or b
 	// when the firing carries a map: a received one, or one past
 	// inlineBindings.  run reads b and never writes into it.
-	r       *rule.Rule
+	p       *rule.Placed
 	trigger *event.Event
 	b       event.Bindings
 	nb      int
@@ -686,7 +635,7 @@ func (s *Shell) run(t *task) {
 		for _, p := range t.inline[:t.nb] {
 			b[p.name] = p.v
 		}
-		s.executeSteps(t.r, b, t.trigger)
+		s.executeSteps(t.p, b, t.trigger)
 	}
 }
 
@@ -794,12 +743,12 @@ func (s *Shell) external(kind taskKind, site string, item data.ItemName, old, ne
 // handleEvent matches an event against the owned rules and dispatches
 // firings.  It must run on the shell's queue.
 func (s *Shell) handleEvent(e *event.Event) {
-	k := dispatchKey{op: e.Desc.Op}
+	k := rule.Key{Op: e.Desc.Op}
 	if e.Desc.Op.HasItem() {
-		k.base = e.Desc.Item.Base
+		k.Base = e.Desc.Item.Base
 	}
-	for _, r := range s.dispatchIdx[k] {
-		s.matchRule(r, e)
+	for _, p := range s.dispatchIdx[k] {
+		s.matchRule(p, e)
 	}
 }
 
@@ -808,7 +757,8 @@ func (s *Shell) handleEvent(e *event.Event) {
 // runs one task at a time); dispatch borrows it and copies what it keeps.
 // A delayed dispatch gets its own clone, because its timer outlives the
 // scratch.
-func (s *Shell) matchRule(r *rule.Rule, e *event.Event) {
+func (s *Shell) matchRule(p *rule.Placed, e *event.Event) {
+	r := p.Rule
 	b := s.scratchB
 	clear(b)
 	if !r.LHS.MatchInto(e.Desc, b) {
@@ -836,28 +786,26 @@ func (s *Shell) matchRule(r *rule.Rule, e *event.Event) {
 		// leave in match order and the FIFO transport keeps them ordered —
 		// required on the real clock, where timer goroutines would
 		// otherwise race (Appendix A.2 property 7).
-		s.dispatch(r, b, e)
+		s.dispatch(p, b, e)
 		return
 	}
 	bCopy, trigger := b.Clone(), e
-	s.clock.AfterFunc(s.opts.FireDelay, func() { s.dispatch(r, bCopy, trigger) })
+	s.clock.AfterFunc(s.opts.FireDelay, func() { s.dispatch(p, bCopy, trigger) })
 }
 
 // dispatch routes a rule firing to the shell hosting the RHS site.  It
 // borrows b: a local firing copies the bindings into its task and a
 // remote one clones them into the message, whose receiver owns that map.
-func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
-	effSite, err := effectSite(s.spec, *r)
-	if err != nil || effSite == "" {
+func (s *Shell) dispatch(p *rule.Placed, b event.Bindings, trigger *event.Event) {
+	r, effSite := p.Rule, p.EffSite
+	if effSite == "" {
 		return
 	}
 	target, ok := s.routing[effSite]
-	if base, sited := effectBase(r); sited {
-		// Fleet mode: the RHS executes at the effect base's current owner,
-		// not at the static hosting shell.
-		if owner, shard := s.shardOwner(base); shard {
-			target, ok = owner, true
-		}
+	// Fleet mode: the RHS executes at the effect base's current owner,
+	// not at the static hosting shell.
+	if owner, shard := s.shardOwner(p.Effect); shard {
+		target, ok = owner, true
 	}
 	if !ok {
 		s.reportFailure(cmi.Failure{
@@ -874,7 +822,7 @@ func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 			TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
 			Matched: trigger.Time, Dispatched: s.clock.Now(),
 		})
-		t := task{kind: taskFire, r: r, trigger: trigger}
+		t := task{kind: taskFire, p: p, trigger: trigger}
 		t.carry(b)
 		s.post(t)
 		return
@@ -935,8 +883,8 @@ func (s *Shell) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 func (s *Shell) receive(m transport.Message) {
 	switch m.Kind {
 	case "fire":
-		r, ok := s.spec.RuleRefByID(m.Rule)
-		if !ok {
+		p := s.plan.Rule(m.Rule)
+		if p == nil {
 			s.reportFailure(cmi.Failure{
 				Kind: cmi.FailLogical, Site: s.id, When: s.clock.Now(),
 				Op: "receive", Err: fmt.Errorf("unknown rule %q from %s", m.Rule, m.From),
@@ -944,13 +892,11 @@ func (s *Shell) receive(m transport.Message) {
 			return
 		}
 		s.noteStaleEpoch(&m)
-		if base, sited := effectBase(r); sited {
-			// A fire for a base this shell no longer owns — the sender held
-			// a pre-rebalance table.  Re-route to the current owner.
-			if owner, shard := s.shardOwner(base); shard && owner != s.id {
-				s.forwardShard(m, owner, "fire")
-				return
-			}
+		// A fire for a base this shell no longer owns — the sender held a
+		// pre-rebalance table.  Re-route to the current owner.
+		if owner, shard := s.shardOwner(p.Effect); shard && owner != s.id {
+			s.forwardShard(m, owner, "fire")
+			return
 		}
 		// Fast path: the sender's dispatch handed over a bindings map as
 		// values (or the codec decoded one), so the task carries it as is;
@@ -983,7 +929,7 @@ func (s *Shell) receive(m transport.Message) {
 			}
 		}
 		s.m.recvFires.Inc()
-		s.post(task{kind: taskFire, r: r, trigger: trigger, b: b})
+		s.post(task{kind: taskFire, p: p, trigger: trigger, b: b})
 	case "failure":
 		kind := cmi.FailMetric
 		if m.FailKind == "logical" {
@@ -1065,10 +1011,11 @@ func stubTrigger(ref transport.EventRef) *event.Event {
 	return e
 }
 
-// executeSteps runs the RHS of a rule at this shell.  Runs on the queue,
-// from run only; it may extend b, which is always execB, and keeps no
-// reference to it.
-func (s *Shell) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event) {
+// executeSteps runs the RHS of a rule at this shell, the rule's effect
+// site.  Runs on the queue, from run only; it may extend b, which is
+// always execB, and keeps no reference to it.
+func (s *Shell) executeSteps(p *rule.Placed, b event.Bindings, trigger *event.Event) {
+	r, site := p.Rule, p.EffSite
 	now := s.clock.Now()
 	obs.DefaultRing.Record(obs.FireTrace{
 		Rule: r.ID, Shell: s.id, Site: trigger.Site,
@@ -1100,14 +1047,10 @@ func (s *Shell) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Even
 				}, true)
 				continue
 			}
-			evalSite, ok := s.spec.SiteOf(item.Base)
-			if !ok {
-				evalSite = s.id
-			}
-			v, err := step.ValExpr.Eval(s.env(evalSite, b))
+			v, err := step.ValExpr.Eval(s.env(site, b))
 			if err != nil {
 				s.reportFailure(cmi.Failure{
-					Kind: cmi.FailLogical, Site: evalSite, When: s.clock.Now(),
+					Kind: cmi.FailLogical, Site: site, When: s.clock.Now(),
 					Op: "execute", Err: fmt.Errorf("rule %s eval: %w", r.ID, err),
 				}, true)
 				continue
@@ -1123,10 +1066,6 @@ func (s *Shell) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Even
 				}, true)
 				continue
 			}
-		}
-		site, ok := s.spec.SiteOf(desc.Item.Base)
-		if !ok {
-			site = s.id
 		}
 		// The step guard is evaluated against data local to the effect
 		// site at firing time.

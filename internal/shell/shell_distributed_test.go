@@ -1,6 +1,7 @@
 package shell
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,6 +236,31 @@ func TestRuleSitePlacementErrors(t *testing.T) {
 	s.AddSite("S", nil)
 	if err := s.Start(); err == nil {
 		t.Fatal("Start accepted a rule with an unplaced LHS")
+	}
+}
+
+// TestStartRejectsWhatValidateRejects: a hand-built spec never went
+// through ParseSpec, so Start is where its errors surface.  Its rule
+// writes Y at site A and Z at site B, and Appendix A.1 runs all of a
+// rule's RHS events at one site.
+func TestStartRejectsWhatValidateRejects(t *testing.T) {
+	spec := rule.NewSpec()
+	spec.Sites = []string{"A", "B"}
+	spec.Private["X"], spec.Private["Y"], spec.Private["Z"] = "A", "A", "B"
+	r, err := rule.ParseRule("r: Ws(X, b) ->1s W(Y, b), W(Z, b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Rules = append(spec.Rules, r)
+	verr := spec.Validate()
+	if verr == nil || !strings.Contains(verr.Error(), "effects span sites A and B") {
+		t.Fatalf("Validate = %v, want the effects-span-sites error", verr)
+	}
+	s := New("s", spec, Options{Clock: vclock.NewVirtual(vclock.Epoch)})
+	s.AddSite("A", nil)
+	s.AddSite("B", nil)
+	if err := s.Start(); err == nil || !strings.Contains(err.Error(), verr.Error()) {
+		t.Fatalf("Start = %v, want Validate's error %q", err, verr)
 	}
 }
 
