@@ -57,9 +57,10 @@ run() {
 		fuzz FuzzWireFrame ./internal/wire
 		fuzz FuzzMessageBatch ./internal/transport
 		fuzz FuzzJournal ./internal/transport
-		# Each input is a few files on disk: the default minimization of a
-		# new input (60 s) would take the whole 15 s.
+		# The durable targets write each input to disk: the default
+		# minimization of a new input (60 s) would take the whole 15 s.
 		fuzz FuzzLogRecovery ./internal/durable -fuzzminimizetime 50x
+		fuzz FuzzWALFrame ./internal/durable -fuzzminimizetime 50x
 		fuzz FuzzSQLParse ./internal/ris/relstore
 		fuzz FuzzExec ./internal/ris/relstore
 		fuzz FuzzItemKey ./internal/data

@@ -6,15 +6,21 @@
 // baselines in tests.
 //
 // A `go` statement passes when the launched body — a function literal,
-// or a same-package function or method resolved by name — contains a
-// recognizable shutdown tie:
+// a same-package function or method resolved by name, or a func literal
+// bound once to a field (`go x.f()` with `x.f = func(){…}` or
+// `f: func(){…}` in the same package) — contains a recognizable shutdown
+// tie:
 //
 //   - a WaitGroup Done (usually deferred), which a Close/Drain Waits on,
 //   - a receive, select or predicate on a done/closed/quit/stop signal
 //     (t.done channel, t.closed flag, ctx.Done()),
 //
 // or when the launching function registers the goroutine on a
-// WaitGroup (x.wg.Add before the go statement).  A goroutine whose body
+// WaitGroup (x.wg.Add before the go statement).  A bound literal whose
+// body only calls a same-package function or method is tied when that
+// callee's body is, one level deep and resolved by name like the rest:
+// a flusher bound once per outbox (`o.flush = func() { t.flushPeer(to,
+// o) }`) is checked through flushPeer.  A goroutine whose body
 // cannot be resolved (a method from another package, like
 // http.Server.Serve) must carry //cmlint:allow goroleak(reason) naming
 // who stops it.  Package main is exempt: its goroutines share the
@@ -48,15 +54,37 @@ func run(p *analysis.Pass) error {
 	if p.Pkg.Name == "main" {
 		return nil
 	}
-	// Index this package's function and method bodies by name for
-	// resolving `go x.f()`.
-	decls := map[string][]*ast.FuncDecl{}
+	// Index this package's function and method bodies by name, and the
+	// func literals bound to fields by field name, for resolving
+	// `go x.f()`.
+	r := resolver{decls: map[string][]*ast.FuncDecl{}, bound: map[string][]*ast.FuncLit{}}
 	for _, file := range p.Pkg.Files {
 		for _, d := range file.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				decls[fd.Name.Name] = append(decls[fd.Name.Name], fd)
+				r.decls[fd.Name.Name] = append(r.decls[fd.Name.Name], fd)
 			}
 		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt: // x.f = func() {…}
+				for i, lhs := range x.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if !ok || i >= len(x.Rhs) {
+						continue
+					}
+					if lit, ok := x.Rhs[i].(*ast.FuncLit); ok {
+						r.bound[sel.Sel.Name] = append(r.bound[sel.Sel.Name], lit)
+					}
+				}
+			case *ast.KeyValueExpr: // T{f: func() {…}}
+				key, isKey := x.Key.(*ast.Ident)
+				lit, isLit := x.Value.(*ast.FuncLit)
+				if isKey && isLit {
+					r.bound[key.Name] = append(r.bound[key.Name], lit)
+				}
+			}
+			return true
+		})
 	}
 	for _, file := range p.Pkg.Files {
 		for _, d := range file.Decls {
@@ -69,7 +97,7 @@ func run(p *analysis.Pass) error {
 				if !ok {
 					return true
 				}
-				if checkGo(fd, g, decls) {
+				if r.checkGo(fd, g) {
 					return true
 				}
 				p.Reportf(g.Pos(), "goroutine is not visibly tied to a shutdown path (no WaitGroup Done, done/closed signal, or context in its body); tie it to Close/Drain/Stop or annotate //cmlint:allow goroleak(who stops it)")
@@ -80,8 +108,15 @@ func run(p *analysis.Pass) error {
 	return nil
 }
 
+// resolver finds the bodies a launched call can run, by name: declared
+// functions and methods, and func literals bound to a field.
+type resolver struct {
+	decls map[string][]*ast.FuncDecl
+	bound map[string][]*ast.FuncLit
+}
+
 // checkGo reports whether the go statement passes any heuristic.
-func checkGo(enclosing *ast.FuncDecl, g *ast.GoStmt, decls map[string][]*ast.FuncDecl) bool {
+func (r resolver) checkGo(enclosing *ast.FuncDecl, g *ast.GoStmt) bool {
 	// Heuristic 1: the launching function puts the goroutine on a
 	// WaitGroup before starting it.
 	addBefore := false
@@ -102,26 +137,52 @@ func checkGo(enclosing *ast.FuncDecl, g *ast.GoStmt, decls map[string][]*ast.Fun
 		return true
 	}
 	// Heuristic 2: the launched body contains a shutdown tie.
-	switch fun := g.Call.Fun.(type) {
-	case *ast.FuncLit:
-		return bodyTied(fun.Body)
-	case *ast.Ident:
-		return anyTied(decls[fun.Name])
-	case *ast.SelectorExpr:
-		if cands, ok := decls[fun.Sel.Name]; ok {
-			return anyTied(cands)
+	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
+		return bodyTied(lit.Body)
+	}
+	if r.calleeTied(g.Call.Fun) {
+		return true
+	}
+	if sel, ok := g.Call.Fun.(*ast.SelectorExpr); ok {
+		for _, lit := range r.bound[sel.Sel.Name] {
+			if bodyTied(lit.Body) || r.forwardsToTied(lit.Body) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-func anyTied(cands []*ast.FuncDecl) bool {
-	for _, fd := range cands {
+// calleeTied reports whether a same-package function or method with the
+// called name (f() or x.f()) has a tied body.
+func (r resolver) calleeTied(fun ast.Expr) bool {
+	name := ""
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		name = fun.Name
+	case *ast.SelectorExpr:
+		name = fun.Sel.Name
+	}
+	for _, fd := range r.decls[name] {
 		if bodyTied(fd.Body) {
 			return true
 		}
 	}
 	return false
+}
+
+// forwardsToTied reports whether body is a single call of a same-package
+// function or method whose own body is tied.
+func (r resolver) forwardsToTied(body *ast.BlockStmt) bool {
+	if len(body.List) != 1 {
+		return false
+	}
+	stmt, ok := body.List[0].(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := stmt.X.(*ast.CallExpr)
+	return ok && r.calleeTied(call.Fun)
 }
 
 // bodyTied scans a launched body for a shutdown tie.

@@ -35,3 +35,26 @@ func unresolvable() {
 	var e external
 	go e.Serve() // want `goroutine is not visibly tied to a shutdown path`
 }
+
+// pool binds its spinner once; the bound literal forwards to a method
+// with no shutdown tie, so the goroutine is flagged like a direct call.
+type pool struct {
+	q    chan int
+	spin func()
+}
+
+func newPool() *pool {
+	p := &pool{q: make(chan int)}
+	p.spin = func() { p.loop() }
+	return p
+}
+
+func (p *pool) loop() {
+	for v := range p.q {
+		_ = v
+	}
+}
+
+func (p *pool) kick() {
+	go p.spin() // want `goroutine is not visibly tied to a shutdown path`
+}

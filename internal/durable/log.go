@@ -43,7 +43,8 @@ type Log struct {
 	nsegs     int
 	lastSync  time.Time
 	closed    bool
-	err       error // first write failure, kept
+	err       error  // first write failure, kept
+	frame     []byte // Append's frame buffer, reused
 }
 
 // Recovery is what a Log found on open: the last checkpoint snapshot (nil
@@ -227,7 +228,9 @@ func openLog(dir, name string, opts Options, met walMetrics, clean bool, crashed
 	return l, rec, nil
 }
 
-// Append journals one record under the store's fsync policy.
+// Append journals one record under the store's fsync policy.  The frame
+// is built in the log's own buffer under its mutex, so an append
+// allocates nothing once that buffer has grown to the records' size.
 func (l *Log) Append(typ byte, data []byte) error {
 	if typ >= ckptType {
 		return fmt.Errorf("durable: record type 0x%02x is reserved", typ)
@@ -235,13 +238,17 @@ func (l *Log) Append(typ byte, data []byte) error {
 	if l.crashed.Load() {
 		return ErrCrashed
 	}
-	frame := appendFrame(nil, typ, data)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	return l.fail(l.appendLocked(frame))
+	l.frame = appendFrame(l.frame[:0], typ, data)
+	err := l.appendLocked(l.frame)
+	if cap(l.frame) > maxKeptFrame {
+		l.frame = nil
+	}
+	return l.fail(err)
 }
 
 // usableLocked is the error a write to the log returns before it touches

@@ -19,6 +19,10 @@ import (
 const (
 	frameHeader    = 8
 	maxRecordBytes = 16 << 20
+	// maxKeptFrame caps the frame buffer a Log keeps between appends: a
+	// buffer grown past it by an unusual record is dropped after that
+	// append, so one large record does not pin its size for the log's life.
+	maxKeptFrame = 64 << 10
 )
 
 // Record is one journaled entry: an opaque component-defined type tag and
@@ -43,16 +47,18 @@ func (d Damage) String() string {
 	return fmt.Sprintf("%s: %s at %s+%d: %s", d.Log, d.Kind, d.Segment, d.Offset, d.Detail)
 }
 
-// appendFrame appends one framed record to buf.
+// appendFrame appends one framed record to buf without allocating once
+// buf has room: the header goes in as a placeholder, and its length and
+// checksum are written over it once the payload they describe is in
+// place.
 func appendFrame(buf []byte, typ byte, data []byte) []byte {
-	payload := make([]byte, 0, 1+len(data))
-	payload = append(payload, typ)
-	payload = append(payload, data...)
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, typ)
+	buf = append(buf, data...)
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
 // segRe parses segment file names: <log>.<index>.wal, the index

@@ -504,11 +504,9 @@ func (r *ReliableEndpoint) Send(to string, m Message) error {
 	m.Link = LinkStamp{Epoch: r.epoch, Seq: seq}
 	journaled := false
 	if r.j != nil {
-		if m.Trigger.Desc == "" && m.TriggerEvent != nil {
-			// Render the descriptor once, for the journal and for a codec
-			// on the inner transport alike.
-			m.Trigger.Desc = m.TriggerEvent.Desc.String()
-		}
+		// A blank Trigger.Desc is left blank: the codec renders it from
+		// TriggerEvent into its scratch, for the journal record and the
+		// TCP frame alike.
 		journaled = r.journalLocked(jSend, appendSendRec(r.recordLocked(), &r.jEnc, to, seq, m))
 	}
 	// The outbox and the receiver share BindingsVal: a sent map is

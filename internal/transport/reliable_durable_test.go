@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"cmtk/internal/data"
 	"cmtk/internal/durable"
+	"cmtk/internal/event"
 	"cmtk/internal/obs"
 	"cmtk/internal/vclock"
 )
@@ -261,5 +263,66 @@ func TestJournalSummaryCountsFires(t *testing.T) {
 	b := sum.Out["B"]
 	if b.Pending != 4 || b.Fires != 3 {
 		t.Fatalf("summary = %+v, want 4 pending of which 3 fires", b)
+	}
+}
+
+// TestJournaledFireDescFromTriggerEvent: a journaled fire sent with a
+// blank Trigger.Desc and its TriggerEvent reaches a TCP receiver with the
+// descriptor the codec rendered from the event, and after a crash the
+// sender's replayed outbox message carries the same descriptor, read back
+// from the journal.  Reliable.Send itself renders nothing.
+func TestJournaledFireDescFromTriggerEvent(t *testing.T) {
+	trig := &event.Event{Site: "A", Seq: 7,
+		Desc: event.N(data.Item("salary1", data.NewString("e7")), data.NewInt(100))}
+	want := trig.Desc.String()
+
+	got := make(chan Message, 1)
+	relB := newReliableEndpoint("B", func(m Message) { got <- m }, ReliableOptions{Metrics: obs.NewRegistry()})
+	defer relB.Close()
+	// B's network has no address for A, so B cannot ack and the fire
+	// stays in A's outbox until the crash.
+	tcpB := joinTCP(t, NewTCPNetwork(), "B", relB.deliver)
+	relB.bind(tcpB)
+
+	dir := t.TempDir()
+	startA := func() (*durable.Store, *ReliableEndpoint) {
+		st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNever, Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := newReliableEndpoint("A", nil, ReliableOptions{RetryInterval: time.Hour, Metrics: obs.NewRegistry()})
+		if err := a.enableJournal(st, "rel-A"); err != nil {
+			t.Fatal(err)
+		}
+		return st, a
+	}
+	st, relA := startA()
+	relA.bind(joinTCP(t, NewTCPNetworkAt("127.0.0.1:0", map[string]string{"B": tcpB.Addr()}), "A", relA.deliver))
+	if err := relA.Send("B", Message{Kind: "fire", Rule: "prop",
+		Trigger: EventRef{Site: "A", Seq: 7}, TriggerEvent: trig}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got:
+		if m.Trigger.Desc != want || m.TriggerEvent != nil {
+			t.Fatalf("B received Trigger.Desc %q (TriggerEvent %v), want %q", m.Trigger.Desc, m.TriggerEvent, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the fire never arrived")
+	}
+
+	st.Crash()
+	relA.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, relA = startA()
+	defer st.Close()
+	defer relA.Close()
+	relA.mu.Lock()
+	q := append([]Message(nil), relA.outLink("B").unacked()...)
+	relA.mu.Unlock()
+	if len(q) != 1 || q[0].Trigger.Desc != want || q[0].TriggerEvent != nil {
+		t.Fatalf("replayed outbox %+v, want one fire with Trigger.Desc %q", q, want)
 	}
 }

@@ -53,12 +53,15 @@ type TCP struct {
 // tcpOut is one peer's send-side batch queue.  pending and spare are two
 // buffers that trade places each round: Send appends to pending while the
 // flusher ships the other, and the shipped one comes back as spare, so a
-// steady stream of batches re-grows neither.
+// steady stream of batches re-grows neither.  flush is the flusher bound
+// to this outbox once, when it is created: a go statement with arguments
+// would allocate a closure at every idle-to-busy change.
 type tcpOut struct {
 	addr    string
 	pending []Message
 	spare   []Message
 	running bool // a flusher goroutine owns this outbox
+	flush   func()
 }
 
 // tcpPeer is one outbound connection with the encoder bound to it: the
@@ -181,6 +184,7 @@ func (t *TCP) Send(to string, m Message) error {
 	o := t.outbox[to]
 	if o == nil {
 		o = &tcpOut{}
+		o.flush = func() { t.flushPeer(to, o) }
 		t.outbox[to] = o
 	}
 	o.addr = addr
@@ -197,7 +201,7 @@ func (t *TCP) Send(to string, m Message) error {
 	o.pending = append(o.pending, m)
 	if !o.running {
 		o.running = true
-		go t.flushPeer(to, o)
+		go o.flush()
 	}
 	t.outMu.Unlock()
 	return nil
